@@ -6,7 +6,7 @@
                      [--tol ...] [--out r.json]
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 input error,
-3 numeric-domain error.  Thread count via SURFACE_QP_THREADS.
+3 numeric-domain error.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ off-diagonal matrix entries: (Ad_h x)_ab = (lambda_a / lambda_b) x_ab.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .lie import AlgebraContext, Observable, dual_basis
 from .repspace import RepPoint, act, boundary_moment, holonomy, variation
 from .diagrams import IntersectionData
 from .quasipoisson import (HamiltonianQP, ORIENTATION_SIGN, WordFunction,
-                           action_sigma, bracket_numeric, sharp, slot_values)
+                           bracket_numeric, crossing_subtotal, endpoint_variation)
 from .words import Word
 
 TOL_REG = 1e-6
@@ -145,10 +145,6 @@ def project_to_cross_section(m: RepPoint) -> CrossSectionPoint:
     return CrossSectionPoint(m2, tuple(mus), tuple(gaps))
 
 
-def _variation(obs: Observable, incidence: str, hol: np.ndarray) -> np.ndarray:
-    return obs.var_right(hol) if incidence == "start" else obs.var_left(hol)
-
-
 def bracket_cross(phi: Observable, w_alpha: Word, psi: Observable, w_beta: Word,
                   data: IntersectionData, cs: CrossSectionPoint) -> float:
     """Cross-section bracket: endpoint terms dressed by Theta_{mu_i} on the
@@ -161,18 +157,15 @@ def bracket_cross(phi: Observable, w_alpha: Word, psi: Observable, w_beta: Word,
         if s.value == 0:
             continue
         mu = cs.mus[s.marked - 1]
-        u = _variation(phi, I, ha)
-        w = _variation(psi, J, hb)
+        u = endpoint_variation(phi, I, ha)
+        w = endpoint_variation(psi, J, hb)
         if s.alpha_left:
             a = m.ctx.form(theta_apply(mu, u), w)
         else:
             a = m.ctx.form(u, theta_apply(mu, w))
         tot += float(s.value) * a
-    for q in data.crossings:
-        c = holonomy(m, q.reroute_ab())
-        adv = c @ psi.var_left(hb) @ np.linalg.inv(c)
-        tot += q.sign * m.ctx.form(phi.var_right(ha), adv)
-    return ORIENTATION_SIGN * tot
+    return (ORIENTATION_SIGN * tot
+            + crossing_subtotal(phi, w_alpha, psi, w_beta, data, m))
 
 
 def perp_correction(h: HamiltonianQP, f: WordFunction, g: WordFunction,
@@ -194,18 +187,3 @@ def bracket_cross_numeric(h: HamiltonianQP, f: WordFunction, g: WordFunction,
                           cs: CrossSectionPoint) -> float:
     """Independent route: ambient bracket plus the P-perp correction."""
     return bracket_numeric(h, f, g, cs.m) + perp_correction(h, f, g, cs)
-
-
-def sharp_on_section(h: HamiltonianQP, f: WordFunction, cs: CrossSectionPoint):
-    """P_L#(df): ambient P#(df) minus the action realization of the
-    perpendicular part; tangent to L to first order."""
-    m = cs.m
-    x = sharp(h, f, m)
-    vals = slot_values(m)
-    for i in range(1, m.spec.boundary_count + 1):
-        cf = proj_offdiag(variation(m, f.obs, f.word, i))
-        eta = -0.5 * ad_cayley_apply(cs.mus[i - 1], cf)
-        sig = action_sigma(h, i - 1, eta, vals)
-        for s, tan in sig.items():
-            x[s] = x[s] + tan  # rho_eta = -sigma_eta; X - rho = X + sigma
-    return x

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -50,6 +49,8 @@ class AlgebraContext:
         g = np.asarray(g, dtype=self.dtype)
         if g.shape != (self.n, self.n):
             raise ValueError("wrong matrix shape")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("matrix has non-finite entries")
         if abs(np.linalg.det(g)) <= TOL_INV:
             raise ValueError("matrix not invertible within tolerance")
         if self.kind == "u":
@@ -256,11 +257,7 @@ def trivector_reference_tensor(ctx: AlgebraContext, tv: CartanTrivector) -> np.n
         return np.concatenate([x.real, x.imag])
 
     M = np.array([flat(f) for f in tv.pair.f])
-    G = np.einsum('ijk,ia,jb,kc->abc', tv.coeffs, M, M, M)
-    out = np.zeros_like(G)
-    for perm, sgn in _SIGNED_PERMS:
-        out += sgn * np.transpose(G, perm)
-    return out
+    return wedge3_tensor(np.einsum('ijk,ia,jb,kc->abc', tv.coeffs, M, M, M))
 
 
 _SIGNED_PERMS = [

@@ -5,8 +5,16 @@ formula of the main theorem.
 The bivector lives on the coordinates of the canonical split pieces: an
 annulus piece i carries double coordinates (a_i, b_i) with u_i = a_i and
 v_i = b_i a_i; a torus piece j carries (c_j, d_j) = (Hol_gamma, Hol_delta).
-Fields are stored as basic descriptors (slot, side, algebra element) where
-side "L" is the left-invariant field g x and "R" the right-invariant x g.
+A field type A = (slot, side) turns an algebra element x into a field on one
+slot: side "L" is the left-invariant field g x, "R" the right-invariant x g.
+Doubles and fusion only produce terms c sum_k A(e_k) ^ B(f_k) over the dual
+basis pair with c independent of k, so the bivector is stored as the
+coefficient map C[(A, B)] = c.
+
+A function f enters through its gradients grad_A f in g, defined by
+df(A(x)) = <grad_A f, x>; summing over the dual pair gives the bracket as
+the quadratic form
+    {f, g} = sum_AB C_AB (<grad_A f, grad_B g> - <grad_B f, grad_A g>).
 """
 
 from __future__ import annotations
@@ -28,21 +36,8 @@ from .words import Word, free_reduce, invert
 ORIENTATION_SIGN = 1.0
 
 Slot = Tuple[str, int]          # ("a", i) | ("b", i) | ("c", j) | ("d", j)
+FieldType = Tuple[Slot, str]    # (slot, side)
 ActionEntry = Tuple[Slot, str, int]   # (slot, field side, coefficient)
-
-
-@dataclass(frozen=True)
-class Field:
-    slot: Slot
-    side: str  # "L" | "R"
-    mat: np.ndarray
-
-
-@dataclass(frozen=True)
-class Term:
-    coeff: float
-    v: Field
-    w: Field
 
 
 @dataclass
@@ -50,7 +45,7 @@ class HamiltonianQP:
     ctx: AlgebraContext
     pair: DualBasisPair
     slots: List[Slot]
-    terms: List[Term]
+    coeffs: Dict[Tuple[FieldType, FieldType], float]   # C[(A, B)]
     actions: List[List[ActionEntry]]        # natural (sign-free) action fields
     moments: Optional[List[tuple]]          # slot-letter words, one per action
 
@@ -98,48 +93,50 @@ def eval_slot_word(letters: Sequence, vals: Dict[Slot, np.ndarray], n: int, dtyp
     return out
 
 
+def field_value(vals: Dict[Slot, np.ndarray], a: FieldType, x: np.ndarray) -> np.ndarray:
+    """The field a(x) at the point: g x (side "L") or x g (side "R")."""
+    v = vals[a[0]]
+    return v @ x if a[1] == "L" else x @ v
+
+
 # --- constructors ---------------------------------------------------------
 
 def trivial_pair(ctx: AlgebraContext, slot: Slot = ("a", 0)) -> HamiltonianQP:
     """(G, P=0) with the left and right multiplication actions; admits no
     moment map."""
-    return HamiltonianQP(ctx, dual_basis(ctx), [slot], [],
+    return HamiltonianQP(ctx, dual_basis(ctx), [slot], {},
                          [[(slot, "R", 1)], [(slot, "L", -1)]], None)
 
 
 def double(ctx: AlgebraContext, sa: Slot = ("a", 2), sb: Slot = ("b", 2)) -> HamiltonianQP:
     """The double D(G) on slots (a, b) with moment (ab, a^-1 b^-1)."""
-    pair = dual_basis(ctx)
-    terms = []
-    for ek, fk in zip(pair.e, pair.f):
-        terms.append(Term(0.5, Field(sa, "L", ek), Field(sb, "R", fk)))
-        terms.append(Term(0.5, Field(sa, "R", ek), Field(sb, "L", fk)))
+    coeffs = {((sa, "L"), (sb, "R")): 0.5, ((sa, "R"), (sb, "L")): 0.5}
     act1 = [(sa, "R", 1), (sb, "L", -1)]   # a -> g a,  b -> b g^-1
     act2 = [(sa, "L", -1), (sb, "R", 1)]   # a -> a g^-1,  b -> g b
     mom1 = ((sa, 1), (sb, 1))
     mom2 = ((sa, -1), (sb, -1))
-    return HamiltonianQP(ctx, pair, [sa, sb], terms, [act1, act2], [mom1, mom2])
+    return HamiltonianQP(ctx, dual_basis(ctx), [sa, sb], coeffs, [act1, act2],
+                         [mom1, mom2])
 
 
 def fuse(h: HamiltonianQP, p: int = 0, q: int = 1) -> HamiltonianQP:
     """Fuse action slots p and q: P' = P - rho_psi, moments multiply."""
     if p == q or not (0 <= p < len(h.actions)) or not (0 <= q < len(h.actions)):
         raise ValueError("invalid action slots")
-    terms = list(h.terms)
-    for ek, fk in zip(h.pair.e, h.pair.f):
-        for (s1, side1, c1) in h.actions[p]:
-            for (s2, side2, c2) in h.actions[q]:
-                # rho_psi = 1/2 sum rho_e^p ^ rho_f^q; the two action minus
-                # signs cancel, leaving the natural action fields
-                terms.append(Term(-0.5 * c1 * c2,
-                                  Field(s1, side1, ek), Field(s2, side2, fk)))
+    coeffs = dict(h.coeffs)
+    for (s1, side1, c1) in h.actions[p]:
+        for (s2, side2, c2) in h.actions[q]:
+            # rho_psi = 1/2 sum rho_e^p ^ rho_f^q; the two action minus
+            # signs cancel, leaving the natural action fields
+            key = ((s1, side1), (s2, side2))
+            coeffs[key] = coeffs.get(key, 0.0) - 0.5 * c1 * c2
     fused = h.actions[p] + h.actions[q]
     rest = [a for k, a in enumerate(h.actions) if k not in (p, q)]
     moments = None
     if h.moments is not None:
         mom = tuple(free_reduce(tuple(h.moments[p]) + tuple(h.moments[q])))
         moments = [mom] + [h.moments[k] for k in range(len(h.moments)) if k not in (p, q)]
-    return HamiltonianQP(h.ctx, h.pair, list(h.slots), terms,
+    return HamiltonianQP(h.ctx, h.pair, list(h.slots), coeffs,
                          [fused] + rest, moments)
 
 
@@ -160,7 +157,8 @@ def product(h1: HamiltonianQP, h2: HamiltonianQP) -> HamiltonianQP:
     if h1.moments is not None and h2.moments is not None:
         moments = list(h1.moments) + list(h2.moments)
     return HamiltonianQP(h1.ctx, h1.pair, h1.slots + h2.slots,
-                         h1.terms + h2.terms, h1.actions + h2.actions, moments)
+                         {**h1.coeffs, **h2.coeffs}, h1.actions + h2.actions,
+                         moments)
 
 
 def fusion_product(h1: HamiltonianQP, h2: HamiltonianQP) -> HamiltonianQP:
@@ -185,7 +183,7 @@ def build_bivector(spec: SurfaceSpec, ctx: AlgebraContext,
     the results agree up to the splitting-independence theorem (verified in
     tests, not assumed)."""
     if spec.is_disk:
-        return HamiltonianQP(ctx, dual_basis(ctx), [], [], [[]], [()])
+        return HamiltonianQP(ctx, dual_basis(ctx), [], {}, [[]], [()])
     hs = [piece_structure(ctx, p.kind, p.index) for p in split_canonical(spec)]
     if order == "left":
         acc = hs[0]
@@ -200,95 +198,84 @@ def build_bivector(spec: SurfaceSpec, ctx: AlgebraContext,
     return acc
 
 
-# --- functions on M and their derivatives ---------------------------------
+def _piece(a: FieldType) -> tuple:
+    """The split piece a field type lives on: annulus (a, b) or torus (c, d)."""
+    (kind, index), _ = a
+    return ("annulus" if kind in "ab" else "torus", index)
+
+
+def perturbed(h: HamiltonianQP, mutate: float) -> HamiltonianQP:
+    """Copy of h with one coefficient scaled by (1 + mutate), to show that a
+    check is sensitive: the first entry coupling two different pieces, or the
+    first entry on a one-piece surface."""
+    keys = [k for k in h.coeffs if _piece(k[0]) != _piece(k[1])] or list(h.coeffs)
+    if not keys:
+        return h
+    coeffs = dict(h.coeffs)
+    coeffs[keys[0]] *= 1.0 + mutate
+    return replace(h, coeffs=coeffs)
+
+
+# --- functions on M and their gradients -----------------------------------
 
 @dataclass
 class WordFunction:
-    """f = Phi(Hol_w), with closed-form derivatives along basic fields."""
+    """f = Phi(Hol_w), with closed-form gradients along the field types."""
     obs: Observable
     word: Word
 
     def __post_init__(self):
         self.slots = slot_word(self.word)
 
-    def bind(self, m: RepPoint) -> "BoundFunction":
-        return BoundFunction(self, slot_values(m), m.ctx)
+    def gradients(self, m: RepPoint) -> Dict[FieldType, np.ndarray]:
+        """grad_A f for every field type A on the slots of the word.
 
-
-class BoundFunction:
-    def __init__(self, fn: WordFunction, vals: Dict[Slot, np.ndarray],
-                 ctx: AlgebraContext):
-        self.fn = fn
-        self.vals = vals
-        self.ctx = ctx
-        n, dt = ctx.n, ctx.dtype
-        letters = fn.slots
-        self.factors = [vals[s] if sgn == 1 else np.linalg.inv(vals[s])
-                        for s, sgn in letters]
-        self.pre = [np.eye(n, dtype=dt)]
-        for f in self.factors:
-            self.pre.append(self.pre[-1] @ f)
-        self.hol = self.pre[-1]
-        self.post = [np.eye(n, dtype=dt)]
-        for f in reversed(self.factors):
-            self.post.append(f @ self.post[-1])
-        self.post.reverse()
-
-    def value(self) -> float:
-        return self.fn.obs.value(self.hol)
-
-    def holonomy_tangent(self, field: Field) -> np.ndarray:
-        """d(Hol)/dt when the slot value moves along the basic field."""
-        x, s, side = field.mat, field.slot, field.side
-        out = np.zeros((self.ctx.n, self.ctx.n), dtype=self.ctx.dtype)
-        for t, (sym, sgn) in enumerate(self.fn.slots):
-            if sym != s:
-                continue
-            val = self.vals[s]
-            if sgn == 1:
-                mid = val @ x if side == "L" else x @ val
-            else:
-                vi = np.linalg.inv(val)
-                mid = -x @ vi if side == "L" else -vi @ x
-            out = out + self.pre[t] @ mid @ self.post[t + 1]
+        With Hol = F_0 ... F_{L-1} and Q_t = F_t ... F_{L-1}, a letter t on
+        slot s contributes Ad_{Q_{t+1}} var_left(Hol) to (s, L) and
+        Ad_{Q_t} var_left(Hol) to (s, R); an inverse letter contributes
+        -Ad_{Q_t} var_left(Hol) to (s, L) and -Ad_{Q_{t+1}} var_left(Hol)
+        to (s, R)."""
+        n, dt = m.ctx.n, m.ctx.dtype
+        vals = slot_values(m)
+        inv = {s: np.linalg.inv(vals[s]) for s in {s for s, _ in self.slots}}
+        q, qi = [np.eye(n, dtype=dt)], [np.eye(n, dtype=dt)]
+        for s, sgn in reversed(self.slots):
+            fac, fac_inv = (vals[s], inv[s]) if sgn == 1 else (inv[s], vals[s])
+            q.append(fac @ q[-1])
+            qi.append(qi[-1] @ fac_inv)
+        var = self.obs.var_left(q[-1])
+        ad = [a @ var @ b for a, b in zip(reversed(q), reversed(qi))]
+        out: Dict[FieldType, np.ndarray] = {}
+        for t, (s, sgn) in enumerate(self.slots):
+            left, right = (ad[t + 1], ad[t]) if sgn == 1 else (-ad[t], -ad[t + 1])
+            out[(s, "L")] = out.get((s, "L"), 0) + left
+            out[(s, "R")] = out.get((s, "R"), 0) + right
         return out
-
-    def derivative(self, field: Field) -> float:
-        if not any(sym == field.slot for sym, _ in self.fn.slots):
-            return 0.0
-        t = self.holonomy_tangent(field)
-        if not np.any(t):
-            return 0.0
-        return self.fn.obs.dvalue(self.hol, t)
 
 
 def bracket_numeric(h: HamiltonianQP, f: WordFunction, g: WordFunction,
                     m: RepPoint) -> float:
-    bf, bg = f.bind(m), g.bind(m)
+    """{f, g} = sum_AB C_AB (<grad_A f, grad_B g> - <grad_B f, grad_A g>)."""
+    df, dg = f.gradients(m), g.gradients(m)
     tot = 0.0
-    for t in h.terms:
-        fv, fw = bf.derivative(t.v), bf.derivative(t.w)
-        gv, gw = bg.derivative(t.v), bg.derivative(t.w)
-        tot += t.coeff * (fv * gw - fw * gv)
+    for (a, b), c in h.coeffs.items():
+        if a in df and b in dg:
+            tot += c * h.ctx.form(df[a], dg[b])
+        if b in df and a in dg:
+            tot -= c * h.ctx.form(df[b], dg[a])
     return tot
 
 
 def sharp(h: HamiltonianQP, f: WordFunction, m: RepPoint) -> Dict[Slot, np.ndarray]:
     """P#(df) as a tangent vector, one matrix per coordinate slot."""
-    bf = f.bind(m)
+    df = f.gradients(m)
     vals = slot_values(m)
     out = {s: np.zeros((h.ctx.n, h.ctx.n), dtype=h.ctx.dtype) for s in h.slots}
-
-    def mat_of(field: Field) -> np.ndarray:
-        v = vals[field.slot]
-        return v @ field.mat if field.side == "L" else field.mat @ v
-
-    for t in h.terms:
-        fv, fw = bf.derivative(t.v), bf.derivative(t.w)
-        if fv:
-            out[t.w.slot] = out[t.w.slot] + t.coeff * fv * mat_of(t.w)
-        if fw:
-            out[t.v.slot] = out[t.v.slot] - t.coeff * fw * mat_of(t.v)
+    for (a, b), c in h.coeffs.items():
+        if a in df:
+            out[b[0]] = out[b[0]] + c * field_value(vals, b, df[a])
+        if b in df:
+            out[a[0]] = out[a[0]] - c * field_value(vals, a, df[b])
     return out
 
 
@@ -297,46 +284,18 @@ def action_sigma(h: HamiltonianQP, p: int, x: np.ndarray,
     """Natural infinitesimal action d/dt exp(tx).m of action slot p."""
     out: Dict[Slot, np.ndarray] = {}
     for (s, side, c) in h.actions[p]:
-        v = vals[s]
-        t = (v @ x if side == "L" else x @ v) * c
-        out[s] = out.get(s, 0) + t
+        out[s] = out.get(s, 0) + c * field_value(vals, (s, side), x)
     return out
 
 
 def chi(h: HamiltonianQP, f: WordFunction, p: int, m: RepPoint) -> np.ndarray:
     """chi_f at action slot p: <chi_f, x> = d/dt f(exp(-tx).m)."""
-    bf = f.bind(m)
-    vals = slot_values(m)
+    df = f.gradients(m)
     out = np.zeros((h.ctx.n, h.ctx.n), dtype=h.ctx.dtype)
-    for ek, fk in zip(h.pair.e, h.pair.f):
-        sig = action_sigma(h, p, ek, vals)
-        d = _df_along(bf, sig)
-        out = out + (-d) * fk
+    for (s, side, c) in h.actions[p]:
+        if (s, side) in df:
+            out = out - c * df[(s, side)]
     return out
-
-
-def _df_along(bf: BoundFunction, tangents: Dict[Slot, np.ndarray]) -> float:
-    """Derivative of the bound function along a per-slot tangent vector."""
-    n, dt = bf.ctx.n, bf.ctx.dtype
-    out = np.zeros((n, n), dtype=dt)
-    for t, (s, sgn) in enumerate(bf.fn.slots):
-        if s not in tangents:
-            continue
-        tan = tangents[s]
-        if sgn == 1:
-            mid = tan
-        else:
-            vi = np.linalg.inv(bf.vals[s])
-            mid = -vi @ tan @ vi
-        out = out + bf.pre[t] @ mid @ bf.post[t + 1]
-    if not np.any(out):
-        return 0.0
-    return bf.fn.obs.dvalue(bf.hol, out)
-
-
-def moment_value(h: HamiltonianQP, p: int, m: RepPoint) -> np.ndarray:
-    vals = slot_values(m)
-    return eval_slot_word(h.moments[p], vals, h.ctx.n, h.ctx.dtype)
 
 
 def verify_moment(h: HamiltonianQP, p: int, f: WordFunction, m: RepPoint,
@@ -360,35 +319,12 @@ def verify_moment(h: HamiltonianQP, p: int, f: WordFunction, m: RepPoint,
 
 # --- Schouten identity in the GL matrix-entry chart -----------------------
 
-def _chart_index(h: HamiltonianQP):
-    idx = {}
-    n = h.ctx.n
-    k = 0
-    for s in h.slots:
-        idx[s] = k
-        k += n * n
-    return idx, k
-
-
-def _field_vector_and_jac(field: Field, vals, idx, dim, n):
-    """Component vector and Jacobian of a basic field in the entry chart."""
-    vec = np.zeros(dim)
-    jac = np.zeros((dim, dim))
-    base = idx[field.slot]
-    v = vals[field.slot]
-    x = field.mat
-    comp = v @ x if field.side == "L" else x @ v
-    vec[base:base + n * n] = np.real(comp).reshape(-1)
-    for p in range(n):
-        for q in range(n):
-            a = base + p * n + q
-            for r in range(n):
-                for t in range(n):
-                    d = base + r * n + t
-                    if field.side == "L":
-                        jac[a, d] = x[t, q].real if p == r else 0.0
-                    else:
-                        jac[a, d] = x[p, r].real if q == t else 0.0
+def _field_vector_and_jac(a: FieldType, x: np.ndarray, vals, n):
+    """Entries of the field a(x) on its own slot, and their Jacobian in that
+    slot's entries: d(g x)/dg = I (x) x^T, d(x g)/dg = x (x) I (row-major)."""
+    x = np.real(x)
+    vec = np.real(field_value(vals, a, x)).reshape(-1)
+    jac = np.kron(np.eye(n), x.T) if a[1] == "L" else np.kron(x, np.eye(n))
     return vec, jac
 
 
@@ -396,28 +332,32 @@ def schouten_residual(h: HamiltonianQP, m: RepPoint,
                       tv: Optional[CartanTrivector] = None,
                       mutate: float = 0.0) -> dict:
     """Componentwise residual of [P,P] = rho_phi in the matrix-entry chart
-    (GL contexts only).  mutate scales one wedge coefficient by (1+mutate)
-    to exercise the sensitivity of the identity."""
+    (GL contexts only).  mutate scales one coefficient of C by (1+mutate)
+    (see perturbed) to exercise the sensitivity of the identity."""
     if h.ctx.kind != "gl":
         raise ValueError("the entry chart requires the GL context")
     if tv is None:
         tv = cartan_trivector(h.ctx, h.pair)
+    if mutate:
+        h = perturbed(h, mutate)
     vals = slot_values(m)
-    idx, dim = _chart_index(h)
     n = h.ctx.n
-
-    coeffs = [t.coeff for t in h.terms]
-    if mutate and coeffs:
-        coeffs[0] *= (1.0 + mutate)
+    blk = {s: slice(k * n * n, (k + 1) * n * n) for k, s in enumerate(h.slots)}
+    dim = len(h.slots) * n * n
 
     pi = np.zeros((dim, dim))
     dpi = np.zeros((dim, dim, dim))  # dpi[d,a,b] = d_d Pi^{ab}
-    for c, t in zip(coeffs, h.terms):
-        v, jv = _field_vector_and_jac(t.v, vals, idx, dim, n)
-        w, jw = _field_vector_and_jac(t.w, vals, idx, dim, n)
-        pi += c * (np.outer(v, w) - np.outer(w, v))
-        dpi += c * (np.einsum('ad,b->dab', jv, w) + np.einsum('a,bd->dab', v, jw)
-                    - np.einsum('ad,b->dab', jw, v) - np.einsum('a,bd->dab', w, jv))
+    for (a, b), c in h.coeffs.items():
+        ia, ib = blk[a[0]], blk[b[0]]
+        for ek, fk in zip(h.pair.e, h.pair.f):
+            v, jv = _field_vector_and_jac(a, ek, vals, n)
+            w, jw = _field_vector_and_jac(b, fk, vals, n)
+            pi[ia, ib] += c * np.outer(v, w)
+            pi[ib, ia] -= c * np.outer(w, v)
+            dpi[ia, ia, ib] += c * np.einsum('ad,b->dab', jv, w)
+            dpi[ib, ia, ib] += c * np.einsum('a,bd->dab', v, jw)
+            dpi[ib, ib, ia] -= c * np.einsum('ad,b->dab', jw, v)
+            dpi[ia, ib, ia] -= c * np.einsum('a,bd->dab', w, jv)
 
     jac = 2.0 * (np.einsum('ad,dbc->abc', pi, dpi)
                  + np.einsum('bd,dca->abc', pi, dpi)
@@ -429,9 +369,8 @@ def schouten_residual(h: HamiltonianQP, m: RepPoint,
         for i, fk in enumerate(tv.pair.f):
             sig = action_sigma(h, p, fk, vals)
             for s, tan in sig.items():
-                base = idx[s]
-                rows[i, base:base + n * n] += np.real(tan).reshape(-1)
-        g = np.einsum('ijk,ia,jb,kc->abc', tv.coeffs, rows, rows, rows)
+                rows[i, blk[s]] += np.real(tan).reshape(-1)
+        g = np.einsum('ijk,ia,jb,kc->abc', tv.coeffs, rows, rows, rows, optimize=True)
         rho -= wedge3_tensor(g)  # rho_x = -sigma_x, three factors
 
     res = jac - rho
@@ -441,26 +380,16 @@ def schouten_residual(h: HamiltonianQP, m: RepPoint,
 
 # --- combinatorial bracket (main formula) ---------------------------------
 
-def _variation(obs: Observable, incidence: str, hol: np.ndarray) -> np.ndarray:
+def endpoint_variation(obs: Observable, incidence: str, hol: np.ndarray) -> np.ndarray:
+    """var_right at the start of a path, var_left at its end."""
     return obs.var_right(hol) if incidence == "start" else obs.var_left(hol)
 
 
 def bracket_combinatorial(phi: Observable, w_alpha: Word,
                           psi: Observable, w_beta: Word,
                           data: IntersectionData, m: RepPoint) -> float:
-    ha = holonomy(m, w_alpha)
-    hb = holonomy(m, w_beta)
-    tot = 0.0
-    for (I, J), s in data.endpoint_signs.items():
-        if s.value == 0:
-            continue
-        tot += float(s.value) * m.ctx.form(_variation(phi, I, ha),
-                                           _variation(psi, J, hb))
-    for q in data.crossings:
-        c = holonomy(m, q.reroute_ab())
-        adv = c @ psi.var_left(hb) @ np.linalg.inv(c)
-        tot += q.sign * m.ctx.form(phi.var_right(ha), adv)
-    return ORIENTATION_SIGN * tot
+    return (endpoint_subtotal(phi, w_alpha, psi, w_beta, data, m)
+            + crossing_subtotal(phi, w_alpha, psi, w_beta, data, m))
 
 
 def crossing_term(phi: Observable, w_alpha: Word, psi: Observable,
@@ -470,17 +399,30 @@ def crossing_term(phi: Observable, w_alpha: Word, psi: Observable,
     ha = holonomy(m, w_alpha)
     hb = holonomy(m, w_beta)
     if variant == "primary":
-        c = holonomy(m, q.reroute_ab())
-        return m.ctx.form(phi.var_right(ha), c @ psi.var_left(hb) @ np.linalg.inv(c))
+        return _conjugated_form(m, q.reroute_ab(), phi.var_right(ha), psi.var_left(hb))
     if variant == "swapped":
-        c = holonomy(m, q.reroute_ba())
-        return m.ctx.form(psi.var_right(hb), c @ phi.var_left(ha) @ np.linalg.inv(c))
+        return _conjugated_form(m, q.reroute_ba(), psi.var_right(hb), phi.var_left(ha))
     if variant == "alternate":
         # gamma = alpha^-1 *_q beta^-1: reversed prefix of the other halves
         g = q.alpha_suffix.inverse().concat(q.beta_prefix.inverse())
-        c = holonomy(m, g)
-        return m.ctx.form(phi.var_left(ha), c @ psi.var_right(hb) @ np.linalg.inv(c))
+        return _conjugated_form(m, g, phi.var_left(ha), psi.var_right(hb))
     raise ValueError(variant)
+
+
+def _conjugated_form(m: RepPoint, path: Word, x: np.ndarray, y: np.ndarray) -> float:
+    """<x, Ad_c y> with c the holonomy of the path."""
+    c = holonomy(m, path)
+    return m.ctx.form(x, c @ y @ np.linalg.inv(c))
+
+
+def crossing_subtotal(phi: Observable, w_alpha: Word, psi: Observable,
+                      w_beta: Word, data: IntersectionData, m: RepPoint) -> float:
+    """The crossing part of the main formula: sum_q sign(q) B^q, with B^q the
+    primary expression of crossing_term."""
+    x = phi.var_right(holonomy(m, w_alpha))
+    y = psi.var_left(holonomy(m, w_beta))
+    return ORIENTATION_SIGN * sum(q.sign * _conjugated_form(m, q.reroute_ab(), x, y)
+                                  for q in data.crossings)
 
 
 def endpoint_subtotal(phi: Observable, w_alpha: Word, psi: Observable,
@@ -491,6 +433,6 @@ def endpoint_subtotal(phi: Observable, w_alpha: Word, psi: Observable,
     for (I, J), s in data.endpoint_signs.items():
         if s.value == 0:
             continue
-        tot += float(s.value) * m.ctx.form(_variation(phi, I, ha),
-                                           _variation(psi, J, hb))
+        tot += float(s.value) * m.ctx.form(endpoint_variation(phi, I, ha),
+                                           endpoint_variation(psi, J, hb))
     return ORIENTATION_SIGN * tot

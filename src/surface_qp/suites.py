@@ -9,8 +9,6 @@ expected to make the suite fail.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -21,7 +19,8 @@ from .goldman import GoldmanAlgebra, NormalForm, PathEntrySymbol, bracket_symbol
 from .io import fixture_result, fmt_float
 from .lie import AlgebraContext, entry_observable, trace_observable
 from .quasipoisson import (WordFunction, bracket_combinatorial, bracket_numeric,
-                           build_bivector, schouten_residual, verify_moment)
+                           build_bivector, perturbed, schouten_residual,
+                           verify_moment)
 from .repspace import random_point
 from .surfaces import SurfaceSpec, polygon_model
 from .words import Word
@@ -45,14 +44,6 @@ def _word(s: str, spec: SurfaceSpec) -> Word:
     return Word.from_string(s, spec.genus, spec.boundary_count)
 
 
-def _pool_map(fn, items):
-    workers = int(os.environ.get("SURFACE_QP_THREADS", "0") or 0)
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def suite_qp_identity(n: int = 2, tol: float = 1e-9, seeds=range(5),
                       mutate: float = 0.0) -> list:
     ctx = AlgebraContext("gl", n)
@@ -65,7 +56,7 @@ def suite_qp_identity(n: int = 2, tol: float = 1e-9, seeds=range(5),
             r = schouten_residual(h, m, mutate=mutate)["residual"]
             return fixture_result("qp-identity %s seed=%d" % (spec, seed),
                                   r, 0.0, tol)
-        out += _pool_map(one, list(seeds))
+        out += [one(seed) for seed in seeds]
         # sensitivity: a 1% coefficient mutation must break the identity
         m = random_point(ctx, spec, 0)
         bad = schouten_residual(h, m, mutate=0.01)["residual"]
@@ -82,8 +73,7 @@ def suite_moment(n: int = 2, tol: float = 1e-6, seeds=range(10),
     for spec in (SurfaceSpec(0, 2), SurfaceSpec(1, 1), SurfaceSpec(1, 2)):
         h = build_bivector(spec, ctx)
         if mutate:
-            h.terms[0] = type(h.terms[0])(h.terms[0].coeff * (1 + mutate),
-                                          h.terms[0].v, h.terms[0].w)
+            h = perturbed(h, mutate)
         wa, _ = WORD_PAIRS[(spec.genus, spec.boundary_count)][-1]
         f = WordFunction(trace_observable(ctx), _word(wa, spec))
 
@@ -95,8 +85,8 @@ def suite_moment(n: int = 2, tol: float = 1e-6, seeds=range(10),
                 rows.append(fixture_result(
                     "moment %s mu_%d seed=%d" % (spec, p + 1, seed), r, 0.0, tol))
             return rows
-        for rows in _pool_map(one, list(seeds)):
-            out += rows
+        for seed in seeds:
+            out += one(seed)
     return out
 
 
@@ -128,7 +118,7 @@ def suite_main_theorem(n: int = 2, tol: float = 1e-8, seeds=range(20),
                     return fixture_result(
                         "main-theorem %s %s|%s %s seed=%d" %
                         (spec, wa_s, wb_s, label, seed), comb, num, tol)
-                out += _pool_map(one, list(seeds))
+                out += [one(seed) for seed in seeds]
     return out
 
 
@@ -140,8 +130,7 @@ def suite_splitting(n: int = 2, tol: float = 1e-9, seeds=range(10),
         hl = build_bivector(spec, ctx, order="left")
         hr = build_bivector(spec, ctx, order="right")
         if mutate:
-            hl.terms[0] = type(hl.terms[0])(hl.terms[0].coeff * (1 + mutate),
-                                            hl.terms[0].v, hl.terms[0].w)
+            hl = perturbed(hl, mutate)
         wa_s, wb_s = WORD_PAIRS[(spec.genus, spec.boundary_count)][-1]
         wa, wb = _word(wa_s, spec), _word(wb_s, spec)
         f = WordFunction(trace_observable(ctx), wa)
@@ -152,7 +141,7 @@ def suite_splitting(n: int = 2, tol: float = 1e-9, seeds=range(10),
             return fixture_result(
                 "splitting %s %s|%s seed=%d" % (spec, wa_s, wb_s, seed),
                 bracket_numeric(hl, f, g, m), bracket_numeric(hr, f, g, m), tol)
-        out += _pool_map(one, list(seeds))
+        out += [one(seed) for seed in seeds]
     return out
 
 
@@ -211,7 +200,7 @@ def suite_goldman(n: int = 2, tol: float = 1e-8, seeds=range(3),
                 "goldman evaluate %s %s_11|%s_12 seed=%d" % (spec, wa_s, wb_s, seed),
                 br.evaluate(m), bracket_numeric(h, f, g, m), tol,
                 {"normal_form": br.canonical_str()})
-        out += _pool_map(one, list(seeds))
+        out += [one(seed) for seed in seeds]
     return out
 
 
@@ -254,7 +243,7 @@ def suite_cross_section(tol: float = 1e-7, seeds=range(10),
             return fixture_result(
                 "cross-section routes %s %s|%s seed=%d" % (spec, wa_s, wb_s, seed),
                 lhs, rhs, tol)
-        out += _pool_map(one, list(seeds))
+        out += [one(seed) for seed in seeds]
     return out
 
 

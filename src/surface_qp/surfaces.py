@@ -203,15 +203,6 @@ class Piece:
     """One factor of the canonical splitting: an annulus or one-holed torus."""
     kind: str            # "annulus" | "torus"
     index: int           # boundary index i (annulus) or handle index j (torus)
-    spec: SurfaceSpec
-    slots: Tuple[str, str]  # coordinate slot names, in (a, b) order
-
-    def coordinate_map(self) -> Dict[str, str]:
-        """Rep-space coordinates in terms of the piece's double coordinates."""
-        if self.kind == "annulus":
-            i = self.index
-            return {"u%d" % i: "a", "v%d" % i: "b a"}
-        return {"a%d" % self.index: "a", "b%d" % self.index: "b"}
 
 
 def split_canonical(spec: SurfaceSpec) -> List[Piece]:
@@ -220,7 +211,7 @@ def split_canonical(spec: SurfaceSpec) -> List[Piece]:
         raise ValueError("disk admits no canonical splitting")
     pieces = []
     for i in range(2, spec.boundary_count + 1):
-        pieces.append(Piece("annulus", i, SurfaceSpec(0, 2), ("A%d" % i, "B%d" % i)))
+        pieces.append(Piece("annulus", i))
     for j in range(1, spec.genus + 1):
-        pieces.append(Piece("torus", j, SurfaceSpec(1, 1), ("C%d" % j, "D%d" % j)))
+        pieces.append(Piece("torus", j))
     return pieces

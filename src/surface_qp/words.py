@@ -82,11 +82,15 @@ class Word:
 
     @staticmethod
     def make(letters: Iterable[Letter], genus: int, boundary: int) -> "Word":
+        known = set(generator_symbols(genus, boundary))
         expanded: list = []
         for sym, sgn in letters:
             if sym == "B1":
                 exp = b1_letters(genus, boundary)
                 expanded += list(exp if sgn == 1 else invert(exp))
+            elif sym not in known:
+                raise ValueError("generator %r is not on the surface of genus %d "
+                                 "with %d boundary components" % (sym, genus, boundary))
             else:
                 expanded.append((sym, sgn))
         red = free_reduce(expanded)

@@ -22,12 +22,12 @@ from surface_qp.diagrams import (algebraic_intersection, diagram_from_word,
 from surface_qp.goldman import (GoldmanAlgebra, PathEntrySymbol,
                                 bracket_symbolic)
 from surface_qp.lie import AlgebraContext, entry_observable, trace_observable
-from surface_qp.quasipoisson import (BoundFunction, WordFunction,
+from surface_qp.quasipoisson import (WordFunction,
                                      bracket_combinatorial, bracket_numeric,
                                      build_bivector, crossing_term,
                                      endpoint_subtotal, schouten_residual,
                                      slot_values, verify_moment)
-from surface_qp.repspace import act, random_point
+from surface_qp.repspace import RepPoint, act, random_point
 from surface_qp.suites import WORD_PAIRS, run_suite
 from surface_qp.surfaces import SurfaceSpec, polygon_model
 
@@ -254,38 +254,40 @@ def test_invariant_bracket_is_group_invariant():
         assert abs(moved - base) <= 1e-8
 
 
+def _point_from_slots(m, vals):
+    """The representation point with the given slot values (B_i = b_i a_i)."""
+    mats = {}
+    for (kind, i), v in vals.items():
+        mats[kind.upper() + str(i)] = v @ vals[("a", i)] if kind == "b" else v
+    return RepPoint(m.ctx, m.spec, mats)
+
+
 class _BracketOfBrackets:
-    """{f, g} as a scalar function of the point, differentiated by central
-    differences along the basic fields so it can feed the bivector again."""
+    """{f, g} as a scalar function of the point, with gradients by central
+    differences along each field (slot, side, e_k) so it can feed the
+    bivector again."""
 
     def __init__(self, h, f, g, step=1e-5):
         self.h, self.f, self.g, self.step = h, f, g, step
 
-    def _value(self, vals):
-        bf = BoundFunction(self.f, vals, self.h.ctx)
-        bg = BoundFunction(self.g, vals, self.h.ctx)
-        return sum(t.coeff * (bf.derivative(t.v) * bg.derivative(t.w)
-                              - bf.derivative(t.w) * bg.derivative(t.v))
-                   for t in self.h.terms)
+    def gradients(self, m):
+        vals = slot_values(m)
 
-    def bind(self, m):
-        outer = self
+        def value(slot, side, x):
+            moved = dict(vals)
+            gmat = expm(x)
+            moved[slot] = vals[slot] @ gmat if side == "L" else gmat @ vals[slot]
+            return bracket_numeric(self.h, self.f, self.g,
+                                   _point_from_slots(m, moved))
 
-        class Bound:
-            def __init__(self):
-                self.vals = slot_values(m)
-
-            def derivative(self, field):
-                def shifted(s):
-                    v2 = dict(self.vals)
-                    val = self.vals[field.slot]
-                    gmat = expm(s * field.mat)
-                    v2[field.slot] = val @ gmat if field.side == "L" else gmat @ val
-                    return v2
-                return (outer._value(shifted(outer.step))
-                        - outer._value(shifted(-outer.step))) / (2 * outer.step)
-
-        return Bound()
+        out = {}
+        for slot in self.h.slots:
+            for side in "LR":
+                out[(slot, side)] = sum(
+                    (value(slot, side, self.step * ek) - value(slot, side, -self.step * ek))
+                    / (2 * self.step) * fk
+                    for ek, fk in zip(self.h.pair.e, self.h.pair.f))
+        return out
 
 
 def test_invariant_brackets_satisfy_jacobi():

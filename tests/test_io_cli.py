@@ -9,6 +9,7 @@ from surface_qp.io import (SchemaError, fixture_result, fmt_float,
                            load_bracket_request, load_point, load_surface,
                            make_report, write_report)
 from surface_qp.lie import AlgebraContext
+from surface_qp.suites import SUITES
 from surface_qp.surfaces import SurfaceSpec
 
 GL2 = AlgebraContext("gl", 2)
@@ -152,6 +153,16 @@ def test_cli_verify_pass_and_mutation_fails(tmp_path, capsys):
     assert main(["verify", "--suite", "qp-identity", "--mutate", "0.01"]) == 1
 
 
+@pytest.mark.parametrize("suite", SUITES)
+def test_cli_every_suite_fails_under_mutation(suite, capsys):
+    assert main(["verify", "--suite", suite, "--mutate", "0.01"]) == 1
+
+
+@pytest.mark.parametrize("mutate", ["0.5", "5"])
+def test_cli_splitting_fails_under_large_mutation(mutate, capsys):
+    assert main(["verify", "--suite", "splitting", "--mutate", mutate]) == 1
+
+
 def test_cli_malformed_input_exits_2(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text("{")
@@ -164,6 +175,25 @@ def test_cli_unknown_word_exits_2(tmp_path, capsys):
     code = main(["bracket", "--surface", _surface(tmp_path),
                  "--diagram", _diagram(tmp_path, wa="Q7")])
     assert code == 2
+
+
+@pytest.mark.parametrize("word", ["A5", "C3 D3"])
+def test_cli_generator_off_surface_exits_2(tmp_path, capsys, word):
+    code = main(["bracket", "--surface", _surface(tmp_path, 0, 2),
+                 "--diagram", _diagram(tmp_path, wa=word, wb="A2")])
+    assert code == 2
+    assert "is not on the surface of genus 0 with 2 boundary components" in \
+        capsys.readouterr().err
+
+
+def test_cli_non_finite_point_exits_2(tmp_path, capsys):
+    point = _write(tmp_path, "p.json", {"C1": [[["nan", 0], [0, 0]], [[0, 0], [1, 0]]],
+                                        "D1": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]})
+    code = main(["bracket", "--surface", _surface(tmp_path),
+                 "--diagram", _diagram(tmp_path),
+                 "--point", point, "--group", "u", "--n", "2"])
+    assert code == 2
+    assert "matrix has non-finite entries" in capsys.readouterr().err
 
 
 def test_cli_degenerate_moment_exits_3(tmp_path, capsys):

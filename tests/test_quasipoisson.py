@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from surface_qp.diagrams import realize_pair
 from surface_qp.lie import AlgebraContext, entry_observable, trace_observable
-from surface_qp.quasipoisson import (WordFunction, bracket_combinatorial,
-                                     bracket_numeric, build_bivector, chi,
-                                     crossing_term, double, endpoint_subtotal,
+from surface_qp.quasipoisson import (WordFunction, _field_vector_and_jac,
+                                     bracket_combinatorial, bracket_numeric,
+                                     build_bivector, chi, crossing_term, double,
+                                     endpoint_subtotal, eval_slot_word,
                                      fused_double, schouten_residual,
-                                     slot_word, verify_moment)
+                                     slot_values, slot_word, verify_moment)
 from surface_qp.repspace import holonomy, random_point
 from surface_qp.surfaces import SurfaceSpec, polygon_model
 
 GL2 = AlgebraContext("gl", 2)
+U2 = AlgebraContext("u", 2)
 SPECS = [SurfaceSpec(0, 2), SurfaceSpec(1, 1), SurfaceSpec(0, 3), SurfaceSpec(1, 2)]
 
 
@@ -21,6 +24,49 @@ def test_slot_word_expansion():
     assert slot_word(spec.word("B2 B2'")) == ()
     # B1 expands through the boundary relation before slot conversion
     assert len(slot_word(spec.word("B1"))) > 0
+
+
+@pytest.mark.parametrize("ctx", [GL2, U2, AlgebraContext("gl", 3)])
+def test_gradients_match_finite_differences(ctx):
+    # repeated slots, inverse letters and an annulus slot b = v u^-1
+    spec = SurfaceSpec(1, 2)
+    f = WordFunction(entry_observable(ctx, 0, 1, "re"),
+                     spec.word("A2 B2 A2' C1 D1 C1' D1' C1"))
+    m = random_point(ctx, spec, 9)
+    vals = slot_values(m)
+    grads = f.gradients(m)
+    assert set(grads) == {(s, side) for s, _ in f.slots for side in "LR"}
+    pair = build_bivector(spec, ctx).pair
+    step = 1e-6
+    for (s, side), grad in grads.items():
+        fd = 0
+        for ek, fk in zip(pair.e, pair.f):
+            ends = []
+            for t in (step, -step):
+                moved = dict(vals)
+                moved[s] = vals[s] @ expm(t * ek) if side == "L" else expm(t * ek) @ vals[s]
+                ends.append(f.obs.value(eval_slot_word(f.slots, moved, ctx.n, ctx.dtype)))
+            fd = fd + (ends[0] - ends[1]) / (2 * step) * fk
+        assert np.max(np.abs(grad - fd)) < 1e-7
+
+
+@pytest.mark.parametrize("side", ["L", "R"])
+def test_field_jacobian_matches_entry_loop(side):
+    n = 3
+    rng = np.random.default_rng(0)
+    g, x = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+    vec, jac = _field_vector_and_jac((("c", 1), side), x, {("c", 1): g}, n)
+    assert np.array_equal(vec, (g @ x if side == "L" else x @ g).reshape(-1))
+    ref = np.zeros((n * n, n * n))
+    for p in range(n):
+        for q in range(n):
+            for r in range(n):
+                for t in range(n):
+                    if side == "L" and p == r:
+                        ref[p * n + q, r * n + t] = x[t, q]
+                    if side == "R" and q == t:
+                        ref[p * n + q, r * n + t] = x[p, r]
+    assert np.array_equal(jac, ref)
 
 
 def test_double_self_bracket_closed_form():

@@ -92,6 +92,17 @@ def test_wrong_coordinate_set_rejected():
         RepPoint(GL2, SurfaceSpec(1, 1), m.mats)
 
 
+@pytest.mark.parametrize("ctx", [GL2, U2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_coordinates_rejected(ctx, bad):
+    m = random_point(ctx, SurfaceSpec(1, 1), 0)
+    mats = dict(m.mats)
+    mats["C1"] = mats["C1"].copy()
+    mats["C1"][0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        RepPoint(ctx, m.spec, mats)
+
+
 @pytest.mark.parametrize("text,p", [("C1 D1 C1'", 1), ("C1", 1)])
 def test_variation_matches_action_derivative(text, p):
     # <chi^p, x> = d/dt Phi(Hol at exp(-tx).m)

@@ -49,6 +49,12 @@ def test_non_composable_rejected():
         Word.from_string("A2 A3", 0, 3)
 
 
+@pytest.mark.parametrize("text", ["A5", "C3 D3", "A2 B3"])
+def test_generator_off_surface_rejected(text):
+    with pytest.raises(ValueError, match="not on the surface"):
+        Word.from_string(text, 0, 2)
+
+
 def test_b1_expands_to_mu1_inverse():
     w = Word.from_string("B1", 1, 2)
     mu1 = Word.make(mu1_letters(1, 2), 1, 2)
