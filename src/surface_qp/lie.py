@@ -41,9 +41,13 @@ class AlgebraContext:
     def dtype(self):
         return float if self.kind == "gl" else complex
 
+    @property
+    def form_sign(self) -> float:
+        """<x, y> = form_sign * Re Tr(xy)."""
+        return 1.0 if self.kind == "gl" else -1.0
+
     def form(self, x, y) -> float:
-        t = np.trace(x @ y)
-        return float(t.real) if self.kind == "gl" else -float(t.real)
+        return self.form_sign * float(np.trace(x @ y).real)
 
     def check_group_element(self, g: np.ndarray):
         g = np.asarray(g, dtype=self.dtype)
@@ -162,6 +166,9 @@ def entry_observable(ctx: AlgebraContext, i: int, j: int, part: str = "re") -> O
     """Phi(g) = Re g_ij (or Im g_ij); indices are 0-based."""
     if part not in ("re", "im"):
         raise ValueError("part must be 're' or 'im'")
+    if part == "im" and ctx.kind == "gl":
+        raise ValueError("part 'im' is identically zero on real GL matrices; "
+                         "use it with the U group")
     w = 1.0 if part == "re" else -1j
     eji = _basis_elem(ctx.n, j, i, ctx.dtype)
 
@@ -239,13 +246,10 @@ def cartan_trivector(ctx: AlgebraContext, pair: Optional[DualBasisPair] = None) 
     g = pair.gram(ctx)
     if np.max(np.abs(g - np.eye(pair.dim))) > 1e-10:
         raise ValueError("degenerate or non-dual basis pair")
-    d = pair.dim
-    w = np.zeros((d, d, d))
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                br = pair.e[j] @ pair.e[k] - pair.e[k] @ pair.e[j]
-                w[i, j, k] = ctx.form(pair.e[i], br) / 12.0
+    e = np.asarray(pair.e)
+    # t[i, j, k] = Tr(e_i e_j e_k), so <e_i, [e_j, e_k]> = sign Re(t - t^(jk))
+    t = np.einsum("iab,jbc,kca->ijk", e, e, e, optimize=True)
+    w = ctx.form_sign * (t - t.transpose(0, 2, 1)).real / 12.0
     return CartanTrivector(w, pair)
 
 

@@ -162,6 +162,11 @@ def test_symbolic_suite_green():
     assert fixtures and all(f["pass"] for f in fixtures)
 
 
+def test_symbolic_suite_green_n3():
+    fixtures = run_suite("goldman", n=3, tol=1e-8)
+    assert fixtures and all(f["pass"] for f in fixtures)
+
+
 def test_symbolic_annihilates_defining_relation():
     # sum_j alpha_ij beta_jk - (alpha beta)_ik brackets to zero with anything
     spec = SurfaceSpec(1, 1)

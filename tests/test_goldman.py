@@ -1,12 +1,16 @@
+import hashlib
 import itertools
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.domains import QQ
 
 from surface_qp.diagrams import intersection_data, realize_pair
 from surface_qp.goldman import (GoldmanAlgebra, NormalForm, PathEntrySymbol,
-                                bracket_symbolic, entry_symbol,
-                                generator_det, normalize)
+                                bracket_symbolic, entry_ring, entry_symbol,
+                                exact_quotient, generator_det, normalize)
 from surface_qp.lie import AlgebraContext, entry_observable
 from surface_qp.quasipoisson import WordFunction, bracket_combinatorial
 from surface_qp.repspace import random_point
@@ -53,6 +57,71 @@ def test_normal_form_equality_cross_multiplies():
     b = NormalForm(sp.expand(x * d), {"C1": 1}, 2)
     assert a == b
     assert a != NormalForm(x + 1, None, 2)
+
+
+def test_equal_forms_hash_equal():
+    d = generator_det("C1", 2)
+    x = entry_symbol("D1", 1, 2)
+    y = entry_symbol("C1", 2, 1)
+    a = NormalForm(x, None, 2)
+    b = NormalForm(sp.expand(x * d), {"C1": 1}, 2)       # x det / det
+    c = NormalForm(x, None, 2) + NormalForm(y, {"C1": 1}, 2) \
+        - NormalForm(y, {"C1": 1}, 2)                   # x + y/det - y/det
+    assert a == b == c
+    assert hash(a) == hash(b) == hash(c)
+    assert len({a, b, c}) == 1
+    assert len({a, NormalForm(y, {"C1": 1}, 2)}) == 2
+
+
+def _ring_and_det(n):
+    ring = entry_ring(entry_symbol(label, r, c) for label in ("C1", "D1")
+                      for r in range(1, n + 1) for c in range(1, n + 1))
+    return ring, ring.from_expr(generator_det("C1", n))
+
+
+@st.composite
+def _poly_terms(draw, nvars):
+    """Sparse terms: up to 5 monomials in up to 3 variables, exponents <= 2."""
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        mono = [0] * nvars
+        for k in draw(st.lists(st.integers(0, nvars - 1), max_size=3)):
+            mono[k] += draw(st.integers(1, 2))
+        terms.append((tuple(mono), QQ(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))))
+    return terms
+
+
+def _poly(ring, terms):
+    out = ring.zero
+    for mono, c in terms:
+        out += ring({mono: c})
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data(), divisible=st.booleans())
+def test_exact_quotient_agrees_with_sympy_div(n, data, divisible):
+    ring, det = _ring_and_det(n)
+    q = _poly(ring, data.draw(_poly_terms(ring.ngens)))
+    r = ring.zero if divisible else _poly(ring, data.draw(_poly_terms(ring.ngens)))
+    f = q * det + r
+    want_q, want_r = sp.div(f.as_expr(), det.as_expr(), *ring.symbols)
+    got = exact_quotient(f, det)
+    if want_r == 0:
+        assert got is not None and got.as_expr() - want_q == 0
+    else:
+        assert got is None
+    if divisible:
+        assert got == q
+
+
+def test_exact_quotient_wide_exponents():
+    # total degree >= 128 needs two bytes per packed exponent
+    ring, det = _ring_and_det(2)
+    x = ring.gens[ring.symbols.index(entry_symbol("D1", 1, 1))]
+    assert exact_quotient(x ** 130 * det ** 2, det) == x ** 130 * det
+    assert exact_quotient(x ** 130 * det + x, det) is None
 
 
 def test_word_times_inverse_is_identity_entrywise():
@@ -160,3 +229,17 @@ def test_evaluate_rejects_uncovered_generators():
     m = random_point(GL2, SurfaceSpec(1, 1), 0)
     with pytest.raises(ValueError):
         nf.evaluate(m)
+
+
+def test_deferred_n3_bracket_is_unchanged():
+    # Sigma_2,1 at n = 3: the normal form pinned byte for byte (sha256 of
+    # its canonical string, 113659 characters)
+    spec = SurfaceSpec(2, 1)
+    pm = polygon_model(spec)
+    wa, wb = spec.word("C1 D1 C1' D1'"), spec.word("C2 D2")
+    _, _, data = realize_pair(wa, wb, pm, 0)
+    nf = bracket_symbolic(PathEntrySymbol(wa, 1, 2), PathEntrySymbol(wb, 2, 1), data, 3)
+    text = nf.canonical_str()
+    assert len(text) == 113659
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "86444b932f4b400fd0b9c86edfb4c3d79d15c557157325982ed5f93b0b505ce0"

@@ -196,6 +196,17 @@ def test_cli_non_finite_point_exits_2(tmp_path, capsys):
     assert "matrix has non-finite entries" in capsys.readouterr().err
 
 
+def test_cli_gl_imaginary_part_exits_2(tmp_path, capsys):
+    # GL coordinates are real, so an 'im' observable would bracket to 0
+    code = main(["bracket", "--surface", _surface(tmp_path),
+                 "--diagram", _diagram(
+                     tmp_path, oa={"kind": "entry", "i": 1, "j": 2, "part": "im"}),
+                 "--group", "gl", "--n", "2"])
+    assert code == 2
+    assert "part 'im' is identically zero on real GL matrices" in \
+        capsys.readouterr().err
+
+
 def test_cli_degenerate_moment_exits_3(tmp_path, capsys):
     # identity coordinates give a degenerate boundary spectrum, which the
     # cross-section projection must reject

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -96,6 +98,19 @@ def test_trivector_totally_antisymmetric(ctx):
     ref = trivector_reference_tensor(ctx, tv)
     assert np.max(np.abs(ref + np.transpose(ref, (1, 0, 2)))) < 1e-12
     assert np.max(np.abs(ref + np.transpose(ref, (0, 2, 1)))) < 1e-12
+
+
+@pytest.mark.parametrize("kind,n", [("gl", 2), ("gl", 3), ("u", 2), ("u", 3)])
+def test_cartan_trivector_matches_triple_loop(kind, n):
+    # the structure constants entry by entry, as <e_i, [e_j, e_k]> / 12
+    ctx = AlgebraContext(kind, n)
+    tv = cartan_trivector(ctx)
+    e, d = tv.pair.e, tv.pair.dim
+    ref = np.zeros((d, d, d))
+    for i, j, k in itertools.product(range(d), repeat=3):
+        ref[i, j, k] = ctx.form(e[i], e[j] @ e[k] - e[k] @ e[j]) / 12.0
+    assert np.max(np.abs(ref)) > 1e-3
+    assert np.max(np.abs(tv.coeffs - ref)) <= 1e-14
 
 
 def test_trivector_independent_of_basis_convention():
