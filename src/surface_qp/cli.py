@@ -2,16 +2,22 @@
 
   surface-qp bracket --surface s.json --diagram d.json [--point p.json]
                      --group gl --n 2 [--seed 0] [--tol 1e-8] [--out r.json]
-  surface-qp verify  --suite main-theorem --group gl --n 2 [--mutate 0.01]
+  surface-qp verify  --suite main-theorem [--n 2] [--mutate 0.01]
                      [--tol ...] [--out r.json]
 
-Exit codes: 0 all checks pass, 1 verification failure, 2 input error,
+A fixture passes when its residual is at most its tolerance; --tol replaces
+the main tolerance of the bracket or suite, so --tol 0 asks for exact
+agreement.  The cross-section suite always runs U(2) and U(3).
+
+Exit codes: 0 all checks pass, 1 verification failure, 2 input error (also a
+negative or non-finite --tol, verify --n below 2, --group u with a GL suite),
 3 numeric-domain error.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -39,7 +45,6 @@ def _parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--group", choices=("gl", "u"), default="gl")
         sp.add_argument("--n", type=int, default=2)
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--out", default=None)
 
@@ -47,6 +52,7 @@ def _parser() -> argparse.ArgumentParser:
     b.add_argument("--surface", required=True)
     b.add_argument("--diagram", required=True)
     b.add_argument("--point", default=None)
+    b.add_argument("--seed", type=int, default=0)
     common(b)
 
     v = sub.add_parser("verify", help="run a verification suite")
@@ -100,6 +106,19 @@ def cmd_bracket(args) -> int:
     return EXIT_PASS if report["pass"] else EXIT_FAIL
 
 
+def _check_options(args):
+    """Reject option values that no bracket or suite can honour."""
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError("--tol must be finite and non-negative, got %r" % args.tol)
+    if args.command != "verify":
+        return
+    if args.n < 2:
+        raise ValueError("--n must be at least 2, got %d" % args.n)
+    if args.group == "u" and args.suite != "cross-section":
+        raise ValueError("suite %r runs in the GL context; only cross-section "
+                         "runs U(n)" % args.suite)
+
+
 def cmd_verify(args) -> int:
     fixtures = run_suite(args.suite, n=args.n, tol=args.tol, mutate=args.mutate)
     report = make_report("verify", _config_dict(args), fixtures)
@@ -118,6 +137,7 @@ def _config_dict(args) -> dict:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _check_options(args)
         if args.command == "bracket":
             return cmd_bracket(args)
         return cmd_verify(args)

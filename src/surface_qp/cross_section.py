@@ -11,15 +11,16 @@ off-diagonal matrix entries: (Ad_h x)_ab = (lambda_a / lambda_b) x_ab.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Tuple
 
 import numpy as np
 
 from .lie import AlgebraContext, Observable, dual_basis
-from .repspace import RepPoint, act, boundary_moment, holonomy, variation
+from .repspace import RepPoint, act, boundary_moment, variation
 from .diagrams import IntersectionData
-from .quasipoisson import (HamiltonianQP, ORIENTATION_SIGN, WordFunction,
-                           bracket_numeric, crossing_subtotal, endpoint_variation)
+from .quasipoisson import (HamiltonianQP, WordFunction, bracket_combinatorial,
+                           bracket_numeric)
 from .words import Word
 
 TOL_REG = 1e-6
@@ -29,46 +30,36 @@ class RegularityError(ValueError):
     """Moment spectrum too degenerate for the regular cross-section."""
 
 
-def _check_diagonal_regular(h: np.ndarray) -> np.ndarray:
+def phase_gap(lam) -> float:
+    """Smallest |phase(lam_a / lam_b)| over pairs a < b (pi for one entry)."""
+    n = len(lam)
+    return min(abs(np.angle(lam[a] / lam[b]))
+               for a in range(n) for b in range(a + 1, n)) if n > 1 else np.pi
+
+
+def _offdiag_apply(h: np.ndarray, x: np.ndarray, coef) -> np.ndarray:
+    """x with each off-diagonal entry scaled by coef(lam_a / lam_b), for h
+    diagonal with regular spectrum lam: a function of Ad_h on t-perp."""
     lam = np.diag(h)
-    n = h.shape[0]
     if np.max(np.abs(h - np.diag(lam))) > 1e-8:
         raise ValueError("expected a diagonal unitary")
-    for a in range(n):
-        for b in range(a + 1, n):
-            if abs(np.angle(lam[a] / lam[b])) <= TOL_REG:
-                raise RegularityError("eigenvalue phase gap below tolerance")
-    return lam
+    if phase_gap(lam) <= TOL_REG:
+        raise RegularityError("eigenvalue phase gap below tolerance")
+    out = np.array(x, dtype=complex)
+    for a, b in permutations(range(len(lam)), 2):
+        out[a, b] = coef(lam[a] / lam[b]) * x[a, b]
+    return out
 
 
 def theta_apply(h: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
     """Theta_h = Pr_t + 2/(1 - Ad_h) Pr_{t-perp}; transpose uses Ad_h^{-1}."""
-    lam = _check_diagonal_regular(h)
-    n = h.shape[0]
-    out = np.array(x, dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            r = lam[a] / lam[b]
-            if transpose:
-                r = 1.0 / r
-            out[a, b] = 2.0 / (1.0 - r) * x[a, b]
-    return out
+    return _offdiag_apply(h, x, lambda r: 2.0 / (1.0 - (1.0 / r if transpose else r)))
 
 
 def ad_cayley_apply(h: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(Ad_h + 1)/(Ad_h - 1) on the off-diagonal part (diagonal part zeroed)."""
-    lam = _check_diagonal_regular(h)
-    n = h.shape[0]
-    out = np.zeros_like(np.asarray(x, dtype=complex))
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            r = lam[a] / lam[b]
-            out[a, b] = (r + 1.0) / (r - 1.0) * x[a, b]
-    return out
+    return _offdiag_apply(h, proj_offdiag(np.asarray(x, dtype=complex)),
+                          lambda r: (r + 1.0) / (r - 1.0))
 
 
 def proj_offdiag(x: np.ndarray) -> np.ndarray:
@@ -77,28 +68,17 @@ def proj_offdiag(x: np.ndarray) -> np.ndarray:
 
 def theta_matrix(ctx: AlgebraContext, h: np.ndarray, transpose: bool = False) -> np.ndarray:
     """Matrix of Theta_h in the orthonormal real basis of u(n)."""
-    pair = dual_basis(ctx)
-    d = pair.dim
-    out = np.zeros((d, d))
-    for k, ek in enumerate(pair.e):
-        y = theta_apply(h, ek, transpose)
-        for l, el in enumerate(pair.e):
-            out[l, k] = ctx.form(el, y)
-    return out
+    basis = dual_basis(ctx).e
+    cols = [theta_apply(h, ek, transpose) for ek in basis]
+    return np.array([[ctx.form(el, y) for y in cols] for el in basis])
 
 
 def p_perp_form_matrix(ctx: AlgebraContext, h: np.ndarray) -> np.ndarray:
     """The skew form (x,y) -> -1/2 <((Ad_h+1)/(Ad_h-1)) x, y> on t-perp, in
     the off-diagonal part of the orthonormal basis."""
-    pair = dual_basis(ctx)
-    perp = [e for e in pair.e if np.max(np.abs(np.diag(e))) < 1e-14]
-    d = len(perp)
-    out = np.zeros((d, d))
-    for a, xa in enumerate(perp):
-        ta = ad_cayley_apply(h, xa)
-        for b, xb in enumerate(perp):
-            out[a, b] = -0.5 * ctx.form(ta, xb)
-    return out
+    perp = [e for e in dual_basis(ctx).e if np.max(np.abs(np.diag(e))) < 1e-14]
+    rows = [ad_cayley_apply(h, xa) for xa in perp]
+    return np.array([[-0.5 * ctx.form(ta, xb) for xb in perp] for ta in rows])
 
 
 @dataclass(frozen=True)
@@ -114,8 +94,7 @@ def _diagonalizer(mu: np.ndarray):
     order = np.argsort(np.angle(lam))
     lam, vec = lam[order], vec[:, order]
     n = mu.shape[0]
-    gap = min(abs(np.angle(lam[a] / lam[b]))
-              for a in range(n) for b in range(a + 1, n)) if n > 1 else np.pi
+    gap = phase_gap(lam)
     if gap <= TOL_REG:
         raise RegularityError("moment spectrum gap %.3e below tolerance" % gap)
     # orthonormal for a normal matrix with distinct eigenvalues; polish phases
@@ -147,25 +126,17 @@ def project_to_cross_section(m: RepPoint) -> CrossSectionPoint:
 
 def bracket_cross(phi: Observable, w_alpha: Word, psi: Observable, w_beta: Word,
                   data: IntersectionData, cs: CrossSectionPoint) -> float:
-    """Cross-section bracket: endpoint terms dressed by Theta_{mu_i} on the
-    left or right factor depending on the angular order, crossing terms as in
-    the ambient formula."""
-    m = cs.m
-    ha, hb = holonomy(m, w_alpha), holonomy(m, w_beta)
-    tot = 0.0
-    for (I, J), s in data.endpoint_signs.items():
-        if s.value == 0:
-            continue
+    """Cross-section bracket: the main formula with each endpoint term dressed
+    by Theta_{mu_i} on the left or right factor depending on the angular
+    order."""
+    form = cs.m.ctx.form
+
+    def pair(s, u, w):
         mu = cs.mus[s.marked - 1]
-        u = endpoint_variation(phi, I, ha)
-        w = endpoint_variation(psi, J, hb)
         if s.alpha_left:
-            a = m.ctx.form(theta_apply(mu, u), w)
-        else:
-            a = m.ctx.form(u, theta_apply(mu, w))
-        tot += float(s.value) * a
-    return (ORIENTATION_SIGN * tot
-            + crossing_subtotal(phi, w_alpha, psi, w_beta, data, m))
+            return form(theta_apply(mu, u), w)
+        return form(u, theta_apply(mu, w))
+    return bracket_combinatorial(phi, w_alpha, psi, w_beta, data, cs.m, pair)
 
 
 def perp_correction(h: HamiltonianQP, f: WordFunction, g: WordFunction,

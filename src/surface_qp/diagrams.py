@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .geometry import Point, cross, dot, lerp, segment_intersection, sub
+from .geometry import Point, cross, lerp, segment_intersection, sub
 from .surfaces import PolygonModel
 from .words import Word
 

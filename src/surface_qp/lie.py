@@ -18,7 +18,6 @@ from typing import Callable, List, Optional
 import numpy as np
 
 TOL_INV = 1e-10
-TOL_ORTH = 1e-10
 FD_STEP = 1e-5
 
 
@@ -140,12 +139,6 @@ class Observable:
         if self._var_right is not None:
             return self._var_right(g)
         return self._fd_var(g, left=False)
-
-    def dvalue(self, g, tangent) -> float:
-        """Derivative along an arbitrary tangent vector at g (a matrix;
-        for U(n) it must be of the form g*x with x anti-Hermitian)."""
-        x = np.linalg.solve(np.asarray(g, dtype=self.ctx.dtype), tangent)
-        return self.ctx.form(self.var_left(g), x)
 
     def _fd_var(self, g, left: bool) -> np.ndarray:
         from scipy.linalg import expm

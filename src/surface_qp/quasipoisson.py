@@ -20,14 +20,14 @@ the quadratic form
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .diagrams import IntersectionData
 from .lie import (AlgebraContext, CartanTrivector, DualBasisPair, Observable,
                   cartan_trivector, dual_basis, wedge3_tensor)
-from .repspace import RepPoint, holonomy
+from .repspace import RepPoint, holonomy, word_product
 from .surfaces import SurfaceSpec, split_canonical
 from .words import Word, free_reduce, invert
 
@@ -86,13 +86,6 @@ def slot_values(m: RepPoint) -> Dict[Slot, np.ndarray]:
     return vals
 
 
-def eval_slot_word(letters: Sequence, vals: Dict[Slot, np.ndarray], n: int, dtype):
-    out = np.eye(n, dtype=dtype)
-    for s, sgn in letters:
-        out = out @ (vals[s] if sgn == 1 else np.linalg.inv(vals[s]))
-    return out
-
-
 def field_value(vals: Dict[Slot, np.ndarray], a: FieldType, x: np.ndarray) -> np.ndarray:
     """The field a(x) at the point: g x (side "L") or x g (side "R")."""
     v = vals[a[0]]
@@ -100,13 +93,6 @@ def field_value(vals: Dict[Slot, np.ndarray], a: FieldType, x: np.ndarray) -> np
 
 
 # --- constructors ---------------------------------------------------------
-
-def trivial_pair(ctx: AlgebraContext, slot: Slot = ("a", 0)) -> HamiltonianQP:
-    """(G, P=0) with the left and right multiplication actions; admits no
-    moment map."""
-    return HamiltonianQP(ctx, dual_basis(ctx), [slot], {},
-                         [[(slot, "R", 1)], [(slot, "L", -1)]], None)
-
 
 def double(ctx: AlgebraContext, sa: Slot = ("a", 2), sb: Slot = ("b", 2)) -> HamiltonianQP:
     """The double D(G) on slots (a, b) with moment (ab, a^-1 b^-1)."""
@@ -142,12 +128,6 @@ def fuse(h: HamiltonianQP, p: int = 0, q: int = 1) -> HamiltonianQP:
 
 def fused_double(ctx: AlgebraContext, sa: Slot = ("c", 1), sb: Slot = ("d", 1)) -> HamiltonianQP:
     return fuse(double(ctx, sa, sb), 0, 1)
-
-
-def conjugation_tensor(ctx: AlgebraContext, slot: Slot = ("a", 0)) -> HamiltonianQP:
-    """Fusing the trivial pair: P_G = 1/2 sum e^R ^ e^L, moment the identity."""
-    h = fuse(trivial_pair(ctx, slot), 0, 1)
-    return replace(h, moments=[((slot, 1),)])
 
 
 def product(h1: HamiltonianQP, h2: HamiltonianQP) -> HamiltonianQP:
@@ -306,10 +286,9 @@ def verify_moment(h: HamiltonianQP, p: int, f: WordFunction, m: RepPoint,
     x = sharp(h, f, m)
     vplus = {s: vals[s] + step * x[s] for s in vals}
     vminus = {s: vals[s] - step * x[s] for s in vals}
-    n, dt = h.ctx.n, h.ctx.dtype
-    mu = eval_slot_word(h.moments[p], vals, n, dt)
-    dmu = (eval_slot_word(h.moments[p], vplus, n, dt)
-           - eval_slot_word(h.moments[p], vminus, n, dt)) / (2 * step)
+    mu = word_product(h.ctx, h.moments[p], vals)
+    dmu = (word_product(h.ctx, h.moments[p], vplus)
+           - word_product(h.ctx, h.moments[p], vminus)) / (2 * step)
     lhs = np.linalg.inv(mu) @ dmu
     c = chi(h, f, p, m)
     rhs = -0.5 * (c + np.linalg.inv(mu) @ c @ mu)
@@ -387,9 +366,26 @@ def endpoint_variation(obs: Observable, incidence: str, hol: np.ndarray) -> np.n
 
 def bracket_combinatorial(phi: Observable, w_alpha: Word,
                           psi: Observable, w_beta: Word,
-                          data: IntersectionData, m: RepPoint) -> float:
-    return (endpoint_subtotal(phi, w_alpha, psi, w_beta, data, m)
-            + crossing_subtotal(phi, w_alpha, psi, w_beta, data, m))
+                          data: IntersectionData, m: RepPoint,
+                          pair: Optional[Callable] = None) -> float:
+    """The main formula: sum_(I,J) eps_IJ pair(s, var^I phi, var^J psi) over
+    the endpoint signs s, plus sum_q sign(q) B^q over the crossings, with B^q
+    the primary expression of crossing_term.  pair defaults to the invariant
+    form <u, w>; the cross-section bracket dresses it with Theta."""
+    ha, hb = holonomy(m, w_alpha), holonomy(m, w_beta)
+    if pair is None:
+        def pair(s, u, w):
+            return m.ctx.form(u, w)
+    tot = 0.0
+    for (I, J), s in data.endpoint_signs.items():
+        if s.value == 0:
+            continue
+        tot += float(s.value) * pair(s, endpoint_variation(phi, I, ha),
+                                     endpoint_variation(psi, J, hb))
+    x, y = phi.var_right(ha), psi.var_left(hb)
+    return (ORIENTATION_SIGN * tot
+            + ORIENTATION_SIGN * sum(q.sign * _conjugated_form(m, q.reroute_ab(), x, y)
+                                     for q in data.crossings))
 
 
 def crossing_term(phi: Observable, w_alpha: Word, psi: Observable,
@@ -413,26 +409,3 @@ def _conjugated_form(m: RepPoint, path: Word, x: np.ndarray, y: np.ndarray) -> f
     """<x, Ad_c y> with c the holonomy of the path."""
     c = holonomy(m, path)
     return m.ctx.form(x, c @ y @ np.linalg.inv(c))
-
-
-def crossing_subtotal(phi: Observable, w_alpha: Word, psi: Observable,
-                      w_beta: Word, data: IntersectionData, m: RepPoint) -> float:
-    """The crossing part of the main formula: sum_q sign(q) B^q, with B^q the
-    primary expression of crossing_term."""
-    x = phi.var_right(holonomy(m, w_alpha))
-    y = psi.var_left(holonomy(m, w_beta))
-    return ORIENTATION_SIGN * sum(q.sign * _conjugated_form(m, q.reroute_ab(), x, y)
-                                  for q in data.crossings)
-
-
-def endpoint_subtotal(phi: Observable, w_alpha: Word, psi: Observable,
-                      w_beta: Word, data: IntersectionData, m: RepPoint) -> float:
-    ha = holonomy(m, w_alpha)
-    hb = holonomy(m, w_beta)
-    tot = 0.0
-    for (I, J), s in data.endpoint_signs.items():
-        if s.value == 0:
-            continue
-        tot += float(s.value) * m.ctx.form(endpoint_variation(phi, I, ha),
-                                           endpoint_variation(psi, J, hb))
-    return ORIENTATION_SIGN * tot

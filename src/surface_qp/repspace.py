@@ -3,9 +3,9 @@ moments, the G^b action, variation maps, and reproducible sampling."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -32,15 +32,20 @@ class RepPoint:
     def mat(self, sym: str) -> np.ndarray:
         return self.mats[sym]
 
-    def inv(self, sym: str) -> np.ndarray:
-        return np.linalg.inv(self.mats[sym])
+
+def word_product(ctx: AlgebraContext, letters: Sequence, mats: Mapping) -> np.ndarray:
+    """Product of the matrices of a word's letters (sym, sign), left to right,
+    over any alphabet: generator names or coordinate slots.  Each symbol that
+    occurs inverted is inverted once."""
+    inv = {s: np.linalg.inv(mats[s]) for s in {s for s, sgn in letters if sgn == -1}}
+    out = np.eye(ctx.n, dtype=ctx.dtype)
+    for sym, sgn in letters:
+        out = out @ (mats[sym] if sgn == 1 else inv[sym])
+    return out
 
 
 def holonomy(m: RepPoint, w: Word) -> np.ndarray:
-    out = np.eye(m.ctx.n, dtype=m.ctx.dtype)
-    for sym, sgn in w.letters:
-        out = out @ (m.mat(sym) if sgn == 1 else m.inv(sym))
-    return out
+    return word_product(m.ctx, w.letters, m.mats)
 
 
 def boundary_moment(m: RepPoint, i: int) -> np.ndarray:
@@ -48,7 +53,7 @@ def boundary_moment(m: RepPoint, i: int) -> np.ndarray:
     if not 1 <= i <= spec.boundary_count:
         raise ValueError("boundary index out of range")
     if i >= 2:
-        return m.inv("B%d" % i)
+        return word_product(m.ctx, (("B%d" % i, -1),), m.mats)
     if spec.is_disk:
         return np.eye(m.ctx.n, dtype=m.ctx.dtype)
     w = Word.make(mu1_letters(spec.genus, spec.boundary_count),

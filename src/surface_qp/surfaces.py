@@ -43,16 +43,8 @@ class SurfaceSpec:
     def n_sides(self) -> int:
         return 1 + 3 * (self.boundary_count - 1) + 4 * self.genus
 
-    @property
-    def rank(self) -> int:
-        """Number of free groupoid generators (= coordinate slots)."""
-        return 2 * (self.boundary_count - 1) + 2 * self.genus
-
     def word(self, text: str) -> Word:
         return Word.from_string(text, self.genus, self.boundary_count)
-
-    def make_word(self, letters) -> Word:
-        return Word.make(letters, self.genus, self.boundary_count)
 
 
 def side_labels(spec: SurfaceSpec) -> List[Tuple[str, int]]:

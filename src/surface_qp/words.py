@@ -107,9 +107,6 @@ class Word:
             prev_tgt = t
         if prev_tgt is not None:
             tgt = prev_tgt
-            src = src
-        else:
-            src = tgt = 1
         return Word(red, src, tgt)
 
     def __len__(self) -> int:
@@ -127,9 +124,6 @@ class Word:
         if not red:
             tgt = src
         return Word(red, src, tgt)
-
-    def is_closed(self) -> bool:
-        return self.source == self.target
 
     @staticmethod
     def from_string(text: str, genus: int, boundary: int) -> "Word":

@@ -9,7 +9,7 @@ from surface_qp.io import (SchemaError, fixture_result, fmt_float,
                            load_bracket_request, load_point, load_surface,
                            make_report, write_report)
 from surface_qp.lie import AlgebraContext
-from surface_qp.suites import SUITES
+from surface_qp.suites import GL_SUITES, SUITES
 from surface_qp.surfaces import SurfaceSpec
 
 GL2 = AlgebraContext("gl", 2)
@@ -226,3 +226,48 @@ def test_cli_report_written_to_file(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["pass"] is True
     assert doc["command"] == "verify"
+
+
+@pytest.mark.parametrize("tol, shown", [(None, "1.0000000000000001e-09"), ("0", "0")])
+def test_cli_verify_tol_reaches_the_fixtures(tol, shown, capsys):
+    # the suite default applies only without --tol; --tol 0 asks for exact
+    # agreement, which the splitting suite's two fold orders reach
+    code = main(["verify", "--suite", "splitting"] + (["--tol", tol] if tol else []))
+    doc = json.loads(capsys.readouterr().out)
+    assert {f["tolerance"] for f in doc["fixtures"]} == {shown}
+    assert doc["config"].get("tol") == (None if tol is None else 0.0)
+    assert code == 0 and doc["pass"] is True
+
+
+@pytest.mark.parametrize("tol", ["-1", "-1e-12", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["bracket", "verify"])
+def test_cli_bad_tol_exits_2(tmp_path, capsys, command, tol):
+    argv = (["bracket", "--surface", _surface(tmp_path), "--diagram", _diagram(tmp_path)]
+            if command == "bracket" else ["verify", "--suite", "splitting"])
+    assert main(argv + ["--tol=" + tol]) == 2
+    err = capsys.readouterr().err
+    assert "input error: --tol must be finite and non-negative" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--suite", "main-theorem", "--n", "1"], "--n must be at least 2, got 1"),
+    (["--suite", "qp-identity", "--n", "1"], "--n must be at least 2, got 1"),
+    (["--suite", "cross-section", "--n", "0"], "--n must be at least 2, got 0"),
+] + [(["--suite", suite, "--group", "u"],
+      "suite %r runs in the GL context; only cross-section runs U(n)" % suite)
+     for suite in GL_SUITES])
+def test_cli_verify_bad_options_exit_2(argv, message, capsys):
+    assert main(["verify"] + argv) == 2
+    assert "input error: " + message in capsys.readouterr().err
+
+
+def test_cli_verify_cross_section_accepts_group_u(capsys):
+    assert main(["verify", "--suite", "cross-section", "--group", "u"]) == 0
+
+
+def test_cli_verify_has_no_seed(capsys):
+    # no suite draws from a seed; bracket keeps --seed for its point
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "moment", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err

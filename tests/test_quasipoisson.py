@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -7,10 +9,9 @@ from surface_qp.lie import AlgebraContext, entry_observable, trace_observable
 from surface_qp.quasipoisson import (WordFunction, _field_vector_and_jac,
                                      bracket_combinatorial, bracket_numeric,
                                      build_bivector, chi, crossing_term, double,
-                                     endpoint_subtotal, eval_slot_word,
                                      fused_double, schouten_residual,
                                      slot_values, slot_word, verify_moment)
-from surface_qp.repspace import holonomy, random_point
+from surface_qp.repspace import holonomy, random_point, word_product
 from surface_qp.surfaces import SurfaceSpec, polygon_model
 
 GL2 = AlgebraContext("gl", 2)
@@ -45,7 +46,7 @@ def test_gradients_match_finite_differences(ctx):
             for t in (step, -step):
                 moved = dict(vals)
                 moved[s] = vals[s] @ expm(t * ek) if side == "L" else expm(t * ek) @ vals[s]
-                ends.append(f.obs.value(eval_slot_word(f.slots, moved, ctx.n, ctx.dtype)))
+                ends.append(f.obs.value(word_product(ctx, f.slots, moved)))
             fd = fd + (ends[0] - ends[1]) / (2 * step) * fk
         assert np.max(np.abs(grad - fd)) < 1e-7
 
@@ -190,21 +191,22 @@ def test_disjoint_slots_commute():
     # comes only from endpoint terms, which vanish for non-shared points
     pm = polygon_model(spec)
     _, _, data = realize_pair(spec.word("B2"), spec.word("C1 D1 C1' D1'"), pm, 1)
-    sub = endpoint_subtotal(trace_observable(GL2), spec.word("B2"),
-                            trace_observable(GL2), spec.word("C1 D1 C1' D1'"),
-                            data, m)
+    sub = bracket_combinatorial(trace_observable(GL2), spec.word("B2"),
+                                trace_observable(GL2), spec.word("C1 D1 C1' D1'"),
+                                replace(data, crossings=()), m)
     assert sub == pytest.approx(0.0, abs=1e-12)
 
 
 def test_endpoint_subtotal_invariant_factorizes():
-    # for conjugation-invariant observables the subtotal is (sum eps) * <grad, grad>
+    # for conjugation-invariant observables the endpoint part of the formula
+    # is (sum eps) * <grad, grad>
     spec = SurfaceSpec(1, 1)
     pm = polygon_model(spec)
     m = random_point(GL2, spec, 8)
     wa, wb = spec.word("C1"), spec.word("D1")
     tr = trace_observable(GL2)
     _, _, data = realize_pair(wa, wb, pm, 3)
-    sub = endpoint_subtotal(tr, wa, tr, wb, data, m)
+    sub = bracket_combinatorial(tr, wa, tr, wb, replace(data, crossings=()), m)
     eps = float(sum(s.value for s in data.endpoint_signs.values()))
     pairing = GL2.form(tr.var_left(holonomy(m, wa)), tr.var_left(holonomy(m, wb)))
     assert sub == pytest.approx(eps * pairing, abs=1e-12)
