@@ -9,9 +9,12 @@ A fixture passes when its residual is at most its tolerance; --tol replaces
 the main tolerance of the bracket or suite, so --tol 0 asks for exact
 agreement.  The cross-section suite always runs U(2) and U(3).
 
+For GL entry observables at an exact point the bracket report also carries
+the symbolic normal form.
+
 Exit codes: 0 all checks pass, 1 verification failure, 2 input error (also a
-negative or non-finite --tol, verify --n below 2, --group u with a GL suite),
-3 numeric-domain error.
+negative or non-finite --tol, a non-finite --mutate, verify --n below 2,
+--group u with a GL suite), 3 numeric-domain error.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ def _parser() -> argparse.ArgumentParser:
 def cmd_bracket(args) -> int:
     ctx = AlgebraContext(args.group, args.n)
     spec = load_surface(args.surface)
-    (wa, oa), (wb, ob), variants, req = load_bracket_request(args.diagram, ctx, spec)
+    (wa, oa), (wb, ob), variants = load_bracket_request(args.diagram, ctx, spec)
     if args.point:
         m = load_point(args.point, ctx, spec)
     else:
@@ -88,14 +91,10 @@ def cmd_bracket(args) -> int:
         lhs = bracket_combinatorial(oa, wa, ob, wb, data, m)
         rhs = bracket_numeric(h, f, g, m)
         extra["route"] = "ambient"
-        da = req["alpha"].get("observable", {})
-        db = req["beta"].get("observable", {})
-        if (da.get("kind") == "entry" and db.get("kind") == "entry"
-                and da.get("part", "re") == "re" and db.get("part", "re") == "re"
-                and m.exact is not None):
-            nf = bracket_symbolic(PathEntrySymbol(wa, int(da["i"]), int(da["j"])),
-                                  PathEntrySymbol(wb, int(db["i"]), int(db["j"])),
-                                  data, ctx.n)
+        if oa.entry is not None and ob.entry is not None and m.exact is not None:
+            (i, j), (k, l) = oa.entry, ob.entry
+            nf = bracket_symbolic(PathEntrySymbol(wa, i + 1, j + 1),
+                                  PathEntrySymbol(wb, k + 1, l + 1), data, ctx.n)
             extra["normal_form"] = nf.canonical_str()
             extra["symbolic_value"] = fmt_float(nf.evaluate(m))
 
@@ -112,6 +111,8 @@ def _check_options(args):
         raise ValueError("--tol must be finite and non-negative, got %r" % args.tol)
     if args.command != "verify":
         return
+    if not math.isfinite(args.mutate):
+        raise ValueError("--mutate must be finite, got %r" % args.mutate)
     if args.n < 2:
         raise ValueError("--n must be at least 2, got %d" % args.n)
     if args.group == "u" and args.suite != "cross-section":

@@ -139,8 +139,7 @@ def bracket_cross(phi: Observable, w_alpha: Word, psi: Observable, w_beta: Word,
     return bracket_combinatorial(phi, w_alpha, psi, w_beta, data, cs.m, pair)
 
 
-def perp_correction(h: HamiltonianQP, f: WordFunction, g: WordFunction,
-                    cs: CrossSectionPoint) -> float:
+def perp_correction(f: WordFunction, g: WordFunction, cs: CrossSectionPoint) -> float:
     """P_L-perp pairing of the off-diagonal moment variations:
     1/2 sum_i <((Ad_mu+1)/(Ad_mu-1)) Pr chi_f^(i), Pr chi_g^(i)>."""
     m = cs.m
@@ -157,4 +156,4 @@ def perp_correction(h: HamiltonianQP, f: WordFunction, g: WordFunction,
 def bracket_cross_numeric(h: HamiltonianQP, f: WordFunction, g: WordFunction,
                           cs: CrossSectionPoint) -> float:
     """Independent route: ambient bracket plus the P-perp correction."""
-    return bracket_numeric(h, f, g, cs.m) + perp_correction(h, f, g, cs)
+    return bracket_numeric(h, f, g, cs.m) + perp_correction(f, g, cs)

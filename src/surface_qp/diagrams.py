@@ -19,6 +19,8 @@ from .geometry import Point, cross, lerp, segment_intersection, sub
 from .surfaces import PolygonModel
 from .words import Word
 
+REALIZE_TRIES = 64   # jitter seeds realize_pair tries before giving up
+
 
 class GeneralPositionError(ValueError):
     """A configuration too degenerate to read signs from; retry with a
@@ -292,13 +294,13 @@ def algebraic_intersection(data: IntersectionData) -> Fraction:
 
 
 def realize_pair(w_alpha: Word, w_beta: Word, pm: PolygonModel, seed: int,
-                 variants: Tuple[int, int] = (0, 0), tries: int = 64):
+                 variants: Tuple[int, int] = (0, 0)):
     """Seeded general-position realizations of a word pair.
 
     Returns (d_alpha, d_beta, IntersectionData); retries with derived seeds on
     general-position failures, never silently.
     """
-    for k in range(tries):
+    for k in range(REALIZE_TRIES):
         try:
             da = diagram_from_word(w_alpha, pm, seed * 1009 + k, variants[0])
             db = diagram_from_word(w_beta, pm, seed * 2003 + 7 * k + 1, variants[1])
@@ -306,4 +308,4 @@ def realize_pair(w_alpha: Word, w_beta: Word, pm: PolygonModel, seed: int,
         except GeneralPositionError:
             continue
     raise GeneralPositionError(
-        "no general-position realization after %d tries" % tries)
+        "no general-position realization after %d tries" % REALIZE_TRIES)

@@ -5,10 +5,10 @@ Each free generator L contributes n^2 indeterminates L_rc; inverse letters
 expand through the cofactor adjugate over det(X_L), so a normal form is a
 polynomial numerator over a monomial in the det(X_L).  Numerators are
 sparse polynomials over QQ (``sympy.polys.rings`` elements, graded-lex
-order).  A ring is built per ``bracket_symbolic`` call and per
-``GoldmanAlgebra``, over the entry indeterminates of the generators that
-occur; operands over different rings are lifted to the union of their
-generators.
+order), over a ring of the entry indeterminates of the generators that
+occur.  Rings are memoised per generator set and n, since building one
+compiles sympy's monomial functions; operands over different rings are
+lifted to the union of their generators.
 
 After every operation the numerator is divided by det(X_L) for as long as
 det(X_L) divides it (``exact_quotient``, a heap-ordered sparse division).
@@ -33,10 +33,7 @@ from sympy.polys.orderings import grlex
 from sympy.polys.rings import PolyElement, PolyRing
 
 from .diagrams import IntersectionData
-from .quasipoisson import ORIENTATION_SIGN
 from .words import Word, generator_symbols
-
-_ORIENT = 1 if ORIENTATION_SIGN > 0 else -1
 
 
 def entry_symbol(label: str, r: int, c: int) -> sp.Symbol:
@@ -52,8 +49,9 @@ def entry_ring(symbols: Iterable[sp.Symbol]) -> PolyRing:
     return PolyRing(sorted(set(symbols), key=lambda s: s.name), QQ, grlex)
 
 
-def _label_ring(labels: Iterable[str], n: int) -> PolyRing:
-    return entry_ring(entry_symbol(label, r, c) for label in set(labels)
+@lru_cache(maxsize=256)
+def _label_ring(labels: frozenset, n: int) -> PolyRing:
+    return entry_ring(entry_symbol(label, r, c) for label in labels
                       for r in range(1, n + 1) for c in range(1, n + 1))
 
 
@@ -305,7 +303,7 @@ def path_matrix(w: Word, n: int, ring: Optional[PolyRing] = None
                 ) -> Tuple[List[List[PolyElement]], Dict[str, int]]:
     """Matrix of normal-form numerators for Hol_w, with the det denominator,
     over ``ring`` (by default the ring of the generators of w)."""
-    ring = ring or _label_ring((sym for sym, _ in w.letters), n)
+    ring = ring or _label_ring(frozenset(sym for sym, _ in w.letters), n)
     out = [[ring(int(r == c)) for c in range(n)] for r in range(n)]
     den: Dict[str, int] = {}
     for k, (sym, sgn) in enumerate(w.letters):
@@ -344,7 +342,7 @@ def bracket_symbolic(a: PathEntrySymbol, b: PathEntrySymbol,
     i, j = a.i, a.j
     k, l = b.i, b.j
     wa, wb = a.word, b.word
-    ring = _label_ring((sym for w in (wa, wb) for sym, _ in w.letters), n)
+    ring = _label_ring(frozenset(sym for w in (wa, wb) for sym, _ in w.letters), n)
     out = NormalForm(ring.zero, None, n)
     sv = data.endpoint_signs
 
@@ -353,20 +351,19 @@ def bracket_symbolic(a: PathEntrySymbol, b: PathEntrySymbol,
             return NormalForm(ring(int(r == c)), None, n)
         return _entry_nf(w, r, c, ring, n, cache)
 
-    def eps(I, J):
-        return sv[(I, J)].value * _ORIENT
-
-    if sv[("start", "start")].value != 0:
-        out = out + (entry(wa, k, j) * entry(wb, i, l)).scale(eps("start", "start"))
-    if sv[("end", "end")].value != 0:
-        out = out + (entry(wa, i, l) * entry(wb, k, j)).scale(eps("end", "end"))
-    if sv[("start", "end")].value != 0 and i == l:
-        out = out + entry(wb.concat(wa), k, j).scale(eps("start", "end"))
-    if sv[("end", "start")].value != 0 and j == k:
-        out = out + entry(wa.concat(wb), i, l).scale(eps("end", "start"))
+    ss, ee, se, es = (sv[key].value for key in (("start", "start"), ("end", "end"),
+                                                 ("start", "end"), ("end", "start")))
+    if ss:
+        out = out + (entry(wa, k, j) * entry(wb, i, l)).scale(ss)
+    if ee:
+        out = out + (entry(wa, i, l) * entry(wb, k, j)).scale(ee)
+    if se and i == l:
+        out = out + entry(wb.concat(wa), k, j).scale(se)
+    if es and j == k:
+        out = out + entry(wa.concat(wb), i, l).scale(es)
     for q in data.crossings:
         term = entry(q.reroute_ab(), i, l) * entry(q.reroute_ba(), k, j)
-        out = out + term.scale(q.sign * _ORIENT)
+        out = out + term.scale(q.sign)
     return out
 
 
@@ -375,14 +372,15 @@ class GoldmanAlgebra:
 
     Words are realized by seeded diagrams; intersection data per word pair is
     cached, and polynomial arguments extend the entry bracket by Leibniz.
-    Normal forms live in one ring over the generators of the surface."""
+    Normal forms live in one ring over the generators of the surface (B1
+    never occurs: words expand it through the boundary relation)."""
 
     def __init__(self, pm, n: int, seed: int = 0):
         self.pm = pm
         self.n = n
         self.seed = seed
         self.ring = _label_ring(
-            generator_symbols(pm.spec.genus, pm.spec.boundary_count) + ["B1"], n)
+            frozenset(generator_symbols(pm.spec.genus, pm.spec.boundary_count)), n)
         self.registry: Dict[sp.Symbol, PathEntrySymbol] = {}
         self._pair_cache: Dict[tuple, IntersectionData] = {}
         self._nf_cache: dict = {}

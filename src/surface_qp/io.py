@@ -73,7 +73,7 @@ def load_bracket_request(path: str, ctx: AlgebraContext, spec: SurfaceSpec):
         variants = tuple(doc.get("variants", (0, 0)))
         if len(variants) != 2:
             raise ValueError("variants must be a pair")
-        return out["alpha"], out["beta"], variants, doc
+        return out["alpha"], out["beta"], variants
     except SchemaError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
+from scipy.linalg import expm
 
 TOL_INV = 1e-10
-FD_STEP = 1e-5
+FD_STEP = 1e-5   # central-difference step of the finite-difference checks
 
 
 @dataclass(frozen=True)
@@ -107,52 +108,23 @@ def dual_basis(ctx: AlgebraContext) -> DualBasisPair:
     return DualBasisPair(tuple(e), tuple(e))
 
 
+@dataclass(frozen=True)
 class Observable:
-    """Differentiable scalar function on the group with its two variations.
+    """Differentiable scalar function Phi on the group with its two variations.
 
     var_left(g) pairs the derivative along left-invariant fields:
         <var_left(g), x> = d/dt Phi(g exp(tx)),
     var_right the right-invariant ones:
         <var_right(g), x> = d/dt Phi(exp(tx) g).
+    entry is the 0-based (i, j) of an entry observable, None otherwise.
     """
-
-    def __init__(self, ctx: AlgebraContext, value: Callable,
-                 var_left: Optional[Callable] = None,
-                 var_right: Optional[Callable] = None,
-                 label: str = "generic"):
-        self.ctx = ctx
-        self._value = value
-        self._var_left = var_left
-        self._var_right = var_right
-        self.label = label
-        self.closed_form = var_left is not None
+    phi: Callable
+    var_left: Callable
+    var_right: Callable
+    entry: Optional[Tuple[int, int]] = None
 
     def value(self, g) -> float:
-        return float(self._value(g))
-
-    def var_left(self, g) -> np.ndarray:
-        if self._var_left is not None:
-            return self._var_left(g)
-        return self._fd_var(g, left=True)
-
-    def var_right(self, g) -> np.ndarray:
-        if self._var_right is not None:
-            return self._var_right(g)
-        return self._fd_var(g, left=False)
-
-    def _fd_var(self, g, left: bool) -> np.ndarray:
-        from scipy.linalg import expm
-        pair = dual_basis(self.ctx)
-        out = np.zeros((self.ctx.n, self.ctx.n), dtype=self.ctx.dtype)
-        for ek, fk in zip(pair.e, pair.f):
-            step = expm(FD_STEP * ek)
-            stepm = expm(-FD_STEP * ek)
-            if left:
-                d = (self._value(g @ step) - self._value(g @ stepm)) / (2 * FD_STEP)
-            else:
-                d = (self._value(step @ g) - self._value(stepm @ g)) / (2 * FD_STEP)
-            out = out + d * fk
-        return out
+        return float(self.phi(g))
 
 
 def entry_observable(ctx: AlgebraContext, i: int, j: int, part: str = "re") -> Observable:
@@ -175,54 +147,33 @@ def entry_observable(ctx: AlgebraContext, i: int, j: int, part: str = "re") -> O
     def vright(g):
         return ctx.project_gradient(w * (g @ eji))
 
-    return Observable(ctx, value, vleft, vright, label="entry(%d,%d,%s)" % (i, j, part))
+    return Observable(value, vleft, vright, (i, j))
 
 
 def trace_observable(ctx: AlgebraContext) -> Observable:
-    return Observable(ctx, lambda g: float(np.trace(g).real),
-                      lambda g: ctx.project_gradient(np.asarray(g, ctx.dtype)),
-                      lambda g: ctx.project_gradient(np.asarray(g, ctx.dtype)),
-                      label="trace")
-
-
-def power_trace_observable(ctx: AlgebraContext, k: int) -> Observable:
-    if k < 1:
-        raise ValueError("power must be positive")
-
     def grad(g):
-        return ctx.project_gradient(k * np.linalg.matrix_power(np.asarray(g, ctx.dtype), k))
+        return ctx.project_gradient(np.asarray(g, ctx.dtype))
 
-    return Observable(ctx, lambda g: float(np.trace(np.linalg.matrix_power(g, k)).real),
-                      grad, grad, label="trace_pow%d" % k)
-
-
-def generic_observable(ctx: AlgebraContext, fn: Callable, label="generic") -> Observable:
-    return Observable(ctx, fn, None, None, label=label)
+    return Observable(lambda g: float(np.trace(g).real), grad, grad)
 
 
-def transform_inverse(obs: Observable) -> Observable:
-    ctx = obs.ctx
-    inv = np.linalg.inv
-    return Observable(
-        ctx,
-        lambda g: obs.value(inv(g)),
-        (lambda g: -obs.var_right(inv(g))) if obs.closed_form else None,
-        (lambda g: -obs.var_left(inv(g))) if obs.closed_form else None,
-        label="inv(%s)" % obs.label)
+def generic_observable(ctx: AlgebraContext, fn: Callable) -> Observable:
+    """Phi = fn with both variations by central differences along the dual
+    basis: the reference that the closed forms are tested against."""
+    pair = dual_basis(ctx)
 
+    def var(g, left: bool) -> np.ndarray:
+        out = np.zeros((ctx.n, ctx.n), dtype=ctx.dtype)
+        for ek, fk in zip(pair.e, pair.f):
+            step, stepm = expm(FD_STEP * ek), expm(-FD_STEP * ek)
+            if left:
+                d = (fn(g @ step) - fn(g @ stepm)) / (2 * FD_STEP)
+            else:
+                d = (fn(step @ g) - fn(stepm @ g)) / (2 * FD_STEP)
+            out = out + d * fk
+        return out
 
-def transform_translate(obs: Observable, a, b) -> Observable:
-    ctx = obs.ctx
-    a = np.asarray(a, ctx.dtype)
-    b = np.asarray(b, ctx.dtype)
-    ai = np.linalg.inv(a)
-    bi = np.linalg.inv(b)
-    return Observable(
-        ctx,
-        lambda g: obs.value(a @ g @ b),
-        (lambda g: b @ obs.var_left(a @ g @ b) @ bi) if obs.closed_form else None,
-        (lambda g: ai @ obs.var_right(a @ g @ b) @ a) if obs.closed_form else None,
-        label="transl(%s)" % obs.label)
+    return Observable(fn, lambda g: var(g, True), lambda g: var(g, False))
 
 
 @dataclass(frozen=True)
@@ -233,9 +184,8 @@ class CartanTrivector:
     pair: DualBasisPair
 
 
-def cartan_trivector(ctx: AlgebraContext, pair: Optional[DualBasisPair] = None) -> CartanTrivector:
-    if pair is None:
-        pair = dual_basis(ctx)
+def cartan_trivector(ctx: AlgebraContext) -> CartanTrivector:
+    pair = dual_basis(ctx)
     g = pair.gram(ctx)
     if np.max(np.abs(g - np.eye(pair.dim))) > 1e-10:
         raise ValueError("degenerate or non-dual basis pair")

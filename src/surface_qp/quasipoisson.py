@@ -25,15 +25,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .diagrams import IntersectionData
-from .lie import (AlgebraContext, CartanTrivector, DualBasisPair, Observable,
-                  cartan_trivector, dual_basis, wedge3_tensor)
+from .lie import (FD_STEP, AlgebraContext, Observable, cartan_trivector,
+                  wedge3_tensor)
 from .repspace import RepPoint, holonomy, word_product
 from .surfaces import SurfaceSpec, split_canonical
 from .words import Word, free_reduce, invert
-
-# Overall sign relating the polygon orientation to the bracket; calibrated
-# against the numeric bivector on the fixture surfaces.
-ORIENTATION_SIGN = 1.0
 
 Slot = Tuple[str, int]          # ("a", i) | ("b", i) | ("c", j) | ("d", j)
 FieldType = Tuple[Slot, str]    # (slot, side)
@@ -43,11 +39,10 @@ ActionEntry = Tuple[Slot, str, int]   # (slot, field side, coefficient)
 @dataclass
 class HamiltonianQP:
     ctx: AlgebraContext
-    pair: DualBasisPair
     slots: List[Slot]
     coeffs: Dict[Tuple[FieldType, FieldType], float]   # C[(A, B)]
     actions: List[List[ActionEntry]]        # natural (sign-free) action fields
-    moments: Optional[List[tuple]]          # slot-letter words, one per action
+    moments: List[tuple]                    # slot-letter words, one per action
 
 
 def _letter_slots(sym: str) -> list:
@@ -101,8 +96,7 @@ def double(ctx: AlgebraContext, sa: Slot = ("a", 2), sb: Slot = ("b", 2)) -> Ham
     act2 = [(sa, "L", -1), (sb, "R", 1)]   # a -> a g^-1,  b -> g b
     mom1 = ((sa, 1), (sb, 1))
     mom2 = ((sa, -1), (sb, -1))
-    return HamiltonianQP(ctx, dual_basis(ctx), [sa, sb], coeffs, [act1, act2],
-                         [mom1, mom2])
+    return HamiltonianQP(ctx, [sa, sb], coeffs, [act1, act2], [mom1, mom2])
 
 
 def fuse(h: HamiltonianQP, p: int = 0, q: int = 1) -> HamiltonianQP:
@@ -118,12 +112,9 @@ def fuse(h: HamiltonianQP, p: int = 0, q: int = 1) -> HamiltonianQP:
             coeffs[key] = coeffs.get(key, 0.0) - 0.5 * c1 * c2
     fused = h.actions[p] + h.actions[q]
     rest = [a for k, a in enumerate(h.actions) if k not in (p, q)]
-    moments = None
-    if h.moments is not None:
-        mom = tuple(free_reduce(tuple(h.moments[p]) + tuple(h.moments[q])))
-        moments = [mom] + [h.moments[k] for k in range(len(h.moments)) if k not in (p, q)]
-    return HamiltonianQP(h.ctx, h.pair, list(h.slots), coeffs,
-                         [fused] + rest, moments)
+    mom = tuple(free_reduce(tuple(h.moments[p]) + tuple(h.moments[q])))
+    moments = [mom] + [h.moments[k] for k in range(len(h.moments)) if k not in (p, q)]
+    return HamiltonianQP(h.ctx, list(h.slots), coeffs, [fused] + rest, moments)
 
 
 def fused_double(ctx: AlgebraContext, sa: Slot = ("c", 1), sb: Slot = ("d", 1)) -> HamiltonianQP:
@@ -133,12 +124,8 @@ def fused_double(ctx: AlgebraContext, sa: Slot = ("c", 1), sb: Slot = ("d", 1)) 
 def product(h1: HamiltonianQP, h2: HamiltonianQP) -> HamiltonianQP:
     if set(h1.slots) & set(h2.slots):
         raise ValueError("slot clash in product")
-    moments = None
-    if h1.moments is not None and h2.moments is not None:
-        moments = list(h1.moments) + list(h2.moments)
-    return HamiltonianQP(h1.ctx, h1.pair, h1.slots + h2.slots,
-                         {**h1.coeffs, **h2.coeffs}, h1.actions + h2.actions,
-                         moments)
+    return HamiltonianQP(h1.ctx, h1.slots + h2.slots, {**h1.coeffs, **h2.coeffs},
+                         h1.actions + h2.actions, h1.moments + h2.moments)
 
 
 def fusion_product(h1: HamiltonianQP, h2: HamiltonianQP) -> HamiltonianQP:
@@ -163,7 +150,7 @@ def build_bivector(spec: SurfaceSpec, ctx: AlgebraContext,
     the results agree up to the splitting-independence theorem (verified in
     tests, not assumed)."""
     if spec.is_disk:
-        return HamiltonianQP(ctx, dual_basis(ctx), [], {}, [[]], [()])
+        return HamiltonianQP(ctx, [], {}, [[]], [()])
     hs = [piece_structure(ctx, p.kind, p.index) for p in split_canonical(spec)]
     if order == "left":
         acc = hs[0]
@@ -187,7 +174,7 @@ def _piece(a: FieldType) -> tuple:
 def perturbed(h: HamiltonianQP, mutate: float) -> HamiltonianQP:
     """Copy of h with one coefficient scaled by (1 + mutate), to show that a
     check is sensitive: the first entry coupling two different pieces, or the
-    first entry on a one-piece surface."""
+    first entry on a one-piece surface.  mutate = 0 gives an equal copy."""
     keys = [k for k in h.coeffs if _piece(k[0]) != _piece(k[1])] or list(h.coeffs)
     if not keys:
         return h
@@ -278,17 +265,16 @@ def chi(h: HamiltonianQP, f: WordFunction, p: int, m: RepPoint) -> np.ndarray:
     return out
 
 
-def verify_moment(h: HamiltonianQP, p: int, f: WordFunction, m: RepPoint,
-                  step: float = 1e-5) -> dict:
+def verify_moment(h: HamiltonianQP, p: int, f: WordFunction, m: RepPoint) -> dict:
     """Residual of the moment condition mu*theta(P#df) = -1/2(1+Ad_mu^-1)chi_f
-    for the action slot p, finite differences on the left-hand side."""
+    for the action slot p, central differences on the left-hand side."""
     vals = slot_values(m)
     x = sharp(h, f, m)
-    vplus = {s: vals[s] + step * x[s] for s in vals}
-    vminus = {s: vals[s] - step * x[s] for s in vals}
+    vplus = {s: vals[s] + FD_STEP * x[s] for s in vals}
+    vminus = {s: vals[s] - FD_STEP * x[s] for s in vals}
     mu = word_product(h.ctx, h.moments[p], vals)
     dmu = (word_product(h.ctx, h.moments[p], vplus)
-           - word_product(h.ctx, h.moments[p], vminus)) / (2 * step)
+           - word_product(h.ctx, h.moments[p], vminus)) / (2 * FD_STEP)
     lhs = np.linalg.inv(mu) @ dmu
     c = chi(h, f, p, m)
     rhs = -0.5 * (c + np.linalg.inv(mu) @ c @ mu)
@@ -307,18 +293,13 @@ def _field_vector_and_jac(a: FieldType, x: np.ndarray, vals, n):
     return vec, jac
 
 
-def schouten_residual(h: HamiltonianQP, m: RepPoint,
-                      tv: Optional[CartanTrivector] = None,
-                      mutate: float = 0.0) -> dict:
+def schouten_residual(h: HamiltonianQP, m: RepPoint) -> dict:
     """Componentwise residual of [P,P] = rho_phi in the matrix-entry chart
-    (GL contexts only).  mutate scales one coefficient of C by (1+mutate)
-    (see perturbed) to exercise the sensitivity of the identity."""
+    (GL contexts only); a check of a perturbed(h, ...) copy shows that the
+    identity is sensitive."""
     if h.ctx.kind != "gl":
         raise ValueError("the entry chart requires the GL context")
-    if tv is None:
-        tv = cartan_trivector(h.ctx, h.pair)
-    if mutate:
-        h = perturbed(h, mutate)
+    tv = cartan_trivector(h.ctx)
     vals = slot_values(m)
     n = h.ctx.n
     blk = {s: slice(k * n * n, (k + 1) * n * n) for k, s in enumerate(h.slots)}
@@ -328,7 +309,7 @@ def schouten_residual(h: HamiltonianQP, m: RepPoint,
     dpi = np.zeros((dim, dim, dim))  # dpi[d,a,b] = d_d Pi^{ab}
     for (a, b), c in h.coeffs.items():
         ia, ib = blk[a[0]], blk[b[0]]
-        for ek, fk in zip(h.pair.e, h.pair.f):
+        for ek, fk in zip(tv.pair.e, tv.pair.f):
             v, jv = _field_vector_and_jac(a, ek, vals, n)
             w, jw = _field_vector_and_jac(b, fk, vals, n)
             pi[ia, ib] += c * np.outer(v, w)
@@ -383,9 +364,8 @@ def bracket_combinatorial(phi: Observable, w_alpha: Word,
         tot += float(s.value) * pair(s, endpoint_variation(phi, I, ha),
                                      endpoint_variation(psi, J, hb))
     x, y = phi.var_right(ha), psi.var_left(hb)
-    return (ORIENTATION_SIGN * tot
-            + ORIENTATION_SIGN * sum(q.sign * _conjugated_form(m, q.reroute_ab(), x, y)
-                                     for q in data.crossings))
+    return tot + sum(q.sign * _conjugated_form(m, q.reroute_ab(), x, y)
+                     for q in data.crossings)
 
 
 def crossing_term(phi: Observable, w_alpha: Word, psi: Observable,

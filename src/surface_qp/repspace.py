@@ -67,10 +67,11 @@ def act(m: RepPoint, g) -> RepPoint:
     g = [np.asarray(gi, dtype=m.ctx.dtype) for gi in g]
     if len(g) != m.spec.boundary_count:
         raise ValueError("need one group element per boundary component")
+    g_inv = [np.linalg.inv(gi) for gi in g]
     out = {}
     for sym, mat in m.mats.items():
         s, t = generator_endpoints(sym)
-        out[sym] = g[s - 1] @ mat @ np.linalg.inv(g[t - 1])
+        out[sym] = g[s - 1] @ mat @ g_inv[t - 1]
     return RepPoint(m.ctx, m.spec, out)
 
 

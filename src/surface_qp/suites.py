@@ -43,49 +43,38 @@ def _word(s: str, spec: SurfaceSpec) -> Word:
     return Word.from_string(s, spec.genus, spec.boundary_count)
 
 
-def suite_qp_identity(n: int = 2, tol: float = 1e-9, seeds=range(5),
-                      mutate: float = 0.0) -> list:
+def suite_qp_identity(n: int = 2, tol: float = 1e-9, mutate: float = 0.0) -> list:
     ctx = AlgebraContext("gl", n)
     out = []
     for spec in (SurfaceSpec(0, 2), SurfaceSpec(1, 1)):
         h = build_bivector(spec, ctx)
-
-        def one(seed):
-            m = random_point(ctx, spec, seed)
-            r = schouten_residual(h, m, mutate=mutate)["residual"]
-            return fixture_result("qp-identity %s seed=%d" % (spec, seed),
-                                  r, 0.0, tol)
-        out += [one(seed) for seed in seeds]
+        hm = perturbed(h, mutate)
+        points = [random_point(ctx, spec, seed) for seed in range(5)]
+        for seed, m in enumerate(points):
+            r = schouten_residual(hm, m)["residual"]
+            out.append(fixture_result("qp-identity %s seed=%d" % (spec, seed),
+                                      r, 0.0, tol))
         # sensitivity: a 1% coefficient mutation must break the identity
-        m = random_point(ctx, spec, 0)
-        bad = schouten_residual(h, m, mutate=0.01)["residual"]
+        bad = schouten_residual(perturbed(h, 0.01), points[0])["residual"]
         out.append({"fixture": "qp-identity mutation %s" % spec,
                     "lhs": fmt_float(bad), "rhs": "0", "residual": fmt_float(bad),
                     "tolerance": fmt_float(1e-3), "pass": bool(bad > 1e-3)})
     return out
 
 
-def suite_moment(n: int = 2, tol: float = 1e-6, seeds=range(10),
-                 mutate: float = 0.0) -> list:
+def suite_moment(n: int = 2, tol: float = 1e-6, mutate: float = 0.0) -> list:
     ctx = AlgebraContext("gl", n)
     out = []
     for spec in (SurfaceSpec(0, 2), SurfaceSpec(1, 1), SurfaceSpec(1, 2)):
-        h = build_bivector(spec, ctx)
-        if mutate:
-            h = perturbed(h, mutate)
+        h = perturbed(build_bivector(spec, ctx), mutate)
         wa, _ = WORD_PAIRS[(spec.genus, spec.boundary_count)][-1]
         f = WordFunction(trace_observable(ctx), _word(wa, spec))
-
-        def one(seed):
+        for seed in range(10):
             m = random_point(ctx, spec, seed)
-            rows = []
             for p in range(spec.boundary_count):
                 r = verify_moment(h, p, f, m)["residual"]
-                rows.append(fixture_result(
+                out.append(fixture_result(
                     "moment %s mu_%d seed=%d" % (spec, p + 1, seed), r, 0.0, tol))
-            return rows
-        for seed in seeds:
-            out += one(seed)
     return out
 
 
@@ -95,57 +84,48 @@ def _observable_pairs(ctx: AlgebraContext):
             ("trace", trace_observable(ctx), trace_observable(ctx))]
 
 
-def suite_main_theorem(n: int = 2, tol: float = 1e-8, seeds=range(20),
-                       mutate: float = 0.0) -> list:
+def suite_main_theorem(n: int = 2, tol: float = 1e-8, mutate: float = 0.0) -> list:
     ctx = AlgebraContext("gl", n)
     out = []
     for spec in FIXTURE_SURFACES:
         pm = polygon_model(spec)
         h = build_bivector(spec, ctx)
+        points = [random_point(ctx, spec, seed) for seed in range(20)]
         for wa_s, wb_s in WORD_PAIRS[(spec.genus, spec.boundary_count)]:
             wa, wb = _word(wa_s, spec), _word(wb_s, spec)
             _, _, data = realize_pair(wa, wb, pm, 1)
             for label, oa, ob in _observable_pairs(ctx):
                 f, g = WordFunction(oa, wa), WordFunction(ob, wb)
-
-                def one(seed):
-                    m = random_point(ctx, spec, seed)
+                for seed, m in enumerate(points):
                     comb = bracket_combinatorial(oa, wa, ob, wb, data, m)
                     if mutate:
                         comb = -comb  # flipped orientation convention
-                    num = bracket_numeric(h, f, g, m)
-                    return fixture_result(
+                    out.append(fixture_result(
                         "main-theorem %s %s|%s %s seed=%d" %
-                        (spec, wa_s, wb_s, label, seed), comb, num, tol)
-                out += [one(seed) for seed in seeds]
+                        (spec, wa_s, wb_s, label, seed),
+                        comb, bracket_numeric(h, f, g, m), tol))
     return out
 
 
-def suite_splitting(n: int = 2, tol: float = 1e-9, seeds=range(10),
-                    mutate: float = 0.0) -> list:
+def suite_splitting(n: int = 2, tol: float = 1e-9, mutate: float = 0.0) -> list:
     ctx = AlgebraContext("gl", n)
     out = []
     for spec in (SurfaceSpec(0, 3), SurfaceSpec(1, 2)):
-        hl = build_bivector(spec, ctx, order="left")
+        hl = perturbed(build_bivector(spec, ctx, order="left"), mutate)
         hr = build_bivector(spec, ctx, order="right")
-        if mutate:
-            hl = perturbed(hl, mutate)
         wa_s, wb_s = WORD_PAIRS[(spec.genus, spec.boundary_count)][-1]
         wa, wb = _word(wa_s, spec), _word(wb_s, spec)
         f = WordFunction(trace_observable(ctx), wa)
         g = WordFunction(entry_observable(ctx, 0, 0, "re"), wb)
-
-        def one(seed):
+        for seed in range(10):
             m = random_point(ctx, spec, seed)
-            return fixture_result(
+            out.append(fixture_result(
                 "splitting %s %s|%s seed=%d" % (spec, wa_s, wb_s, seed),
-                bracket_numeric(hl, f, g, m), bracket_numeric(hr, f, g, m), tol)
-        out += [one(seed) for seed in seeds]
+                bracket_numeric(hl, f, g, m), bracket_numeric(hr, f, g, m), tol))
     return out
 
 
-def suite_goldman(n: int = 2, tol: float = 1e-8, seeds=range(3),
-                  mutate: float = 0.0) -> list:
+def suite_goldman(n: int = 2, tol: float = 1e-8, mutate: float = 0.0) -> list:
     ctx = AlgebraContext("gl", n)
     out = []
     for spec in FIXTURE_SURFACES:
@@ -192,19 +172,16 @@ def suite_goldman(n: int = 2, tol: float = 1e-8, seeds=range(3),
         h = build_bivector(spec, ctx)
         f = WordFunction(entry_observable(ctx, 0, 0, "re"), wa)
         g = WordFunction(entry_observable(ctx, 0, 1, "re"), wb)
-
-        def one(seed):
+        for seed in range(3):
             m = random_point(ctx, spec, seed)
-            return fixture_result(
+            out.append(fixture_result(
                 "goldman evaluate %s %s_11|%s_12 seed=%d" % (spec, wa_s, wb_s, seed),
                 br.evaluate(m), bracket_numeric(h, f, g, m), tol,
-                {"normal_form": br.canonical_str()})
-        out += [one(seed) for seed in seeds]
+                {"normal_form": br.canonical_str()}))
     return out
 
 
-def suite_cross_section(tol: float = 1e-7, seeds=range(10),
-                        mutate: float = 0.0) -> list:
+def suite_cross_section(tol: float = 1e-7, mutate: float = 0.0) -> list:
     out = []
     rng = np.random.default_rng(0)
     for n in (2, 3):
@@ -230,18 +207,14 @@ def suite_cross_section(tol: float = 1e-7, seeds=range(10),
         oa = trace_observable(ctx)
         ob = entry_observable(ctx, 0, 1, "re")
         f, g = WordFunction(oa, wa), WordFunction(ob, wb)
-
-        def one(seed):
-            m = random_point(ctx, spec, seed)
-            cs = cx.project_to_cross_section(m)
+        for seed in range(10):
+            cs = cx.project_to_cross_section(random_point(ctx, spec, seed))
             lhs = cx.bracket_cross(oa, wa, ob, wb, data, cs)
             if mutate:
                 lhs = -lhs
-            rhs = cx.bracket_cross_numeric(h, f, g, cs)
-            return fixture_result(
+            out.append(fixture_result(
                 "cross-section routes %s %s|%s seed=%d" % (spec, wa_s, wb_s, seed),
-                lhs, rhs, tol)
-        out += [one(seed) for seed in seeds]
+                lhs, cx.bracket_cross_numeric(h, f, g, cs), tol))
     return out
 
 

@@ -58,12 +58,13 @@ def test_load_surface_rejects_malformed_json(tmp_path):
 def test_load_bracket_request_defaults_to_trace(tmp_path):
     spec = SurfaceSpec(1, 1)
     path = _diagram(tmp_path, oa={"kind": "entry", "i": 1, "j": 2, "part": "re"})
-    (wa, oa), (wb, ob), variants, _ = load_bracket_request(path, GL2, spec)
+    (wa, oa), (wb, ob), variants = load_bracket_request(path, GL2, spec)
     assert wa.letters == spec.word("C1 D1").letters
     assert variants == (0, 0)
     g = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert oa.value(g) == 2.0
     assert ob.value(g) == 5.0
+    assert oa.entry == (0, 1) and ob.entry is None
 
 
 def test_load_bracket_request_rejects_bad_word(tmp_path):
@@ -135,6 +136,18 @@ def test_cli_bracket_gl_pass(tmp_path, capsys):
     assert out["pass"] is True
     assert out["fixtures"][0]["route"] == "ambient"
     assert "normal_form" in out["fixtures"][0]
+
+
+def test_cli_bracket_gl_trace_entry_has_no_normal_form(tmp_path, capsys):
+    # the seeded GL point is exact, but the symbolic route needs entry
+    # observables on both sides
+    code = main(["bracket", "--surface", _surface(tmp_path),
+                 "--diagram", _diagram(tmp_path, ob={"kind": "entry", "i": 1, "j": 2}),
+                 "--group", "gl", "--n", "2", "--seed", "1"])
+    fx = json.loads(capsys.readouterr().out)["fixtures"][0]
+    assert code == 0
+    assert fx["route"] == "ambient"
+    assert "normal_form" not in fx and "symbolic_value" not in fx
 
 
 def test_cli_bracket_unitary_pass(tmp_path, capsys):
@@ -247,6 +260,13 @@ def test_cli_bad_tol_exits_2(tmp_path, capsys, command, tol):
     assert main(argv + ["--tol=" + tol]) == 2
     err = capsys.readouterr().err
     assert "input error: --tol must be finite and non-negative" in err
+
+
+@pytest.mark.parametrize("mutate", ["nan", "inf", "-inf"])
+def test_cli_bad_mutate_exits_2(mutate, capsys):
+    assert main(["verify", "--suite", "qp-identity", "--mutate=" + mutate]) == 2
+    assert "input error: --mutate must be finite, got %s" % mutate in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -5,11 +5,11 @@ import pytest
 from scipy.linalg import expm
 
 from surface_qp.diagrams import realize_pair
-from surface_qp.lie import AlgebraContext, entry_observable, trace_observable
+from surface_qp.lie import AlgebraContext, dual_basis, entry_observable, trace_observable
 from surface_qp.quasipoisson import (WordFunction, _field_vector_and_jac,
                                      bracket_combinatorial, bracket_numeric,
                                      build_bivector, chi, crossing_term, double,
-                                     fused_double, schouten_residual,
+                                     fused_double, perturbed, schouten_residual,
                                      slot_values, slot_word, verify_moment)
 from surface_qp.repspace import holonomy, random_point, word_product
 from surface_qp.surfaces import SurfaceSpec, polygon_model
@@ -37,7 +37,7 @@ def test_gradients_match_finite_differences(ctx):
     vals = slot_values(m)
     grads = f.gradients(m)
     assert set(grads) == {(s, side) for s, _ in f.slots for side in "LR"}
-    pair = build_bivector(spec, ctx).pair
+    pair = dual_basis(ctx)
     step = 1e-6
     for (s, side), grad in grads.items():
         fd = 0
@@ -105,7 +105,7 @@ def test_schouten_identity_and_sensitivity(spec):
     h = build_bivector(spec, GL2)
     m = random_point(GL2, spec, 0)
     assert schouten_residual(h, m)["residual"] < 1e-9
-    assert schouten_residual(h, m, mutate=0.01)["residual"] > 1e-3
+    assert schouten_residual(perturbed(h, 0.01), m)["residual"] > 1e-3
 
 
 @pytest.mark.parametrize("kind", ["double", "fused"])

@@ -1,8 +1,10 @@
 """Property tests over random composable words: the combinatorial formula
-against the bivector pairing (GL), and the Theta-dressed formula against the
-ambient pairing plus the P-perp correction (U).  Both combinatorial routes
-run through the one endpoint loop and crossing loop of bracket_combinatorial,
-so these guard that loop beyond the fixture word pairs."""
+against the bivector pairing (GL), the Theta-dressed formula against the
+ambient pairing plus the P-perp correction (U), and the exact symbolic
+entry bracket evaluated at the point against the bivector pairing (GL).
+Both combinatorial routes run through the one endpoint loop and crossing
+loop of bracket_combinatorial, and the symbolic route has loops of its own,
+so these guard all three beyond the fixture word pairs."""
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from surface_qp.cross_section import (RegularityError, bracket_cross,
                                       bracket_cross_numeric,
                                       project_to_cross_section)
 from surface_qp.diagrams import realize_pair
+from surface_qp.goldman import PathEntrySymbol, bracket_symbolic
 from surface_qp.lie import AlgebraContext, entry_observable, trace_observable
 from surface_qp.quasipoisson import (WordFunction, bracket_combinatorial,
                                      bracket_numeric, build_bivector)
@@ -54,7 +57,7 @@ def bracket_case(draw, kind):
     return spec, ctx, observable(), wa, observable(), wb, data, m
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=150)
 @given(bracket_case("gl"))
 def test_random_words_main_theorem(case):
     spec, ctx, oa, wa, ob, wb, data, m = case
@@ -64,7 +67,7 @@ def test_random_words_main_theorem(case):
     assert abs(comb - num) <= 1e-8 * max(1.0, abs(num))
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(bracket_case("u"))
 def test_random_words_cross_section(case):
     spec, ctx, oa, wa, ob, wb, data, m = case
@@ -76,3 +79,33 @@ def test_random_words_cross_section(case):
     rhs = bracket_cross_numeric(build_bivector(spec, ctx),
                                 WordFunction(oa, wa), WordFunction(ob, wb), cs)
     assert abs(lhs - rhs) <= 1e-7 * max(1.0, abs(rhs))
+
+
+@st.composite
+def symbolic_case(draw):
+    """GL entry observables; n = 3 only when both words have at most two
+    letters, which keeps the exact normal forms small."""
+    genus, boundary = draw(st.sampled_from(SURFACES))
+    wa = draw(composable_word(genus, boundary))
+    wb = draw(composable_word(genus, boundary))
+    assume(len(wa) and len(wb))
+    n = draw(st.sampled_from([2, 3])) if max(len(wa), len(wb)) <= 2 else 2
+    ctx = AlgebraContext("gl", n)
+    ij, kl = (draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+              for _ in range(2))
+    spec = SurfaceSpec(genus, boundary)
+    m = random_point(ctx, spec, draw(st.integers(0, 10 ** 6)))
+    _, _, data = realize_pair(wa, wb, polygon_model(spec), draw(st.integers(0, 99)))
+    return spec, ctx, ij, wa, kl, wb, data, m
+
+
+@settings(max_examples=150)
+@given(symbolic_case())
+def test_random_words_symbolic(case):
+    spec, ctx, (i, j), wa, (k, l), wb, data, m = case
+    sym = bracket_symbolic(PathEntrySymbol(wa, i + 1, j + 1),
+                           PathEntrySymbol(wb, k + 1, l + 1), data, ctx.n)
+    num = bracket_numeric(build_bivector(spec, ctx),
+                          WordFunction(entry_observable(ctx, i, j), wa),
+                          WordFunction(entry_observable(ctx, k, l), wb), m)
+    assert abs(sym.evaluate(m) - num) <= 1e-8 * max(1.0, abs(num))
