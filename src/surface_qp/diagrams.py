@@ -2,10 +2,28 @@
 groupoid words, word reading, and pairwise intersection data.
 
 A diagram is a list of legs (polylines inside the polygon); consecutive legs
-are joined by side-crossing events (exit point on a glued side, entry point on
-its partner).  Endpoints sit exactly at marked polygon corners.
+are joined by a side crossing (exit on a glued side, entry at the same
+parameter read backwards on its partner).  Endpoints sit exactly at marked
+polygon corners.
 
 All intersection predicates are exact rational arithmetic.
+
+General position.  Every leg point other than an endpoint corner is one of
+three kinds, each an injective function of its jitter parameters:
+
+- a side point, at parameter t strictly inside glued side k;
+- a corner point, at parameter eps on the segment from corner c to the
+  polygon centre;
+- a bow point, at parameter bow on the segment from the point at parameter
+  tm on side k to the centre.
+
+realize_pair draws alpha in lane 0 and beta in lane 1, and lane 1 adds
+2^-17 to every parameter.  So alpha's parameters are multiples of 2^-16 and
+beta's are odd multiples of 2^-17: no point of alpha equals a point of the
+same kind of beta.  Coincidences across kinds, a leg point on a segment of
+the other diagram, collinear overlaps and equal endpoint directions are not
+ruled out by construction; they raise GeneralPositionError, which callers
+see as a degenerate input.
 """
 
 from __future__ import annotations
@@ -19,31 +37,23 @@ from .geometry import Point, cross, lerp, segment_intersection, sub
 from .surfaces import PolygonModel
 from .words import Word
 
-REALIZE_TRIES = 64   # jitter seeds realize_pair tries before giving up
+LANE_SHIFT = Fraction(1, 1 << 17)   # beta's offset from alpha's jitter lattice
 
 
 class GeneralPositionError(ValueError):
-    """A configuration too degenerate to read signs from; retry with a
-    different jitter seed."""
-
-
-@dataclass(frozen=True)
-class CrossingEvent:
-    side: int
-    exit_point: Point
-    entry_point: Point
+    """A configuration too degenerate to read signs from."""
 
 
 @dataclass(frozen=True)
 class PathDiagram:
     legs: Tuple[Tuple[Point, ...], ...]
-    crossings: Tuple[CrossingEvent, ...]
+    sides: Tuple[int, ...]     # glued side crossed between consecutive legs
     start_corner: int
     end_corner: int
 
     def __post_init__(self):
-        if len(self.legs) != len(self.crossings) + 1:
-            raise ValueError("need exactly one crossing event between legs")
+        if len(self.legs) != len(self.sides) + 1:
+            raise ValueError("need exactly one side crossing between legs")
         for leg in self.legs:
             if len(leg) < 2:
                 raise ValueError("each leg needs at least two points")
@@ -62,25 +72,23 @@ class PathDiagram:
                 yield i, a, b
 
 
-def word_of_diagram(d: PathDiagram, pm: PolygonModel) -> Word:
-    """Read the groupoid word of a diagram from its crossing sequence."""
-    w = pm.corner_word[d.start_corner].inverse()
-    for ev in d.crossings:
-        w = w.concat(pm.transition(ev.side))
-    return w.concat(pm.corner_word[d.end_corner])
-
-
 def _leg_prefixes(d: PathDiagram, pm: PolygonModel):
     """prefix[i] / suffix[i]: word of the diagram before / from leg i."""
     m = len(d.legs)
     pref = [pm.corner_word[d.start_corner].inverse()]
-    for ev in d.crossings:
-        pref.append(pref[-1].concat(pm.transition(ev.side)))
+    for k in d.sides:
+        pref.append(pref[-1].concat(pm.transition(k)))
     suf = [None] * m
     suf[m - 1] = pm.corner_word[d.end_corner]
     for i in range(m - 2, -1, -1):
-        suf[i] = pm.transition(d.crossings[i].side).concat(suf[i + 1])
+        suf[i] = pm.transition(d.sides[i]).concat(suf[i + 1])
     return pref, suf
+
+
+def word_of_diagram(d: PathDiagram, pm: PolygonModel) -> Word:
+    """Read the groupoid word of a diagram from its side crossings."""
+    pref, suf = _leg_prefixes(d, pm)
+    return pref[0].concat(suf[0])
 
 
 # --- realization of words -------------------------------------------------
@@ -105,34 +113,36 @@ def _chords_for_word(w: Word, pm: PolygonModel, variant: int):
 
 
 def diagram_from_word(w: Word, pm: PolygonModel, jitter_seed: int,
-                      variant: int = 0) -> PathDiagram:
-    """Exact general-position polyline realizing the word w.
+                      variant: int = 0, lane: int = 0) -> PathDiagram:
+    """Exact polyline realizing the word w.
 
     Each letter becomes a chord bowed inward from the corresponding polygon
     side; junctions at a marked point either smooth through the shared corner
     or walk the vertex link, crossing glued sides near their corner ends.
-    Jitter parameters are drawn from a deterministic seeded stream.
+    Jitter parameters are drawn from a deterministic seeded stream and, in
+    lane 1, shifted by LANE_SHIFT (see the module docstring).
     """
     if pm.spec.is_disk:
         raise ValueError("disk model supports no diagrams")
     if len(w.letters) == 0:
         raise ValueError("constant paths are excluded from diagrams")
     rng = random.Random("%d|%d|%s" % (jitter_seed, variant, w.letters))
+    shift = LANE_SHIFT * lane
 
     def eps() -> Fraction:
-        return Fraction(256 + rng.randrange(256), 1 << 16)
+        return Fraction(256 + rng.randrange(256), 1 << 16) + shift
 
     def bow() -> Fraction:
-        return Fraction(2048 + rng.randrange(2048), 1 << 16)
+        return Fraction(2048 + rng.randrange(2048), 1 << 16) + shift
 
     chords = _chords_for_word(w, pm, variant)
     verts = pm.vertices
     legs: List[List[Point]] = []
     cur: List[Point] = [verts[chords[0][0]]]
-    events: List[CrossingEvent] = []
+    sides: List[int] = []
 
     for t, (c_in, c_out, k) in enumerate(chords):
-        tm = Fraction(7 * 4096 + rng.randrange(2 * 4096), 16 * 4096)
+        tm = Fraction(7 * 4096 + rng.randrange(2 * 4096), 16 * 4096) + shift
         mid = pm.side_point(k, tm)
         cur.append(lerp(mid, pm.center, bow()))
         if t == len(chords) - 1:
@@ -157,16 +167,14 @@ def diagram_from_word(w: Word, pm: PolygonModel, jitter_seed: int,
             else:
                 k_e = c                        # outgoing side of the wedge
                 t_e = eps()
-            exit_pt = pm.side_point(k_e, t_e)
-            entry_pt = pm.identify(k_e, exit_pt)
-            cur.append(exit_pt)
+            cur.append(pm.side_point(k_e, t_e))
             legs.append(cur)
-            events.append(CrossingEvent(k_e, exit_pt, entry_pt))
-            cur = [entry_pt]
+            sides.append(k_e)
+            cur = [pm.side_point(pm.sides[k_e].partner, 1 - t_e)]
             pos += step
     legs.append(cur)
 
-    d = PathDiagram(tuple(tuple(l) for l in legs), tuple(events),
+    d = PathDiagram(tuple(tuple(l) for l in legs), tuple(sides),
                     chords[0][0], chords[-1][1])
     got = word_of_diagram(d, pm)
     if got.letters != w.letters:
@@ -179,7 +187,6 @@ def diagram_from_word(w: Word, pm: PolygonModel, jitter_seed: int,
 @dataclass(frozen=True)
 class Crossing:
     sign: int
-    point: Point
     alpha_prefix: Word
     alpha_suffix: Word
     beta_prefix: Word
@@ -256,7 +263,7 @@ def intersection_data(d_alpha: PathDiagram, d_beta: PathDiagram,
             if 0 < t < 1 and 0 < u < 1:
                 s = cross(sub(a1, a0), sub(b1, b0))
                 crossings.append(Crossing(
-                    1 if s > 0 else -1, q,
+                    1 if s > 0 else -1,
                     pref_a[i], suf_a[i], pref_b[j], suf_b[j]))
                 continue
             # intersections at segment endpoints: shared marked vertices are
@@ -295,17 +302,10 @@ def algebraic_intersection(data: IntersectionData) -> Fraction:
 
 def realize_pair(w_alpha: Word, w_beta: Word, pm: PolygonModel, seed: int,
                  variants: Tuple[int, int] = (0, 0)):
-    """Seeded general-position realizations of a word pair.
-
-    Returns (d_alpha, d_beta, IntersectionData); retries with derived seeds on
-    general-position failures, never silently.
-    """
-    for k in range(REALIZE_TRIES):
-        try:
-            da = diagram_from_word(w_alpha, pm, seed * 1009 + k, variants[0])
-            db = diagram_from_word(w_beta, pm, seed * 2003 + 7 * k + 1, variants[1])
-            return da, db, intersection_data(da, db, pm)
-        except GeneralPositionError:
-            continue
-    raise GeneralPositionError(
-        "no general-position realization after %d tries" % REALIZE_TRIES)
+    """Seeded realizations of a word pair in general position by construction
+    (alpha in lane 0, beta in lane 1); returns (d_alpha, d_beta,
+    IntersectionData).  A degeneracy the lanes do not rule out raises
+    GeneralPositionError."""
+    da = diagram_from_word(w_alpha, pm, seed * 1009, variants[0], 0)
+    db = diagram_from_word(w_beta, pm, seed * 2003 + 1, variants[1], 1)
+    return da, db, intersection_data(da, db, pm)

@@ -20,15 +20,6 @@ def sub(a: Point, b: Point) -> Point:
     return (a[0] - b[0], a[1] - b[1])
 
 
-def add(a: Point, b: Point) -> Point:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def scale(a: Point, s) -> Point:
-    s = Fraction(s)
-    return (a[0] * s, a[1] * s)
-
-
 def lerp(a: Point, b: Point, t) -> Point:
     t = Fraction(t)
     return (a[0] + (b[0] - a[0]) * t, a[1] + (b[1] - a[1]) * t)
@@ -36,10 +27,6 @@ def lerp(a: Point, b: Point, t) -> Point:
 
 def cross(a: Point, b: Point) -> Fraction:
     return a[0] * b[1] - a[1] * b[0]
-
-
-def dot(a: Point, b: Point) -> Fraction:
-    return a[0] * b[0] + a[1] * b[1]
 
 
 def orient(a: Point, b: Point, c: Point) -> int:
@@ -70,19 +57,6 @@ def segment_intersection(p0: Point, p1: Point, q0: Point, q1: Point
     if 0 <= t <= 1 and 0 <= u <= 1:
         return (t, u, lerp(p0, p1, t))
     return None
-
-
-def point_in_convex(poly: list, p: Point) -> int:
-    """+1 strictly inside the ccw convex polygon, 0 on boundary, -1 outside."""
-    on_edge = False
-    n = len(poly)
-    for k in range(n):
-        o = orient(poly[k], poly[(k + 1) % n], p)
-        if o < 0:
-            return -1
-        if o == 0:
-            on_edge = True
-    return 0 if on_edge else 1
 
 
 def centroid(poly: list) -> Point:

@@ -131,6 +131,8 @@ def entry_observable(ctx: AlgebraContext, i: int, j: int, part: str = "re") -> O
     """Phi(g) = Re g_ij (or Im g_ij); indices are 0-based."""
     if part not in ("re", "im"):
         raise ValueError("part must be 're' or 'im'")
+    if not (0 <= i < ctx.n and 0 <= j < ctx.n):
+        raise ValueError("entry index outside the %d x %d matrix" % (ctx.n, ctx.n))
     if part == "im" and ctx.kind == "gl":
         raise ValueError("part 'im' is identically zero on real GL matrices; "
                          "use it with the U group")

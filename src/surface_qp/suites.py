@@ -25,7 +25,6 @@ from .quasipoisson import (WordFunction, bracket_combinatorial, bracket_numeric,
                            verify_moment)
 from .repspace import random_point
 from .surfaces import SurfaceSpec, polygon_model
-from .words import Word
 
 # word pairs of length <= 3 per fixture surface, composable on the polygon
 WORD_PAIRS: Dict[Tuple[int, int], List[Tuple[str, str]]] = {
@@ -37,10 +36,6 @@ WORD_PAIRS: Dict[Tuple[int, int], List[Tuple[str, str]]] = {
 
 FIXTURE_SURFACES = [SurfaceSpec(0, 2), SurfaceSpec(1, 1),
                     SurfaceSpec(0, 3), SurfaceSpec(1, 2)]
-
-
-def _word(s: str, spec: SurfaceSpec) -> Word:
-    return Word.from_string(s, spec.genus, spec.boundary_count)
 
 
 def suite_qp_identity(n: int = 2, tol: float = 1e-9, mutate: float = 0.0) -> list:
@@ -68,7 +63,7 @@ def suite_moment(n: int = 2, tol: float = 1e-6, mutate: float = 0.0) -> list:
     for spec in (SurfaceSpec(0, 2), SurfaceSpec(1, 1), SurfaceSpec(1, 2)):
         h = perturbed(build_bivector(spec, ctx), mutate)
         wa, _ = WORD_PAIRS[(spec.genus, spec.boundary_count)][-1]
-        f = WordFunction(trace_observable(ctx), _word(wa, spec))
+        f = WordFunction(trace_observable(ctx), spec.word(wa))
         for seed in range(10):
             m = random_point(ctx, spec, seed)
             for p in range(spec.boundary_count):
@@ -92,7 +87,7 @@ def suite_main_theorem(n: int = 2, tol: float = 1e-8, mutate: float = 0.0) -> li
         h = build_bivector(spec, ctx)
         points = [random_point(ctx, spec, seed) for seed in range(20)]
         for wa_s, wb_s in WORD_PAIRS[(spec.genus, spec.boundary_count)]:
-            wa, wb = _word(wa_s, spec), _word(wb_s, spec)
+            wa, wb = spec.word(wa_s), spec.word(wb_s)
             _, _, data = realize_pair(wa, wb, pm, 1)
             for label, oa, ob in _observable_pairs(ctx):
                 f, g = WordFunction(oa, wa), WordFunction(ob, wb)
@@ -114,7 +109,7 @@ def suite_splitting(n: int = 2, tol: float = 1e-9, mutate: float = 0.0) -> list:
         hl = perturbed(build_bivector(spec, ctx, order="left"), mutate)
         hr = build_bivector(spec, ctx, order="right")
         wa_s, wb_s = WORD_PAIRS[(spec.genus, spec.boundary_count)][-1]
-        wa, wb = _word(wa_s, spec), _word(wb_s, spec)
+        wa, wb = spec.word(wa_s), spec.word(wb_s)
         f = WordFunction(trace_observable(ctx), wa)
         g = WordFunction(entry_observable(ctx, 0, 0, "re"), wb)
         for seed in range(10):
@@ -132,7 +127,7 @@ def suite_goldman(n: int = 2, tol: float = 1e-8, mutate: float = 0.0) -> list:
         pm = polygon_model(spec)
         alg = GoldmanAlgebra(pm, n)
         wa_s, wb_s = WORD_PAIRS[(spec.genus, spec.boundary_count)][0]
-        wa, wb = _word(wa_s, spec), _word(wb_s, spec)
+        wa, wb = spec.word(wa_s), spec.word(wb_s)
         # defining relation sum_j alpha_ij beta_jk = (alpha beta)_ik, exact
         if wa.target == wb.source:
             rel_ok = True
@@ -202,7 +197,7 @@ def suite_cross_section(tol: float = 1e-7, mutate: float = 0.0) -> list:
         pm = polygon_model(spec)
         h = build_bivector(spec, ctx)
         wa_s, wb_s = WORD_PAIRS[(spec.genus, spec.boundary_count)][1]
-        wa, wb = _word(wa_s, spec), _word(wb_s, spec)
+        wa, wb = spec.word(wa_s), spec.word(wb_s)
         _, _, data = realize_pair(wa, wb, pm, 1)
         oa = trace_observable(ctx)
         ob = entry_observable(ctx, 0, 1, "re")

@@ -18,8 +18,8 @@ from fractions import Fraction
 import math
 from typing import Dict, List, Optional, Tuple
 
-from .geometry import Point, centroid, cross, dot, lerp, orient, sub
-from .words import Word, generator_endpoints
+from .geometry import Point, centroid, cross, lerp, orient, sub
+from .words import Word, generator_endpoints, mu1_letters
 
 VERTEX_DENOM = 1 << 20
 
@@ -48,13 +48,7 @@ class SurfaceSpec:
 
 
 def side_labels(spec: SurfaceSpec) -> List[Tuple[str, int]]:
-    labels: List[Tuple[str, int]] = [("B1", 1)]
-    for i in range(2, spec.boundary_count + 1):
-        labels += [("A%d" % i, 1), ("B%d" % i, 1), ("A%d" % i, -1)]
-    for j in range(1, spec.genus + 1):
-        c, d = "C%d" % j, "D%d" % j
-        labels += [(c, 1), (d, 1), (c, -1), (d, -1)]
-    return labels
+    return [("B1", 1)] + list(mu1_letters(spec.genus, spec.boundary_count))
 
 
 @dataclass(frozen=True)
@@ -82,26 +76,9 @@ class PolygonModel:
     def n(self) -> int:
         return len(self.vertices)
 
-    def side_vec(self, k: int) -> Point:
-        s = self.sides[k]
-        return sub(self.vertices[s.end], self.vertices[s.start])
-
     def side_point(self, k: int, t) -> Point:
         s = self.sides[k]
         return lerp(self.vertices[s.start], self.vertices[s.end], t)
-
-    def side_param(self, k: int, p: Point) -> Fraction:
-        s = self.sides[k]
-        d = self.side_vec(k)
-        return dot(sub(p, self.vertices[s.start]), d) / dot(d, d)
-
-    def identify(self, k: int, p: Point) -> Point:
-        """Carry a point on glued side k to the partner side (t -> 1-t)."""
-        s = self.sides[k]
-        if s.partner is None:
-            raise ValueError("side %d is a boundary side" % k)
-        t = self.side_param(k, p)
-        return self.side_point(s.partner, 1 - t)
 
     def transition(self, k: int) -> Word:
         """Groupoid word picked up when a diagram exits through glued side k."""

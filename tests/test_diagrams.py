@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from surface_qp import diagrams
 from surface_qp.diagrams import (algebraic_intersection, diagram_from_word,
                                  intersection_data, realize_pair,
                                  word_of_diagram)
 from surface_qp.surfaces import SurfaceSpec, polygon_model
+from surface_qp.words import Word, generator_endpoints, generator_symbols
 
 WORDS = {
     (0, 2): ["A2", "B2", "A2 B2", "A2 B2 A2'", "B1"],
@@ -101,3 +104,43 @@ def test_realization_is_deterministic():
     d1 = diagram_from_word(spec.word("C1 D1"), pm, 7)
     d2 = diagram_from_word(spec.word("C1 D1"), pm, 7)
     assert d1 == d2
+
+
+def _walk(rng, genus, boundary, lo, hi):
+    """Random walk of lo..hi letters in the surface groupoid that never steps
+    straight back, so it is freely reduced."""
+    at = rng.randint(1, boundary)
+    letters = []
+    for _ in range(rng.randint(lo, hi)):
+        steps = [(sym, sgn) for sym in generator_symbols(genus, boundary)
+                 for sgn in (1, -1)
+                 if generator_endpoints(sym)[0 if sgn == 1 else 1] == at
+                 and not (letters and letters[-1] == (sym, -sgn))]
+        sym, sgn = rng.choice(steps)
+        letters.append((sym, sgn))
+        at = generator_endpoints(sym)[1 if sgn == 1 else 0]
+    return Word.make(letters, genus, boundary)
+
+
+def test_realization_never_retries(monkeypatch):
+    # about a third of these pairs needed a second jitter seed when both
+    # diagrams drew their jitter from one lattice
+    spec = SurfaceSpec(2, 2)
+    pm = polygon_model(spec)
+    rng = random.Random(20130121)
+    calls = []
+    real = diagrams.diagram_from_word
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(diagrams, "diagram_from_word", counting)
+    for seed in range(20):
+        wa, wb = _walk(rng, 2, 2, 8, 16), _walk(rng, 2, 2, 8, 16)
+        calls.clear()
+        da, db, _ = realize_pair(wa, wb, pm, seed)
+        assert len(calls) == 2
+        ends_a = {pm.vertices[da.start_corner], pm.vertices[da.end_corner]}
+        ends_b = {pm.vertices[db.start_corner], pm.vertices[db.end_corner]}
+        shared = {p for leg in da.legs for p in leg} & {p for leg in db.legs for p in leg}
+        assert shared <= ends_a & ends_b

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from surface_qp.geometry import (centroid, cross, lerp, orient, point_in_convex,
-                                 pt, segment_intersection, sub)
+from surface_qp.geometry import (centroid, cross, lerp, orient, pt,
+                                 segment_intersection, sub)
 
 frac = st.fractions(min_value=-4, max_value=4, max_denominator=64)
 point = st.tuples(frac, frac)
@@ -53,13 +53,6 @@ def test_orient_antisymmetric(a, b, c):
 @given(point, point)
 def test_cross_antisymmetric(a, b):
     assert cross(a, b) == -cross(b, a)
-
-
-def test_point_in_convex():
-    square = [pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2)]
-    assert point_in_convex(square, pt(1, 1)) == 1
-    assert point_in_convex(square, pt(2, 1)) == 0
-    assert point_in_convex(square, pt(3, 1)) == -1
 
 
 def test_centroid_and_lerp_exact():

@@ -220,6 +220,16 @@ def test_cli_gl_imaginary_part_exits_2(tmp_path, capsys):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("i", [0, -1, 3])
+def test_cli_entry_index_out_of_range_exits_2(tmp_path, capsys, i):
+    # indices are 1-based; 0 must not wrap around to the last row
+    code = main(["bracket", "--surface", _surface(tmp_path),
+                 "--diagram", _diagram(tmp_path, oa={"kind": "entry", "i": i, "j": 1}),
+                 "--group", "gl", "--n", "2"])
+    assert code == 2
+    assert "entry index outside the 2 x 2 matrix" in capsys.readouterr().err
+
+
 def test_cli_degenerate_moment_exits_3(tmp_path, capsys):
     # identity coordinates give a degenerate boundary spectrum, which the
     # cross-section projection must reject
