@@ -6,7 +6,8 @@ are joined by a side crossing (exit on a glued side, entry at the same
 parameter read backwards on its partner).  Endpoints sit exactly at marked
 polygon corners.
 
-All intersection predicates are exact rational arithmetic.
+Intersection predicates are exact: they run on integers, every coordinate
+scaled to one common denominator, after a bounding-box prune.
 
 General position.  Every leg point other than an endpoint corner is one of
 three kinds, each an injective function of its jitter parameters:
@@ -28,6 +29,7 @@ see as a degenerate input.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -242,7 +244,6 @@ def _angular_less(pm: PolygonModel, a, b) -> bool:
 
 def intersection_data(d_alpha: PathDiagram, d_beta: PathDiagram,
                       pm: PolygonModel) -> IntersectionData:
-    verts = set(pm.vertices)
     for d in (d_alpha, d_beta):
         _check_wedge(pm, d.start_corner, d.start_dir)
         _check_wedge(pm, d.end_corner, d.end_dir)
@@ -250,9 +251,29 @@ def intersection_data(d_alpha: PathDiagram, d_beta: PathDiagram,
     pref_a, suf_a = _leg_prefixes(d_alpha, pm)
     pref_b, suf_b = _leg_prefixes(d_beta, pm)
 
+    # exact tests on one integer grid: every coordinate times the lcm of all
+    # denominators, so orientation tests are integer cross products
+    pts = [p for d in (d_alpha, d_beta) for leg in d.legs for p in leg]
+    den = math.lcm(*{c.denominator for p in pts + pm.vertices for c in p})
+
+    def grid(p: Point) -> Tuple[int, int]:
+        return (p[0].numerator * (den // p[0].denominator),
+                p[1].numerator * (den // p[1].denominator))
+
+    def boxed(d: PathDiagram):
+        for i, a, b in d.segments():
+            a, b = grid(a), grid(b)
+            yield (i, a, b, min(a[0], b[0]), max(a[0], b[0]),
+                   min(a[1], b[1]), max(a[1], b[1]))
+
+    verts = {grid(v) for v in pm.vertices}
+    segs_b = list(boxed(d_beta))
     crossings: List[Crossing] = []
-    for i, a0, a1 in d_alpha.segments():
-        for j, b0, b1 in d_beta.segments():
+    for i, a0, a1, axl, axh, ayl, ayh in boxed(d_alpha):
+        for j, b0, b1, bxl, bxh, byl, byh in segs_b:
+            # closed boxes that do not meet: no crossing, touch or overlap
+            if bxl > axh or bxh < axl or byl > ayh or byh < ayl:
+                continue
             try:
                 hit = segment_intersection(a0, a1, b0, b1)
             except ValueError:
@@ -271,7 +292,8 @@ def intersection_data(d_alpha: PathDiagram, d_beta: PathDiagram,
             # general-position failure
             if q in verts and (t in (0, 1)) and (u in (0, 1)):
                 continue
-            raise GeneralPositionError("non-transversal intersection at %r" % (q,))
+            raise GeneralPositionError("non-transversal intersection at %r"
+                                       % ((q[0] / den, q[1] / den),))
 
     signs: Dict[Tuple[str, str], EndpointSign] = {}
     for I in ("start", "end"):

@@ -1,7 +1,7 @@
 """Exact rational plane geometry for the polygon model.
 
-Points and vectors are pairs of fractions.Fraction.  Every predicate here is
-decided exactly; no floating point enters.
+Points and vectors are pairs of fractions.Fraction, or of ints on a scaled
+grid.  Every predicate here is decided exactly; no floating point enters.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ def segment_intersection(p0: Point, p1: Point, q0: Point, q1: Point
     Returns (t, u, point) with point = p0 + t*(p1-p0) = q0 + u*(q1-q0) and
     0 <= t,u <= 1, or None if the segments do not meet in a single point.
     Collinear overlap raises ValueError (a general-position violation for
-    callers, never a silent answer).
+    callers, never a silent answer).  On int coordinates no Fraction is built
+    unless the segments meet.
     """
     d1, d2 = sub(p1, p0), sub(q1, q0)
     denom = cross(d1, d2)
@@ -52,10 +53,12 @@ def segment_intersection(p0: Point, p1: Point, q0: Point, q1: Point
             # collinear; overlap is a degenerate configuration
             raise ValueError("collinear segments")
         return None
-    t = cross(diff, d2) / denom
-    u = cross(diff, d1) / denom
-    if 0 <= t <= 1 and 0 <= u <= 1:
-        return (t, u, lerp(p0, p1, t))
+    tn, un = cross(diff, d2), cross(diff, d1)
+    if denom < 0:
+        denom, tn, un = -denom, -tn, -un
+    if 0 <= tn <= denom and 0 <= un <= denom:
+        t = Fraction(tn, denom)
+        return (t, Fraction(un, denom), lerp(p0, p1, t))
     return None
 
 

@@ -71,8 +71,8 @@ def load_bracket_request(path: str, ctx: AlgebraContext, spec: SurfaceSpec):
             obs = observable_from_dict(ctx, doc[side].get("observable", {"kind": "trace"}))
             out[side] = (w, obs)
         variants = tuple(doc.get("variants", (0, 0)))
-        if len(variants) != 2:
-            raise ValueError("variants must be a pair")
+        if len(variants) != 2 or not all(type(v) is int and v >= 0 for v in variants):
+            raise ValueError("variants must be a pair of non-negative integers")
         return out["alpha"], out["beta"], variants
     except SchemaError:
         raise

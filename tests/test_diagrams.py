@@ -2,13 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from surface_qp import diagrams
-from surface_qp.diagrams import (algebraic_intersection, diagram_from_word,
+from surface_qp.diagrams import (Crossing, EndpointSign, GeneralPositionError,
+                                 IntersectionData, PathDiagram,
+                                 algebraic_intersection, diagram_from_word,
                                  intersection_data, realize_pair,
                                  word_of_diagram)
+from surface_qp.geometry import cross, lerp, sub
 from surface_qp.surfaces import SurfaceSpec, polygon_model
-from surface_qp.words import Word, generator_endpoints, generator_symbols
+from surface_qp.words import (Word, generator_endpoints, generator_symbols,
+                              mu1_letters)
 
 WORDS = {
     (0, 2): ["A2", "B2", "A2 B2", "A2 B2 A2'", "B1"],
@@ -106,10 +111,11 @@ def test_realization_is_deterministic():
     assert d1 == d2
 
 
-def _walk(rng, genus, boundary, lo, hi):
+def _walk(rng, genus, boundary, lo, hi, at=None):
     """Random walk of lo..hi letters in the surface groupoid that never steps
-    straight back, so it is freely reduced."""
-    at = rng.randint(1, boundary)
+    straight back, so it is freely reduced; from marked point `at`, or from a
+    random one."""
+    at = at or rng.randint(1, boundary)
     letters = []
     for _ in range(rng.randint(lo, hi)):
         steps = [(sym, sgn) for sym in generator_symbols(genus, boundary)
@@ -144,3 +150,168 @@ def test_realization_never_retries(monkeypatch):
         ends_b = {pm.vertices[db.start_corner], pm.vertices[db.end_corner]}
         shared = {p for leg in da.legs for p in leg} & {p for leg in db.legs for p in leg}
         assert shared <= ends_a & ends_b
+
+
+def _closed_walk(rng, genus, boundary, lo, hi):
+    """Uniform closed word at marked point 1: a walk from 1, closed by A_p^-1
+    when it ends at another marked point p (A_p runs from 1 to p)."""
+    w = _walk(rng, genus, boundary, lo, hi, at=1)
+    if w.target == 1:
+        return w
+    return Word.make(w.letters + (("A%d" % w.target, -1),), genus, boundary)
+
+
+# algebraic intersection numbers of the pairs below, as the Fraction loop
+# that the integer grid replaced read them
+LONG_PAIRS_EXPECTED = [9, 0, 4, -2, 1, -3, 3, -2]
+
+
+def test_uniform_long_words_realize_once():
+    # uniform closed words of 17-35 letters on g=b=3, with 208-899 crossings
+    # a pair; the Fraction loop took about 0.7 s a pair on these
+    spec = SurfaceSpec(3, 3)
+    pm = polygon_model(spec)
+    rng = random.Random(3331)
+    got = []
+    for seed in range(8):
+        wa, wb = _closed_walk(rng, 3, 3, 16, 35), _closed_walk(rng, 3, 3, 16, 35)
+        _, _, data = realize_pair(wa, wb, pm, seed)
+        got.append(algebraic_intersection(data))
+    assert got == LONG_PAIRS_EXPECTED
+
+
+# --- the integer grid against the Fraction loop it replaced ---------------
+
+def _reference_hit(p0, p1, q0, q1):
+    """The division-based Fraction predicate that the integer one replaced."""
+    d1, d2 = sub(p1, p0), sub(q1, q0)
+    denom = cross(d1, d2)
+    diff = sub(q0, p0)
+    if denom == 0:
+        if cross(diff, d1) == 0:
+            raise GeneralPositionError("collinear segments")
+        return None
+    t = cross(diff, d2) / denom
+    u = cross(diff, d1) / denom
+    if 0 <= t <= 1 and 0 <= u <= 1:
+        return (t, u, lerp(p0, p1, t))
+    return None
+
+
+def _reference_intersection_data(d_alpha, d_beta, pm):
+    """intersection_data before the integer grid: every segment pair decided
+    in Fractions, with no prune."""
+    verts = set(pm.vertices)
+    for d in (d_alpha, d_beta):
+        diagrams._check_wedge(pm, d.start_corner, d.start_dir)
+        diagrams._check_wedge(pm, d.end_corner, d.end_dir)
+    pref_a, suf_a = diagrams._leg_prefixes(d_alpha, pm)
+    pref_b, suf_b = diagrams._leg_prefixes(d_beta, pm)
+    crossings = []
+    for i, a0, a1 in d_alpha.segments():
+        for j, b0, b1 in d_beta.segments():
+            hit = _reference_hit(a0, a1, b0, b1)
+            if hit is None:
+                continue
+            t, u, q = hit
+            if 0 < t < 1 and 0 < u < 1:
+                s = cross(sub(a1, a0), sub(b1, b0))
+                crossings.append(Crossing(1 if s > 0 else -1, pref_a[i],
+                                          suf_a[i], pref_b[j], suf_b[j]))
+            elif not (q in verts and t in (0, 1) and u in (0, 1)):
+                raise GeneralPositionError("non-transversal intersection")
+    signs = {}
+    for I in ("start", "end"):
+        for J in ("start", "end"):
+            ca, va = diagrams._endpoint(d_alpha, I)
+            cb, vb = diagrams._endpoint(d_beta, J)
+            pa, pb = pm.link_pos[ca][0], pm.link_pos[cb][0]
+            if pa != pb:
+                signs[(I, J)] = EndpointSign(Fraction(0), None, None)
+                continue
+            base = diagrams._angular_less(pm, (ca, va), (cb, vb))
+            pos = base != ((I == "end") != (J == "end"))
+            signs[(I, J)] = EndpointSign(
+                Fraction(1, 2) if pos else Fraction(-1, 2), pa, not base)
+    return IntersectionData(tuple(crossings), signs)
+
+
+@st.composite
+def realized_pair(draw):
+    """Diagrams of a random word pair in realize_pair's lanes; on g=b=5 alpha
+    is mu_1 and beta has at most 3 letters."""
+    g, b = draw(st.sampled_from([(1, 1), (1, 2), (0, 3), (2, 2), (3, 3), (5, 5)]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    wa = Word.make(mu1_letters(g, b), g, b) if g == 5 else _walk(rng, g, b, 1, 8)
+    wb = _walk(rng, g, b, 1, 3 if g == 5 else 8)
+    pm = polygon_model(SurfaceSpec(g, b))
+    seed, va, vb = (draw(st.integers(0, 255)) for _ in range(3))
+    return (pm, diagram_from_word(wa, pm, seed, va, 0),
+            diagram_from_word(wb, pm, seed + 1, vb, 1))
+
+
+PM11 = polygon_model(SurfaceSpec(1, 1))
+GRID = st.sampled_from([Fraction(k, 4) for k in range(-2, 3)])
+
+
+@st.composite
+def lattice_pair(draw):
+    """Corner-to-corner polylines through points k/4, |k| <= 2, inside the
+    pentagon of g=b=1.  Axis-parallel segments, leg points on the other
+    diagram and boxes that touch on an edge or a corner are common here; in
+    realized diagrams they need coincidences of jitter.  Collinear pairs are
+    left out: the Fraction loop raised on those even when they share no
+    point, where the prune skips them; collinear overlap has tests of its
+    own."""
+    def polyline():
+        c0, c1 = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        pts = draw(st.lists(st.tuples(GRID, GRID), min_size=1, max_size=4,
+                            unique=True))
+        leg = (PM11.vertices[c0],) + tuple(pts) + (PM11.vertices[c1],)
+        return PathDiagram((leg,), (), c0, c1)
+    da, db = polyline(), polyline()
+    assume(not any(cross(sub(a1, a0), sub(b1, b0)) == 0
+                   and cross(sub(b0, a0), sub(a1, a0)) == 0
+                   for _, a0, a1 in da.segments() for _, b0, b1 in db.segments()))
+    return PM11, da, db
+
+
+@settings(max_examples=200)
+@given(st.one_of(realized_pair(), lattice_pair()))
+def test_intersection_data_matches_fraction_reference(case):
+    # same crossings in the same order, same endpoint signs, same failures
+    pm, da, db = case
+
+    def outcome(f):
+        try:
+            return f(da, db, pm)
+        except GeneralPositionError:
+            return "degenerate"
+    assert outcome(intersection_data) == outcome(_reference_intersection_data)
+
+
+def _one_leg(pm, c0, points, c1):
+    leg = (pm.vertices[c0],) + tuple((Fraction(x), Fraction(y)) for x, y in points)
+    return PathDiagram((leg + (pm.vertices[c1],),), (), c0, c1)
+
+
+def test_leg_point_on_axis_parallel_segment_is_degenerate():
+    # alpha runs along y = 0 between corners below it; beta dips to (0, 0)
+    # from corners above it, so every box of beta meets alpha's only on y = 0
+    pm = PM11
+    da = _one_leg(pm, 3, [("-1/4", 0), ("1/4", 0)], 4)
+    db = _one_leg(pm, 1, [(0, 0)], 2)
+    assert all(v[1] < 0 for v in (pm.vertices[3], pm.vertices[4]))
+    assert all(v[1] > 0 for v in (pm.vertices[1], pm.vertices[2]))
+    with pytest.raises(GeneralPositionError, match="non-transversal"):
+        intersection_data(da, db, pm)
+
+
+def test_boxes_meeting_at_a_corner_are_tested():
+    # both diagrams pass through (1/8, 1/8): alpha's segments there lie below
+    # and to the left, beta's above and to the right
+    pm = PM11
+    da = _one_leg(pm, 3, [("1/8", "1/8"), ("-1/2", "-1/8")], 3)
+    db = _one_leg(pm, 1, [("1/8", "1/8"), ("1/2", "1/4")], 0)
+    with pytest.raises(GeneralPositionError, match="non-transversal"):
+        intersection_data(da, db, pm)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,31 @@ def test_segment_intersection_parallel_disjoint():
 def test_collinear_overlap_raises():
     with pytest.raises(ValueError):
         segment_intersection(pt(0, 0), pt(2, 0), pt(1, 0), pt(3, 0))
+
+
+def test_collinear_overlap_raises_on_ints():
+    with pytest.raises(ValueError):
+        segment_intersection((0, 0), (4, 4), (2, 2), (6, 6))
+
+
+@given(point, point, point, point)
+def test_int_grid_gives_the_fraction_parameters(a, b, c, d):
+    # scaled by the lcm of the denominators the points are ints, and the
+    # same (t, u) must come back, with the meeting point scaled
+    den = math.lcm(*(x.denominator for p in (a, b, c, d) for x in p))
+    ints = [(int(p[0] * den), int(p[1] * den)) for p in (a, b, c, d)]
+    try:
+        exact = segment_intersection(a, b, c, d)
+    except ValueError:
+        with pytest.raises(ValueError):
+            segment_intersection(*ints)
+        return
+    scaled = segment_intersection(*ints)
+    if exact is None:
+        assert scaled is None
+    else:
+        assert scaled[:2] == exact[:2]
+        assert scaled[2] == (exact[2][0] * den, exact[2][1] * den)
 
 
 @given(point, point, point, point)

@@ -230,6 +230,17 @@ def test_cli_entry_index_out_of_range_exits_2(tmp_path, capsys, i):
     assert "entry index outside the 2 x 2 matrix" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("variants", [["a", 0], [1.5, 0], [-1, 0], [True, 0]],
+                         ids=["string", "float", "negative", "bool"])
+def test_cli_bad_variants_exit_2(tmp_path, capsys, variants):
+    diagram = _write(tmp_path, "diagram.json", {
+        "alpha": {"word": "C1 D1"}, "beta": {"word": "D1"}, "variants": variants})
+    code = main(["bracket", "--surface", _surface(tmp_path), "--diagram", diagram])
+    assert code == 2
+    assert "variants must be a pair of non-negative integers" in \
+        capsys.readouterr().err
+
+
 def test_cli_degenerate_moment_exits_3(tmp_path, capsys):
     # identity coordinates give a degenerate boundary spectrum, which the
     # cross-section projection must reject
