@@ -6,8 +6,9 @@ are joined by a side crossing (exit on a glued side, entry at the same
 parameter read backwards on its partner).  Endpoints sit exactly at marked
 polygon corners.
 
-Intersection predicates are exact: they run on integers, every coordinate
-scaled to one common denominator, after a bounding-box prune.
+Every point is an int pair on the polygon model's grid (see
+PolygonModel.scale), so the intersection predicates are exact integer tests,
+run after a bounding-box prune.
 
 General position.  Every leg point other than an endpoint corner is one of
 three kinds, each an injective function of its jitter parameters:
@@ -18,9 +19,9 @@ three kinds, each an injective function of its jitter parameters:
 - a bow point, at parameter bow on the segment from the point at parameter
   tm on side k to the centre.
 
-realize_pair draws alpha in lane 0 and beta in lane 1, and lane 1 adds
-2^-17 to every parameter.  So alpha's parameters are multiples of 2^-16 and
-beta's are odd multiples of 2^-17: no point of alpha equals a point of the
+Parameters are int numerators over 2^17.  realize_pair draws alpha in lane 0
+and beta in lane 1, and lane 1 adds 1 to every numerator.  So alpha's
+numerators are even and beta's odd: no point of alpha equals a point of the
 same kind of beta.  Coincidences across kinds, a leg point on a segment of
 the other diagram, collinear overlaps and equal endpoint directions are not
 ruled out by construction; they raise GeneralPositionError, which callers
@@ -29,17 +30,16 @@ see as a degenerate input.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .geometry import Point, cross, lerp, segment_intersection, sub
-from .surfaces import PolygonModel
+from .surfaces import ONE, PolygonModel
 from .words import Word
 
-LANE_SHIFT = Fraction(1, 1 << 17)   # beta's offset from alpha's jitter lattice
+LANE_SHIFT = 1   # beta's offset from alpha's jitter numerators
 
 
 class GeneralPositionError(ValueError):
@@ -131,11 +131,11 @@ def diagram_from_word(w: Word, pm: PolygonModel, jitter_seed: int,
     rng = random.Random("%d|%d|%s" % (jitter_seed, variant, w.letters))
     shift = LANE_SHIFT * lane
 
-    def eps() -> Fraction:
-        return Fraction(256 + rng.randrange(256), 1 << 16) + shift
+    def eps() -> int:
+        return 2 * (256 + rng.randrange(256)) + shift
 
-    def bow() -> Fraction:
-        return Fraction(2048 + rng.randrange(2048), 1 << 16) + shift
+    def bow() -> int:
+        return 2 * (2048 + rng.randrange(2048)) + shift
 
     chords = _chords_for_word(w, pm, variant)
     verts = pm.vertices
@@ -144,15 +144,15 @@ def diagram_from_word(w: Word, pm: PolygonModel, jitter_seed: int,
     sides: List[int] = []
 
     for t, (c_in, c_out, k) in enumerate(chords):
-        tm = Fraction(7 * 4096 + rng.randrange(2 * 4096), 16 * 4096) + shift
+        tm = 2 * (7 * 4096 + rng.randrange(2 * 4096)) + shift
         mid = pm.side_point(k, tm)
-        cur.append(lerp(mid, pm.center, bow()))
+        cur.append(lerp(mid, pm.center, bow(), ONE))
         if t == len(chords) - 1:
             cur.append(verts[c_out])
             continue
         c_next = chords[t + 1][0]
         if c_out == c_next:
-            cur.append(lerp(verts[c_out], pm.center, eps()))
+            cur.append(lerp(verts[c_out], pm.center, eps(), ONE))
             continue
         p, pos_a = pm.link_pos[c_out]
         p2, pos_b = pm.link_pos[c_next]
@@ -165,14 +165,14 @@ def diagram_from_word(w: Word, pm: PolygonModel, jitter_seed: int,
             c = chain[pos]
             if step == 1:
                 k_e = (c - 1) % pm.n          # incoming side of the wedge
-                t_e = 1 - eps()
+                t_e = ONE - eps()
             else:
                 k_e = c                        # outgoing side of the wedge
                 t_e = eps()
             cur.append(pm.side_point(k_e, t_e))
             legs.append(cur)
             sides.append(k_e)
-            cur = [pm.side_point(pm.sides[k_e].partner, 1 - t_e)]
+            cur = [pm.side_point(pm.sides[k_e].partner, ONE - t_e)]
             pos += step
     legs.append(cur)
 
@@ -251,22 +251,12 @@ def intersection_data(d_alpha: PathDiagram, d_beta: PathDiagram,
     pref_a, suf_a = _leg_prefixes(d_alpha, pm)
     pref_b, suf_b = _leg_prefixes(d_beta, pm)
 
-    # exact tests on one integer grid: every coordinate times the lcm of all
-    # denominators, so orientation tests are integer cross products
-    pts = [p for d in (d_alpha, d_beta) for leg in d.legs for p in leg]
-    den = math.lcm(*{c.denominator for p in pts + pm.vertices for c in p})
-
-    def grid(p: Point) -> Tuple[int, int]:
-        return (p[0].numerator * (den // p[0].denominator),
-                p[1].numerator * (den // p[1].denominator))
-
     def boxed(d: PathDiagram):
         for i, a, b in d.segments():
-            a, b = grid(a), grid(b)
             yield (i, a, b, min(a[0], b[0]), max(a[0], b[0]),
                    min(a[1], b[1]), max(a[1], b[1]))
 
-    verts = {grid(v) for v in pm.vertices}
+    verts = set(pm.vertices)
     segs_b = list(boxed(d_beta))
     crossings: List[Crossing] = []
     for i, a0, a1, axl, axh, ayl, ayh in boxed(d_alpha):
@@ -293,7 +283,7 @@ def intersection_data(d_alpha: PathDiagram, d_beta: PathDiagram,
             if q in verts and (t in (0, 1)) and (u in (0, 1)):
                 continue
             raise GeneralPositionError("non-transversal intersection at %r"
-                                       % ((q[0] / den, q[1] / den),))
+                                       % ((q[0] / pm.scale, q[1] / pm.scale),))
 
     signs: Dict[Tuple[str, str], EndpointSign] = {}
     for I in ("start", "end"):
@@ -317,9 +307,8 @@ def intersection_data(d_alpha: PathDiagram, d_beta: PathDiagram,
 
 
 def algebraic_intersection(data: IntersectionData) -> Fraction:
-    tot = sum((s.value for s in data.endpoint_signs.values()), Fraction(0))
-    tot += sum(c.sign for c in data.crossings)
-    return tot
+    return (sum((s.value for s in data.endpoint_signs.values()), Fraction(0))
+            + sum(c.sign for c in data.crossings))
 
 
 def realize_pair(w_alpha: Word, w_beta: Word, pm: PolygonModel, seed: int,

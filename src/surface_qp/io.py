@@ -41,10 +41,16 @@ def _load_json(path: str):
         raise SchemaError("cannot read %s: %s" % (path, exc))
 
 
+def _integer(v) -> int:
+    if type(v) is not int:  # a float or a bool is no count or index
+        raise ValueError("expected an integer, got %r" % (v,))
+    return v
+
+
 def load_surface(path: str) -> SurfaceSpec:
     doc = _load_json(path)
     try:
-        return SurfaceSpec(int(doc["genus"]), int(doc["boundary_count"]))
+        return SurfaceSpec(_integer(doc["genus"]), _integer(doc["boundary_count"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError("bad surface file %s: %s" % (path, exc))
 
@@ -56,7 +62,8 @@ def observable_from_dict(ctx: AlgebraContext, doc: dict) -> Observable:
             return trace_observable(ctx)
         if kind == "entry":
             part = doc.get("part", "re")
-            return entry_observable(ctx, int(doc["i"]) - 1, int(doc["j"]) - 1, part)
+            return entry_observable(ctx, _integer(doc["i"]) - 1,
+                                    _integer(doc["j"]) - 1, part)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SchemaError("bad observable: %s" % exc)
     raise SchemaError("unknown observable kind %r" % kind)
@@ -108,7 +115,8 @@ def load_point(path: str, ctx: AlgebraContext, spec: SurfaceSpec) -> RepPoint:
         return RepPoint(ctx, spec, mats, exact if ctx.kind == "gl" else None)
     except SchemaError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        # an entry such as 1e400 (inf in JSON) or "1/0" is malformed input
         raise SchemaError("bad point file %s: %s" % (path, exc))
 
 

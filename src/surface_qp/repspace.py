@@ -95,7 +95,7 @@ def _random_gl(ctx: AlgebraContext, rng) -> tuple:
     den = 1 << 20
     for _ in range(64):
         ex = tuple(tuple(
-            Fraction(int(i == j)) + Fraction(3, 10) * Fraction(int(rng.integers(-den, den + 1)), den)
+            Fraction(10 * den * (i == j) + 3 * int(rng.integers(-den, den + 1)), 10 * den)
             for j in range(n)) for i in range(n))
         mat = np.array([[float(x) for x in row] for row in ex])
         if abs(np.linalg.det(mat)) > 0.1:

@@ -7,21 +7,22 @@ The polygon has N = 1 + 3(b-1) + 4g sides read counterclockwise in the order
     gamma_1, delta_1, gamma_1^-1, delta_1^-1, ..., delta_g^-1
 
 with the beta sides free (boundary) and the others glued in inverse pairs.
-Vertices are exact rational approximations of the regular N-gon; convexity is
+Every point of the model and of its path diagrams is an int pair on one
+integer grid per polygon (PolygonModel.scale grid units to the unit length).
+Vertices are the regular N-gon rounded to multiples of 2^-20; convexity is
 checked exactly, and all downstream geometry is exact on these vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 import math
 from typing import Dict, List, Optional, Tuple
 
 from .geometry import Point, centroid, cross, lerp, orient, sub
 from .words import Word, generator_endpoints, mu1_letters
 
-VERTEX_DENOM = 1 << 20
+ONE = 1 << 17   # lerp parameters are int numerators over 2^17
 
 
 @dataclass(frozen=True)
@@ -76,9 +77,21 @@ class PolygonModel:
     def n(self) -> int:
         return len(self.vertices)
 
-    def side_point(self, k: int, t) -> Point:
+    @property
+    def scale(self) -> int:
+        """Grid units per unit length.  A vertex is a multiple of 2^-20, so
+        of n·2^34 units; the centre, their sum over n, is a multiple of 2^34
+        units.  Every diagram point is a lerp at a multiple of 2^-17 from a
+        vertex to a vertex (side point) or to the centre (corner point), or
+        from a side point (a multiple of n·2^17 units) to the centre (bow
+        point).  Each difference is a multiple of 2^17 units, so every lerp
+        divides exactly and every point is an int pair."""
+        return self.n << 54
+
+    def side_point(self, k: int, t: int) -> Point:
+        """The point at parameter t/2^17 along side k."""
         s = self.sides[k]
-        return lerp(self.vertices[s.start], self.vertices[s.end], t)
+        return lerp(self.vertices[s.start], self.vertices[s.end], t, ONE)
 
     def transition(self, k: int) -> Word:
         """Groupoid word picked up when a diagram exits through glued side k."""
@@ -100,12 +113,11 @@ def _regular_vertices(n: int) -> List[Point]:
     verts = []
     for k in range(n):
         ang = 2.0 * math.pi * k / n + 0.5 / n
-        x = Fraction(round(math.cos(ang) * VERTEX_DENOM), VERTEX_DENOM)
-        y = Fraction(round(math.sin(ang) * VERTEX_DENOM), VERTEX_DENOM)
-        verts.append((x, y))
+        verts.append((round(math.cos(ang) * (1 << 20)) * n << 34,
+                      round(math.sin(ang) * (1 << 20)) * n << 34))
     for k in range(n):
         if orient(verts[k], verts[(k + 1) % n], verts[(k + 2) % n]) <= 0:
-            raise ValueError("rational polygon approximation not strictly convex")
+            raise ValueError("grid polygon approximation not strictly convex")
     return verts
 
 
@@ -116,15 +128,10 @@ def polygon_model(spec: SurfaceSpec) -> PolygonModel:
     n = len(labels)
     verts = _regular_vertices(n)
 
-    partner: List[Optional[int]] = [None] * n
-    where: Dict[Tuple[str, int], int] = {}
-    for k, lab in enumerate(labels):
-        where[lab] = k
-    for k, (sym, sgn) in enumerate(labels):
-        if sym.startswith("B"):
-            continue
-        partner[k] = where[(sym, -sgn)]
-    sides = [Side(k, labels[k], k, (k + 1) % n, partner[k]) for k in range(n)]
+    where = {lab: k for k, lab in enumerate(labels)}
+    sides = [Side(k, (sym, sgn), k, (k + 1) % n,
+                  None if sym.startswith("B") else where[(sym, -sgn)])
+             for k, (sym, sgn) in enumerate(labels)]
 
     g, b = spec.genus, spec.boundary_count
     cw = [Word.make([], g, b)]
@@ -132,10 +139,7 @@ def polygon_model(spec: SurfaceSpec) -> PolygonModel:
     for k in range(n - 1):
         cw.append(cw[-1].concat(Word.make([labels[k]], g, b)))
         sym, sgn = labels[k]
-        s, t = generator_endpoints(sym)
-        if sgn == -1:
-            s, t = t, s
-        marked.append(t)
+        marked.append(generator_endpoints(sym)[1 if sgn == 1 else 0])
     closing = cw[-1].concat(Word.make([labels[n - 1]], g, b))
     if len(closing.letters):
         raise AssertionError("polygon boundary word does not reduce to identity")
@@ -163,7 +167,7 @@ def polygon_model(spec: SurfaceSpec) -> PolygonModel:
     if len(seen) != n or any(marked[c] != pp for c, (pp, _) in link_pos.items()):
         raise AssertionError("vertex links do not partition the polygon corners")
 
-    return PolygonModel(spec, verts, sides, cw, marked, links, link_pos, dict(where),
+    return PolygonModel(spec, verts, sides, cw, marked, links, link_pos, where,
                         center=centroid(verts))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from surface_qp.diagrams import (Crossing, EndpointSign, GeneralPositionError,
                                  algebraic_intersection, diagram_from_word,
                                  intersection_data, realize_pair,
                                  word_of_diagram)
-from surface_qp.geometry import cross, lerp, sub
+from surface_qp.geometry import cross, sub
 from surface_qp.surfaces import SurfaceSpec, polygon_model
 from surface_qp.words import (Word, generator_endpoints, generator_symbols,
                               mu1_letters)
@@ -114,7 +115,7 @@ def test_realization_is_deterministic():
 def _walk(rng, genus, boundary, lo, hi, at=None):
     """Random walk of lo..hi letters in the surface groupoid that never steps
     straight back, so it is freely reduced; from marked point `at`, or from a
-    random one."""
+    random one; shorter where every step would go straight back."""
     at = at or rng.randint(1, boundary)
     letters = []
     for _ in range(rng.randint(lo, hi)):
@@ -122,6 +123,8 @@ def _walk(rng, genus, boundary, lo, hi, at=None):
                  for sgn in (1, -1)
                  if generator_endpoints(sym)[0 if sgn == 1 else 1] == at
                  and not (letters and letters[-1] == (sym, -sgn))]
+        if not steps:
+            break
         sym, sgn = rng.choice(steps)
         letters.append((sym, sgn))
         at = generator_endpoints(sym)[1 if sgn == 1 else 0]
@@ -161,6 +164,36 @@ def _closed_walk(rng, genus, boundary, lo, hi):
     return Word.make(w.letters + (("A%d" % w.target, -1),), genus, boundary)
 
 
+# sha256 of the leg points of _pinned_diagrams, each coordinate written as
+# the rational it stands for, as the Fraction geometry that the integer grid
+# replaced built them (656 points)
+PINNED_POINTS_SHA = "f908dea1bda36872405f868c855e37d82d2819da526c05c58ecf79ebf337f4ca"
+
+
+def _pinned_diagrams():
+    """Twelve seeded words on five surfaces, each realized in both lanes."""
+    rng = random.Random(20130122)
+    for (g, b), count in [((1, 1), 2), ((0, 2), 2), ((0, 3), 2), ((2, 2), 3),
+                          ((5, 5), 3)]:
+        pm = polygon_model(SurfaceSpec(g, b))
+        for _ in range(count):
+            w = _walk(rng, g, b, 1, 8)
+            seed, variant = rng.randrange(1 << 16), rng.randrange(1 << len(w.letters))
+            for lane in (0, 1):
+                yield pm, diagram_from_word(w, pm, seed, variant, lane)
+
+
+def test_grid_points_are_the_fraction_points():
+    h = hashlib.sha256()
+    for pm, d in _pinned_diagrams():
+        for leg in d.legs:
+            for x, y in leg:
+                assert type(x) is int and type(y) is int
+                h.update(("%s %s\n" % (Fraction(x, pm.scale),
+                                       Fraction(y, pm.scale))).encode())
+    assert h.hexdigest() == PINNED_POINTS_SHA
+
+
 # algebraic intersection numbers of the pairs below, as the Fraction loop
 # that the integer grid replaced read them
 LONG_PAIRS_EXPECTED = [9, 0, 4, -2, 1, -3, 3, -2]
@@ -194,22 +227,28 @@ def _reference_hit(p0, p1, q0, q1):
     t = cross(diff, d2) / denom
     u = cross(diff, d1) / denom
     if 0 <= t <= 1 and 0 <= u <= 1:
-        return (t, u, lerp(p0, p1, t))
+        return (t, u, (p0[0] + d1[0] * t, p0[1] + d1[1] * t))
     return None
 
 
 def _reference_intersection_data(d_alpha, d_beta, pm):
     """intersection_data before the integer grid: every segment pair decided
-    in Fractions, with no prune."""
-    verts = set(pm.vertices)
+    in Fractions, on the points the grid stands for, with no prune."""
+    def frac(p):
+        return (Fraction(p[0], pm.scale), Fraction(p[1], pm.scale))
+
+    def segments(d):
+        return [(i, frac(a), frac(b)) for i, a, b in d.segments()]
+
+    verts = {frac(v) for v in pm.vertices}
     for d in (d_alpha, d_beta):
         diagrams._check_wedge(pm, d.start_corner, d.start_dir)
         diagrams._check_wedge(pm, d.end_corner, d.end_dir)
     pref_a, suf_a = diagrams._leg_prefixes(d_alpha, pm)
     pref_b, suf_b = diagrams._leg_prefixes(d_beta, pm)
     crossings = []
-    for i, a0, a1 in d_alpha.segments():
-        for j, b0, b1 in d_beta.segments():
+    for i, a0, a1 in segments(d_alpha):
+        for j, b0, b1 in segments(d_beta):
             hit = _reference_hit(a0, a1, b0, b1)
             if hit is None:
                 continue
@@ -251,7 +290,7 @@ def realized_pair(draw):
 
 
 PM11 = polygon_model(SurfaceSpec(1, 1))
-GRID = st.sampled_from([Fraction(k, 4) for k in range(-2, 3)])
+GRID = st.sampled_from([k * PM11.scale // 4 for k in range(-2, 3)])
 
 
 @st.composite
@@ -291,7 +330,9 @@ def test_intersection_data_matches_fraction_reference(case):
 
 
 def _one_leg(pm, c0, points, c1):
-    leg = (pm.vertices[c0],) + tuple((Fraction(x), Fraction(y)) for x, y in points)
+    leg = (pm.vertices[c0],) + tuple((int(Fraction(x) * pm.scale),
+                                      int(Fraction(y) * pm.scale))
+                                     for x, y in points)
     return PathDiagram((leg + (pm.vertices[c1],),), (), c0, c1)
 
 

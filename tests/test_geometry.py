@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from surface_qp.geometry import (centroid, cross, lerp, orient, pt,
+from surface_qp.geometry import (centroid, cross, lerp, orient,
                                  segment_intersection, sub)
 
 frac = st.fractions(min_value=-4, max_value=4, max_denominator=64)
@@ -12,7 +12,7 @@ point = st.tuples(frac, frac)
 
 
 def test_segment_intersection_basic():
-    hit = segment_intersection(pt(0, 0), pt(2, 2), pt(0, 2), pt(2, 0))
+    hit = segment_intersection((0, 0), (2, 2), (0, 2), (2, 0))
     assert hit is not None
     t, u, q = hit
     assert (t, u) == (Fraction(1, 2), Fraction(1, 2))
@@ -20,16 +20,16 @@ def test_segment_intersection_basic():
 
 
 def test_segment_intersection_miss():
-    assert segment_intersection(pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1)) is None
+    assert segment_intersection((0, 0), (1, 0), (0, 1), (1, 1)) is None
 
 
 def test_segment_intersection_parallel_disjoint():
-    assert segment_intersection(pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 2)) is None
+    assert segment_intersection((0, 0), (1, 0), (0, 1), (1, 2)) is None
 
 
 def test_collinear_overlap_raises():
     with pytest.raises(ValueError):
-        segment_intersection(pt(0, 0), pt(2, 0), pt(1, 0), pt(3, 0))
+        segment_intersection((0, 0), (2, 0), (1, 0), (3, 0))
 
 
 def test_collinear_overlap_raises_on_ints():
@@ -82,7 +82,8 @@ def test_cross_antisymmetric(a, b):
 
 
 def test_centroid_and_lerp_exact():
-    square = [pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2)]
-    assert centroid(square) == (Fraction(1), Fraction(1))
-    assert lerp(pt(0, 0), pt(1, 3), Fraction(1, 3)) == (Fraction(1, 3), Fraction(1))
-    assert sub(pt(1, 1), pt(2, 0)) == (Fraction(-1), Fraction(1))
+    # the same points on a grid of 3 units per unit length
+    square = [(0, 0), (6, 0), (6, 6), (0, 6)]
+    assert centroid(square) == (3, 3)
+    assert lerp((0, 0), (3, 9), 1, 3) == (1, 3)
+    assert sub((3, 3), (6, 0)) == (-3, 3)

@@ -230,6 +230,41 @@ def test_cli_entry_index_out_of_range_exits_2(tmp_path, capsys, i):
     assert "entry index outside the 2 x 2 matrix" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [1e400, "1e400", "1/0"],
+                         ids=["json-inf", "string-overflow", "zero-denominator"])
+def test_cli_unparsable_gl_entry_exits_2(tmp_path, capsys, entry):
+    # JSON reads 1e400 as inf; neither it nor 1/0 is a rational entry
+    point = _write(tmp_path, "p.json", {"C1": [[entry, "0"], ["0", "1"]],
+                                        "D1": [["1", "0"], ["0", "1"]]})
+    code = main(["bracket", "--surface", _surface(tmp_path),
+                 "--diagram", _diagram(tmp_path), "--point", point])
+    assert code == 2
+    assert "bad point file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [("genus", 1.7), ("genus", True),
+                                         ("boundary_count", 1.0),
+                                         ("boundary_count", True)])
+def test_cli_non_integer_surface_counts_exit_2(tmp_path, capsys, field, value):
+    doc = {"genus": 1, "boundary_count": 1}
+    doc[field] = value
+    code = main(["bracket", "--surface", _write(tmp_path, "surface.json", doc),
+                 "--diagram", _diagram(tmp_path)])
+    assert code == 2
+    assert "expected an integer, got %r" % value in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index,value", [("i", 1.9), ("j", 2.0), ("i", True),
+                                         ("j", False)])
+def test_cli_non_integer_entry_index_exits_2(tmp_path, capsys, index, value):
+    obs = {"kind": "entry", "i": 1, "j": 2}
+    obs[index] = value
+    code = main(["bracket", "--surface", _surface(tmp_path),
+                 "--diagram", _diagram(tmp_path, oa=obs), "--n", "2"])
+    assert code == 2
+    assert "expected an integer, got %r" % value in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("variants", [["a", 0], [1.5, 0], [-1, 0], [True, 0]],
                          ids=["string", "float", "negative", "bool"])
 def test_cli_bad_variants_exit_2(tmp_path, capsys, variants):
