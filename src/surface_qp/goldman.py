@@ -15,8 +15,10 @@ det(X_L) divides it (``exact_quotient``, a heap-ordered sparse division).
 det(X_L) of a generic matrix is irreducible, so the reduced pair
 (numerator, denominator) is unique: equality compares reduced pairs and
 the hash is taken over the same data, both independent of the ring.
-Canonical strings print the numerator as the sympy expression with one
-term per monomial, which does not depend on the ring either.
+Canonical strings print the numerator straight from its ring terms, in
+the term order and format of ``str(poly.as_expr())`` (sympy's
+``StrPrinter``), without building the expression; the text does not
+depend on the ring either.
 """
 
 from __future__ import annotations
@@ -38,10 +40,6 @@ from .words import Word, generator_symbols
 
 def entry_symbol(label: str, r: int, c: int) -> sp.Symbol:
     return sp.Symbol("%s_%d%d" % (label, r, c))
-
-
-def generator_det(label: str, n: int) -> sp.Expr:
-    return sp.Matrix(n, n, lambda r, c: entry_symbol(label, r + 1, c + 1)).det()
 
 
 def entry_ring(symbols: Iterable[sp.Symbol]) -> PolyRing:
@@ -164,6 +162,28 @@ def exact_quotient(f: PolyElement, g: PolyElement) -> Optional[PolyElement]:
     return ring.dtype(quotient)
 
 
+def _poly_str(poly: PolyElement) -> str:
+    """``str(poly.as_expr())`` printed from the terms: descending lex order
+    of the exponents (the ring's symbols, like sympy's printing order, go
+    by name), each term as ``p*x**e*y/q`` with 1 and /1 left out."""
+    names = [s.name for s in poly.ring.symbols]
+    terms = []
+    for mono, c in sorted(poly.items(), reverse=True):
+        factors = [x if e == 1 else "%s**%d" % (x, e)
+                   for x, e in zip(names, mono) if e]
+        p, q = abs(c.numerator), c.denominator
+        body = "*".join(([str(p)] if p != 1 or not factors else []) + factors)
+        terms.append((c < 0, body + ("/%d" % q if q != 1 else ""), len(factors)))
+    if (len(terms) == 2 and terms[0][0] and terms[0][2] == 1
+            and not terms[1][0] and terms[1][2] == 0):
+        # sympy puts a positive constant first before one negative power
+        terms.reverse()
+    if not terms:
+        return "0"
+    text = "".join((" - " if neg else " + ") + body for neg, body, _ in terms)
+    return ("-" if terms[0][0] else "") + text[3:]
+
+
 @dataclass(frozen=True)
 class PathEntrySymbol:
     word: Word
@@ -179,7 +199,7 @@ class NormalForm:
     """numerator / prod_L det(X_L)^den[L], with no det(X_L) left to cancel.
 
     ``num`` may be a sympy expression or a ring element; it is kept as the
-    ring element ``poly``, and ``num`` reads it back as an expression."""
+    ring element ``poly``."""
 
     def __init__(self, num, den: Optional[Dict[str, int]] = None, n: int = 2):
         self.den = {k: v for k, v in (den or {}).items() if v > 0}
@@ -217,10 +237,6 @@ class NormalForm:
                 if self.den[label] == 0:
                     del self.den[label]
         return self
-
-    @property
-    def num(self) -> sp.Expr:
-        return self.poly.as_expr()
 
     def __add__(self, other: "NormalForm") -> "NormalForm":
         a, b = _common(self.poly, other.poly)
@@ -268,7 +284,7 @@ class NormalForm:
         return hash(self._key())
 
     def canonical_str(self) -> str:
-        num = str(self.num)
+        num = _poly_str(self.poly)
         den = "*".join("det(%s)^%d" % (k, p) for k, p in sorted(self.den.items()))
         return num + (" / " + den if den else "")
 

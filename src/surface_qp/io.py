@@ -88,6 +88,8 @@ def load_bracket_request(path: str, ctx: AlgebraContext, spec: SurfaceSpec):
 
 
 def _parse_entry(ctx: AlgebraContext, v):
+    if any(isinstance(x, bool) for x in (v if isinstance(v, (list, tuple)) else [v])):
+        raise SchemaError("a boolean is no matrix entry: %r" % (v,))
     if ctx.kind == "gl":
         if isinstance(v, str):
             return Fraction(v)

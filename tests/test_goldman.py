@@ -9,8 +9,8 @@ from sympy.polys.domains import QQ
 
 from surface_qp.diagrams import intersection_data, realize_pair
 from surface_qp.goldman import (GoldmanAlgebra, NormalForm, PathEntrySymbol,
-                                bracket_symbolic, entry_ring, entry_symbol,
-                                exact_quotient, generator_det, normalize)
+                                _label_ring, bracket_symbolic, entry_ring,
+                                entry_symbol, exact_quotient, normalize)
 from surface_qp.lie import AlgebraContext, entry_observable
 from surface_qp.quasipoisson import WordFunction, bracket_combinatorial
 from surface_qp.repspace import random_point
@@ -19,17 +19,21 @@ from surface_qp.surfaces import SurfaceSpec, polygon_model
 GL2 = AlgebraContext("gl", 2)
 
 
+def generator_det(label, n):
+    return sp.Matrix(n, n, lambda r, c: entry_symbol(label, r + 1, c + 1)).det()
+
+
 def test_normalize_generator_entry():
     spec = SurfaceSpec(1, 1)
     nf = normalize(PathEntrySymbol(spec.word("C1"), 1, 2), 2)
-    assert nf.num == entry_symbol("C1", 1, 2)
+    assert nf.poly.as_expr() == entry_symbol("C1", 1, 2)
     assert nf.den == {}
 
 
 def test_normalize_inverse_uses_adjugate_over_det():
     spec = SurfaceSpec(1, 1)
     nf = normalize(PathEntrySymbol(spec.word("C1'"), 1, 1), 2)
-    assert nf.num == entry_symbol("C1", 2, 2)
+    assert nf.poly.as_expr() == entry_symbol("C1", 2, 2)
     assert nf.den == {"C1": 1}
 
 
@@ -39,14 +43,14 @@ def test_normalize_product_word():
     want = sp.expand(
         entry_symbol("C1", 1, 1) * entry_symbol("D1", 1, 1)
         + entry_symbol("C1", 1, 2) * entry_symbol("D1", 2, 1))
-    assert sp.expand(nf.num - want) == 0
+    assert sp.expand(nf.poly.as_expr() - want) == 0
 
 
 def test_normal_form_det_cancellation():
     d = generator_det("C1", 2)
     x = entry_symbol("C1", 1, 1)
     nf = NormalForm(sp.expand(d * x), {"C1": 1}, 2)
-    assert nf.num == x
+    assert nf.poly.as_expr() == x
     assert nf.den == {}
 
 
@@ -122,6 +126,64 @@ def test_exact_quotient_wide_exponents():
     x = ring.gens[ring.symbols.index(entry_symbol("D1", 1, 1))]
     assert exact_quotient(x ** 130 * det ** 2, det) == x ** 130 * det
     assert exact_quotient(x ** 130 * det + x, det) is None
+
+
+@st.composite
+def _printed_forms(draw):
+    """(poly, den, n): a sparse numerator over the ring of 1-3 labels at
+    n = 2 or 3, in one of the shapes sympy prints differently, and a det
+    denominator over the same labels."""
+    labels = draw(st.lists(st.sampled_from(["A2", "B2", "C1", "D1", "C2"]),
+                           min_size=1, max_size=3, unique=True))
+    n = draw(st.sampled_from([2, 3]))
+    ring = _label_ring(frozenset(labels), n)
+    unit = st.sampled_from([QQ(1), QQ(-1)])
+    coeff = unit | st.builds(QQ, st.integers(-12, 12).filter(bool), st.integers(1, 7))
+
+    def monomial(max_vars):
+        m = [0] * ring.ngens
+        for k in draw(st.lists(st.integers(0, ring.ngens - 1),
+                               min_size=1, max_size=max_vars)):
+            m[k] += draw(st.integers(1, 3))
+        return tuple(m)
+
+    one = (0,) * ring.ngens
+    shape = draw(st.sampled_from(["zero", "constant", "term", "constant-first",
+                                  "sparse"]))
+    if shape == "zero":
+        terms = {}
+    elif shape == "constant":
+        terms = {one: draw(coeff)}
+    elif shape == "term":
+        terms = {monomial(3): draw(coeff)}
+    elif shape == "constant-first":
+        # a positive constant and a negative multiple of one power
+        terms = {monomial(1): -abs(draw(coeff)), one: abs(draw(coeff))}
+    else:
+        terms = {one if draw(st.booleans()) else monomial(3): draw(coeff)
+                 for _ in range(draw(st.integers(0, 12)))}
+    den = draw(st.dictionaries(st.sampled_from(labels), st.integers(1, 3)))
+    return ring(terms), den, n
+
+
+@settings(max_examples=300)
+@given(form=_printed_forms())
+def test_canonical_str_prints_like_sympy(form):
+    # str(poly.as_expr()) is the reference the direct printer reproduces
+    poly, den, n = form
+    suffix = "*".join("det(%s)^%d" % (k, p) for k, p in sorted(den.items()))
+    want = str(poly.as_expr()) + (" / " + suffix if suffix else "")
+    assert NormalForm._raw(poly, den, n).canonical_str() == want
+
+
+@pytest.mark.parametrize("expr,text", [
+    ("-5*C2_11**3/7 + 11", "11 - 5*C2_11**3/7"),
+    ("-C1_11 + 1", "1 - C1_11"),
+    ("-C1_11*C1_12 + 1", "-C1_11*C1_12 + 1"),  # two symbols: no constant first
+], ids=["power", "symbol", "product"])
+def test_canonical_str_constant_first(expr, text):
+    nf = NormalForm(sp.sympify(expr), None, 2)
+    assert nf.canonical_str() == text == str(nf.poly.as_expr())
 
 
 def test_word_times_inverse_is_identity_entrywise():

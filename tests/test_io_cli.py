@@ -242,6 +242,20 @@ def test_cli_unparsable_gl_entry_exits_2(tmp_path, capsys, entry):
     assert "bad point file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("group,entry", [("gl", True), ("u", [True, 0])],
+                         ids=["gl", "u"])
+def test_cli_bool_point_entry_exits_2(tmp_path, capsys, group, entry):
+    # true is an int to Python, and float(True) is 1.0: neither is an entry
+    one, zero = ("1", "0") if group == "gl" else ([1, 0], [0, 0])
+    point = _write(tmp_path, "p.json", {"C1": [[entry, zero], [zero, one]],
+                                        "D1": [[one, zero], [zero, one]]})
+    code = main(["bracket", "--surface", _surface(tmp_path),
+                 "--diagram", _diagram(tmp_path), "--point", point,
+                 "--group", group, "--n", "2"])
+    assert code == 2
+    assert "a boolean is no matrix entry: %r" % (entry,) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field,value", [("genus", 1.7), ("genus", True),
                                          ("boundary_count", 1.0),
                                          ("boundary_count", True)])
