@@ -17,10 +17,10 @@ from typing import Tuple
 import numpy as np
 
 from .lie import AlgebraContext, Observable, dual_basis
-from .repspace import RepPoint, act, boundary_moment, variation
+from .repspace import RepPoint, act, boundary_moment
 from .diagrams import IntersectionData
 from .quasipoisson import (HamiltonianQP, WordFunction, bracket_combinatorial,
-                           bracket_numeric)
+                           bracket_numeric, chi)
 from .words import Word
 
 TOL_REG = 1e-6
@@ -71,14 +71,6 @@ def theta_matrix(ctx: AlgebraContext, h: np.ndarray, transpose: bool = False) ->
     basis = dual_basis(ctx).e
     cols = [theta_apply(h, ek, transpose) for ek in basis]
     return np.array([[ctx.form(el, y) for y in cols] for el in basis])
-
-
-def p_perp_form_matrix(ctx: AlgebraContext, h: np.ndarray) -> np.ndarray:
-    """The skew form (x,y) -> -1/2 <((Ad_h+1)/(Ad_h-1)) x, y> on t-perp, in
-    the off-diagonal part of the orthonormal basis."""
-    perp = [e for e in dual_basis(ctx).e if np.max(np.abs(np.diag(e))) < 1e-14]
-    rows = [ad_cayley_apply(h, xa) for xa in perp]
-    return np.array([[-0.5 * ctx.form(ta, xb) for xb in perp] for ta in rows])
 
 
 @dataclass(frozen=True)
@@ -139,16 +131,18 @@ def bracket_cross(phi: Observable, w_alpha: Word, psi: Observable, w_beta: Word,
     return bracket_combinatorial(phi, w_alpha, psi, w_beta, data, cs.m, pair)
 
 
-def perp_correction(f: WordFunction, g: WordFunction, cs: CrossSectionPoint) -> float:
+def perp_correction(h: HamiltonianQP, f: WordFunction, g: WordFunction,
+                    cs: CrossSectionPoint) -> float:
     """P_L-perp pairing of the off-diagonal moment variations:
-    1/2 sum_i <((Ad_mu+1)/(Ad_mu-1)) Pr chi_f^(i), Pr chi_g^(i)>."""
+    1/2 sum_i <((Ad_mu+1)/(Ad_mu-1)) Pr chi_f^(i), Pr chi_g^(i)>, with
+    chi^(i) read by quasipoisson.chi from action slot i-1 of h and one
+    gradient pass per function."""
     m = cs.m
+    df, dg = f.gradients(m), g.gradients(m)
     tot = 0.0
     for i in range(1, m.spec.boundary_count + 1):
-        cf = proj_offdiag(variation(m, f.obs, f.word, i))
-        cg = proj_offdiag(variation(m, g.obs, g.word, i))
-        if not np.any(cf) or not np.any(cg):
-            continue
+        cf = proj_offdiag(chi(h, df, i - 1))
+        cg = proj_offdiag(chi(h, dg, i - 1))
         tot += 0.5 * m.ctx.form(ad_cayley_apply(cs.mus[i - 1], cf), cg)
     return tot
 
@@ -156,4 +150,4 @@ def perp_correction(f: WordFunction, g: WordFunction, cs: CrossSectionPoint) -> 
 def bracket_cross_numeric(h: HamiltonianQP, f: WordFunction, g: WordFunction,
                           cs: CrossSectionPoint) -> float:
     """Independent route: ambient bracket plus the P-perp correction."""
-    return bracket_numeric(h, f, g, cs.m) + perp_correction(f, g, cs)
+    return bracket_numeric(h, f, g, cs.m) + perp_correction(h, f, g, cs)

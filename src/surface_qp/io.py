@@ -74,7 +74,10 @@ def load_bracket_request(path: str, ctx: AlgebraContext, spec: SurfaceSpec):
     try:
         out = {}
         for side in ("alpha", "beta"):
-            w = Word.from_string(doc[side]["word"], spec.genus, spec.boundary_count)
+            text = doc[side]["word"]
+            if not isinstance(text, str):
+                raise ValueError("%s word must be a string, got %r" % (side, text))
+            w = Word.from_string(text, spec.genus, spec.boundary_count)
             obs = observable_from_dict(ctx, doc[side].get("observable", {"kind": "trace"}))
             out[side] = (w, obs)
         variants = tuple(doc.get("variants", (0, 0)))

@@ -1,5 +1,5 @@
-"""Matrix Lie kernel: invariant forms, dual bases, variation maps of
-observables, and the Cartan trivector.
+"""Matrix Lie kernel: invariant forms, dual bases, the matrix exponential,
+variation maps of observables, and the Cartan trivector.
 
 Two contexts are supported: GL_n(R) with the (indefinite) trace form
 Tr(xy), and U(n) with the positive form -Re Tr(xy) on anti-Hermitian
@@ -16,10 +16,24 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import expm
 
 TOL_INV = 1e-10
 FD_STEP = 1e-5   # central-difference step of the finite-difference checks
+
+
+def expm(x: np.ndarray) -> np.ndarray:
+    """exp(x) by scaling and squaring: the degree-14 Taylor polynomial of
+    y = x / 2^s, squared s times.  s makes the 1-norm of y below 1/2, where
+    the remainder of the polynomial is below 2^-53 relative."""
+    s = max(math.frexp(float(np.abs(x).sum(axis=0).max()))[1] + 1, 0)
+    y = x / 2.0 ** s
+    out = term = np.eye(len(x), dtype=x.dtype)
+    for k in range(1, 15):
+        term = term @ y / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
 @dataclass(frozen=True)

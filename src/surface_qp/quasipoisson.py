@@ -233,10 +233,10 @@ def bracket_numeric(h: HamiltonianQP, f: WordFunction, g: WordFunction,
     return tot
 
 
-def sharp(h: HamiltonianQP, f: WordFunction, m: RepPoint) -> Dict[Slot, np.ndarray]:
-    """P#(df) as a tangent vector, one matrix per coordinate slot."""
-    df = f.gradients(m)
-    vals = slot_values(m)
+def sharp(h: HamiltonianQP, df: Dict[FieldType, np.ndarray],
+          vals: Dict[Slot, np.ndarray]) -> Dict[Slot, np.ndarray]:
+    """P#(df) as a tangent vector, one matrix per coordinate slot, from the
+    gradients df of WordFunction.gradients."""
     out = {s: np.zeros((h.ctx.n, h.ctx.n), dtype=h.ctx.dtype) for s in h.slots}
     for (a, b), c in h.coeffs.items():
         if a in df:
@@ -255,9 +255,10 @@ def action_sigma(h: HamiltonianQP, p: int, x: np.ndarray,
     return out
 
 
-def chi(h: HamiltonianQP, f: WordFunction, p: int, m: RepPoint) -> np.ndarray:
-    """chi_f at action slot p: <chi_f, x> = d/dt f(exp(-tx).m)."""
-    df = f.gradients(m)
+def chi(h: HamiltonianQP, df: Dict[FieldType, np.ndarray], p: int) -> np.ndarray:
+    """The moment variation chi_f at action slot p, <chi_f, x> =
+    d/dt f(exp(-tx).m), from the gradients df of WordFunction.gradients.
+    Action slot i-1 of build_bivector acts at boundary component i."""
     out = np.zeros((h.ctx.n, h.ctx.n), dtype=h.ctx.dtype)
     for (s, side, c) in h.actions[p]:
         if (s, side) in df:
@@ -269,14 +270,15 @@ def verify_moment(h: HamiltonianQP, p: int, f: WordFunction, m: RepPoint) -> dic
     """Residual of the moment condition mu*theta(P#df) = -1/2(1+Ad_mu^-1)chi_f
     for the action slot p, central differences on the left-hand side."""
     vals = slot_values(m)
-    x = sharp(h, f, m)
+    df = f.gradients(m)
+    x = sharp(h, df, vals)
     vplus = {s: vals[s] + FD_STEP * x[s] for s in vals}
     vminus = {s: vals[s] - FD_STEP * x[s] for s in vals}
     mu = word_product(h.ctx, h.moments[p], vals)
     dmu = (word_product(h.ctx, h.moments[p], vplus)
            - word_product(h.ctx, h.moments[p], vminus)) / (2 * FD_STEP)
     lhs = np.linalg.inv(mu) @ dmu
-    c = chi(h, f, p, m)
+    c = chi(h, df, p)
     rhs = -0.5 * (c + np.linalg.inv(mu) @ c @ mu)
     res = float(np.max(np.abs(lhs - rhs)))
     return {"lhs": lhs, "rhs": rhs, "residual": res}

@@ -1,5 +1,5 @@
 """Representation space M_G(Sigma) = G^{2(b-1)+2g}: holonomy, boundary
-moments, the G^b action, variation maps, and reproducible sampling."""
+moments, the G^b action, and reproducible sampling."""
 
 from __future__ import annotations
 
@@ -8,9 +8,8 @@ from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
-from .lie import AlgebraContext, Observable
+from .lie import AlgebraContext, expm
 from .surfaces import SurfaceSpec
 from .words import Word, generator_endpoints, generator_symbols, mu1_letters
 
@@ -75,20 +74,6 @@ def act(m: RepPoint, g) -> RepPoint:
     return RepPoint(m.ctx, m.spec, out)
 
 
-def variation(m: RepPoint, phi: Observable, w: Word, p: int) -> np.ndarray:
-    """chi^p of the function Phi(Hol_w): -var_right per start incidence at p,
-    +var_left per end incidence."""
-    out = np.zeros((m.ctx.n, m.ctx.n), dtype=m.ctx.dtype)
-    if len(w.letters) == 0:
-        return out
-    h = holonomy(m, w)
-    if w.source == p:
-        out = out - phi.var_right(h)
-    if w.target == p:
-        out = out + phi.var_left(h)
-    return out
-
-
 def _random_gl(ctx: AlgebraContext, rng) -> tuple:
     """Dyadic-rational GL_n sample: I + 0.3 * uniform[-1,1] entries."""
     n = ctx.n
@@ -106,8 +91,7 @@ def _random_gl(ctx: AlgebraContext, rng) -> tuple:
 def _random_u(ctx: AlgebraContext, rng) -> np.ndarray:
     n = ctx.n
     a = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
-    x = 0.5 * (a - a.conj().T) / 2.0
-    return expm(x)
+    return expm((a - a.conj().T) / 4.0)
 
 
 def random_point(ctx: AlgebraContext, spec: SurfaceSpec, seed: int) -> RepPoint:

@@ -20,7 +20,7 @@ import math
 from typing import Dict, List, Optional, Tuple
 
 from .geometry import Point, centroid, cross, lerp, orient, sub
-from .words import Word, generator_endpoints, mu1_letters
+from .words import Word, generator_endpoints, invert, mu1_letters
 
 ONE = 1 << 17   # lerp parameters are int numerators over 2^17
 
@@ -134,12 +134,13 @@ def polygon_model(spec: SurfaceSpec) -> PolygonModel:
              for k, (sym, sgn) in enumerate(labels)]
 
     g, b = spec.genus, spec.boundary_count
-    cw = [Word.make([], g, b)]
-    marked = [1]
-    for k in range(n - 1):
-        cw.append(cw[-1].concat(Word.make([labels[k]], g, b)))
-        sym, sgn = labels[k]
-        marked.append(generator_endpoints(sym)[1 if sgn == 1 else 0])
+    marked = [1] + [generator_endpoints(sym)[1 if sgn == 1 else 0]
+                    for sym, sgn in labels[:n - 1]]
+    # corner k >= 1 is reached by beta_1 = mu_1^-1 and the first k - 1 letters
+    # of mu_1: the inverse of the rest of mu_1, from p_1 to corner k's point
+    mu1 = mu1_letters(g, b)
+    cw = [Word.make([], g, b)] + [Word(invert(mu1[k - 1:]), 1, marked[k])
+                                  for k in range(1, n)]
     closing = cw[-1].concat(Word.make([labels[n - 1]], g, b))
     if len(closing.letters):
         raise AssertionError("polygon boundary word does not reduce to identity")

@@ -3,10 +3,11 @@ import pytest
 
 from surface_qp.cross_section import (RegularityError, ad_cayley_apply,
                                       bracket_cross, bracket_cross_numeric,
-                                      p_perp_form_matrix, proj_offdiag,
+                                      proj_offdiag,
                                       project_to_cross_section, theta_apply,
                                       theta_matrix)
-from surface_qp.lie import AlgebraContext, entry_observable, trace_observable
+from surface_qp.lie import (AlgebraContext, dual_basis, entry_observable,
+                            trace_observable)
 from surface_qp.quasipoisson import WordFunction, bracket_numeric, build_bivector
 from surface_qp.repspace import RepPoint, boundary_moment, holonomy, random_point
 from surface_qp.surfaces import SurfaceSpec, polygon_model
@@ -46,7 +47,6 @@ def test_theta_apply_matches_matrix(ctx):
     h = _diag_unitary(ctx, 5)
     pair_dim = ctx.n * ctx.n
     x = _random_skew(ctx, 7)
-    from surface_qp.lie import dual_basis
     basis = dual_basis(ctx)
     coeffs = np.array([ctx.form(x, f) for f in basis.f])
     t = theta_matrix(ctx, h)
@@ -89,8 +89,13 @@ def test_ad_cayley_entrywise_factor():
 
 @pytest.mark.parametrize("ctx", [U2, U3])
 def test_p_perp_form_is_skew(ctx):
+    # the form (x, y) -> -1/2 <((Ad_h+1)/(Ad_h-1)) x, y> that perp_correction
+    # pairs with, on the off-diagonal part of the orthonormal basis
     h = _diag_unitary(ctx, 17)
-    f = p_perp_form_matrix(ctx, h)
+    perp = [e for e in dual_basis(ctx).e if np.max(np.abs(np.diag(e))) < 1e-14]
+    f = np.array([[-0.5 * ctx.form(ad_cayley_apply(h, xa), xb) for xb in perp]
+                  for xa in perp])
+    assert np.max(np.abs(f)) > 1e-3
     assert np.max(np.abs(f + f.T)) < 1e-12
 
 

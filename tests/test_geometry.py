@@ -27,14 +27,12 @@ def test_segment_intersection_parallel_disjoint():
     assert segment_intersection((0, 0), (1, 0), (0, 1), (1, 2)) is None
 
 
-def test_collinear_overlap_raises():
+@pytest.mark.parametrize("segments", [((0, 0), (2, 0), (1, 0), (3, 0)),
+                                      ((0, 0), (4, 4), (2, 2), (6, 6))],
+                         ids=["horizontal", "diagonal"])
+def test_collinear_overlap_raises(segments):
     with pytest.raises(ValueError):
-        segment_intersection((0, 0), (2, 0), (1, 0), (3, 0))
-
-
-def test_collinear_overlap_raises_on_ints():
-    with pytest.raises(ValueError):
-        segment_intersection((0, 0), (4, 4), (2, 2), (6, 6))
+        segment_intersection(*segments)
 
 
 @given(point, point, point, point)

@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import surface_qp.cli
 from surface_qp.cli import main
 from surface_qp.io import (SchemaError, fixture_result, fmt_float,
                            load_bracket_request, load_point, load_surface,
@@ -190,6 +195,14 @@ def test_cli_unknown_word_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("word", [5, None, ["C1"]], ids=["int", "null", "list"])
+def test_cli_non_string_word_exits_2(tmp_path, capsys, word):
+    code = main(["bracket", "--surface", _surface(tmp_path),
+                 "--diagram", _diagram(tmp_path, wa=word)])
+    assert code == 2
+    assert "alpha word must be a string, got %r" % (word,) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("word", ["A5", "C3 D3"])
 def test_cli_generator_off_surface_exits_2(tmp_path, capsys, word):
     code = main(["bracket", "--surface", _surface(tmp_path, 0, 2),
@@ -361,3 +374,26 @@ def test_cli_verify_has_no_seed(capsys):
         main(["verify", "--suite", "moment", "--seed", "3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # the program needs numpy and sympy only; the tests keep scipy as their
+    # independent reference
+    surface, diagram = _surface(tmp_path), _diagram(tmp_path)
+    runs = [["bracket", "--surface", surface, "--diagram", diagram, "--group", "gl"],
+            ["bracket", "--surface", surface, "--diagram", diagram, "--group", "u"],
+            ["verify", "--suite", "cross-section"]]
+    outs = [str(tmp_path / ("report%d.json" % k)) for k in range(len(runs))]
+    src = str(Path(surface_qp.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    script = ("import json, sys; sys.modules['scipy'] = None; "
+              "from surface_qp.cli import main; "
+              "print(json.dumps([main(a) for a in json.loads(sys.argv[1])]))")
+    argvs = [argv + ["--out", out] for argv, out in zip(runs, outs)]
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 0]
+    for out in outs:
+        assert json.loads(Path(out).read_text())["pass"] is True

@@ -2,11 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+import scipy.linalg
 
-from surface_qp.lie import (AlgebraContext, cartan_trivector, dual_basis,
-                            entry_observable, generic_observable,
-                            trace_observable, trivector_reference_tensor)
+from surface_qp import repspace
+from surface_qp.lie import (FD_STEP, AlgebraContext, cartan_trivector,
+                            dual_basis, entry_observable, expm,
+                            generic_observable, trace_observable,
+                            trivector_reference_tensor)
+from surface_qp.surfaces import SurfaceSpec
 
 CTXS = [AlgebraContext("gl", 2), AlgebraContext("gl", 3), AlgebraContext("u", 2)]
 
@@ -16,7 +19,7 @@ def _random_group(ctx, seed):
     if ctx.kind == "gl":
         return np.eye(ctx.n) + 0.3 * rng.uniform(-1, 1, (ctx.n, ctx.n))
     a = rng.uniform(-1, 1, (ctx.n, ctx.n)) + 1j * rng.uniform(-1, 1, (ctx.n, ctx.n))
-    return expm((a - a.conj().T) / 4.0)
+    return scipy.linalg.expm((a - a.conj().T) / 4.0)
 
 
 def _random_alg(ctx, seed):
@@ -26,6 +29,33 @@ def _random_alg(ctx, seed):
         return m
     m = m + 1j * rng.uniform(-1, 1, (ctx.n, ctx.n))
     return (m - m.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_expm_matches_scipy_on_sampler_inputs(n, monkeypatch):
+    seen = []
+
+    def recording(x):
+        seen.append(x)
+        return expm(x)
+
+    monkeypatch.setattr(repspace, "expm", recording)
+    for seed in range(10):
+        repspace.random_point(AlgebraContext("u", n), SurfaceSpec(2, 3), seed)
+    assert len(seen) == 80
+    for x in seen:
+        assert np.max(np.abs(expm(x) - scipy.linalg.expm(x))) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", ["gl", "u"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_expm_matches_scipy_on_finite_difference_steps(kind, n):
+    # the steps of generic_observable: exp(+-FD_STEP e_k)
+    for e in dual_basis(AlgebraContext(kind, n)).e:
+        for x in (FD_STEP * e, -FD_STEP * e):
+            got = expm(x)
+            assert got.dtype == e.dtype
+            assert np.max(np.abs(got - scipy.linalg.expm(x))) <= 1e-14
 
 
 @pytest.mark.parametrize("ctx", CTXS)

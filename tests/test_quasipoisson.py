@@ -127,10 +127,10 @@ def test_chi_vanishes_without_incidence():
     spec = SurfaceSpec(0, 3)
     h = build_bivector(spec, GL2)
     m = random_point(GL2, spec, 5)
-    f = WordFunction(entry_observable(GL2, 0, 1, "re"), spec.word("B2"))
-    assert np.max(np.abs(chi(h, f, 0, m))) < 1e-12   # no incidence at p1
-    assert np.max(np.abs(chi(h, f, 2, m))) < 1e-12   # no incidence at p3
-    assert np.max(np.abs(chi(h, f, 1, m))) > 1e-6    # loop based at p2
+    df = WordFunction(entry_observable(GL2, 0, 1, "re"), spec.word("B2")).gradients(m)
+    assert np.max(np.abs(chi(h, df, 0))) < 1e-12   # no incidence at p1
+    assert np.max(np.abs(chi(h, df, 2))) < 1e-12   # no incidence at p3
+    assert np.max(np.abs(chi(h, df, 1))) > 1e-6    # loop based at p2
 
 
 @pytest.mark.parametrize("spec,ta,tb", [

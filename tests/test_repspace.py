@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from surface_qp.lie import AlgebraContext, entry_observable, generic_observable
+from surface_qp.lie import AlgebraContext, entry_observable, expm
+from surface_qp.quasipoisson import WordFunction, build_bivector, chi
 from surface_qp.repspace import (RepPoint, act, boundary_moment, holonomy,
-                                 random_point, variation)
+                                 random_point)
 from surface_qp.surfaces import SurfaceSpec
 
 GL2 = AlgebraContext("gl", 2)
@@ -103,19 +104,32 @@ def test_non_finite_coordinates_rejected(ctx, bad):
         RepPoint(ctx, m.spec, mats)
 
 
-@pytest.mark.parametrize("text,p", [("C1 D1 C1'", 1), ("C1", 1)])
-def test_variation_matches_action_derivative(text, p):
-    # <chi^p, x> = d/dt Phi(Hol at exp(-tx).m)
-    spec = SurfaceSpec(1, 1)
-    m = random_point(GL2, spec, 7)
+@pytest.mark.parametrize("ctx", [GL2, U2], ids=["gl", "u"])
+@pytest.mark.parametrize("g,b,text", [
+    (1, 1, "C1 D1 C1'"), (1, 1, "C1"), (0, 3, "A2 B2 A2' A3"), (0, 3, "A2' A3 B3"),
+    (1, 2, "C1 D1 C1' A2"), (1, 2, "B2 A2' C1")])
+def test_chi_matches_action_derivative(ctx, g, b, text):
+    # <chi_f, x> = d/dt f(exp(-tx).m) for the action at boundary i, which is
+    # action slot i - 1 of the fused bivector
+    spec = SurfaceSpec(g, b)
+    m = random_point(ctx, spec, 7)
     w = spec.word(text)
-    obs = entry_observable(GL2, 0, 1, "re")
-    chi = variation(m, obs, w, p)
+    obs = entry_observable(ctx, 0, 1, "re")
+    df = WordFunction(obs, w).gradients(m)
+    h = build_bivector(spec, ctx)
     rng = np.random.default_rng(0)
     x = rng.uniform(-1, 1, (2, 2))
+    if ctx.kind == "u":
+        x = x + 1j * rng.uniform(-1, 1, (2, 2))
+        x = (x - x.conj().T) / 2.0
     step = 1e-6
-    gp = [np.eye(2) - step * x]
-    gm = [np.eye(2) + step * x]
-    fd = (obs.value(holonomy(act(m, gp), w))
-          - obs.value(holonomy(act(m, gm), w))) / (2 * step)
-    assert GL2.form(chi, x) == pytest.approx(fd, abs=1e-6)
+    for i in range(1, b + 1):
+        def f_moved(t):   # f(exp(-tx).m), the action at boundary i only
+            moved = act(m, [expm(-t * x) if k == i else np.eye(2) for k in range(1, b + 1)])
+            return obs.value(holonomy(moved, w))
+
+        c = chi(h, df, i - 1)
+        fd = (f_moved(step) - f_moved(-step)) / (2 * step)
+        assert ctx.form(c, x) == pytest.approx(fd, abs=1e-7)
+        # chi is nonzero just at the endpoints of the word
+        assert (np.max(np.abs(c)) > 1e-6) == (i in (w.source, w.target))

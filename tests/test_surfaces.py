@@ -3,6 +3,7 @@ import pytest
 from surface_qp.geometry import orient
 from surface_qp.surfaces import (PolygonModel, SurfaceSpec, polygon_model,
                                  side_labels, split_canonical)
+from surface_qp.words import Word
 
 SPECS = [SurfaceSpec(0, 2), SurfaceSpec(1, 1), SurfaceSpec(0, 3),
          SurfaceSpec(1, 2), SurfaceSpec(2, 1), SurfaceSpec(1, 3)]
@@ -52,6 +53,19 @@ def test_corner_words_end_at_their_marked_point(spec):
         w = pm.corner_word[c]
         if len(w.letters):
             assert w.target == pm.corner_marked[c]
+
+
+def test_corner_words_are_the_reduced_side_label_prefixes():
+    # corner k is reached by the first k side labels, appended one at a time
+    for g in range(6):
+        for b in range(1, 6):
+            spec = SurfaceSpec(g, b)
+            if spec.is_disk:
+                continue
+            prefix = [Word.make([], g, b)]
+            for label in side_labels(spec)[:-1]:
+                prefix.append(prefix[-1].concat(Word.make([label], g, b)))
+            assert polygon_model(spec).corner_word == prefix, spec
 
 
 @pytest.mark.parametrize("spec", SPECS)
