@@ -11,7 +11,6 @@ off-diagonal matrix entries: (Ad_h x)_ab = (lambda_a / lambda_b) x_ab.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Tuple
 
 import numpy as np
@@ -20,7 +19,7 @@ from .lie import AlgebraContext, Observable, dual_basis
 from .repspace import RepPoint, act, boundary_moment
 from .diagrams import IntersectionData
 from .quasipoisson import (HamiltonianQP, WordFunction, bracket_combinatorial,
-                           bracket_numeric, chi)
+                           chi, pair_gradients)
 from .words import Word
 
 TOL_REG = 1e-6
@@ -37,29 +36,29 @@ def phase_gap(lam) -> float:
                for a in range(n) for b in range(a + 1, n)) if n > 1 else np.pi
 
 
-def _offdiag_apply(h: np.ndarray, x: np.ndarray, coef) -> np.ndarray:
-    """x with each off-diagonal entry scaled by coef(lam_a / lam_b), for h
-    diagonal with regular spectrum lam: a function of Ad_h on t-perp."""
+def _offdiag_kernel(h: np.ndarray, coef) -> np.ndarray:
+    """The entrywise matrix K with K_ab = coef(lam_a / lam_b) off the diagonal
+    and 1 on it, for h diagonal with regular spectrum lam: a function of
+    Ad_h on t-perp acts on x as K * x, also on a stack of x."""
     lam = np.diag(h)
     if np.max(np.abs(h - np.diag(lam))) > 1e-8:
         raise ValueError("expected a diagonal unitary")
     if phase_gap(lam) <= TOL_REG:
         raise RegularityError("eigenvalue phase gap below tolerance")
-    out = np.array(x, dtype=complex)
-    for a, b in permutations(range(len(lam)), 2):
-        out[a, b] = coef(lam[a] / lam[b]) * x[a, b]
-    return out
+    off = ~np.eye(len(lam), dtype=bool)
+    k = np.ones((len(lam), len(lam)), dtype=complex)
+    k[off] = coef(np.divide.outer(lam, lam)[off])
+    return k
 
 
 def theta_apply(h: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
     """Theta_h = Pr_t + 2/(1 - Ad_h) Pr_{t-perp}; transpose uses Ad_h^{-1}."""
-    return _offdiag_apply(h, x, lambda r: 2.0 / (1.0 - (1.0 / r if transpose else r)))
+    return _offdiag_kernel(h, lambda r: 2.0 / (1.0 - (1.0 / r if transpose else r))) * x
 
 
 def ad_cayley_apply(h: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(Ad_h + 1)/(Ad_h - 1) on the off-diagonal part (diagonal part zeroed)."""
-    return _offdiag_apply(h, proj_offdiag(np.asarray(x, dtype=complex)),
-                          lambda r: (r + 1.0) / (r - 1.0))
+    return _offdiag_kernel(h, lambda r: (r + 1.0) / (r - 1.0)) * proj_offdiag(x)
 
 
 def proj_offdiag(x: np.ndarray) -> np.ndarray:
@@ -67,10 +66,10 @@ def proj_offdiag(x: np.ndarray) -> np.ndarray:
 
 
 def theta_matrix(ctx: AlgebraContext, h: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Matrix of Theta_h in the orthonormal real basis of u(n)."""
-    basis = dual_basis(ctx).e
-    cols = [theta_apply(h, ek, transpose) for ek in basis]
-    return np.array([[ctx.form(el, y) for y in cols] for el in basis])
+    """Matrix of Theta_h in the orthonormal real basis of u(n): Theta_h on
+    the stacked basis, paired with the basis in one contraction."""
+    e = np.asarray(dual_basis(ctx).e)
+    return ctx.form(e[:, None], theta_apply(h, e, transpose)[None])
 
 
 @dataclass(frozen=True)
@@ -131,23 +130,20 @@ def bracket_cross(phi: Observable, w_alpha: Word, psi: Observable, w_beta: Word,
     return bracket_combinatorial(phi, w_alpha, psi, w_beta, data, cs.m, pair)
 
 
-def perp_correction(h: HamiltonianQP, f: WordFunction, g: WordFunction,
+def perp_correction(h: HamiltonianQP, df: dict, dg: dict,
                     cs: CrossSectionPoint) -> float:
     """P_L-perp pairing of the off-diagonal moment variations:
     1/2 sum_i <((Ad_mu+1)/(Ad_mu-1)) Pr chi_f^(i), Pr chi_g^(i)>, with
-    chi^(i) read by quasipoisson.chi from action slot i-1 of h and one
-    gradient pass per function."""
-    m = cs.m
-    df, dg = f.gradients(m), g.gradients(m)
-    tot = 0.0
-    for i in range(1, m.spec.boundary_count + 1):
-        cf = proj_offdiag(chi(h, df, i - 1))
-        cg = proj_offdiag(chi(h, dg, i - 1))
-        tot += 0.5 * m.ctx.form(ad_cayley_apply(cs.mus[i - 1], cf), cg)
-    return tot
+    chi^(i) read by quasipoisson.chi from action slot i-1 of h and the
+    gradients df, dg of WordFunction.gradients.  The first factor is
+    off-diagonal, so pairing it with chi_g^(i) already projects chi_g^(i)."""
+    return sum(0.5 * cs.m.ctx.form(ad_cayley_apply(mu, chi(h, df, p)), chi(h, dg, p))
+               for p, mu in enumerate(cs.mus))
 
 
 def bracket_cross_numeric(h: HamiltonianQP, f: WordFunction, g: WordFunction,
                           cs: CrossSectionPoint) -> float:
-    """Independent route: ambient bracket plus the P-perp correction."""
-    return bracket_numeric(h, f, g, cs.m) + perp_correction(h, f, g, cs)
+    """Independent route: ambient bracket plus the P-perp correction, both
+    from one gradient pass per function."""
+    df, dg = f.gradients(cs.m), g.gradients(cs.m)
+    return pair_gradients(h, df, dg) + perp_correction(h, df, dg, cs)

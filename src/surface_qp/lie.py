@@ -60,20 +60,20 @@ class AlgebraContext:
         """<x, y> = form_sign * Re Tr(xy)."""
         return 1.0 if self.kind == "gl" else -1.0
 
-    def form(self, x, y) -> float:
-        return self.form_sign * float(np.trace(x @ y).real)
+    def form(self, x, y):
+        """<x, y> over the last two axes, broadcast over the leading ones."""
+        return self.form_sign * np.einsum("...ij,...ji->...", x, y).real
 
     def check_group_element(self, g: np.ndarray):
+        """Check one matrix or an (S, n, n) stack, naming a failing index."""
         g = np.asarray(g, dtype=self.dtype)
-        if g.shape != (self.n, self.n):
+        if g.ndim not in (2, 3) or g.shape[-2:] != (self.n, self.n):
             raise ValueError("wrong matrix shape")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("matrix has non-finite entries")
-        if abs(np.linalg.det(g)) <= TOL_INV:
-            raise ValueError("matrix not invertible within tolerance")
+        _require(np.isfinite(g).all(axis=(-2, -1)), "matrix has non-finite entries")
+        _require(np.abs(np.linalg.det(g)) > TOL_INV, "matrix not invertible within tolerance")
         if self.kind == "u":
-            if np.max(np.abs(g.conj().T @ g - np.eye(self.n))) > 1e-8:
-                raise ValueError("matrix not unitary within tolerance")
+            dev = np.abs(g.swapaxes(-1, -2).conj() @ g - np.eye(self.n)).max(axis=(-2, -1))
+            _require(dev <= 1e-8, "matrix not unitary within tolerance")
         return g
 
     def project_gradient(self, m: np.ndarray) -> np.ndarray:
@@ -81,7 +81,14 @@ class AlgebraContext:
         if self.kind == "gl":
             return np.asarray(m, dtype=float)
         m = np.asarray(m, dtype=complex)
-        return (m.conj().T - m) / 2.0
+        return (m.swapaxes(-1, -2).conj() - m) / 2.0
+
+
+def _require(ok, message: str):
+    """Raise message unless ok, a bool or one per matrix of a stack, holds."""
+    if not np.all(ok):
+        raise ValueError(message if np.ndim(ok) == 0
+                         else "%s at stack index %d" % (message, np.argmin(ok)))
 
 
 def _basis_elem(n, p, q, dtype=float):
@@ -100,9 +107,7 @@ class DualBasisPair:
         return len(self.e)
 
     def gram(self, ctx: AlgebraContext) -> np.ndarray:
-        d = self.dim
-        return np.array([[ctx.form(self.e[i], self.f[j]) for j in range(d)]
-                         for i in range(d)])
+        return ctx.form(np.asarray(self.e)[:, None], np.asarray(self.f)[None])
 
 
 def dual_basis(ctx: AlgebraContext) -> DualBasisPair:

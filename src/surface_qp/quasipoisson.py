@@ -13,13 +13,15 @@ coefficient map C[(A, B)] = c.
 
 A function f enters through its gradients grad_A f in g, defined by
 df(A(x)) = <grad_A f, x>; summing over the dual pair gives the bracket as
-the quadratic form
-    {f, g} = sum_AB C_AB (<grad_A f, grad_B g> - <grad_B f, grad_A g>).
+the contraction of A = C - C^T with the Gram matrix of the gradients,
+    {f, g} = sum_AB A_AB <grad_A f, grad_B g>,
+in one einsum, over a stack of points as well as over one point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -43,6 +45,19 @@ class HamiltonianQP:
     coeffs: Dict[Tuple[FieldType, FieldType], float]   # C[(A, B)]
     actions: List[List[ActionEntry]]        # natural (sign-free) action fields
     moments: List[tuple]                    # slot-letter words, one per action
+
+    @cached_property
+    def skew(self) -> Tuple[Dict[FieldType, int], np.ndarray]:
+        """An index of the field types in coeffs and the antisymmetric matrix
+        A = C - C^T over it, the form that the bracket and sharp contract.
+        fuse and perturbed build new structures rather than edit coeffs."""
+        types = dict.fromkeys(t for key in self.coeffs for t in key)
+        index = {t: k for k, t in enumerate(types)}
+        a = np.zeros((len(index), len(index)))
+        for (x, y), c in self.coeffs.items():
+            a[index[x], index[y]] += c
+            a[index[y], index[x]] -= c
+        return index, a
 
 
 def _letter_slots(sym: str) -> list:
@@ -68,17 +83,21 @@ def slot_word(w: Word) -> tuple:
     return free_reduce(out)
 
 
-def slot_values(m: RepPoint) -> Dict[Slot, np.ndarray]:
+def slot_values(m: RepPoint) -> Tuple[Dict[Slot, np.ndarray], Dict[Slot, np.ndarray]]:
+    """The slot values at the point and their inverses, from those m holds."""
     vals: Dict[Slot, np.ndarray] = {}
+    inv: Dict[Slot, np.ndarray] = {}
     b, g = m.spec.boundary_count, m.spec.genus
     for i in range(2, b + 1):
         u, v = m.mat("A%d" % i), m.mat("B%d" % i)
-        vals[("a", i)] = u
-        vals[("b", i)] = v @ np.linalg.inv(u)
+        ui, vi = m.inv["A%d" % i], m.inv["B%d" % i]
+        vals[("a", i)], inv[("a", i)] = u, ui
+        vals[("b", i)], inv[("b", i)] = v @ ui, u @ vi
     for j in range(1, g + 1):
-        vals[("c", j)] = m.mat("C%d" % j)
-        vals[("d", j)] = m.mat("D%d" % j)
-    return vals
+        for kind in "cd":
+            sym = "%s%d" % (kind.upper(), j)
+            vals[(kind, j)], inv[(kind, j)] = m.mat(sym), m.inv[sym]
+    return vals, inv
 
 
 def field_value(vals: Dict[Slot, np.ndarray], a: FieldType, x: np.ndarray) -> np.ndarray:
@@ -203,8 +222,7 @@ class WordFunction:
         -Ad_{Q_t} var_left(Hol) to (s, L) and -Ad_{Q_{t+1}} var_left(Hol)
         to (s, R)."""
         n, dt = m.ctx.n, m.ctx.dtype
-        vals = slot_values(m)
-        inv = {s: np.linalg.inv(vals[s]) for s in {s for s, _ in self.slots}}
+        vals, inv = slot_values(m)
         q, qi = [np.eye(n, dtype=dt)], [np.eye(n, dtype=dt)]
         for s, sgn in reversed(self.slots):
             fac, fac_inv = (vals[s], inv[s]) if sgn == 1 else (inv[s], vals[s])
@@ -221,28 +239,33 @@ class WordFunction:
 
 
 def bracket_numeric(h: HamiltonianQP, f: WordFunction, g: WordFunction,
-                    m: RepPoint) -> float:
-    """{f, g} = sum_AB C_AB (<grad_A f, grad_B g> - <grad_B f, grad_A g>)."""
-    df, dg = f.gradients(m), g.gradients(m)
-    tot = 0.0
-    for (a, b), c in h.coeffs.items():
-        if a in df and b in dg:
-            tot += c * h.ctx.form(df[a], dg[b])
-        if b in df and a in dg:
-            tot -= c * h.ctx.form(df[b], dg[a])
-    return tot
+                    m: RepPoint):
+    """{f, g} at the point m, or at each point of a stack."""
+    return pair_gradients(h, f.gradients(m), g.gradients(m))
+
+
+def pair_gradients(h: HamiltonianQP, df: Dict[FieldType, np.ndarray],
+                   dg: Dict[FieldType, np.ndarray]):
+    """sum_AB A_AB <grad_A f, grad_B g>: one contraction of A with the
+    gradients df, dg of WordFunction.gradients."""
+    index, a = h.skew
+    if not (df and dg):
+        return 0.0
+    sub = a[np.ix_([index[t] for t in df], [index[t] for t in dg])]
+    gf, gg = np.array(list(df.values())), np.array(list(dg.values()))
+    return h.ctx.form_sign * np.einsum("ab,a...ij,b...ji->...", sub, gf, gg).real
 
 
 def sharp(h: HamiltonianQP, df: Dict[FieldType, np.ndarray],
           vals: Dict[Slot, np.ndarray]) -> Dict[Slot, np.ndarray]:
     """P#(df) as a tangent vector, one matrix per coordinate slot, from the
-    gradients df of WordFunction.gradients."""
+    gradients df of WordFunction.gradients: the field B at sum_A A_AB df_A."""
+    index, a = h.skew
     out = {s: np.zeros((h.ctx.n, h.ctx.n), dtype=h.ctx.dtype) for s in h.slots}
-    for (a, b), c in h.coeffs.items():
-        if a in df:
-            out[b[0]] = out[b[0]] + c * field_value(vals, b, df[a])
-        if b in df:
-            out[a[0]] = out[a[0]] - c * field_value(vals, a, df[b])
+    if df:
+        ys = np.einsum("ab,a...->b...", a[[index[t] for t in df]], np.array(list(df.values())))
+        for b, k in index.items():
+            out[b[0]] = out[b[0]] + field_value(vals, b, ys[k])
     return out
 
 
@@ -269,12 +292,12 @@ def chi(h: HamiltonianQP, df: Dict[FieldType, np.ndarray], p: int) -> np.ndarray
 def verify_moment(h: HamiltonianQP, p: int, f: WordFunction, m: RepPoint) -> dict:
     """Residual of the moment condition mu*theta(P#df) = -1/2(1+Ad_mu^-1)chi_f
     for the action slot p, central differences on the left-hand side."""
-    vals = slot_values(m)
+    vals, inv = slot_values(m)
     df = f.gradients(m)
     x = sharp(h, df, vals)
     vplus = {s: vals[s] + FD_STEP * x[s] for s in vals}
     vminus = {s: vals[s] - FD_STEP * x[s] for s in vals}
-    mu = word_product(h.ctx, h.moments[p], vals)
+    mu = word_product(h.ctx, h.moments[p], vals, inv)
     dmu = (word_product(h.ctx, h.moments[p], vplus)
            - word_product(h.ctx, h.moments[p], vminus)) / (2 * FD_STEP)
     lhs = np.linalg.inv(mu) @ dmu
@@ -286,40 +309,45 @@ def verify_moment(h: HamiltonianQP, p: int, f: WordFunction, m: RepPoint) -> dic
 
 # --- Schouten identity in the GL matrix-entry chart -----------------------
 
-def _field_vector_and_jac(a: FieldType, x: np.ndarray, vals, n):
-    """Entries of the field a(x) on its own slot, and their Jacobian in that
-    slot's entries: d(g x)/dg = I (x) x^T, d(x g)/dg = x (x) I (row-major)."""
+def _field_vectors_and_jacs(a: FieldType, x: np.ndarray, vals, n):
+    """Entries of the fields a(x_k) on their own slot, one row per matrix of
+    the (d, n, n) stack x, and their Jacobians in that slot's entries:
+    d(g x)/dg = I (x) x^T, d(x g)/dg = x (x) I (row-major)."""
     x = np.real(x)
-    vec = np.real(field_value(vals, a, x)).reshape(-1)
-    jac = np.kron(np.eye(n), x.T) if a[1] == "L" else np.kron(x, np.eye(n))
-    return vec, jac
+    vec = np.real(field_value(vals, a, x)).reshape(len(x), -1)
+    jac = (np.einsum("pr,ktq->kpqrt", np.eye(n), x) if a[1] == "L"
+           else np.einsum("kpr,qt->kpqrt", x, np.eye(n)))
+    return vec, jac.reshape(len(x), n * n, n * n)
 
 
 def schouten_residual(h: HamiltonianQP, m: RepPoint) -> dict:
     """Componentwise residual of [P,P] = rho_phi in the matrix-entry chart
     (GL contexts only); a check of a perturbed(h, ...) copy shows that the
-    identity is sensitive."""
+    identity is sensitive.  Pi and dpi[d, a, b] = d_d Pi^{ab} take one
+    contraction per coefficient over the stacked dual pair (e, f)."""
     if h.ctx.kind != "gl":
         raise ValueError("the entry chart requires the GL context")
     tv = cartan_trivector(h.ctx)
-    vals = slot_values(m)
+    vals, _ = slot_values(m)
     n = h.ctx.n
     blk = {s: slice(k * n * n, (k + 1) * n * n) for k, s in enumerate(h.slots)}
     dim = len(h.slots) * n * n
-
+    e, f = np.asarray(tv.pair.e), np.asarray(tv.pair.f)
     pi = np.zeros((dim, dim))
-    dpi = np.zeros((dim, dim, dim))  # dpi[d,a,b] = d_d Pi^{ab}
+    dpi = np.zeros((dim, dim, dim))
     for (a, b), c in h.coeffs.items():
         ia, ib = blk[a[0]], blk[b[0]]
-        for ek, fk in zip(tv.pair.e, tv.pair.f):
-            v, jv = _field_vector_and_jac(a, ek, vals, n)
-            w, jw = _field_vector_and_jac(b, fk, vals, n)
-            pi[ia, ib] += c * np.outer(v, w)
-            pi[ib, ia] -= c * np.outer(w, v)
-            dpi[ia, ia, ib] += c * np.einsum('ad,b->dab', jv, w)
-            dpi[ib, ia, ib] += c * np.einsum('a,bd->dab', v, jw)
-            dpi[ib, ib, ia] -= c * np.einsum('ad,b->dab', jw, v)
-            dpi[ia, ib, ia] -= c * np.einsum('a,bd->dab', w, jv)
+        v, jv = _field_vectors_and_jacs(a, e, vals, n)
+        w, jw = _field_vectors_and_jacs(b, f, vals, n)
+        pab = c * v.T @ w
+        pi[ia, ib] += pab
+        pi[ib, ia] -= pab.T
+        da = c * np.einsum("kad,kb->dab", jv, w)   # derivatives along slot a
+        db = c * np.einsum("ka,kbd->dab", v, jw)   # derivatives along slot b
+        dpi[ia, ia, ib] += da
+        dpi[ib, ia, ib] += db
+        dpi[ib, ib, ia] -= db.transpose(0, 2, 1)
+        dpi[ia, ib, ia] -= da.transpose(0, 2, 1)
 
     jac = 2.0 * (np.einsum('ad,dbc->abc', pi, dpi)
                  + np.einsum('bd,dca->abc', pi, dpi)
@@ -328,66 +356,41 @@ def schouten_residual(h: HamiltonianQP, m: RepPoint) -> dict:
     rho = np.zeros((dim, dim, dim))
     for p in range(len(h.actions)):
         rows = np.zeros((tv.pair.dim, dim))
-        for i, fk in enumerate(tv.pair.f):
-            sig = action_sigma(h, p, fk, vals)
-            for s, tan in sig.items():
-                rows[i, blk[s]] += np.real(tan).reshape(-1)
+        for s, tan in action_sigma(h, p, f, vals).items():
+            rows[:, blk[s]] += np.real(tan).reshape(len(f), -1)
         g = np.einsum('ijk,ia,jb,kc->abc', tv.coeffs, rows, rows, rows, optimize=True)
         rho -= wedge3_tensor(g)  # rho_x = -sigma_x, three factors
 
     res = jac - rho
     return {"residual": float(np.max(np.abs(res))),
-            "jacobiator": jac, "rho_phi": rho}
+            "jacobiator": jac, "rho_phi": rho, "pi": pi, "dpi": dpi}
 
 
 # --- combinatorial bracket (main formula) ---------------------------------
 
-def endpoint_variation(obs: Observable, incidence: str, hol: np.ndarray) -> np.ndarray:
-    """var_right at the start of a path, var_left at its end."""
-    return obs.var_right(hol) if incidence == "start" else obs.var_left(hol)
-
-
 def bracket_combinatorial(phi: Observable, w_alpha: Word,
                           psi: Observable, w_beta: Word,
                           data: IntersectionData, m: RepPoint,
-                          pair: Optional[Callable] = None) -> float:
+                          pair: Optional[Callable] = None):
     """The main formula: sum_(I,J) eps_IJ pair(s, var^I phi, var^J psi) over
-    the endpoint signs s, plus sum_q sign(q) B^q over the crossings, with B^q
-    the primary expression of crossing_term.  pair defaults to the invariant
-    form <u, w>; the cross-section bracket dresses it with Theta."""
+    the endpoint signs s, plus sum_q sign(q) B^q over the crossings, with
+    B^q = <var_right phi(Hol_alpha), Ad_c var_left psi(Hol_beta)> and c the
+    holonomy of the rerouted path alpha *_q beta.  pair defaults to the
+    invariant form <u, w>; the cross-section bracket dresses it with Theta.
+    A stacked point gives one value per point."""
     ha, hb = holonomy(m, w_alpha), holonomy(m, w_beta)
+    # var_right at the start of a path, var_left at its end
+    va = {"start": phi.var_right(ha), "end": phi.var_left(ha)}
+    vb = {"start": psi.var_right(hb), "end": psi.var_left(hb)}
     if pair is None:
         def pair(s, u, w):
             return m.ctx.form(u, w)
     tot = 0.0
     for (I, J), s in data.endpoint_signs.items():
-        if s.value == 0:
-            continue
-        tot += float(s.value) * pair(s, endpoint_variation(phi, I, ha),
-                                     endpoint_variation(psi, J, hb))
-    x, y = phi.var_right(ha), psi.var_left(hb)
-    return tot + sum(q.sign * _conjugated_form(m, q.reroute_ab(), x, y)
-                     for q in data.crossings)
-
-
-def crossing_term(phi: Observable, w_alpha: Word, psi: Observable,
-                  w_beta: Word, q, m: RepPoint, variant: str = "primary") -> float:
-    """B^q, either the primary expression or the alternate of the remark
-    following the main theorem (used as a consistency check)."""
-    ha = holonomy(m, w_alpha)
-    hb = holonomy(m, w_beta)
-    if variant == "primary":
-        return _conjugated_form(m, q.reroute_ab(), phi.var_right(ha), psi.var_left(hb))
-    if variant == "swapped":
-        return _conjugated_form(m, q.reroute_ba(), psi.var_right(hb), phi.var_left(ha))
-    if variant == "alternate":
-        # gamma = alpha^-1 *_q beta^-1: reversed prefix of the other halves
-        g = q.alpha_suffix.inverse().concat(q.beta_prefix.inverse())
-        return _conjugated_form(m, g, phi.var_left(ha), psi.var_right(hb))
-    raise ValueError(variant)
-
-
-def _conjugated_form(m: RepPoint, path: Word, x: np.ndarray, y: np.ndarray) -> float:
-    """<x, Ad_c y> with c the holonomy of the path."""
-    c = holonomy(m, path)
-    return m.ctx.form(x, c @ y @ np.linalg.inv(c))
+        if s.value != 0:
+            tot += float(s.value) * pair(s, va[I], vb[J])
+    x, y = va["start"], vb["end"]
+    for q in data.crossings:
+        c = holonomy(m, q.reroute_ab())
+        tot = tot + q.sign * m.ctx.form(x, c @ y @ np.linalg.inv(c))
+    return tot

@@ -3,9 +3,9 @@ moments, the G^b action, and reproducible sampling."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -16,10 +16,15 @@ from .words import Word, generator_endpoints, generator_symbols, mu1_letters
 
 @dataclass(frozen=True)
 class RepPoint:
+    """A point of M_G(Sigma), or a stack of S points: each generator maps to
+    an (n, n) matrix or to an (S, n, n) stack, and every numeric routine
+    broadcasts over the leading axis.  inv holds each generator's inverse,
+    computed once here; exact is None for a stack."""
     ctx: AlgebraContext
     spec: SurfaceSpec
     mats: Dict[str, np.ndarray]
     exact: Optional[Dict[str, tuple]] = None  # Fraction matrices (GL only)
+    inv: Dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         need = generator_symbols(self.spec.genus, self.spec.boundary_count)
@@ -27,16 +32,21 @@ class RepPoint:
             raise ValueError("coordinates must cover exactly the generators")
         for g in self.mats.values():
             self.ctx.check_group_element(g)
+        inv = np.linalg.inv(np.array(list(self.mats.values()))) if self.mats else ()
+        object.__setattr__(self, "inv", dict(zip(self.mats, inv)))
 
     def mat(self, sym: str) -> np.ndarray:
         return self.mats[sym]
 
 
-def word_product(ctx: AlgebraContext, letters: Sequence, mats: Mapping) -> np.ndarray:
+def word_product(ctx: AlgebraContext, letters: Sequence, mats: Mapping,
+                 inv: Optional[Mapping] = None) -> np.ndarray:
     """Product of the matrices of a word's letters (sym, sign), left to right,
-    over any alphabet: generator names or coordinate slots.  Each symbol that
-    occurs inverted is inverted once."""
-    inv = {s: np.linalg.inv(mats[s]) for s in {s for s, sgn in letters if sgn == -1}}
+    over any alphabet: generator names or coordinate slots, each a matrix or
+    an (S, n, n) stack.  Inverse letters read inv, which defaults to
+    inverting each symbol that occurs inverted once."""
+    if inv is None:
+        inv = {s: np.linalg.inv(mats[s]) for s in {s for s, sgn in letters if sgn == -1}}
     out = np.eye(ctx.n, dtype=ctx.dtype)
     for sym, sgn in letters:
         out = out @ (mats[sym] if sgn == 1 else inv[sym])
@@ -44,7 +54,7 @@ def word_product(ctx: AlgebraContext, letters: Sequence, mats: Mapping) -> np.nd
 
 
 def holonomy(m: RepPoint, w: Word) -> np.ndarray:
-    return word_product(m.ctx, w.letters, m.mats)
+    return word_product(m.ctx, w.letters, m.mats, m.inv)
 
 
 def boundary_moment(m: RepPoint, i: int) -> np.ndarray:
@@ -52,7 +62,7 @@ def boundary_moment(m: RepPoint, i: int) -> np.ndarray:
     if not 1 <= i <= spec.boundary_count:
         raise ValueError("boundary index out of range")
     if i >= 2:
-        return word_product(m.ctx, (("B%d" % i, -1),), m.mats)
+        return m.inv["B%d" % i]
     if spec.is_disk:
         return np.eye(m.ctx.n, dtype=m.ctx.dtype)
     w = Word.make(mu1_letters(spec.genus, spec.boundary_count),
@@ -94,7 +104,7 @@ def _random_u(ctx: AlgebraContext, rng) -> np.ndarray:
     return expm((a - a.conj().T) / 4.0)
 
 
-def random_point(ctx: AlgebraContext, spec: SurfaceSpec, seed: int) -> RepPoint:
+def _sample(ctx: AlgebraContext, spec: SurfaceSpec, seed: int) -> tuple:
     rng = np.random.default_rng(seed)
     mats, exact = {}, {}
     for sym in generator_symbols(spec.genus, spec.boundary_count):
@@ -102,4 +112,14 @@ def random_point(ctx: AlgebraContext, spec: SurfaceSpec, seed: int) -> RepPoint:
             mats[sym], exact[sym] = _random_gl(ctx, rng)
         else:
             mats[sym] = _random_u(ctx, rng)
-    return RepPoint(ctx, spec, mats, exact if ctx.kind == "gl" else None)
+    return mats, exact if ctx.kind == "gl" else None
+
+
+def random_point(ctx: AlgebraContext, spec: SurfaceSpec, seed: int) -> RepPoint:
+    return RepPoint(ctx, spec, *_sample(ctx, spec, seed))
+
+
+def random_points(ctx: AlgebraContext, spec: SurfaceSpec, seeds: Iterable[int]) -> RepPoint:
+    """The points random_point draws at each seed, as one stacked point."""
+    samples = [_sample(ctx, spec, seed)[0] for seed in seeds]
+    return RepPoint(ctx, spec, {s: np.array([d[s] for d in samples]) for s in samples[0]})

@@ -23,7 +23,7 @@ from .lie import AlgebraContext, entry_observable, trace_observable
 from .quasipoisson import (WordFunction, bracket_combinatorial, bracket_numeric,
                            build_bivector, perturbed, schouten_residual,
                            verify_moment)
-from .repspace import random_point
+from .repspace import random_point, random_points
 from .surfaces import SurfaceSpec, polygon_model
 
 # word pairs of length <= 3 per fixture surface, composable on the polygon
@@ -85,20 +85,20 @@ def suite_main_theorem(n: int = 2, tol: float = 1e-8, mutate: float = 0.0) -> li
     for spec in FIXTURE_SURFACES:
         pm = polygon_model(spec)
         h = build_bivector(spec, ctx)
-        points = [random_point(ctx, spec, seed) for seed in range(20)]
+        m = random_points(ctx, spec, range(20))
         for wa_s, wb_s in WORD_PAIRS[(spec.genus, spec.boundary_count)]:
             wa, wb = spec.word(wa_s), spec.word(wb_s)
             _, _, data = realize_pair(wa, wb, pm, 1)
             for label, oa, ob in _observable_pairs(ctx):
                 f, g = WordFunction(oa, wa), WordFunction(ob, wb)
-                for seed, m in enumerate(points):
-                    comb = bracket_combinatorial(oa, wa, ob, wb, data, m)
-                    if mutate:
-                        comb = -comb  # flipped orientation convention
+                comb = bracket_combinatorial(oa, wa, ob, wb, data, m)
+                if mutate:
+                    comb = -comb  # flipped orientation convention
+                num = bracket_numeric(h, f, g, m)
+                for seed in range(20):
                     out.append(fixture_result(
                         "main-theorem %s %s|%s %s seed=%d" %
-                        (spec, wa_s, wb_s, label, seed),
-                        comb, bracket_numeric(h, f, g, m), tol))
+                        (spec, wa_s, wb_s, label, seed), comb[seed], num[seed], tol))
     return out
 
 
@@ -112,11 +112,12 @@ def suite_splitting(n: int = 2, tol: float = 1e-9, mutate: float = 0.0) -> list:
         wa, wb = spec.word(wa_s), spec.word(wb_s)
         f = WordFunction(trace_observable(ctx), wa)
         g = WordFunction(entry_observable(ctx, 0, 0, "re"), wb)
+        m = random_points(ctx, spec, range(10))
+        lhs, rhs = bracket_numeric(hl, f, g, m), bracket_numeric(hr, f, g, m)
         for seed in range(10):
-            m = random_point(ctx, spec, seed)
             out.append(fixture_result(
                 "splitting %s %s|%s seed=%d" % (spec, wa_s, wb_s, seed),
-                bracket_numeric(hl, f, g, m), bracket_numeric(hr, f, g, m), tol))
+                lhs[seed], rhs[seed], tol))
     return out
 
 

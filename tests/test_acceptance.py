@@ -26,11 +26,12 @@ from surface_qp.lie import (AlgebraContext, dual_basis, entry_observable,
                             trace_observable)
 from surface_qp.quasipoisson import (WordFunction, bracket_combinatorial,
                                      bracket_numeric, build_bivector,
-                                     crossing_term, perturbed, schouten_residual,
+                                     perturbed, schouten_residual,
                                      slot_values, verify_moment)
 from surface_qp.repspace import RepPoint, act, random_point
 from surface_qp.suites import WORD_PAIRS, run_suite
 from surface_qp.surfaces import SurfaceSpec, polygon_model
+from test_quasipoisson import crossing_term
 
 GL2 = AlgebraContext("gl", 2)
 U2 = AlgebraContext("u", 2)
@@ -277,7 +278,7 @@ class _BracketOfBrackets:
         self.h, self.f, self.g, self.step = h, f, g, step
 
     def gradients(self, m):
-        vals = slot_values(m)
+        vals, _ = slot_values(m)
 
         def value(slot, side, x):
             moved = dict(vals)

@@ -42,6 +42,25 @@ def test_theta_plus_transpose_is_two(ctx, seed):
     assert np.max(np.abs(t.T - tt)) < 1e-12
 
 
+def _theta_matrix_reference(ctx, h, transpose=False):
+    """Theta_h applied to one basis element at a time, each image paired
+    with every basis element."""
+    basis = dual_basis(ctx).e
+    cols = [theta_apply(h, ek, transpose) for ek in basis]
+    return np.array([[ctx.form(el, y) for y in cols] for el in basis])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("transpose", [False, True])
+def test_theta_matrix_matches_per_basis_loop(n, transpose):
+    ctx = AlgebraContext("u", n)
+    for seed in range(3):
+        h = _diag_unitary(ctx, seed, min_gap=0.2)
+        want = _theta_matrix_reference(ctx, h, transpose)
+        got = theta_matrix(ctx, h, transpose)
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
 @pytest.mark.parametrize("ctx", [U2, U3])
 def test_theta_apply_matches_matrix(ctx):
     h = _diag_unitary(ctx, 5)

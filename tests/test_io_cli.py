@@ -165,6 +165,25 @@ def test_cli_bracket_unitary_pass(tmp_path, capsys):
     assert len(out["fixtures"][0]["gaps"]) == 1
 
 
+def test_cli_bracket_unitary_takes_one_gradient_pass_per_function(
+        tmp_path, capsys, monkeypatch):
+    # the ambient pairing and the P-perp correction share df and dg
+    from surface_qp.quasipoisson import WordFunction
+    calls = []
+    gradients = WordFunction.gradients
+
+    def counted(self, m):
+        calls.append(self.word)
+        return gradients(self, m)
+    monkeypatch.setattr(WordFunction, "gradients", counted)
+    code = main(["bracket", "--surface", _surface(tmp_path, 1, 2),
+                 "--diagram", _diagram(tmp_path, "A2 B2 A2'", "C1 D1"),
+                 "--group", "u", "--n", "2", "--seed", "1"])
+    assert json.loads(capsys.readouterr().out)["fixtures"][0]["route"] == "cross-section"
+    assert code == 0
+    assert len(calls) == 2
+
+
 def test_cli_verify_pass_and_mutation_fails(tmp_path, capsys):
     assert main(["verify", "--suite", "qp-identity", "--group", "gl"]) == 0
     capsys.readouterr()

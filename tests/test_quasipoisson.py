@@ -5,18 +5,74 @@ import pytest
 from scipy.linalg import expm
 
 from surface_qp.diagrams import realize_pair
-from surface_qp.lie import AlgebraContext, dual_basis, entry_observable, trace_observable
-from surface_qp.quasipoisson import (WordFunction, _field_vector_and_jac,
+from surface_qp.lie import (AlgebraContext, cartan_trivector, dual_basis,
+                            entry_observable, trace_observable)
+from surface_qp.quasipoisson import (WordFunction, _field_vectors_and_jacs,
                                      bracket_combinatorial, bracket_numeric,
-                                     build_bivector, chi, crossing_term, double,
+                                     build_bivector, chi, double, field_value,
                                      fused_double, perturbed, schouten_residual,
                                      slot_values, slot_word, verify_moment)
-from surface_qp.repspace import holonomy, random_point, word_product
+from surface_qp.repspace import holonomy, random_point, random_points, word_product
+from surface_qp.suites import WORD_PAIRS, _observable_pairs
 from surface_qp.surfaces import SurfaceSpec, polygon_model
 
 GL2 = AlgebraContext("gl", 2)
 U2 = AlgebraContext("u", 2)
 SPECS = [SurfaceSpec(0, 2), SurfaceSpec(1, 1), SurfaceSpec(0, 3), SurfaceSpec(1, 2)]
+
+
+def _conjugated_form(m, path, x, y):
+    """<x, Ad_c y> with c the holonomy of the path."""
+    c = holonomy(m, path)
+    return m.ctx.form(x, c @ y @ np.linalg.inv(c))
+
+
+def crossing_term(phi, w_alpha, psi, w_beta, q, m, variant="primary"):
+    """The per-crossing reference B^q: the primary expression, the same
+    pairing read from beta's side, or the alternate of the remark following
+    the main theorem."""
+    ha = holonomy(m, w_alpha)
+    hb = holonomy(m, w_beta)
+    if variant == "primary":
+        return _conjugated_form(m, q.reroute_ab(), phi.var_right(ha), psi.var_left(hb))
+    if variant == "swapped":
+        return _conjugated_form(m, q.reroute_ba(), psi.var_right(hb), phi.var_left(ha))
+    # gamma = alpha^-1 *_q beta^-1: reversed prefix of the other halves
+    g = q.alpha_suffix.inverse().concat(q.beta_prefix.inverse())
+    return _conjugated_form(m, g, phi.var_left(ha), psi.var_right(hb))
+
+
+def _field_vector_and_jac(a, x, vals, n):
+    """Reference for one basis element: entries of the field a(x) on its
+    own slot and their Jacobian, by Kronecker products."""
+    x = np.real(x)
+    vec = np.real(field_value(vals, a, x)).reshape(-1)
+    jac = np.kron(np.eye(n), x.T) if a[1] == "L" else np.kron(x, np.eye(n))
+    return vec, jac
+
+
+def _chart_reference(h, m):
+    """Pi and dpi[d, a, b] = d_d Pi^{ab} assembled per coefficient and per
+    dual basis element, the loop that schouten_residual contracts."""
+    pair = cartan_trivector(h.ctx).pair
+    vals, _ = slot_values(m)
+    n = h.ctx.n
+    blk = {s: slice(k * n * n, (k + 1) * n * n) for k, s in enumerate(h.slots)}
+    dim = len(h.slots) * n * n
+    pi = np.zeros((dim, dim))
+    dpi = np.zeros((dim, dim, dim))
+    for (a, b), c in h.coeffs.items():
+        ia, ib = blk[a[0]], blk[b[0]]
+        for ek, fk in zip(pair.e, pair.f):
+            v, jv = _field_vector_and_jac(a, ek, vals, n)
+            w, jw = _field_vector_and_jac(b, fk, vals, n)
+            pi[ia, ib] += c * np.outer(v, w)
+            pi[ib, ia] -= c * np.outer(w, v)
+            dpi[ia, ia, ib] += c * np.einsum('ad,b->dab', jv, w)
+            dpi[ib, ia, ib] += c * np.einsum('a,bd->dab', v, jw)
+            dpi[ib, ib, ia] -= c * np.einsum('ad,b->dab', jw, v)
+            dpi[ia, ib, ia] -= c * np.einsum('a,bd->dab', w, jv)
+    return pi, dpi
 
 
 def test_slot_word_expansion():
@@ -34,7 +90,7 @@ def test_gradients_match_finite_differences(ctx):
     f = WordFunction(entry_observable(ctx, 0, 1, "re"),
                      spec.word("A2 B2 A2' C1 D1 C1' D1' C1"))
     m = random_point(ctx, spec, 9)
-    vals = slot_values(m)
+    vals, _ = slot_values(m)
     grads = f.gradients(m)
     assert set(grads) == {(s, side) for s, _ in f.slots for side in "LR"}
     pair = dual_basis(ctx)
@@ -55,19 +111,60 @@ def test_gradients_match_finite_differences(ctx):
 def test_field_jacobian_matches_entry_loop(side):
     n = 3
     rng = np.random.default_rng(0)
-    g, x = rng.normal(size=(n, n)), rng.normal(size=(n, n))
-    vec, jac = _field_vector_and_jac((("c", 1), side), x, {("c", 1): g}, n)
-    assert np.array_equal(vec, (g @ x if side == "L" else x @ g).reshape(-1))
-    ref = np.zeros((n * n, n * n))
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                for t in range(n):
-                    if side == "L" and p == r:
-                        ref[p * n + q, r * n + t] = x[t, q]
-                    if side == "R" and q == t:
-                        ref[p * n + q, r * n + t] = x[p, r]
-    assert np.array_equal(jac, ref)
+    g, xs = rng.normal(size=(n, n)), rng.normal(size=(2, n, n))
+    vecs, jacs = _field_vectors_and_jacs((("c", 1), side), xs, {("c", 1): g}, n)
+    for x, vec, jac in zip(xs, vecs, jacs):
+        assert np.array_equal(vec, (g @ x if side == "L" else x @ g).reshape(-1))
+        ref = np.zeros((n * n, n * n))
+        for p in range(n):
+            for q in range(n):
+                for r in range(n):
+                    for t in range(n):
+                        if side == "L" and p == r:
+                            ref[p * n + q, r * n + t] = x[t, q]
+                        if side == "R" and q == t:
+                            ref[p * n + q, r * n + t] = x[p, r]
+        assert np.array_equal(jac, ref)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("spec", [SurfaceSpec(0, 2), SurfaceSpec(1, 1), SurfaceSpec(1, 2)])
+def test_schouten_chart_matches_per_basis_loop(spec, n):
+    ctx = AlgebraContext("gl", n)
+    h = build_bivector(spec, ctx)
+    m = random_point(ctx, spec, 3)
+    got = schouten_residual(h, m)
+    pi, dpi = _chart_reference(h, m)
+    assert np.max(np.abs(got["pi"] - pi)) <= 1e-14 * max(1.0, np.max(np.abs(pi)))
+    assert np.max(np.abs(got["dpi"] - dpi)) <= 1e-14 * max(1.0, np.max(np.abs(dpi)))
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("kind", ["gl", "u"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+def test_stacked_brackets_equal_per_point(spec, n, kind):
+    # one stacked call gives, point by point, what the per-point call gives
+    ctx = AlgebraContext(kind, n)
+    pm = polygon_model(spec)
+    h = build_bivector(spec, ctx)
+    seeds = range(4)
+    stack = random_points(ctx, spec, seeds)
+    points = [random_point(ctx, spec, seed) for seed in seeds]
+    for ta, tb in WORD_PAIRS[(spec.genus, spec.boundary_count)]:
+        wa, wb = spec.word(ta), spec.word(tb)
+        _, _, data = realize_pair(wa, wb, pm, 1)
+        for _, oa, ob in _observable_pairs(ctx):
+            f, g = WordFunction(oa, wa), WordFunction(ob, wb)
+            num = bracket_numeric(h, f, g, stack)
+            comb = bracket_combinatorial(oa, wa, ob, wb, data, stack)
+            assert num.shape == comb.shape == (len(seeds),)
+            for k, m in enumerate(points):
+                assert _close(num[k], bracket_numeric(h, f, g, m))
+                assert _close(comb[k], bracket_combinatorial(oa, wa, ob, wb, data, m))
 
 
 def test_double_self_bracket_closed_form():

@@ -4,7 +4,7 @@ import pytest
 from surface_qp.lie import AlgebraContext, entry_observable, expm
 from surface_qp.quasipoisson import WordFunction, build_bivector, chi
 from surface_qp.repspace import (RepPoint, act, boundary_moment, holonomy,
-                                 random_point)
+                                 random_point, random_points)
 from surface_qp.surfaces import SurfaceSpec
 
 GL2 = AlgebraContext("gl", 2)
@@ -101,6 +101,20 @@ def test_non_finite_coordinates_rejected(ctx, bad):
     mats["C1"] = mats["C1"].copy()
     mats["C1"][0, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
+        RepPoint(ctx, m.spec, mats)
+
+
+@pytest.mark.parametrize("ctx,bad,msg", [
+    (GL2, np.array([[1.0, 2.0], [2.0, 4.0]]), "not invertible"),
+    (U2, np.array([[1.0, 0.0], [0.0, 1.5]], dtype=complex), "not unitary")],
+    ids=["gl-singular", "u-non-unitary"])
+def test_stack_with_one_bad_matrix_names_its_index(ctx, bad, msg):
+    m = random_points(ctx, SurfaceSpec(1, 1), range(5))
+    assert m.exact is None and m.mats["C1"].shape == (5, 2, 2)
+    mats = dict(m.mats)
+    mats["D1"] = mats["D1"].copy()
+    mats["D1"][3] = bad
+    with pytest.raises(ValueError, match=msg + " within tolerance at stack index 3"):
         RepPoint(ctx, m.spec, mats)
 
 
