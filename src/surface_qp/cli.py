@@ -10,7 +10,8 @@ the main tolerance of the bracket or suite, so --tol 0 asks for exact
 agreement.  The cross-section suite always runs U(2) and U(3).
 
 For GL entry observables at an exact point the bracket report also carries
-the symbolic normal form.
+the symbolic normal form, and passes only when its exact value is within the
+tolerance of the numeric route as well.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 input error (also a
 negative or non-finite --tol, a non-finite --mutate, verify --n below 2,
@@ -100,6 +101,8 @@ def cmd_bracket(args) -> int:
 
     fx = fixture_result("bracket %s %s|%s seed=%d" % (spec, wa, wb, args.seed),
                         lhs, rhs, tol, extra)
+    if "symbolic_value" in extra:   # the normal form must agree as well
+        fx["pass"] &= bool(abs(float(extra["symbolic_value"]) - rhs) <= tol)
     report = make_report("bracket", _config_dict(args), [fx])
     print(write_report(report, args.out))
     return EXIT_PASS if report["pass"] else EXIT_FAIL

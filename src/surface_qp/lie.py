@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -102,6 +103,10 @@ class DualBasisPair:
     e: tuple
     f: tuple
 
+    def __post_init__(self):
+        for x in self.e + self.f:   # shared: dual_basis builds one per context
+            x.setflags(write=False)
+
     @property
     def dim(self) -> int:
         return len(self.e)
@@ -110,6 +115,7 @@ class DualBasisPair:
         return ctx.form(np.asarray(self.e)[:, None], np.asarray(self.f)[None])
 
 
+@lru_cache(maxsize=None)
 def dual_basis(ctx: AlgebraContext) -> DualBasisPair:
     n = ctx.n
     if ctx.kind == "gl":

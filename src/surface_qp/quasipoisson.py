@@ -300,9 +300,9 @@ def verify_moment(h: HamiltonianQP, p: int, f: WordFunction, m: RepPoint) -> dic
     mu = word_product(h.ctx, h.moments[p], vals, inv)
     dmu = (word_product(h.ctx, h.moments[p], vplus)
            - word_product(h.ctx, h.moments[p], vminus)) / (2 * FD_STEP)
-    lhs = np.linalg.inv(mu) @ dmu
+    mu_inv = np.linalg.inv(mu)
     c = chi(h, df, p)
-    rhs = -0.5 * (c + np.linalg.inv(mu) @ c @ mu)
+    lhs, rhs = mu_inv @ dmu, -0.5 * (c + mu_inv @ c @ mu)
     res = float(np.max(np.abs(lhs - rhs)))
     return {"lhs": lhs, "rhs": rhs, "residual": res}
 

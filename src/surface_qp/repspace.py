@@ -13,6 +13,9 @@ from .lie import AlgebraContext, expm
 from .surfaces import SurfaceSpec
 from .words import Word, generator_endpoints, generator_symbols, mu1_letters
 
+_K_MAX = 1 << 20         # a GL entry draws k in [-_K_MAX, _K_MAX]
+_GL_DEN = 10 * _K_MAX    # and is (_GL_DEN * delta_ij + 3k) / _GL_DEN
+
 
 @dataclass(frozen=True)
 class RepPoint:
@@ -84,17 +87,15 @@ def act(m: RepPoint, g) -> RepPoint:
     return RepPoint(m.ctx, m.spec, out)
 
 
-def _random_gl(ctx: AlgebraContext, rng) -> tuple:
-    """Dyadic-rational GL_n sample: I + 0.3 * uniform[-1,1] entries."""
+def _random_gl(ctx: AlgebraContext, rng) -> np.ndarray:
+    """Dyadic-rational GL_n sample I + 0.3 * uniform[-1,1] entries, as the
+    integer numerators over _GL_DEN."""
     n = ctx.n
-    den = 1 << 20
     for _ in range(64):
-        ex = tuple(tuple(
-            Fraction(10 * den * (i == j) + 3 * int(rng.integers(-den, den + 1)), 10 * den)
-            for j in range(n)) for i in range(n))
-        mat = np.array([[float(x) for x in row] for row in ex])
-        if abs(np.linalg.det(mat)) > 0.1:
-            return mat, ex
+        k = rng.integers(-_K_MAX, _K_MAX + 1, (n, n))
+        num = _GL_DEN * np.eye(n, dtype=np.int64) + 3 * k
+        if abs(np.linalg.det(num / _GL_DEN)) > 0.1:
+            return num
     raise ValueError("resampling budget exhausted")
 
 
@@ -105,18 +106,24 @@ def _random_u(ctx: AlgebraContext, rng) -> np.ndarray:
 
 
 def _sample(ctx: AlgebraContext, spec: SurfaceSpec, seed: int) -> tuple:
+    """The matrices at one seed, and for GL their numerators over _GL_DEN."""
     rng = np.random.default_rng(seed)
-    mats, exact = {}, {}
+    mats, nums = {}, {}
     for sym in generator_symbols(spec.genus, spec.boundary_count):
         if ctx.kind == "gl":
-            mats[sym], exact[sym] = _random_gl(ctx, rng)
+            nums[sym] = _random_gl(ctx, rng)
+            mats[sym] = nums[sym] / _GL_DEN
         else:
             mats[sym] = _random_u(ctx, rng)
-    return mats, exact if ctx.kind == "gl" else None
+    return mats, nums if ctx.kind == "gl" else None
 
 
 def random_point(ctx: AlgebraContext, spec: SurfaceSpec, seed: int) -> RepPoint:
-    return RepPoint(ctx, spec, *_sample(ctx, spec, seed))
+    mats, nums = _sample(ctx, spec, seed)
+    exact = None if nums is None else {
+        sym: tuple(tuple(Fraction(int(x), _GL_DEN) for x in row) for row in num)
+        for sym, num in nums.items()}
+    return RepPoint(ctx, spec, mats, exact)
 
 
 def random_points(ctx: AlgebraContext, spec: SurfaceSpec, seeds: Iterable[int]) -> RepPoint:

@@ -20,8 +20,7 @@ from surface_qp.cross_section import (bracket_cross, bracket_cross_numeric,
 from surface_qp.diagrams import (algebraic_intersection, diagram_from_word,
                                  intersection_data, realize_pair,
                                  word_of_diagram)
-from surface_qp.goldman import (GoldmanAlgebra, PathEntrySymbol,
-                                bracket_symbolic)
+from surface_qp.goldman import PathEntrySymbol, bracket_symbolic
 from surface_qp.lie import (AlgebraContext, dual_basis, entry_observable,
                             trace_observable)
 from surface_qp.quasipoisson import (WordFunction, bracket_combinatorial,
@@ -31,6 +30,7 @@ from surface_qp.quasipoisson import (WordFunction, bracket_combinatorial,
 from surface_qp.repspace import RepPoint, act, random_point
 from surface_qp.suites import WORD_PAIRS, run_suite
 from surface_qp.surfaces import SurfaceSpec, polygon_model
+from symbolic_ref import GoldmanAlgebra
 from test_quasipoisson import crossing_term
 
 GL2 = AlgebraContext("gl", 2)

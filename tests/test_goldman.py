@@ -1,20 +1,21 @@
 import hashlib
 import itertools
+from fractions import Fraction
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy.polys.domains import QQ
 
 from surface_qp.diagrams import intersection_data, realize_pair
-from surface_qp.goldman import (GoldmanAlgebra, NormalForm, PathEntrySymbol,
-                                _label_ring, bracket_symbolic, entry_ring,
-                                entry_symbol, exact_quotient, normalize)
+from surface_qp.goldman import (MAX_DEGREE, NormalForm, PathEntrySymbol, _label_ring,
+                                bracket_symbolic, exact_quotient)
 from surface_qp.lie import AlgebraContext, entry_observable
 from surface_qp.quasipoisson import WordFunction, bracket_combinatorial
 from surface_qp.repspace import random_point
 from surface_qp.surfaces import SurfaceSpec, polygon_model
+from symbolic_ref import (GoldmanAlgebra, entry_symbol, form, from_expr, from_terms,
+                          normalize, to_expr)
 
 GL2 = AlgebraContext("gl", 2)
 
@@ -26,14 +27,14 @@ def generator_det(label, n):
 def test_normalize_generator_entry():
     spec = SurfaceSpec(1, 1)
     nf = normalize(PathEntrySymbol(spec.word("C1"), 1, 2), 2)
-    assert nf.poly.as_expr() == entry_symbol("C1", 1, 2)
+    assert to_expr(nf.poly) == entry_symbol("C1", 1, 2)
     assert nf.den == {}
 
 
 def test_normalize_inverse_uses_adjugate_over_det():
     spec = SurfaceSpec(1, 1)
     nf = normalize(PathEntrySymbol(spec.word("C1'"), 1, 1), 2)
-    assert nf.poly.as_expr() == entry_symbol("C1", 2, 2)
+    assert to_expr(nf.poly) == entry_symbol("C1", 2, 2)
     assert nf.den == {"C1": 1}
 
 
@@ -43,44 +44,53 @@ def test_normalize_product_word():
     want = sp.expand(
         entry_symbol("C1", 1, 1) * entry_symbol("D1", 1, 1)
         + entry_symbol("C1", 1, 2) * entry_symbol("D1", 2, 1))
-    assert sp.expand(nf.poly.as_expr() - want) == 0
+    assert sp.expand(to_expr(nf.poly) - want) == 0
 
 
 def test_normal_form_det_cancellation():
     d = generator_det("C1", 2)
     x = entry_symbol("C1", 1, 1)
-    nf = NormalForm(sp.expand(d * x), {"C1": 1}, 2)
-    assert nf.poly.as_expr() == x
+    nf = form(sp.expand(d * x), {"C1": 1})
+    assert to_expr(nf.poly) == x
     assert nf.den == {}
 
 
 def test_normal_form_equality_cross_multiplies():
     d = generator_det("C1", 2)
     x = entry_symbol("D1", 1, 2)
-    a = NormalForm(x, None, 2)
-    b = NormalForm(sp.expand(x * d), {"C1": 1}, 2)
+    a = form(x, {"C1": 0})    # over the ring of C1 and D1, like b
+    b = form(sp.expand(x * d), {"C1": 1})
     assert a == b
-    assert a != NormalForm(x + 1, None, 2)
+    assert a != form(x + 1, {"C1": 0})
 
 
 def test_equal_forms_hash_equal():
     d = generator_det("C1", 2)
     x = entry_symbol("D1", 1, 2)
     y = entry_symbol("C1", 2, 1)
-    a = NormalForm(x, None, 2)
-    b = NormalForm(sp.expand(x * d), {"C1": 1}, 2)       # x det / det
-    c = NormalForm(x, None, 2) + NormalForm(y, {"C1": 1}, 2) \
-        - NormalForm(y, {"C1": 1}, 2)                   # x + y/det - y/det
+    a = form(x, {"C1": 0})
+    b = form(sp.expand(x * d), {"C1": 1})             # x det / det
+    c = form(x, {"C1": 0}) + form(y, {"D1": 0, "C1": 1}) \
+        - form(y, {"D1": 0, "C1": 1})                 # x + y/det - y/det
     assert a == b == c
     assert hash(a) == hash(b) == hash(c)
     assert len({a, b, c}) == 1
-    assert len({a, NormalForm(y, {"C1": 1}, 2)}) == 2
+    assert len({a, form(y, {"D1": 0, "C1": 1})}) == 2
+
+
+def test_forms_over_two_rings_do_not_mix():
+    a, b = form(entry_symbol("C1", 1, 1)), form(entry_symbol("D1", 1, 1))
+    for op in (lambda: a + b, lambda: a * b, lambda: a == b,
+               lambda: exact_quotient(a.poly, b.poly)):
+        with pytest.raises(ValueError):
+            op()
+    with pytest.raises(ValueError):
+        NormalForm(a.poly, {"D1": 1})
 
 
 def _ring_and_det(n):
-    ring = entry_ring(entry_symbol(label, r, c) for label in ("C1", "D1")
-                      for r in range(1, n + 1) for c in range(1, n + 1))
-    return ring, ring.from_expr(generator_det("C1", n))
+    ring = _label_ring(frozenset({"C1", "D1"}), n)
+    return ring, from_expr(ring, generator_det("C1", n))
 
 
 @st.composite
@@ -91,15 +101,9 @@ def _poly_terms(draw, nvars):
         mono = [0] * nvars
         for k in draw(st.lists(st.integers(0, nvars - 1), max_size=3)):
             mono[k] += draw(st.integers(1, 2))
-        terms.append((tuple(mono), QQ(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))))
+        terms.append((tuple(mono), Fraction(draw(st.integers(-3, 3)),
+                                            draw(st.integers(1, 3)))))
     return terms
-
-
-def _poly(ring, terms):
-    out = ring.zero
-    for mono, c in terms:
-        out += ring({mono: c})
-    return out
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -107,13 +111,14 @@ def _poly(ring, terms):
 @given(data=st.data(), divisible=st.booleans())
 def test_exact_quotient_agrees_with_sympy_div(n, data, divisible):
     ring, det = _ring_and_det(n)
-    q = _poly(ring, data.draw(_poly_terms(ring.ngens)))
-    r = ring.zero if divisible else _poly(ring, data.draw(_poly_terms(ring.ngens)))
+    nvars = len(ring.names)
+    q = from_terms(ring, data.draw(_poly_terms(nvars)))
+    r = ring.zero if divisible else from_terms(ring, data.draw(_poly_terms(nvars)))
     f = q * det + r
-    want_q, want_r = sp.div(f.as_expr(), det.as_expr(), *ring.symbols)
+    want_q, want_r = sp.div(to_expr(f), to_expr(det), *map(sp.Symbol, ring.names))
     got = exact_quotient(f, det)
     if want_r == 0:
-        assert got is not None and got.as_expr() - want_q == 0
+        assert got is not None and to_expr(got) - want_q == 0
     else:
         assert got is None
     if divisible:
@@ -121,12 +126,25 @@ def test_exact_quotient_agrees_with_sympy_div(n, data, divisible):
 
 
 def test_exact_quotient_wide_exponents():
-    # total degree >= 128 needs two bytes per packed exponent
+    # exponents above one byte
     ring, det = _ring_and_det(2)
-    x = ring.gens[ring.symbols.index(entry_symbol("D1", 1, 1))]
+    x = ring.gen("D1_11")
     assert exact_quotient(x ** 130 * det ** 2, det) == x ** 130 * det
     assert exact_quotient(x ** 130 * det + x, det) is None
 
+
+def test_degree_beyond_the_field_raises():
+    # the largest exponent a field holds survives a product and decodes
+    # intact; one more overflows instead of wrapping into the next field
+    ring = _label_ring(frozenset({"C1"}), 2)
+    x, y = ring.gen("C1_11"), ring.gen("C1_12")
+    top = (x ** 127) ** (MAX_DEGREE // 127) * x ** (MAX_DEGREE % 127)
+    assert list(top.terms.values()) == [1]
+    assert ring.exponents(next(iter(top.terms))) == (MAX_DEGREE, 0, 0, 0)
+    with pytest.raises(OverflowError):
+        top * x
+    with pytest.raises(OverflowError):
+        top * y
 
 @st.composite
 def _printed_forms(draw):
@@ -137,17 +155,19 @@ def _printed_forms(draw):
                            min_size=1, max_size=3, unique=True))
     n = draw(st.sampled_from([2, 3]))
     ring = _label_ring(frozenset(labels), n)
-    unit = st.sampled_from([QQ(1), QQ(-1)])
-    coeff = unit | st.builds(QQ, st.integers(-12, 12).filter(bool), st.integers(1, 7))
+    unit = st.sampled_from([Fraction(1), Fraction(-1)])
+    coeff = unit | st.builds(Fraction, st.integers(-12, 12).filter(bool),
+                             st.integers(1, 7))
+    nvars = len(ring.names)
 
     def monomial(max_vars):
-        m = [0] * ring.ngens
-        for k in draw(st.lists(st.integers(0, ring.ngens - 1),
+        m = [0] * nvars
+        for k in draw(st.lists(st.integers(0, nvars - 1),
                                min_size=1, max_size=max_vars)):
             m[k] += draw(st.integers(1, 3))
         return tuple(m)
 
-    one = (0,) * ring.ngens
+    one = (0,) * nvars
     shape = draw(st.sampled_from(["zero", "constant", "term", "constant-first",
                                   "sparse"]))
     if shape == "zero":
@@ -163,17 +183,18 @@ def _printed_forms(draw):
         terms = {one if draw(st.booleans()) else monomial(3): draw(coeff)
                  for _ in range(draw(st.integers(0, 12)))}
     den = draw(st.dictionaries(st.sampled_from(labels), st.integers(1, 3)))
-    return ring(terms), den, n
+    return from_terms(ring, terms.items()), den, n
 
 
 @settings(max_examples=300)
 @given(form=_printed_forms())
 def test_canonical_str_prints_like_sympy(form):
-    # str(poly.as_expr()) is the reference the direct printer reproduces
+    # str of the sympy expression is the reference the direct printer
+    # reproduces
     poly, den, n = form
     suffix = "*".join("det(%s)^%d" % (k, p) for k, p in sorted(den.items()))
-    want = str(poly.as_expr()) + (" / " + suffix if suffix else "")
-    assert NormalForm._raw(poly, den, n).canonical_str() == want
+    want = str(to_expr(poly)) + (" / " + suffix if suffix else "")
+    assert NormalForm._raw(poly, den).canonical_str() == want
 
 
 @pytest.mark.parametrize("expr,text", [
@@ -182,8 +203,8 @@ def test_canonical_str_prints_like_sympy(form):
     ("-C1_11*C1_12 + 1", "-C1_11*C1_12 + 1"),  # two symbols: no constant first
 ], ids=["power", "symbol", "product"])
 def test_canonical_str_constant_first(expr, text):
-    nf = NormalForm(sp.sympify(expr), None, 2)
-    assert nf.canonical_str() == text == str(nf.poly.as_expr())
+    nf = form(expr)
+    assert nf.canonical_str() == text == str(to_expr(nf.poly))
 
 
 def test_word_times_inverse_is_identity_entrywise():
@@ -287,7 +308,7 @@ def test_algebra_bracket_evaluates_like_numeric():
 
 
 def test_evaluate_rejects_uncovered_generators():
-    nf = NormalForm(entry_symbol("Z9", 1, 1), None, 2)
+    nf = form(entry_symbol("Z9", 1, 1))
     m = random_point(GL2, SurfaceSpec(1, 1), 0)
     with pytest.raises(ValueError):
         nf.evaluate(m)

@@ -10,6 +10,7 @@ import pytest
 
 import surface_qp.cli
 from surface_qp.cli import main
+from surface_qp.goldman import NormalForm
 from surface_qp.io import (SchemaError, fixture_result, fmt_float,
                            load_bracket_request, load_point, load_surface,
                            make_report, write_report)
@@ -141,6 +142,29 @@ def test_cli_bracket_gl_pass(tmp_path, capsys):
     assert out["pass"] is True
     assert out["fixtures"][0]["route"] == "ambient"
     assert "normal_form" in out["fixtures"][0]
+
+
+def test_cli_bracket_wrong_normal_form_fails(tmp_path, capsys, monkeypatch):
+    # the numeric routes agree, but a normal form off by 1 must fail the report
+    right = surface_qp.cli.bracket_symbolic
+
+    def wrong(*args):
+        nf = right(*args)
+        return nf + NormalForm(nf.poly.ring.one)
+
+    monkeypatch.setattr(surface_qp.cli, "bracket_symbolic", wrong)
+    code = main(["bracket", "--surface", _surface(tmp_path),
+                 "--diagram", _diagram(
+                     tmp_path,
+                     oa={"kind": "entry", "i": 1, "j": 2},
+                     ob={"kind": "entry", "i": 1, "j": 1}),
+                 "--group", "gl", "--n", "2", "--seed", "1"])
+    out = json.loads(capsys.readouterr().out)
+    fx = out["fixtures"][0]
+    assert code == 1
+    assert out["pass"] is False and fx["pass"] is False
+    assert float(fx["residual"]) <= float(fx["tolerance"])
+    assert float(fx["symbolic_value"]) == pytest.approx(float(fx["rhs"]) + 1)
 
 
 def test_cli_bracket_gl_trace_entry_has_no_normal_form(tmp_path, capsys):
@@ -395,24 +419,33 @@ def test_cli_verify_has_no_seed(capsys):
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
-def test_cli_runs_without_scipy(tmp_path):
-    # the program needs numpy and sympy only; the tests keep scipy as their
-    # independent reference
-    surface, diagram = _surface(tmp_path), _diagram(tmp_path)
+def test_cli_runs_without_scipy_or_sympy(tmp_path):
+    # the program needs numpy only; the tests keep scipy and sympy as their
+    # independent references
+    surface = _surface(tmp_path)
+    diagram = _diagram(tmp_path)
+    entries = _write(tmp_path, "entries.json", {
+        "alpha": {"word": "C1 D1", "observable": {"kind": "entry", "i": 1, "j": 2}},
+        "beta": {"word": "D1", "observable": {"kind": "entry", "i": 2, "j": 1}}})
     runs = [["bracket", "--surface", surface, "--diagram", diagram, "--group", "gl"],
+            ["bracket", "--surface", surface, "--diagram", entries, "--group", "gl"],
             ["bracket", "--surface", surface, "--diagram", diagram, "--group", "u"],
-            ["verify", "--suite", "cross-section"]]
+            ["verify", "--suite", "cross-section"],
+            ["verify", "--suite", "goldman"]]
     outs = [str(tmp_path / ("report%d.json" % k)) for k in range(len(runs))]
     src = str(Path(surface_qp.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     script = ("import json, sys; sys.modules['scipy'] = None; "
+              "sys.modules['sympy'] = None; "
               "from surface_qp.cli import main; "
               "print(json.dumps([main(a) for a in json.loads(sys.argv[1])]))")
     argvs = [argv + ["--out", out] for argv, out in zip(runs, outs)]
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 0]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(runs)
     for out in outs:
         assert json.loads(Path(out).read_text())["pass"] is True
+    # the default seed's GL point is exact, so the entry bracket has a normal form
+    assert "normal_form" in json.loads(Path(outs[1]).read_text())["fixtures"][0]

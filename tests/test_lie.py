@@ -65,6 +65,16 @@ def test_dual_basis_gram_is_identity(ctx):
 
 
 @pytest.mark.parametrize("ctx", CTXS)
+def test_dual_basis_is_shared_and_read_only(ctx):
+    pair = dual_basis(ctx)
+    assert dual_basis(AlgebraContext(ctx.kind, ctx.n)) is pair
+    for x in pair.e + pair.f:
+        with pytest.raises(ValueError):
+            x[0, 0] = 5.0
+    assert pair.gram(ctx) == pytest.approx(np.eye(pair.dim))
+
+
+@pytest.mark.parametrize("ctx", CTXS)
 def test_dual_basis_reproduces_coefficients(ctx):
     pair = dual_basis(ctx)
     x = _random_alg(ctx, 5)

@@ -1,11 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from surface_qp.lie import AlgebraContext, entry_observable, expm
 from surface_qp.quasipoisson import WordFunction, build_bivector, chi
-from surface_qp.repspace import (RepPoint, act, boundary_moment, holonomy,
+from surface_qp.repspace import (RepPoint, _random_gl, act, boundary_moment, holonomy,
                                  random_point, random_points)
 from surface_qp.surfaces import SurfaceSpec
+from surface_qp.words import generator_symbols
 
 GL2 = AlgebraContext("gl", 2)
 U2 = AlgebraContext("u", 2)
@@ -147,3 +150,37 @@ def test_chi_matches_action_derivative(ctx, g, b, text):
         assert ctx.form(c, x) == pytest.approx(fd, abs=1e-7)
         # chi is nonzero just at the endpoints of the word
         assert (np.max(np.abs(c)) > 1e-6) == (i in (w.source, w.target))
+
+
+def _per_entry_gl(n, rng):
+    """The GL sampler as first written, one draw per entry: the reference
+    that the vectorized sampler reproduces bit for bit."""
+    den = 1 << 20
+    for _ in range(64):
+        ex = tuple(tuple(
+            Fraction(10 * den * (i == j) + 3 * int(rng.integers(-den, den + 1)), 10 * den)
+            for j in range(n)) for i in range(n))
+        mat = np.array([[float(x) for x in row] for row in ex])
+        if abs(np.linalg.det(mat)) > 0.1:
+            return mat, ex
+    raise ValueError("resampling budget exhausted")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gl_sampler_matches_per_entry_reference(n):
+    ctx = AlgebraContext("gl", n)
+    spec = SurfaceSpec(1, 2)
+    syms = generator_symbols(1, 2)
+    for seed in range(40):
+        ref_rng = np.random.default_rng(seed)
+        ref = [_per_entry_gl(n, ref_rng) for _ in syms]
+        m = random_point(ctx, spec, seed)
+        stack = random_points(ctx, spec, [seed])
+        for sym, (mat, ex) in zip(syms, ref):
+            assert m.mats[sym].tobytes() == mat.tobytes()
+            assert stack.mats[sym][0].tobytes() == mat.tobytes()
+            assert m.exact[sym] == ex
+        rng = np.random.default_rng(seed)
+        for _ in syms:
+            _random_gl(ctx, rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
