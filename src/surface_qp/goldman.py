@@ -28,6 +28,7 @@ descending lex order of the exponents, each term as ``p*x**e*y/q``.
 from __future__ import annotations
 
 import heapq
+import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -335,7 +336,9 @@ class NormalForm:
         return num + (" / " + den if den else "")
 
     def evaluate(self, m) -> float:
-        """Exact rational evaluation at a RepPoint with exact coordinates."""
+        """Exact rational evaluation at a RepPoint with exact coordinates: the
+        numerator sum coeff * d^(top - deg) * prod (d a)^e in ints, with d the
+        lcm of the coordinate denominators a, divided by d^top once."""
         if m.exact is None:
             raise ValueError("exact evaluation needs exact rational coordinates")
         n = m.ctx.n
@@ -344,15 +347,19 @@ class NormalForm:
                   for r in range(n) for c in range(n)}
         ring = self.poly.ring
         point = [coords.get(name) for name in ring.names]
-        num = Fraction(0)
+        d = math.lcm(*(v.denominator for v in point if v is not None))
+        point = [None if v is None else v.numerator * (d // v.denominator) for v in point]
+        top = max((key >> ring.shift for key in self.poly.terms), default=0)
+        num = 0
         for key, coeff in self.poly.terms.items():
-            t = Fraction(coeff)
+            t = coeff * d ** (top - (key >> ring.shift))
             for v, e in zip(point, ring.exponents(key)):
                 if e:
                     if v is None:
                         raise ValueError("point does not cover all generators")
                     t *= v ** e
             num += t
+        num = Fraction(num) / d ** top
         den = Fraction(1)
         for label, p in self.den.items():
             dv = _det([[Fraction(x) for x in row] for row in m.exact[label]])

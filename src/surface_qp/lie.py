@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 TOL_INV = 1e-10
-FD_STEP = 1e-5   # central-difference step of the finite-difference checks
+FD_STEP = 1e-5   # central-difference step of generic_observable, the tests' reference
 
 
 def expm(x: np.ndarray) -> np.ndarray:
@@ -221,17 +221,6 @@ def cartan_trivector(ctx: AlgebraContext) -> CartanTrivector:
     t = np.einsum("iab,jbc,kca->ijk", e, e, e, optimize=True)
     w = ctx.form_sign * (t - t.transpose(0, 2, 1)).real / 12.0
     return CartanTrivector(w, pair)
-
-
-def trivector_reference_tensor(ctx: AlgebraContext, tv: CartanTrivector) -> np.ndarray:
-    """phi as an antisymmetric 3-tensor over flattened matrix coordinates
-    (real and imaginary parts stacked); used for basis-independence checks."""
-    def flat(x):
-        x = np.asarray(x, dtype=complex).reshape(-1)
-        return np.concatenate([x.real, x.imag])
-
-    M = np.array([flat(f) for f in tv.pair.f])
-    return wedge3_tensor(np.einsum('ijk,ia,jb,kc->abc', tv.coeffs, M, M, M))
 
 
 _SIGNED_PERMS = [

@@ -16,6 +16,10 @@ df(A(x)) = <grad_A f, x>; summing over the dual pair gives the bracket as
 the contraction of A = C - C^T with the Gram matrix of the gradients,
     {f, g} = sum_AB A_AB <grad_A f, grad_B g>,
 in one einsum, over a stack of points as well as over one point.
+
+The moment condition mu*theta(P#df) = -1/2 (1 + Ad_mu^-1) chi_f is checked
+through the same pairing: <mu^-1 dmu(P#df), e_k> = {f, F_k} for
+F_k = <e_k, mu(m)^-1 mu>, whose left variation at mu(m) is e_k.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .diagrams import IntersectionData
-from .lie import (FD_STEP, AlgebraContext, Observable, cartan_trivector,
+from .lie import (AlgebraContext, Observable, cartan_trivector, dual_basis,
                   wedge3_tensor)
-from .repspace import RepPoint, holonomy, word_product
+from .repspace import RepPoint, boundary_moment, boundary_word, holonomy
 from .surfaces import SurfaceSpec, split_canonical
 from .words import Word, free_reduce, invert
 
@@ -44,12 +48,11 @@ class HamiltonianQP:
     slots: List[Slot]
     coeffs: Dict[Tuple[FieldType, FieldType], float]   # C[(A, B)]
     actions: List[List[ActionEntry]]        # natural (sign-free) action fields
-    moments: List[tuple]                    # slot-letter words, one per action
 
     @cached_property
     def skew(self) -> Tuple[Dict[FieldType, int], np.ndarray]:
         """An index of the field types in coeffs and the antisymmetric matrix
-        A = C - C^T over it, the form that the bracket and sharp contract.
+        A = C - C^T over it, the form that pair_gradients contracts.
         fuse and perturbed build new structures rather than edit coeffs."""
         types = dict.fromkeys(t for key in self.coeffs for t in key)
         index = {t: k for k, t in enumerate(types)}
@@ -113,9 +116,7 @@ def double(ctx: AlgebraContext, sa: Slot = ("a", 2), sb: Slot = ("b", 2)) -> Ham
     coeffs = {((sa, "L"), (sb, "R")): 0.5, ((sa, "R"), (sb, "L")): 0.5}
     act1 = [(sa, "R", 1), (sb, "L", -1)]   # a -> g a,  b -> b g^-1
     act2 = [(sa, "L", -1), (sb, "R", 1)]   # a -> a g^-1,  b -> g b
-    mom1 = ((sa, 1), (sb, 1))
-    mom2 = ((sa, -1), (sb, -1))
-    return HamiltonianQP(ctx, [sa, sb], coeffs, [act1, act2], [mom1, mom2])
+    return HamiltonianQP(ctx, [sa, sb], coeffs, [act1, act2])
 
 
 def fuse(h: HamiltonianQP, p: int = 0, q: int = 1) -> HamiltonianQP:
@@ -131,9 +132,7 @@ def fuse(h: HamiltonianQP, p: int = 0, q: int = 1) -> HamiltonianQP:
             coeffs[key] = coeffs.get(key, 0.0) - 0.5 * c1 * c2
     fused = h.actions[p] + h.actions[q]
     rest = [a for k, a in enumerate(h.actions) if k not in (p, q)]
-    mom = tuple(free_reduce(tuple(h.moments[p]) + tuple(h.moments[q])))
-    moments = [mom] + [h.moments[k] for k in range(len(h.moments)) if k not in (p, q)]
-    return HamiltonianQP(h.ctx, list(h.slots), coeffs, [fused] + rest, moments)
+    return HamiltonianQP(h.ctx, list(h.slots), coeffs, [fused] + rest)
 
 
 def fused_double(ctx: AlgebraContext, sa: Slot = ("c", 1), sb: Slot = ("d", 1)) -> HamiltonianQP:
@@ -144,7 +143,7 @@ def product(h1: HamiltonianQP, h2: HamiltonianQP) -> HamiltonianQP:
     if set(h1.slots) & set(h2.slots):
         raise ValueError("slot clash in product")
     return HamiltonianQP(h1.ctx, h1.slots + h2.slots, {**h1.coeffs, **h2.coeffs},
-                         h1.actions + h2.actions, h1.moments + h2.moments)
+                         h1.actions + h2.actions)
 
 
 def fusion_product(h1: HamiltonianQP, h2: HamiltonianQP) -> HamiltonianQP:
@@ -169,7 +168,7 @@ def build_bivector(spec: SurfaceSpec, ctx: AlgebraContext,
     the results agree up to the splitting-independence theorem (verified in
     tests, not assumed)."""
     if spec.is_disk:
-        return HamiltonianQP(ctx, [], {}, [[]], [()])
+        return HamiltonianQP(ctx, [], {}, [[]])
     hs = [piece_structure(ctx, p.kind, p.index) for p in split_canonical(spec)]
     if order == "left":
         acc = hs[0]
@@ -214,28 +213,36 @@ class WordFunction:
         self.slots = slot_word(self.word)
 
     def gradients(self, m: RepPoint) -> Dict[FieldType, np.ndarray]:
-        """grad_A f for every field type A on the slots of the word.
+        """grad_A f for every field type A on the slots of the word."""
+        return slot_gradients(self.slots, self.obs.var_left, m)
 
-        With Hol = F_0 ... F_{L-1} and Q_t = F_t ... F_{L-1}, a letter t on
-        slot s contributes Ad_{Q_{t+1}} var_left(Hol) to (s, L) and
-        Ad_{Q_t} var_left(Hol) to (s, R); an inverse letter contributes
-        -Ad_{Q_t} var_left(Hol) to (s, L) and -Ad_{Q_{t+1}} var_left(Hol)
-        to (s, R)."""
-        n, dt = m.ctx.n, m.ctx.dtype
-        vals, inv = slot_values(m)
-        q, qi = [np.eye(n, dtype=dt)], [np.eye(n, dtype=dt)]
-        for s, sgn in reversed(self.slots):
-            fac, fac_inv = (vals[s], inv[s]) if sgn == 1 else (inv[s], vals[s])
-            q.append(fac @ q[-1])
-            qi.append(qi[-1] @ fac_inv)
-        var = self.obs.var_left(q[-1])
-        ad = [a @ var @ b for a, b in zip(reversed(q), reversed(qi))]
-        out: Dict[FieldType, np.ndarray] = {}
-        for t, (s, sgn) in enumerate(self.slots):
-            left, right = (ad[t + 1], ad[t]) if sgn == 1 else (-ad[t], -ad[t + 1])
-            out[(s, "L")] = out.get((s, "L"), 0) + left
-            out[(s, "R")] = out.get((s, "R"), 0) + right
-        return out
+
+def slot_gradients(slots: tuple, var_left: Callable,
+                   m: RepPoint) -> Dict[FieldType, np.ndarray]:
+    """grad_A Phi(Hol) for every field type A on a slot word, where
+    var_left(Hol) is the left variation of Phi at Hol, one algebra element
+    or a stack of them.
+
+    With Hol = F_0 ... F_{L-1} and Q_t = F_t ... F_{L-1}, a letter t on
+    slot s contributes Ad_{Q_{t+1}} var_left(Hol) to (s, L) and
+    Ad_{Q_t} var_left(Hol) to (s, R); an inverse letter contributes
+    -Ad_{Q_t} var_left(Hol) to (s, L) and -Ad_{Q_{t+1}} var_left(Hol)
+    to (s, R)."""
+    n, dt = m.ctx.n, m.ctx.dtype
+    vals, inv = slot_values(m)
+    q, qi = [np.eye(n, dtype=dt)], [np.eye(n, dtype=dt)]
+    for s, sgn in reversed(slots):
+        fac, fac_inv = (vals[s], inv[s]) if sgn == 1 else (inv[s], vals[s])
+        q.append(fac @ q[-1])
+        qi.append(qi[-1] @ fac_inv)
+    var = var_left(q[-1])
+    ad = [a @ var @ b for a, b in zip(reversed(q), reversed(qi))]
+    out: Dict[FieldType, np.ndarray] = {}
+    for t, (s, sgn) in enumerate(slots):
+        left, right = (ad[t + 1], ad[t]) if sgn == 1 else (-ad[t], -ad[t + 1])
+        out[(s, "L")] = out.get((s, "L"), 0) + left
+        out[(s, "R")] = out.get((s, "R"), 0) + right
+    return out
 
 
 def bracket_numeric(h: HamiltonianQP, f: WordFunction, g: WordFunction,
@@ -254,19 +261,6 @@ def pair_gradients(h: HamiltonianQP, df: Dict[FieldType, np.ndarray],
     sub = a[np.ix_([index[t] for t in df], [index[t] for t in dg])]
     gf, gg = np.array(list(df.values())), np.array(list(dg.values()))
     return h.ctx.form_sign * np.einsum("ab,a...ij,b...ji->...", sub, gf, gg).real
-
-
-def sharp(h: HamiltonianQP, df: Dict[FieldType, np.ndarray],
-          vals: Dict[Slot, np.ndarray]) -> Dict[Slot, np.ndarray]:
-    """P#(df) as a tangent vector, one matrix per coordinate slot, from the
-    gradients df of WordFunction.gradients: the field B at sum_A A_AB df_A."""
-    index, a = h.skew
-    out = {s: np.zeros((h.ctx.n, h.ctx.n), dtype=h.ctx.dtype) for s in h.slots}
-    if df:
-        ys = np.einsum("ab,a...->b...", a[[index[t] for t in df]], np.array(list(df.values())))
-        for b, k in index.items():
-            out[b[0]] = out[b[0]] + field_value(vals, b, ys[k])
-    return out
 
 
 def action_sigma(h: HamiltonianQP, p: int, x: np.ndarray,
@@ -290,21 +284,22 @@ def chi(h: HamiltonianQP, df: Dict[FieldType, np.ndarray], p: int) -> np.ndarray
 
 
 def verify_moment(h: HamiltonianQP, p: int, f: WordFunction, m: RepPoint) -> dict:
-    """Residual of the moment condition mu*theta(P#df) = -1/2(1+Ad_mu^-1)chi_f
-    for the action slot p, central differences on the left-hand side."""
-    vals, inv = slot_values(m)
+    """Residual of the moment condition at action slot p (the moment of
+    boundary component p + 1), at the point m or at each point of a stack:
+    the left-hand side is sum_k {f, F_k} f_k, with F_k as in the module
+    docstring."""
+    pair = dual_basis(h.ctx)
+    e, fk = np.asarray(pair.e), np.asarray(pair.f)
+
+    def basis(hol):   # every e_k at every point: shape (dim,) + hol.shape
+        return np.broadcast_to(e.reshape(e.shape[:1] + (1,) * (hol.ndim - 2) + e.shape[1:]),
+                               e.shape[:1] + hol.shape)
     df = f.gradients(m)
-    x = sharp(h, df, vals)
-    vplus = {s: vals[s] + FD_STEP * x[s] for s in vals}
-    vminus = {s: vals[s] - FD_STEP * x[s] for s in vals}
-    mu = word_product(h.ctx, h.moments[p], vals, inv)
-    dmu = (word_product(h.ctx, h.moments[p], vplus)
-           - word_product(h.ctx, h.moments[p], vminus)) / (2 * FD_STEP)
-    mu_inv = np.linalg.inv(mu)
-    c = chi(h, df, p)
-    lhs, rhs = mu_inv @ dmu, -0.5 * (c + mu_inv @ c @ mu)
-    res = float(np.max(np.abs(lhs - rhs)))
-    return {"lhs": lhs, "rhs": rhs, "residual": res}
+    dmu = slot_gradients(slot_word(boundary_word(m.spec, p + 1)), basis, m)
+    mu, c = boundary_moment(m, p + 1), chi(h, df, p)
+    rhs = -0.5 * (c + np.linalg.inv(mu) @ c @ mu)
+    lhs = np.tensordot(pair_gradients(h, df, dmu), fk, (0, 0)) if df and dmu else 0 * rhs
+    return {"lhs": lhs, "rhs": rhs, "residual": np.abs(lhs - rhs).max(axis=(-2, -1))}
 
 
 # --- Schouten identity in the GL matrix-entry chart -----------------------

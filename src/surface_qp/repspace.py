@@ -60,17 +60,17 @@ def holonomy(m: RepPoint, w: Word) -> np.ndarray:
     return word_product(m.ctx, w.letters, m.mats, m.inv)
 
 
-def boundary_moment(m: RepPoint, i: int) -> np.ndarray:
-    spec = m.spec
+def boundary_word(spec: SurfaceSpec, i: int) -> Word:
+    """The word whose holonomy is the moment at boundary component i:
+    mu_1 for i = 1 (empty on the disk), B_i^-1 otherwise."""
     if not 1 <= i <= spec.boundary_count:
         raise ValueError("boundary index out of range")
-    if i >= 2:
-        return m.inv["B%d" % i]
-    if spec.is_disk:
-        return np.eye(m.ctx.n, dtype=m.ctx.dtype)
-    w = Word.make(mu1_letters(spec.genus, spec.boundary_count),
-                  spec.genus, spec.boundary_count)
-    return holonomy(m, w)
+    g, b = spec.genus, spec.boundary_count
+    return Word.make(mu1_letters(g, b) if i == 1 else [("B%d" % i, -1)], g, b)
+
+
+def boundary_moment(m: RepPoint, i: int) -> np.ndarray:
+    return holonomy(m, boundary_word(m.spec, i))
 
 
 def act(m: RepPoint, g) -> RepPoint:

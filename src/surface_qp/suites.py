@@ -58,19 +58,24 @@ def suite_qp_identity(n: int = 2, tol: float = 1e-9, mutate: float = 0.0) -> lis
     return out
 
 
-def suite_moment(n: int = 2, tol: float = 1e-6, mutate: float = 0.0) -> list:
+def suite_moment(n: int = 2, tol: float = 1e-12, mutate: float = 0.0) -> list:
     ctx = AlgebraContext("gl", n)
     out = []
     for spec in (SurfaceSpec(0, 2), SurfaceSpec(1, 1), SurfaceSpec(1, 2)):
         h = perturbed(build_bivector(spec, ctx), mutate)
         wa, _ = WORD_PAIRS[(spec.genus, spec.boundary_count)][-1]
-        f = WordFunction(trace_observable(ctx), spec.word(wa))
+        # the trace of a loop is conjugation invariant, so its chi vanishes;
+        # an entry function also checks the right-hand side
+        fs = [("", WordFunction(trace_observable(ctx), spec.word(wa))),
+              (" entry_12", WordFunction(entry_observable(ctx, 0, 1, "re"), spec.word(wa)))]
+        m = random_points(ctx, spec, range(10))
+        res = [[verify_moment(h, p, f, m)["residual"] for _, f in fs]
+               for p in range(spec.boundary_count)]
         for seed in range(10):
-            m = random_point(ctx, spec, seed)
-            for p in range(spec.boundary_count):
-                r = verify_moment(h, p, f, m)["residual"]
-                out.append(fixture_result(
-                    "moment %s mu_%d seed=%d" % (spec, p + 1, seed), r, 0.0, tol))
+            for p, row in enumerate(res):
+                for (label, _), r in zip(fs, row):
+                    out.append(fixture_result("moment %s mu_%d%s seed=%d"
+                                              % (spec, p + 1, label, seed), r[seed], 0.0, tol))
     return out
 
 

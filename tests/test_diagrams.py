@@ -11,7 +11,7 @@ from surface_qp.diagrams import (Crossing, EndpointSign, GeneralPositionError,
                                  algebraic_intersection, diagram_from_word,
                                  intersection_data, realize_pair,
                                  word_of_diagram)
-from surface_qp.geometry import cross, sub
+from surface_qp.geometry import cross, segment_intersection, sub
 from surface_qp.surfaces import SurfaceSpec, polygon_model
 from surface_qp.words import (Word, generator_endpoints, generator_symbols,
                               mu1_letters)
@@ -356,3 +356,106 @@ def test_boxes_meeting_at_a_corner_are_tested():
     db = _one_leg(pm, 1, [("1/8", "1/8"), ("1/2", "1/4")], 0)
     with pytest.raises(GeneralPositionError, match="non-transversal"):
         intersection_data(da, db, pm)
+
+
+# --- crossings from the boundary order of leg ends ------------------------
+
+def _side_key(pm, k, p):
+    """Where point p of side k sits in the ccw boundary order."""
+    v0, v1 = pm.vertices[k], pm.vertices[(k + 1) % pm.n]
+    q, d = sub(p, v0), sub(v1, v0)
+    return (k, 1, q[0] * d[0] + q[1] * d[1])
+
+
+def _corner_key(pm, c, v):
+    """An end at corner c with interior direction v: the corner blown up to
+    an arc, from the incoming side c - 1 (near 0) to side c (near 1)."""
+    e_out = sub(pm.vertices[(c + 1) % pm.n], pm.vertices[c])
+    e_in = sub(pm.vertices[(c - 1) % pm.n], pm.vertices[c])
+    return (c, 0, Fraction(cross(v, e_in), cross(e_out, v) + cross(v, e_in)))
+
+
+def _leg_ends(d, pm):
+    """The boundary keys of the first and the last point of every leg."""
+    out = []
+    for i, leg in enumerate(d.legs):
+        first = (_corner_key(pm, d.start_corner, sub(leg[1], leg[0])) if i == 0
+                 else _side_key(pm, pm.sides[d.sides[i - 1]].partner, leg[0]))
+        last = (_corner_key(pm, d.end_corner, sub(leg[-2], leg[-1]))
+                if i == len(d.legs) - 1 else _side_key(pm, d.sides[i], leg[-1]))
+        out.append((first, last))
+    return out
+
+
+def _interleaving(a, b):
+    """+1 when chord b starts strictly inside chord a's ccw boundary arc from
+    its start to its end and ends outside it, -1 for the reverse, else 0."""
+    (a0, a1), (b0, b1) = a, b
+
+    def inside(x):
+        return a0 < x < a1 if a0 < a1 else (x > a0 or x < a1)
+    return int(inside(b0) and not inside(b1)) - int(inside(b1) and not inside(b0))
+
+
+def _box(leg):
+    xs, ys = [p[0] for p in leg], [p[1] for p in leg]
+    return min(xs), max(xs), min(ys), max(ys)
+
+
+def _crossing_sum(leg_a, leg_b):
+    """The sum of the signs of the interior crossings of two polylines."""
+    total = 0
+    for a0, a1 in zip(leg_a, leg_a[1:]):
+        for b0, b1 in zip(leg_b, leg_b[1:]):
+            hit = segment_intersection(a0, a1, b0, b1)
+            if hit and 0 < hit[0] < 1 and 0 < hit[1] < 1:
+                total += 1 if cross(sub(a1, a0), sub(b1, b0)) > 0 else -1
+    return total
+
+
+def _check_interleaving(pm, da, db):
+    """Per leg pair, the sum of the segment-crossing signs is the interleaving
+    sign of the leg ends; summed by reroute words, the interleaving signs give
+    intersection_data's crossings as a finite map.  Returns the number of
+    leg pairs with a nonzero sign."""
+    data = intersection_data(da, db, pm)
+    pref_a, suf_a = diagrams._leg_prefixes(da, pm)
+    pref_b, suf_b = diagrams._leg_prefixes(db, pm)
+    legs_b = list(zip(_leg_ends(db, pm), db.legs, map(_box, db.legs)))
+    by_words, nonzero = {}, 0
+    for i, (ea, leg_a) in enumerate(zip(_leg_ends(da, pm), da.legs)):
+        axl, axh, ayl, ayh = _box(leg_a)
+        for j, (eb, leg_b, (bxl, bxh, byl, byh)) in enumerate(legs_b):
+            sign = _interleaving(ea, eb)
+            meet = bxl <= axh and axl <= bxh and byl <= ayh and ayl <= byh
+            assert (_crossing_sum(leg_a, leg_b) if meet else 0) == sign, (i, j)
+            if sign:
+                nonzero += 1
+                key = (pref_a[i], suf_a[i], pref_b[j], suf_b[j])
+                by_words[key] = by_words.get(key, 0) + sign
+    from_data = {}
+    for q in data.crossings:
+        key = (q.alpha_prefix, q.alpha_suffix, q.beta_prefix, q.beta_suffix)
+        from_data[key] = from_data.get(key, 0) + q.sign
+    assert ({k: v for k, v in by_words.items() if v}
+            == {k: v for k, v in from_data.items() if v})
+    return nonzero
+
+
+@settings(max_examples=150, deadline=None)
+@given(realized_pair())
+def test_crossings_follow_leg_end_interleaving(case):
+    _check_interleaving(*case)
+
+
+def test_crossings_follow_leg_end_interleaving_on_long_words():
+    # uniform closed words of 16-36 letters
+    rng = random.Random(20130123)
+    nonzero = 0
+    for g in (2, 3, 5):
+        pm = polygon_model(SurfaceSpec(g, g))
+        for seed in range(3):
+            wa, wb = _closed_walk(rng, g, g, 16, 36), _closed_walk(rng, g, g, 16, 36)
+            da, db, _ = realize_pair(wa, wb, pm, seed)
+            nonzero += _check_interleaving(pm, da, db)
+    assert nonzero > 1000, nonzero

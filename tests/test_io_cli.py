@@ -431,7 +431,8 @@ def test_cli_runs_without_scipy_or_sympy(tmp_path):
             ["bracket", "--surface", surface, "--diagram", entries, "--group", "gl"],
             ["bracket", "--surface", surface, "--diagram", diagram, "--group", "u"],
             ["verify", "--suite", "cross-section"],
-            ["verify", "--suite", "goldman"]]
+            ["verify", "--suite", "goldman"],
+            ["verify", "--suite", "moment"]]
     outs = [str(tmp_path / ("report%d.json" % k)) for k in range(len(runs))]
     src = str(Path(surface_qp.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

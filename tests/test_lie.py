@@ -7,11 +7,21 @@ import scipy.linalg
 from surface_qp import repspace
 from surface_qp.lie import (FD_STEP, AlgebraContext, cartan_trivector,
                             dual_basis, entry_observable, expm,
-                            generic_observable, trace_observable,
-                            trivector_reference_tensor)
+                            generic_observable, trace_observable, wedge3_tensor)
 from surface_qp.surfaces import SurfaceSpec
 
 CTXS = [AlgebraContext("gl", 2), AlgebraContext("gl", 3), AlgebraContext("u", 2)]
+
+
+def trivector_reference_tensor(ctx, tv):
+    """phi as an antisymmetric 3-tensor over flattened matrix coordinates
+    (real and imaginary parts stacked); used for basis-independence checks."""
+    def flat(x):
+        x = np.asarray(x, dtype=complex).reshape(-1)
+        return np.concatenate([x.real, x.imag])
+
+    M = np.array([flat(f) for f in tv.pair.f])
+    return wedge3_tensor(np.einsum('ijk,ia,jb,kc->abc', tv.coeffs, M, M, M))
 
 
 def _random_group(ctx, seed):

@@ -4,20 +4,24 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from surface_qp import quasipoisson, suites
 from surface_qp.diagrams import realize_pair
-from surface_qp.lie import (AlgebraContext, cartan_trivector, dual_basis,
+from surface_qp.lie import (FD_STEP, AlgebraContext, cartan_trivector, dual_basis,
                             entry_observable, trace_observable)
 from surface_qp.quasipoisson import (WordFunction, _field_vectors_and_jacs,
                                      bracket_combinatorial, bracket_numeric,
                                      build_bivector, chi, double, field_value,
                                      fused_double, perturbed, schouten_residual,
                                      slot_values, slot_word, verify_moment)
-from surface_qp.repspace import holonomy, random_point, random_points, word_product
-from surface_qp.suites import WORD_PAIRS, _observable_pairs
+from surface_qp.repspace import (boundary_word, holonomy, random_point,
+                                 random_points, word_product)
+from surface_qp.suites import WORD_PAIRS, _observable_pairs, run_suite
 from surface_qp.surfaces import SurfaceSpec, polygon_model
 
 GL2 = AlgebraContext("gl", 2)
+GL3 = AlgebraContext("gl", 3)
 U2 = AlgebraContext("u", 2)
+U3 = AlgebraContext("u", 3)
 SPECS = [SurfaceSpec(0, 2), SurfaceSpec(1, 1), SurfaceSpec(0, 3), SurfaceSpec(1, 2)]
 
 
@@ -40,6 +44,31 @@ def crossing_term(phi, w_alpha, psi, w_beta, q, m, variant="primary"):
     # gamma = alpha^-1 *_q beta^-1: reversed prefix of the other halves
     g = q.alpha_suffix.inverse().concat(q.beta_prefix.inverse())
     return _conjugated_form(m, g, phi.var_left(ha), psi.var_right(hb))
+
+
+def sharp(h, df, vals):
+    """P#(df) as a tangent vector, one matrix per coordinate slot: the field
+    B at sum_A A_AB df_A, from the gradients df of WordFunction.gradients."""
+    index, a = h.skew
+    out = {s: np.zeros((h.ctx.n, h.ctx.n), dtype=h.ctx.dtype) for s in h.slots}
+    for b, k in index.items():
+        y = np.zeros((h.ctx.n, h.ctx.n), dtype=h.ctx.dtype)
+        for t, grad in df.items():
+            y = y + a[index[t], k] * grad
+        out[b[0]] = out[b[0]] + field_value(vals, b, y)
+    return out
+
+
+def moment_lhs_reference(h, p, f, m):
+    """mu^-1 dmu(P#df) for the moment of boundary component p + 1: a central
+    difference of the boundary word's product along sharp(df)."""
+    vals, inv = slot_values(m)
+    x = sharp(h, f.gradients(m), vals)
+    word = slot_word(boundary_word(m.spec, p + 1))
+    ends = [word_product(m.ctx, word, {s: vals[s] + t * x[s] for s in vals})
+            for t in (FD_STEP, -FD_STEP)]
+    mu = word_product(m.ctx, word, vals, inv)
+    return np.linalg.inv(mu) @ (ends[0] - ends[1]) / (2 * FD_STEP)
 
 
 def _field_vector_and_jac(a, x, vals, n):
@@ -165,6 +194,14 @@ def test_stacked_brackets_equal_per_point(spec, n, kind):
             for k, m in enumerate(points):
                 assert _close(num[k], bracket_numeric(h, f, g, m))
                 assert _close(comb[k], bracket_combinatorial(oa, wa, ob, wb, data, m))
+            for p in range(spec.boundary_count):
+                got = verify_moment(h, p, f, stack)
+                assert got["residual"].shape == (len(seeds),)
+                for k, m in enumerate(points):
+                    one = verify_moment(h, p, f, m)
+                    for side in ("lhs", "rhs"):
+                        assert np.max(np.abs(got[side][k] - one[side])) <= 1e-14 * max(
+                            1.0, np.max(np.abs(one[side])))
 
 
 def test_double_self_bracket_closed_form():
@@ -216,7 +253,69 @@ def test_moment_condition(kind):
     m = random_point(GL2, spec, 4)
     f = WordFunction(entry_observable(GL2, 0, 0, "re"), spec.word(text))
     for p in range(len(h.actions)):
-        assert verify_moment(h, p, f, m)["residual"] < 1e-6
+        assert verify_moment(h, p, f, m)["residual"] < 1e-12
+
+
+@pytest.mark.parametrize("ctx", [GL2, GL3, U2, U3], ids=str)
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+def test_moment_lhs_matches_finite_differences(spec, ctx):
+    # the pairing with the dual basis against the central difference of the
+    # moment along sharp(df)
+    h = build_bivector(spec, ctx)
+    ta, _ = WORD_PAIRS[(spec.genus, spec.boundary_count)][-1]
+    f = WordFunction(entry_observable(ctx, 0, 1, "re"), spec.word(ta))
+    m = random_point(ctx, spec, 4)
+    lhs = [verify_moment(h, p, f, m)["lhs"] for p in range(spec.boundary_count)]
+    for p, got in enumerate(lhs):
+        assert np.max(np.abs(got - moment_lhs_reference(h, p, f, m))) <= 1e-8
+    assert max(np.max(np.abs(x)) for x in lhs) > 1e-2
+
+
+@pytest.mark.parametrize("kind", ["gl", "u"])
+@pytest.mark.parametrize("spec,text", [
+    (SurfaceSpec(2, 2), "A2 B2 A2' C1 D2 C2'"),
+    (SurfaceSpec(3, 3), "A3 B3' A3' C2 D3 A2 B2 A2' C1"),
+], ids=["g2b2", "g3b3"])
+def test_moment_condition_after_iterated_fusion(spec, text, kind):
+    ctx = AlgebraContext(kind, 3)
+    f = WordFunction(entry_observable(ctx, 0, 1, "re"), spec.word(text))
+    for order in ("left", "right"):
+        h = build_bivector(spec, ctx, order)
+        for seed in (0, 1):
+            m = random_point(ctx, spec, seed)
+            for p in range(spec.boundary_count):
+                assert verify_moment(h, p, f, m)["residual"] <= 1e-12
+
+
+def _perturbed_bivector(monkeypatch):
+    real = suites.build_bivector
+    monkeypatch.setattr(suites, "build_bivector",
+                        lambda spec, ctx, **kw: perturbed(real(spec, ctx, **kw), 1e-6))
+
+
+def _chi_negated(monkeypatch):
+    real = quasipoisson.chi
+    monkeypatch.setattr(quasipoisson, "chi", lambda h, df, p: -real(h, df, p))
+
+
+def _ad_mu_for_ad_mu_inv(monkeypatch):
+    # verify_moment reads mu only for Ad_mu^-1 on the right-hand side, so
+    # handing it mu^-1 turns that into Ad_mu
+    real = quasipoisson.boundary_moment
+    monkeypatch.setattr(quasipoisson, "boundary_moment",
+                        lambda m, i: np.linalg.inv(real(m, i)))
+
+
+MOMENT_MUTANTS = {"perturbed 1e-6": _perturbed_bivector,
+                  "chi negated": _chi_negated,
+                  "Ad_mu for Ad_mu^-1": _ad_mu_for_ad_mu_inv}
+
+
+@pytest.mark.parametrize("mutant", sorted(MOMENT_MUTANTS))
+def test_moment_suite_fails_under_mutant(mutant, monkeypatch):
+    assert all(r["pass"] for r in run_suite("moment", n=2))
+    MOMENT_MUTANTS[mutant](monkeypatch)
+    assert not all(r["pass"] for r in run_suite("moment", n=2))
 
 
 def test_chi_vanishes_without_incidence():
