@@ -7,7 +7,8 @@
 
 A fixture passes when its residual is at most its tolerance; --tol replaces
 the main tolerance of the bracket or suite, so --tol 0 asks for exact
-agreement.  The cross-section suite always runs U(2) and U(3).
+agreement.  The cross-section suite ignores --n: its Theta identity runs at
+U(2) and U(3), its route fixtures at U(2) only.
 
 For GL entry observables at an exact point the bracket report also carries
 the symbolic normal form, and passes only when its exact value is within the

@@ -23,17 +23,18 @@ FD_STEP = 1e-5   # central-difference step of generic_observable, the tests' ref
 
 
 def expm(x: np.ndarray) -> np.ndarray:
-    """exp(x) by scaling and squaring: the degree-14 Taylor polynomial of
-    y = x / 2^s, squared s times.  s makes the 1-norm of y below 1/2, where
+    """exp(x) by scaling and squaring, of one matrix or of each matrix of a
+    stack: the degree-14 Taylor polynomial of y = x / 2^s, squared s times.
+    Each matrix takes the s that makes the 1-norm of its y below 1/2, where
     the remainder of the polynomial is below 2^-53 relative."""
-    s = max(math.frexp(float(np.abs(x).sum(axis=0).max()))[1] + 1, 0)
-    y = x / 2.0 ** s
-    out = term = np.eye(len(x), dtype=x.dtype)
+    s = np.maximum(np.frexp(np.abs(x).sum(axis=-2).max(axis=-1))[1] + 1, 0)
+    y = x / (2.0 ** s)[..., None, None]
+    out = term = np.eye(x.shape[-1], dtype=x.dtype)
     for k in range(1, 15):
         term = term @ y / k
         out = out + term
-    for _ in range(s):
-        out = out @ out
+    for j in range(int(s.max())):
+        out = np.where((s > j)[..., None, None], out @ out, out)
     return out
 
 
@@ -70,11 +71,11 @@ class AlgebraContext:
         g = np.asarray(g, dtype=self.dtype)
         if g.ndim not in (2, 3) or g.shape[-2:] != (self.n, self.n):
             raise ValueError("wrong matrix shape")
-        _require(np.isfinite(g).all(axis=(-2, -1)), "matrix has non-finite entries")
-        _require(np.abs(np.linalg.det(g)) > TOL_INV, "matrix not invertible within tolerance")
+        require(np.isfinite(g).all(axis=(-2, -1)), "matrix has non-finite entries")
+        require(np.abs(np.linalg.det(g)) > TOL_INV, "matrix not invertible within tolerance")
         if self.kind == "u":
             dev = np.abs(g.swapaxes(-1, -2).conj() @ g - np.eye(self.n)).max(axis=(-2, -1))
-            _require(dev <= 1e-8, "matrix not unitary within tolerance")
+            require(dev <= 1e-8, "matrix not unitary within tolerance")
         return g
 
     def project_gradient(self, m: np.ndarray) -> np.ndarray:
@@ -85,11 +86,12 @@ class AlgebraContext:
         return (m.swapaxes(-1, -2).conj() - m) / 2.0
 
 
-def _require(ok, message: str):
-    """Raise message unless ok, a bool or one per matrix of a stack, holds."""
+def require(ok, message: str, error=ValueError):
+    """Raise error(message) unless ok, a bool or one per matrix of a stack,
+    holds; for a stack the message names the first failing index."""
     if not np.all(ok):
-        raise ValueError(message if np.ndim(ok) == 0
-                         else "%s at stack index %d" % (message, np.argmin(ok)))
+        raise error(message if np.ndim(ok) == 0
+                    else "%s at stack index %d" % (message, np.argmin(ok)))
 
 
 def _basis_elem(n, p, q, dtype=float):

@@ -15,6 +15,8 @@ from .words import Word, generator_endpoints, generator_symbols, mu1_letters
 
 _K_MAX = 1 << 20         # a GL entry draws k in [-_K_MAX, _K_MAX]
 _GL_DEN = 10 * _K_MAX    # and is (_GL_DEN * delta_ij + 3k) / _GL_DEN
+_GL_MIN_DET = 0.1        # a GL candidate with |det| at most this is redrawn,
+_GL_TRIES = 64           # up to this many candidates per generator
 
 
 @dataclass(frozen=True)
@@ -87,46 +89,60 @@ def act(m: RepPoint, g) -> RepPoint:
     return RepPoint(m.ctx, m.spec, out)
 
 
-def _random_gl(ctx: AlgebraContext, rng) -> np.ndarray:
-    """Dyadic-rational GL_n sample I + 0.3 * uniform[-1,1] entries, as the
-    integer numerators over _GL_DEN."""
+def _random_gl(ctx: AlgebraContext, rng, count: int) -> np.ndarray:
+    """count dyadic-rational GL_n samples I + 0.3 * uniform[-1,1] entries, as
+    the integer numerators over _GL_DEN, stacked.  The candidates form one
+    stream, drawn for all unserved generators at once: each generator takes
+    the next candidate with |det| > _GL_MIN_DET, within _GL_TRIES of its
+    own, so the stream is the one that per-generator draws consume."""
     n = ctx.n
-    for _ in range(64):
-        k = rng.integers(-_K_MAX, _K_MAX + 1, (n, n))
-        num = _GL_DEN * np.eye(n, dtype=np.int64) + 3 * k
-        if abs(np.linalg.det(num / _GL_DEN)) > 0.1:
-            return num
-    raise ValueError("resampling budget exhausted")
+    eye = _GL_DEN * np.eye(n, dtype=np.int64)
+    nums, served, tries = [], 0, 0
+    while served < count:
+        cand = eye + 3 * rng.integers(-_K_MAX, _K_MAX + 1, (count - served, n, n))
+        ok = np.abs(np.linalg.det(cand / _GL_DEN)) > _GL_MIN_DET
+        for good in ok.tolist():
+            tries = 0 if good else tries + 1
+            if tries == _GL_TRIES:
+                raise ValueError("resampling budget exhausted")
+        nums.append(cand[ok])
+        served += int(ok.sum())
+    return np.concatenate(nums)
 
 
-def _random_u(ctx: AlgebraContext, rng) -> np.ndarray:
-    n = ctx.n
-    a = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
-    return expm((a - a.conj().T) / 4.0)
+def _random_u_log(ctx: AlgebraContext, rng, count: int) -> np.ndarray:
+    """count anti-Hermitian (a - a^*) / 4, a with uniform[-1,1] real and
+    imaginary parts, stacked: the logarithms of U samples.  One draw holds
+    both parts of every sample."""
+    a = rng.uniform(-1, 1, (count, 2, ctx.n, ctx.n))
+    a = a[:, 0] + 1j * a[:, 1]
+    return (a - a.conj().swapaxes(-1, -2)) / 4.0
 
 
-def _sample(ctx: AlgebraContext, spec: SurfaceSpec, seed: int) -> tuple:
-    """The matrices at one seed, and for GL their numerators over _GL_DEN."""
+def _draw(ctx: AlgebraContext, spec: SurfaceSpec, seed: int) -> np.ndarray:
+    """The draws of one seed, stacked in generator order: for GL the
+    numerators over _GL_DEN, for U the logarithms."""
     rng = np.random.default_rng(seed)
-    mats, nums = {}, {}
-    for sym in generator_symbols(spec.genus, spec.boundary_count):
-        if ctx.kind == "gl":
-            nums[sym] = _random_gl(ctx, rng)
-            mats[sym] = nums[sym] / _GL_DEN
-        else:
-            mats[sym] = _random_u(ctx, rng)
-    return mats, nums if ctx.kind == "gl" else None
+    count = len(generator_symbols(spec.genus, spec.boundary_count))
+    return (_random_gl if ctx.kind == "gl" else _random_u_log)(ctx, rng, count)
+
+
+def _matrices(ctx: AlgebraContext, draws: np.ndarray) -> np.ndarray:
+    """The group elements of a stack of draws, of any leading shape."""
+    return draws / _GL_DEN if ctx.kind == "gl" else expm(draws)
 
 
 def random_point(ctx: AlgebraContext, spec: SurfaceSpec, seed: int) -> RepPoint:
-    mats, nums = _sample(ctx, spec, seed)
-    exact = None if nums is None else {
+    syms = generator_symbols(spec.genus, spec.boundary_count)
+    draws = _draw(ctx, spec, seed)
+    exact = None if ctx.kind != "gl" else {
         sym: tuple(tuple(Fraction(int(x), _GL_DEN) for x in row) for row in num)
-        for sym, num in nums.items()}
-    return RepPoint(ctx, spec, mats, exact)
+        for sym, num in zip(syms, draws)}
+    return RepPoint(ctx, spec, dict(zip(syms, _matrices(ctx, draws))), exact)
 
 
 def random_points(ctx: AlgebraContext, spec: SurfaceSpec, seeds: Iterable[int]) -> RepPoint:
     """The points random_point draws at each seed, as one stacked point."""
-    samples = [_sample(ctx, spec, seed)[0] for seed in seeds]
-    return RepPoint(ctx, spec, {s: np.array([d[s] for d in samples]) for s in samples[0]})
+    draws = np.array([_draw(ctx, spec, seed) for seed in seeds])   # (S, G, n, n)
+    mats = _matrices(ctx, draws.swapaxes(0, 1).copy())
+    return RepPoint(ctx, spec, dict(zip(generator_symbols(spec.genus, spec.boundary_count), mats)))

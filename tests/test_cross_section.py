@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from surface_qp.cross_section import (RegularityError, ad_cayley_apply,
+from surface_qp import cross_section as cx
+from surface_qp.cross_section import (RegularityError, _offdiag_kernel, ad_cayley_apply,
                                       bracket_cross, bracket_cross_numeric,
-                                      proj_offdiag,
+                                      perp_correction, proj_offdiag,
                                       project_to_cross_section, theta_apply,
                                       theta_matrix)
 from surface_qp.lie import (AlgebraContext, dual_basis, entry_observable,
                             trace_observable)
 from surface_qp.quasipoisson import WordFunction, bracket_numeric, build_bivector
-from surface_qp.repspace import RepPoint, boundary_moment, holonomy, random_point
+from surface_qp.repspace import (RepPoint, boundary_moment, holonomy, random_point,
+                                 random_points)
+from surface_qp.suites import WORD_PAIRS, run_suite
 from surface_qp.surfaces import SurfaceSpec, polygon_model
 from surface_qp.diagrams import realize_pair
 
@@ -217,3 +220,72 @@ def test_torus_action_preserves_restricted_bracket():
     a = bracket_cross_numeric(h, f, g, cs)
     b = bracket_cross_numeric(h, f, g, cs2)
     assert a == pytest.approx(b, abs=1e-8)
+
+
+def _close(got, want):
+    """Stacked against per-point values, relative to max(1, |v|)."""
+    want = np.asarray(want)
+    return np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)), initial=0.0) <= 1e-14
+
+
+@pytest.mark.parametrize("ctx", [U2, U3], ids=["u2", "u3"])
+@pytest.mark.parametrize("gb", sorted(WORD_PAIRS), ids=lambda gb: "g%db%d" % gb)
+def test_stacked_cross_section_equals_per_point(ctx, gb):
+    spec = SurfaceSpec(*gb)
+    pm = polygon_model(spec)
+    h = build_bivector(spec, ctx)
+    seeds = range(4)
+    cs = project_to_cross_section(random_points(ctx, spec, seeds))
+    single = [project_to_cross_section(random_point(ctx, spec, seed)) for seed in seeds]
+    for i in range(spec.boundary_count):
+        assert _close(cs.mus[i], [c.mus[i] for c in single])
+        assert _close(cs.gaps[i], [c.gaps[i] for c in single])
+        for transpose in (False, True):
+            assert _close(theta_matrix(ctx, cs.mus[i], transpose),
+                          [theta_matrix(ctx, c.mus[i], transpose) for c in single])
+    tr, ea, eb = (trace_observable(ctx), entry_observable(ctx, 0, 1, "re"),
+                  entry_observable(ctx, 1, 0, "re"))
+    for ta, tb in WORD_PAIRS[gb]:
+        wa, wb = spec.word(ta), spec.word(tb)
+        _, _, data = realize_pair(wa, wb, pm, 1)
+        for oa, ob in ((tr, eb), (ea, eb)):   # trace|entry and entry|entry
+            f, g = WordFunction(oa, wa), WordFunction(ob, wb)
+            df, dg = f.gradients(cs.m), g.gradients(cs.m)
+            assert _close(perp_correction(h, df, dg, cs),
+                          [perp_correction(h, f.gradients(c.m), g.gradients(c.m), c)
+                           for c in single])
+            assert _close(bracket_cross(oa, wa, ob, wb, data, cs),
+                          [bracket_cross(oa, wa, ob, wb, data, c) for c in single])
+            assert _close(bracket_cross_numeric(h, f, g, cs),
+                          [bracket_cross_numeric(h, f, g, c) for c in single])
+
+
+def test_stack_with_one_irregular_moment_names_its_index():
+    # a repeated phase at one point of a stack: the kernel of Theta and the
+    # projection both name that point
+    hs = np.array([_diag_unitary(U3, seed) for seed in range(5)])
+    hs[2] = np.diag(np.exp(1j * np.array([0.4, 0.4, 2.0])))
+    with pytest.raises(RegularityError, match="at stack index 2"):
+        _offdiag_kernel(hs, lambda r: r)
+    with pytest.raises(RegularityError, match="at stack index 2"):
+        theta_matrix(U3, hs)
+    m = random_points(U2, SurfaceSpec(1, 1), range(5))
+    mats = dict(m.mats)
+    mats["C1"] = mats["C1"].copy()
+    mats["C1"][3] = np.eye(2)   # the moment C1 D1 C1^-1 D1^-1 is then 1
+    with pytest.raises(RegularityError, match="at stack index 3"):
+        project_to_cross_section(RepPoint(U2, m.spec, mats))
+
+
+def test_cross_section_suite_makes_one_stacked_call_per_surface(monkeypatch):
+    # the Theta identity takes one theta_matrix pair per n and the routes one
+    # projection per surface, over all seeds at once
+    calls = {"project_to_cross_section": 0, "theta_matrix": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(cx, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cx, name, counted)
+    fixtures = run_suite("cross-section")
+    assert all(fx["pass"] for fx in fixtures) and len(fixtures) == 22
+    assert calls == {"project_to_cross_section": 2, "theta_matrix": 4}

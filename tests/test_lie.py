@@ -45,8 +45,8 @@ def _random_alg(ctx, seed):
 def test_expm_matches_scipy_on_sampler_inputs(n, monkeypatch):
     seen = []
 
-    def recording(x):
-        seen.append(x)
+    def recording(x):   # the sampler exponentiates a seed's generators as one stack
+        seen.extend(x)
         return expm(x)
 
     monkeypatch.setattr(repspace, "expm", recording)
@@ -55,6 +55,18 @@ def test_expm_matches_scipy_on_sampler_inputs(n, monkeypatch):
     assert len(seen) == 80
     for x in seen:
         assert np.max(np.abs(expm(x) - scipy.linalg.expm(x))) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_expm_of_a_stack_is_expm_of_each_matrix(n):
+    # anti-Hermitian at scales 2^-4 to 2^7: each matrix takes its own number
+    # of squarings, and none overflows
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-1, 1, (12, n, n)) + 1j * rng.uniform(-1, 1, (12, n, n))
+    x = (x - x.conj().swapaxes(-1, -2)) * 2.0 ** np.arange(-4, 8)[:, None, None]
+    got = expm(x)
+    for xi, gi in zip(x, got):
+        assert gi.tobytes() == expm(xi).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["gl", "u"])

@@ -5,8 +5,9 @@ import pytest
 
 from surface_qp.lie import AlgebraContext, entry_observable, expm
 from surface_qp.quasipoisson import WordFunction, build_bivector, chi
-from surface_qp.repspace import (RepPoint, _random_gl, act, boundary_moment, holonomy,
-                                 random_point, random_points)
+from surface_qp import repspace
+from surface_qp.repspace import (RepPoint, _random_gl, _random_u_log, act, boundary_moment,
+                                 holonomy, random_point, random_points)
 from surface_qp.surfaces import SurfaceSpec
 from surface_qp.words import generator_symbols
 
@@ -152,35 +153,88 @@ def test_chi_matches_action_derivative(ctx, g, b, text):
         assert (np.max(np.abs(c)) > 1e-6) == (i in (w.source, w.target))
 
 
-def _per_entry_gl(n, rng):
-    """The GL sampler as first written, one draw per entry: the reference
-    that the vectorized sampler reproduces bit for bit."""
+def _per_entry_gl(n, rng, min_det=0.1):
+    """The GL sampler as first written, one draw per entry and generator:
+    the reference that the batched sampler reproduces bit for bit.  Returns
+    the matrix, its exact copy and the number of candidates rejected."""
     den = 1 << 20
-    for _ in range(64):
+    for tries in range(64):
         ex = tuple(tuple(
             Fraction(10 * den * (i == j) + 3 * int(rng.integers(-den, den + 1)), 10 * den)
             for j in range(n)) for i in range(n))
         mat = np.array([[float(x) for x in row] for row in ex])
-        if abs(np.linalg.det(mat)) > 0.1:
-            return mat, ex
+        if abs(np.linalg.det(mat)) > min_det:
+            return mat, ex, tries
     raise ValueError("resampling budget exhausted")
+
+
+def _check_gl_sampler(ctx, spec, seeds, min_det=0.1):
+    """Compare random_point and random_points with the per-entry reference
+    on every seed; return the number of candidates the reference rejected
+    at each seed."""
+    syms = generator_symbols(spec.genus, spec.boundary_count)
+    stack = random_points(ctx, spec, seeds)
+    rejected = [0] * len(seeds)
+    for k, seed in enumerate(seeds):
+        ref_rng = np.random.default_rng(seed)
+        ref = [_per_entry_gl(ctx.n, ref_rng, min_det) for _ in syms]
+        m = random_point(ctx, spec, seed)
+        for sym, (mat, ex, tries) in zip(syms, ref):
+            assert m.mats[sym].tobytes() == mat.tobytes()
+            assert stack.mats[sym][k].tobytes() == mat.tobytes()
+            assert m.exact[sym] == ex
+            rejected[k] += tries
+        rng = np.random.default_rng(seed)
+        _random_gl(ctx, rng, len(syms))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return rejected
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_gl_sampler_matches_per_entry_reference(n):
+    # Sigma_5,5 has 18 generators, the size of the ambient-large workload
     ctx = AlgebraContext("gl", n)
-    spec = SurfaceSpec(1, 2)
-    syms = generator_symbols(1, 2)
-    for seed in range(40):
-        ref_rng = np.random.default_rng(seed)
-        ref = [_per_entry_gl(n, ref_rng) for _ in syms]
-        m = random_point(ctx, spec, seed)
-        stack = random_points(ctx, spec, [seed])
-        for sym, (mat, ex) in zip(syms, ref):
-            assert m.mats[sym].tobytes() == mat.tobytes()
-            assert stack.mats[sym][0].tobytes() == mat.tobytes()
-            assert m.exact[sym] == ex
+    _check_gl_sampler(ctx, SurfaceSpec(1, 2), range(40))
+    _check_gl_sampler(ctx, SurfaceSpec(5, 5), range(10))
+
+
+@pytest.mark.parametrize("n,spec,floor", [
+    (2, SurfaceSpec(1, 2), 1.0), (3, SurfaceSpec(1, 2), 1.0), (4, SurfaceSpec(1, 2), 1.0),
+    (2, SurfaceSpec(5, 5), 1.3)], ids=["n2", "n3", "n4", "n2-18-generators"])
+def test_gl_sampler_rejection_path_matches_reference(n, spec, floor, monkeypatch):
+    # at the default floor of 0.1 no candidate is ever rejected; a floor of 1
+    # rejects about half of them, so generators are served out of one batch
+    # and the redraws cover only the unserved ones.  At 1.3 a seed of 18
+    # generators rejects more than the 64 tries of one generator in all, so
+    # a budget shared by the generators of a seed would run out
+    monkeypatch.setattr(repspace, "_GL_MIN_DET", floor)
+    seeds = range(20 if spec.genus < 5 else 3)
+    rejected = _check_gl_sampler(AlgebraContext("gl", n), spec, seeds, floor)
+    assert sum(rejected) > 20 and (spec.genus < 5 or max(rejected) > 64)
+
+
+def test_gl_sampler_gives_up_after_its_budget(monkeypatch):
+    monkeypatch.setattr(repspace, "_GL_MIN_DET", 1e9)
+    with pytest.raises(ValueError, match="resampling budget exhausted"):
+        random_point(GL2, SurfaceSpec(1, 1), 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("spec", [SurfaceSpec(1, 2), SurfaceSpec(5, 5)], ids=["g1b2", "g5b5"])
+def test_u_sampler_matches_per_generator_draws(n, spec):
+    # two (n, n) draws per generator, real then imaginary part, each
+    # exponentiated alone
+    ctx = AlgebraContext("u", n)
+    syms = generator_symbols(spec.genus, spec.boundary_count)
+    stack = random_points(ctx, spec, range(10))
+    for seed in range(10):
         rng = np.random.default_rng(seed)
-        for _ in syms:
-            _random_gl(ctx, rng)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        m = random_point(ctx, spec, seed)
+        for sym in syms:
+            a = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+            want = expm((a - a.conj().T) / 4.0)
+            assert m.mats[sym].tobytes() == want.tobytes()
+            assert stack.mats[sym][seed].tobytes() == want.tobytes()
+        state = np.random.default_rng(seed)
+        _random_u_log(ctx, state, len(syms))
+        assert state.bit_generator.state == rng.bit_generator.state
