@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,16 +66,20 @@ class AlgebraContext:
         """<x, y> over the last two axes, broadcast over the leading ones."""
         return self.form_sign * np.einsum("...ij,...ji->...", x, y).real
 
-    def check_group_element(self, g: np.ndarray):
-        """Check one matrix or an (S, n, n) stack, naming a failing index."""
+    def check_group_element(self, g: np.ndarray, names: Optional[Sequence[str]] = None):
+        """Check one matrix or an (S, n, n) stack, naming a failing index.
+        With names, g holds one of these per name along a new first axis,
+        and a failure also names the first failing matrix's name."""
         g = np.asarray(g, dtype=self.dtype)
-        if g.ndim not in (2, 3) or g.shape[-2:] != (self.n, self.n):
+        if g.ndim - (names is not None) not in (2, 3) or g.shape[-2:] != (self.n, self.n):
             raise ValueError("wrong matrix shape")
-        require(np.isfinite(g).all(axis=(-2, -1)), "matrix has non-finite entries")
-        require(np.abs(np.linalg.det(g)) > TOL_INV, "matrix not invertible within tolerance")
+        require(np.isfinite(g).all(axis=(-2, -1)), "matrix has non-finite entries",
+                names=names)
+        require(np.abs(np.linalg.det(g)) > TOL_INV, "matrix not invertible within tolerance",
+                names=names)
         if self.kind == "u":
             dev = np.abs(g.swapaxes(-1, -2).conj() @ g - np.eye(self.n)).max(axis=(-2, -1))
-            require(dev <= 1e-8, "matrix not unitary within tolerance")
+            require(dev <= 1e-8, "matrix not unitary within tolerance", names=names)
         return g
 
     def project_gradient(self, m: np.ndarray) -> np.ndarray:
@@ -86,12 +90,17 @@ class AlgebraContext:
         return (m.swapaxes(-1, -2).conj() - m) / 2.0
 
 
-def require(ok, message: str, error=ValueError):
+def require(ok, message: str, error=ValueError, names: Optional[Sequence[str]] = None):
     """Raise error(message) unless ok, a bool or one per matrix of a stack,
-    holds; for a stack the message names the first failing index."""
+    holds; for a stack the message names the first failing index.  With
+    names, the first axis of ok runs over them and the message starts with
+    the failing name."""
     if not np.all(ok):
-        raise error(message if np.ndim(ok) == 0
-                    else "%s at stack index %d" % (message, np.argmin(ok)))
+        ok = np.asarray(ok)
+        index = np.unravel_index(np.argmin(ok), ok.shape)
+        if names is not None:
+            message, index = "%s: %s" % (names[index[0]], message), index[1:]
+        raise error(message if not index else "%s at stack index %d" % (message, index[0]))
 
 
 def _basis_elem(n, p, q, dtype=float):
@@ -208,11 +217,16 @@ def generic_observable(ctx: AlgebraContext, fn: Callable) -> Observable:
 @dataclass(frozen=True)
 class CartanTrivector:
     """phi = sum_{ijk} coeffs[i,j,k] f_i (wedge) f_j (wedge) f_k, wedges in the
-    evaluation convention (no 1/k! factors); coeffs = (1/12)<e_i,[e_j,e_k]>."""
+    evaluation convention (no 1/k! factors); coeffs = (1/12)<e_i,[e_j,e_k]>,
+    alternating in (i, j, k)."""
     coeffs: np.ndarray
     pair: DualBasisPair
 
+    def __post_init__(self):
+        self.coeffs.setflags(write=False)   # shared: one per context
 
+
+@lru_cache(maxsize=None)
 def cartan_trivector(ctx: AlgebraContext) -> CartanTrivector:
     pair = dual_basis(ctx)
     g = pair.gram(ctx)
@@ -223,17 +237,3 @@ def cartan_trivector(ctx: AlgebraContext) -> CartanTrivector:
     t = np.einsum("iab,jbc,kca->ijk", e, e, e, optimize=True)
     w = ctx.form_sign * (t - t.transpose(0, 2, 1)).real / 12.0
     return CartanTrivector(w, pair)
-
-
-_SIGNED_PERMS = [
-    ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-    ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1),
-]
-
-
-def wedge3_tensor(G: np.ndarray) -> np.ndarray:
-    """Antisymmetrize a contracted product tensor over its three slots."""
-    out = np.zeros_like(G)
-    for perm, sgn in _SIGNED_PERMS:
-        out += sgn * np.transpose(G, perm)
-    return out

@@ -31,8 +31,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .diagrams import IntersectionData
-from .lie import (AlgebraContext, Observable, cartan_trivector, dual_basis,
-                  wedge3_tensor)
+from .lie import AlgebraContext, Observable, cartan_trivector, dual_basis
 from .repspace import RepPoint, boundary_moment, boundary_word, holonomy
 from .surfaces import SurfaceSpec, split_canonical
 from .words import Word, free_reduce, invert
@@ -306,59 +305,99 @@ def verify_moment(h: HamiltonianQP, p: int, f: WordFunction, m: RepPoint) -> dic
 
 def _field_vectors_and_jacs(a: FieldType, x: np.ndarray, vals, n):
     """Entries of the fields a(x_k) on their own slot, one row per matrix of
-    the (d, n, n) stack x, and their Jacobians in that slot's entries:
-    d(g x)/dg = I (x) x^T, d(x g)/dg = x (x) I (row-major)."""
+    the (d, n, n) stack x (with a leading axis per point of a stack of slot
+    values), and their Jacobians in that slot's entries, which depend on x
+    alone: d(g x)/dg = I (x) x^T, d(x g)/dg = x (x) I (row-major)."""
     x = np.real(x)
-    vec = np.real(field_value(vals, a, x)).reshape(len(x), -1)
+    vec = np.real(field_value(vals, a, x))
     jac = (np.einsum("pr,ktq->kpqrt", np.eye(n), x) if a[1] == "L"
            else np.einsum("kpr,qt->kpqrt", x, np.eye(n)))
-    return vec, jac.reshape(len(x), n * n, n * n)
+    return vec.reshape(vec.shape[:-2] + (n * n,)), jac.reshape(len(x), n * n, n * n)
+
+
+def _jacobiator(pi: np.ndarray, dpi: np.ndarray) -> np.ndarray:
+    """[P, P] = 2 (T[a, b, c] + T[b, c, a] + T[c, a, b]) over a stack of Pi
+    and dpi, with T[a, b, c] = sum_d Pi[a, d] dpi[d, b, c] as one (a, d) x
+    (d, c) product per b: products this small stay on one BLAS thread."""
+    t = (2.0 * pi[:, None] @ dpi.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)   # 2 T
+    jac = t + t.transpose(0, 3, 1, 2)
+    jac += t.transpose(0, 2, 3, 1)
+    return jac
 
 
 def schouten_residual(h: HamiltonianQP, m: RepPoint) -> dict:
     """Componentwise residual of [P,P] = rho_phi in the matrix-entry chart
-    (GL contexts only); a check of a perturbed(h, ...) copy shows that the
-    identity is sensitive.  Pi and dpi[d, a, b] = d_d Pi^{ab} take one
-    contraction per coefficient over the stacked dual pair (e, f)."""
+    (GL contexts only), at the point m or at each point of a stack; a check
+    of a perturbed(h, ...) copy shows that the identity is sensitive.
+
+    Pi and dpi[d, a, b] = d_d Pi^{ab} take one contraction per coefficient
+    over the stacked dual pair (e, f).  The Jacobiator is one product
+    T = Pi . dpi plus its two cyclic index permutations.  The Cartan
+    coefficients are alternating, so each contracted g_p is too, and its
+    wedge is 6 g_p: rho_phi = -6 sum_p g_p, one product over the rows of all
+    action slots p.  For a stack every array gains a leading axis and
+    residual is one value per point, a float for a point."""
     if h.ctx.kind != "gl":
         raise ValueError("the entry chart requires the GL context")
     tv = cartan_trivector(h.ctx)
     vals, _ = slot_values(m)
     n = h.ctx.n
+    stacked = any(v.ndim == 3 for v in vals.values())
+    vals = {s: v.reshape(-1, 1, n, n) for s, v in vals.items()}   # (S, 1, n, n)
+    s_count = next((len(v) for v in vals.values()), 1)
     blk = {s: slice(k * n * n, (k + 1) * n * n) for k, s in enumerate(h.slots)}
     dim = len(h.slots) * n * n
     e, f = np.asarray(tv.pair.e), np.asarray(tv.pair.f)
-    pi = np.zeros((dim, dim))
-    dpi = np.zeros((dim, dim, dim))
+    nn, d = n * n, tv.pair.dim
+    fields = {}   # entries and Jacobians of (field type, first or second factor)
+
+    def field(a: FieldType, second: bool):
+        if (a, second) not in fields:
+            vec, jac = _field_vectors_and_jacs(a, f if second else e, vals, n)
+            fields[a, second] = vec, (jac.reshape(d, -1) if second
+                                      else jac.transpose(2, 1, 0).reshape(-1, d))
+        return fields[a, second]
+
+    # the terms of Pi^{ab} and d_d Pi^{ab}; Pi and dpi are their antisymmetrizations in (a, b)
+    pi = np.zeros((s_count, dim, dim))
+    dpi = np.zeros((s_count, dim, dim, dim))
     for (a, b), c in h.coeffs.items():
         ia, ib = blk[a[0]], blk[b[0]]
-        v, jv = _field_vectors_and_jacs(a, e, vals, n)
-        w, jw = _field_vectors_and_jacs(b, f, vals, n)
-        pab = c * v.T @ w
-        pi[ia, ib] += pab
-        pi[ib, ia] -= pab.T
-        da = c * np.einsum("kad,kb->dab", jv, w)   # derivatives along slot a
-        db = c * np.einsum("ka,kbd->dab", v, jw)   # derivatives along slot b
-        dpi[ia, ia, ib] += da
-        dpi[ib, ia, ib] += db
-        dpi[ib, ib, ia] -= db.transpose(0, 2, 1)
-        dpi[ia, ib, ia] -= da.transpose(0, 2, 1)
+        v, jv = field(a, False)   # jv[(d, a), k] = d_d v[k, a]
+        w, jw = field(b, True)    # jw[k, (b, d)] = d_d w[k, b]
+        pi[:, ia, ib] += c * v.swapaxes(-1, -2) @ w
+        # derivatives along slot a and along slot b, indexed [s, d, a, b]
+        dpi[:, ia, ia, ib] += c * (jv @ w).reshape(s_count, nn, nn, nn)
+        dpi[:, ib, ia, ib] += c * (v.swapaxes(-1, -2) @ jw).reshape(
+            s_count, nn, nn, nn).transpose(0, 3, 1, 2)
+    pi -= pi.swapaxes(-1, -2).copy()
+    dpi -= dpi.swapaxes(-1, -2).copy()
 
-    jac = 2.0 * (np.einsum('ad,dbc->abc', pi, dpi)
-                 + np.einsum('bd,dca->abc', pi, dpi)
-                 + np.einsum('cd,dab->abc', pi, dpi))
+    jac = _jacobiator(pi, dpi)
 
-    rho = np.zeros((dim, dim, dim))
-    for p in range(len(h.actions)):
-        rows = np.zeros((tv.pair.dim, dim))
+    # rows[s, p, i] = sigma_p(f_i) at point s, so that
+    # g[a, b, c] = sum_p,ijk coeffs[i, j, k] rows[p, i, a] rows[p, j, b] rows[p, k, c]
+    # contracts k, j and then (p, i), the last again one product per b
+    acts = len(h.actions)
+    rows = np.zeros((s_count, acts, d, dim))
+    for p in range(acts):
         for s, tan in action_sigma(h, p, f, vals).items():
-            rows[:, blk[s]] += np.real(tan).reshape(len(f), -1)
-        g = np.einsum('ijk,ia,jb,kc->abc', tv.coeffs, rows, rows, rows, optimize=True)
-        rho -= wedge3_tensor(g)  # rho_x = -sigma_x, three factors
+            rows[:, p, :, blk[s]] += np.real(tan).reshape(s_count, d, -1)
+    rows_t = rows.swapaxes(-1, -2)                                   # (S, P, dim, d)
+    # rho_x = -sigma_x and the wedge of g is 6 g, so the factor -6 goes on the coefficients
+    x = (-6.0 * tv.coeffs.reshape(d * d, d) @ rows).reshape(s_count, acts, d, d, dim)
+    y = (rows_t[:, :, None] @ x).reshape(s_count, acts * d, dim, dim)    # [(p, i), b, c]
+    g = rows.reshape(s_count, 1, acts * d, dim).swapaxes(-1, -2) @ y.transpose(0, 2, 1, 3)
+    rho = g.transpose(0, 2, 1, 3)
 
     res = jac - rho
-    return {"residual": float(np.max(np.abs(res))),
-            "jacobiator": jac, "rho_phi": rho, "pi": pi, "dpi": dpi}
+    np.abs(res, out=res)
+    residual = res.max(axis=(-3, -2, -1), initial=0.0)
+    out = {"residual": residual, "jacobiator": jac, "rho_phi": rho, "pi": pi, "dpi": dpi}
+    if not stacked:
+        out = {k: v[0] for k, v in out.items()}
+        out["residual"] = float(out["residual"])
+    return out
 
 
 # --- combinatorial bracket (main formula) ---------------------------------

@@ -35,9 +35,16 @@ class RepPoint:
         need = generator_symbols(self.spec.genus, self.spec.boundary_count)
         if set(need) != set(self.mats):
             raise ValueError("coordinates must cover exactly the generators")
-        for g in self.mats.values():
-            self.ctx.check_group_element(g)
-        inv = np.linalg.inv(np.array(list(self.mats.values()))) if self.mats else ()
+        n, first = self.ctx.n, None
+        for sym, g in self.mats.items():   # one (n, n) or (S, n, n) shape for all
+            first = first or np.shape(g)
+            if np.shape(g) != first or len(first) not in (2, 3) or first[-2:] != (n, n):
+                raise ValueError("%s: wrong matrix shape" % sym)
+        inv = ()
+        if self.mats:
+            mats = np.array(list(self.mats.values()))
+            self.ctx.check_group_element(mats, names=list(self.mats))
+            inv = np.linalg.inv(mats)
         object.__setattr__(self, "inv", dict(zip(self.mats, inv)))
 
     def mat(self, sym: str) -> np.ndarray:
@@ -89,42 +96,60 @@ def act(m: RepPoint, g) -> RepPoint:
     return RepPoint(m.ctx, m.spec, out)
 
 
-def _random_gl(ctx: AlgebraContext, rng, count: int) -> np.ndarray:
-    """count dyadic-rational GL_n samples I + 0.3 * uniform[-1,1] entries, as
-    the integer numerators over _GL_DEN, stacked.  The candidates form one
-    stream, drawn for all unserved generators at once: each generator takes
-    the next candidate with |det| > _GL_MIN_DET, within _GL_TRIES of its
-    own, so the stream is the one that per-generator draws consume."""
+def _random_gl(ctx: AlgebraContext, rngs: Sequence, count: int) -> np.ndarray:
+    """count dyadic-rational GL_n samples I + 0.3 * uniform[-1,1] entries
+    from each random stream in rngs, as the integer numerators over _GL_DEN,
+    stacked (S, count, n, n).  Each stream first draws one candidate per
+    sample, and one det and one acceptance pass cover the whole stack; only
+    a stream with a rejected candidate goes on drawing (_redraw_gl)."""
     n = ctx.n
     eye = _GL_DEN * np.eye(n, dtype=np.int64)
+    cand = np.array([eye + 3 * rng.integers(-_K_MAX, _K_MAX + 1, (count, n, n))
+                     for rng in rngs])
+    ok = np.abs(np.linalg.det(cand / _GL_DEN)) > _GL_MIN_DET
+    for k in np.flatnonzero(~ok.all(axis=1)):
+        cand[k] = _redraw_gl(rngs[k], cand[k], ok[k], eye)
+    return cand
+
+
+def _redraw_gl(rng, cand: np.ndarray, ok: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """The samples of one stream whose first candidates cand were accepted
+    where ok holds.  The candidates form one stream, drawn for all unserved
+    samples at once: each sample takes the next candidate with |det| >
+    _GL_MIN_DET, within _GL_TRIES of its own, so the stream is the one that
+    per-sample draws consume."""
+    count, n = len(cand), len(eye)
     nums, served, tries = [], 0, 0
-    while served < count:
-        cand = eye + 3 * rng.integers(-_K_MAX, _K_MAX + 1, (count - served, n, n))
-        ok = np.abs(np.linalg.det(cand / _GL_DEN)) > _GL_MIN_DET
+    while True:
         for good in ok.tolist():
             tries = 0 if good else tries + 1
             if tries == _GL_TRIES:
                 raise ValueError("resampling budget exhausted")
         nums.append(cand[ok])
         served += int(ok.sum())
-    return np.concatenate(nums)
+        if served == count:
+            return np.concatenate(nums)
+        cand = eye + 3 * rng.integers(-_K_MAX, _K_MAX + 1, (count - served, n, n))
+        ok = np.abs(np.linalg.det(cand / _GL_DEN)) > _GL_MIN_DET
 
 
-def _random_u_log(ctx: AlgebraContext, rng, count: int) -> np.ndarray:
-    """count anti-Hermitian (a - a^*) / 4, a with uniform[-1,1] real and
-    imaginary parts, stacked: the logarithms of U samples.  One draw holds
-    both parts of every sample."""
-    a = rng.uniform(-1, 1, (count, 2, ctx.n, ctx.n))
-    a = a[:, 0] + 1j * a[:, 1]
+def _random_u_log(ctx: AlgebraContext, rngs: Sequence, count: int) -> np.ndarray:
+    """count anti-Hermitian (a - a^*) / 4 from each random stream in rngs,
+    a with uniform[-1,1] real and imaginary parts, stacked (S, count, n, n):
+    the logarithms of U samples.  One draw per stream holds both parts of
+    every sample."""
+    a = np.array([rng.uniform(-1, 1, (count, 2, ctx.n, ctx.n)) for rng in rngs])
+    a = a[:, :, 0] + 1j * a[:, :, 1]
     return (a - a.conj().swapaxes(-1, -2)) / 4.0
 
 
-def _draw(ctx: AlgebraContext, spec: SurfaceSpec, seed: int) -> np.ndarray:
-    """The draws of one seed, stacked in generator order: for GL the
-    numerators over _GL_DEN, for U the logarithms."""
-    rng = np.random.default_rng(seed)
+def _draws(ctx: AlgebraContext, spec: SurfaceSpec, seeds: Iterable[int]) -> np.ndarray:
+    """The draws of each seed from its own random stream, stacked
+    (S, G, n, n) in generator order: for GL the numerators over _GL_DEN,
+    for U the logarithms."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     count = len(generator_symbols(spec.genus, spec.boundary_count))
-    return (_random_gl if ctx.kind == "gl" else _random_u_log)(ctx, rng, count)
+    return (_random_gl if ctx.kind == "gl" else _random_u_log)(ctx, rngs, count)
 
 
 def _matrices(ctx: AlgebraContext, draws: np.ndarray) -> np.ndarray:
@@ -132,17 +157,18 @@ def _matrices(ctx: AlgebraContext, draws: np.ndarray) -> np.ndarray:
     return draws / _GL_DEN if ctx.kind == "gl" else expm(draws)
 
 
+def random_points(ctx: AlgebraContext, spec: SurfaceSpec, seeds: Iterable[int]) -> RepPoint:
+    """The points random_point draws at each seed, as one stacked point."""
+    mats = _matrices(ctx, _draws(ctx, spec, seeds).swapaxes(0, 1).copy())   # (G, S, n, n)
+    return RepPoint(ctx, spec, dict(zip(generator_symbols(spec.genus, spec.boundary_count), mats)))
+
+
 def random_point(ctx: AlgebraContext, spec: SurfaceSpec, seed: int) -> RepPoint:
+    """The point of one seed, the one-seed stack of random_points, with an
+    exact Fraction copy for GL."""
     syms = generator_symbols(spec.genus, spec.boundary_count)
-    draws = _draw(ctx, spec, seed)
+    draws = _draws(ctx, spec, [seed])[0]
     exact = None if ctx.kind != "gl" else {
         sym: tuple(tuple(Fraction(int(x), _GL_DEN) for x in row) for row in num)
         for sym, num in zip(syms, draws)}
     return RepPoint(ctx, spec, dict(zip(syms, _matrices(ctx, draws))), exact)
-
-
-def random_points(ctx: AlgebraContext, spec: SurfaceSpec, seeds: Iterable[int]) -> RepPoint:
-    """The points random_point draws at each seed, as one stacked point."""
-    draws = np.array([_draw(ctx, spec, seed) for seed in seeds])   # (S, G, n, n)
-    mats = _matrices(ctx, draws.swapaxes(0, 1).copy())
-    return RepPoint(ctx, spec, dict(zip(generator_symbols(spec.genus, spec.boundary_count), mats)))

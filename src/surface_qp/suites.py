@@ -24,7 +24,7 @@ from .lie import AlgebraContext, entry_observable, trace_observable
 from .quasipoisson import (WordFunction, bracket_combinatorial, bracket_numeric,
                            build_bivector, perturbed, schouten_residual,
                            verify_moment)
-from .repspace import random_point, random_points
+from .repspace import RepPoint, random_point, random_points
 from .surfaces import SurfaceSpec, polygon_model
 
 # word pairs of length <= 3 per fixture surface, composable on the polygon
@@ -45,13 +45,14 @@ def suite_qp_identity(n: int = 2, tol: float = 1e-9, mutate: float = 0.0) -> lis
     for spec in (SurfaceSpec(0, 2), SurfaceSpec(1, 1)):
         h = build_bivector(spec, ctx)
         hm = perturbed(h, mutate)
-        points = [random_point(ctx, spec, seed) for seed in range(5)]
-        for seed, m in enumerate(points):
-            r = schouten_residual(hm, m)["residual"]
+        m = random_points(ctx, spec, range(5))
+        res = schouten_residual(hm, m)["residual"]
+        for seed in range(5):
             out.append(fixture_result("qp-identity %s seed=%d" % (spec, seed),
-                                      r, 0.0, tol))
+                                      res[seed], 0.0, tol))
         # sensitivity: a 1% coefficient mutation must break the identity
-        bad = schouten_residual(perturbed(h, 0.01), points[0])["residual"]
+        m0 = RepPoint(ctx, spec, {sym: mat[0] for sym, mat in m.mats.items()})
+        bad = schouten_residual(perturbed(h, 0.01), m0)["residual"]
         out.append({"fixture": "qp-identity mutation %s" % spec,
                     "lhs": fmt_float(bad), "rhs": "0", "residual": fmt_float(bad),
                     "tolerance": fmt_float(1e-3), "pass": bool(bad > 1e-3)})

@@ -265,6 +265,15 @@ def test_cli_non_finite_point_exits_2(tmp_path, capsys):
     assert "matrix has non-finite entries" in capsys.readouterr().err
 
 
+def test_cli_singular_generator_is_named_and_exits_2(tmp_path, capsys):
+    point = _write(tmp_path, "p.json", {"A2": [["1", "0"], ["0", "1"]],
+                                        "B2": [["1", "2"], ["2", "4"]]})
+    code = main(["bracket", "--surface", _surface(tmp_path, 0, 2),
+                 "--diagram", _diagram(tmp_path, wa="A2", wb="B2"), "--point", point])
+    assert code == 2
+    assert "B2: matrix not invertible within tolerance" in capsys.readouterr().err
+
+
 def test_cli_gl_imaginary_part_exits_2(tmp_path, capsys):
     # GL coordinates are real, so an 'im' observable would bracket to 0
     code = main(["bracket", "--surface", _surface(tmp_path),

@@ -7,10 +7,24 @@ import scipy.linalg
 from surface_qp import repspace
 from surface_qp.lie import (FD_STEP, AlgebraContext, cartan_trivector,
                             dual_basis, entry_observable, expm,
-                            generic_observable, trace_observable, wedge3_tensor)
+                            generic_observable, trace_observable)
 from surface_qp.surfaces import SurfaceSpec
 
 CTXS = [AlgebraContext("gl", 2), AlgebraContext("gl", 3), AlgebraContext("u", 2)]
+
+_SIGNED_PERMS = [
+    ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+    ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1),
+]
+
+
+def wedge3_tensor(G):
+    """Antisymmetrize a contracted product tensor over its three slots: the
+    reference for the program's 6 g on alternating g."""
+    out = np.zeros_like(G)
+    for perm, sgn in _SIGNED_PERMS:
+        out += sgn * np.transpose(G, perm)
+    return out
 
 
 def trivector_reference_tensor(ctx, tv):
@@ -134,6 +148,31 @@ def test_trivector_totally_antisymmetric(ctx):
     ref = trivector_reference_tensor(ctx, tv)
     assert np.max(np.abs(ref + np.transpose(ref, (1, 0, 2)))) < 1e-12
     assert np.max(np.abs(ref + np.transpose(ref, (0, 2, 1)))) < 1e-12
+
+
+@pytest.mark.parametrize("ctx", CTXS, ids=str)
+def test_cartan_trivector_is_shared_and_read_only(ctx):
+    tv = cartan_trivector(ctx)
+    assert cartan_trivector(AlgebraContext(ctx.kind, ctx.n)) is tv
+    assert tv.pair is dual_basis(ctx)
+    with pytest.raises(ValueError):
+        tv.coeffs[0, 1, 2] = 5.0
+
+
+@pytest.mark.parametrize("kind", ["gl", "u"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cartan_trivector_is_alternating(kind, n):
+    # exactly, so a contracted g is alternating up to round-off and its
+    # wedge is 6 g, the form schouten_residual builds rho_phi in
+    w = cartan_trivector(AlgebraContext(kind, n)).coeffs
+    assert np.max(np.abs(w)) > 1e-3
+    for perm, sgn in _SIGNED_PERMS:
+        assert np.array_equal(np.transpose(w, perm), sgn * w)
+    g = np.einsum('ijk,ia,jb,kc->abc', w, *np.random.default_rng(n).normal(size=(3, len(w), 5)))
+    assert np.max(np.abs(g + np.transpose(g, (1, 0, 2)))) > 1e-3   # three factors differ
+    m = np.random.default_rng(n).normal(size=(len(w), 5))
+    g = np.einsum('ijk,ia,jb,kc->abc', w, m, m, m)
+    assert np.max(np.abs(wedge3_tensor(g) - 6 * g)) <= 1e-14 * max(1.0, np.max(np.abs(g)))
 
 
 @pytest.mark.parametrize("kind,n", [("gl", 2), ("gl", 3), ("u", 2), ("u", 3)])

@@ -6,9 +6,9 @@ from scipy.linalg import expm
 
 from surface_qp import quasipoisson, suites
 from surface_qp.diagrams import realize_pair
-from surface_qp.lie import (FD_STEP, AlgebraContext, cartan_trivector, dual_basis,
-                            entry_observable, trace_observable)
-from surface_qp.quasipoisson import (WordFunction, _field_vectors_and_jacs,
+from surface_qp.lie import (FD_STEP, AlgebraContext, CartanTrivector, cartan_trivector,
+                            dual_basis, entry_observable, trace_observable)
+from surface_qp.quasipoisson import (WordFunction, _field_vectors_and_jacs, action_sigma,
                                      bracket_combinatorial, bracket_numeric,
                                      build_bivector, chi, double, field_value,
                                      fused_double, perturbed, schouten_residual,
@@ -17,6 +17,7 @@ from surface_qp.repspace import (boundary_word, holonomy, random_point,
                                  random_points, word_product)
 from surface_qp.suites import WORD_PAIRS, _observable_pairs, run_suite
 from surface_qp.surfaces import SurfaceSpec, polygon_model
+from test_lie import wedge3_tensor
 
 GL2 = AlgebraContext("gl", 2)
 GL3 = AlgebraContext("gl", 3)
@@ -232,6 +233,93 @@ def test_abelian_bracket_is_intersection_number():
     num = bracket_numeric(h, WordFunction(oa, wa), WordFunction(oa, wb), m)
     a, b = holonomy(m, wa)[0, 0].real, holonomy(m, wb)[0, 0].real
     assert num == pytest.approx(a * b, abs=1e-12)
+
+
+def _rho_reference(h, m):
+    """rho_phi at one point as first built: per action slot, the product of
+    the Cartan coefficients with three copies of the action rows,
+    antisymmetrized over its three slots."""
+    tv = cartan_trivector(h.ctx)
+    vals, _ = slot_values(m)
+    n = h.ctx.n
+    blk = {s: slice(k * n * n, (k + 1) * n * n) for k, s in enumerate(h.slots)}
+    dim = len(h.slots) * n * n
+    f = np.asarray(tv.pair.f)
+    rho = np.zeros((dim, dim, dim))
+    for p in range(len(h.actions)):
+        rows = np.zeros((tv.pair.dim, dim))
+        for s, tan in action_sigma(h, p, f, vals).items():
+            rows[:, blk[s]] += np.real(tan).reshape(len(f), -1)
+        rho -= wedge3_tensor(np.einsum('ijk,ia,jb,kc->abc', tv.coeffs, rows, rows, rows))
+    return rho
+
+
+def _rel_close(got, want, tol=1e-14):
+    return np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+def test_stacked_schouten_equals_per_point(spec, n):
+    ctx = AlgebraContext("gl", n)
+    h = build_bivector(spec, ctx)
+    seeds = range(3)
+    stack = schouten_residual(h, random_points(ctx, spec, seeds))
+    bad = schouten_residual(perturbed(h, 0.01), random_points(ctx, spec, seeds))
+    dim = len(h.slots) * n * n
+    assert stack["dpi"].shape == stack["jacobiator"].shape == (len(seeds), dim, dim, dim)
+    assert stack["residual"].shape == bad["residual"].shape == (len(seeds),)
+    assert np.all(stack["residual"] < 1e-9) and np.all(bad["residual"] > 1e-3)
+    for k, seed in enumerate(seeds):
+        m = random_point(ctx, spec, seed)
+        one = schouten_residual(h, m)
+        assert isinstance(one["residual"], float)
+        for key in ("pi", "dpi", "jacobiator", "rho_phi"):
+            assert _rel_close(stack[key][k], one[key]), key
+        assert _rel_close(one["rho_phi"], _rho_reference(h, m))
+        assert abs(stack["residual"][k] - one["residual"]) <= 1e-14
+        assert abs(bad["residual"][k] - schouten_residual(perturbed(h, 0.01), m)["residual"]) \
+            <= 1e-12 * bad["residual"][k]
+
+
+def _dropped_cyclic_term(pi, dpi):
+    t = (2.0 * pi[:, None] @ dpi.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+    return t + t.transpose(0, 3, 1, 2)
+
+
+def _rho_scaled_by_3(ctx):
+    tv = cartan_trivector(ctx)
+    return CartanTrivector(tv.coeffs / 2.0, tv.pair)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name,mutant", [("_jacobiator", _dropped_cyclic_term),
+                                         ("cartan_trivector", _rho_scaled_by_3)],
+                         ids=["jacobiator-term-dropped", "rho-scaled-by-3"])
+def test_qp_identity_suite_fails_on_mutants(name, mutant, n, monkeypatch):
+    assert all(fx["pass"] for fx in run_suite("qp-identity", n))
+    monkeypatch.setattr(quasipoisson, name, mutant)
+    fixtures = run_suite("qp-identity", n)
+    assert not any(fx["pass"] for fx in fixtures if "seed=" in fx["fixture"])
+
+
+def test_qp_identity_suite_makes_one_stacked_call_per_surface(monkeypatch):
+    # one call over the 5 seeds and one mutation probe at seed 0 per surface,
+    # and no per-seed sampling
+    calls = {"schouten_residual": [], "random_point": 0}
+
+    def schouten(h, m, _fn=suites.schouten_residual):
+        calls["schouten_residual"].append(m.mats[next(iter(m.mats))].shape[:-2])
+        return _fn(h, m)
+
+    def point(*args, _fn=suites.random_point):
+        calls["random_point"] += 1
+        return _fn(*args)
+    monkeypatch.setattr(suites, "schouten_residual", schouten)
+    monkeypatch.setattr(suites, "random_point", point)
+    fixtures = run_suite("qp-identity", 2)
+    assert all(fx["pass"] for fx in fixtures) and len(fixtures) == 12
+    assert calls == {"schouten_residual": [(5,), (), (5,), ()], "random_point": 0}
 
 
 @pytest.mark.parametrize("spec", [SurfaceSpec(0, 2), SurfaceSpec(1, 1)])

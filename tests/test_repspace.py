@@ -122,6 +122,26 @@ def test_stack_with_one_bad_matrix_names_its_index(ctx, bad, msg):
         RepPoint(ctx, m.spec, mats)
 
 
+@pytest.mark.parametrize("stacked", [False, True], ids=["point", "stack"])
+def test_bad_generator_is_named(stacked):
+    # all generators are checked in one call; the message names the first
+    # failing generator, and for a stack the index after it
+    spec = SurfaceSpec(1, 2)
+    m = random_points(GL2, spec, range(4)) if stacked else random_point(GL2, spec, 0)
+    mats = dict(m.mats)
+    for sym in ("B2", "D1"):
+        mats[sym] = mats[sym].copy()
+        mats[sym][..., :, :] = [[1.0, 2.0], [2.0, 4.0]]
+    want = "B2: matrix not invertible within tolerance" + (" at stack index 0" if stacked else "")
+    with pytest.raises(ValueError, match="^%s$" % want):
+        RepPoint(GL2, spec, mats)
+    for sym in ("A2", "C1"):
+        bad = dict(mats)
+        bad[sym] = mats[sym][..., :1, :]
+        with pytest.raises(ValueError, match="^%s: wrong matrix shape$" % sym):
+            RepPoint(GL2, spec, bad)
+
+
 @pytest.mark.parametrize("ctx", [GL2, U2], ids=["gl", "u"])
 @pytest.mark.parametrize("g,b,text", [
     (1, 1, "C1 D1 C1'"), (1, 1, "C1"), (0, 3, "A2 B2 A2' A3"), (0, 3, "A2' A3 B3"),
@@ -174,7 +194,7 @@ def _check_gl_sampler(ctx, spec, seeds, min_det=0.1):
     at each seed."""
     syms = generator_symbols(spec.genus, spec.boundary_count)
     stack = random_points(ctx, spec, seeds)
-    rejected = [0] * len(seeds)
+    rejected, ref_states = [0] * len(seeds), []
     for k, seed in enumerate(seeds):
         ref_rng = np.random.default_rng(seed)
         ref = [_per_entry_gl(ctx.n, ref_rng, min_det) for _ in syms]
@@ -185,8 +205,13 @@ def _check_gl_sampler(ctx, spec, seeds, min_det=0.1):
             assert m.exact[sym] == ex
             rejected[k] += tries
         rng = np.random.default_rng(seed)
-        _random_gl(ctx, rng, len(syms))
+        _random_gl(ctx, [rng], len(syms))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+        ref_states.append(ref_rng.bit_generator.state)
+    # one stacked draw leaves every seed's generator where the reference does
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    _random_gl(ctx, rngs, len(syms))
+    assert [rng.bit_generator.state for rng in rngs] == ref_states
     return rejected
 
 
@@ -213,10 +238,45 @@ def test_gl_sampler_rejection_path_matches_reference(n, spec, floor, monkeypatch
     assert sum(rejected) > 20 and (spec.genus < 5 or max(rejected) > 64)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_gl_sampler_stack_with_mixed_rejections(n, monkeypatch):
+    # at a floor of 0.8 about half the seeds of a stack reject a candidate
+    # on Sigma_1,1: only those go on drawing from their own streams, and
+    # the stack still equals the per-seed draws and the reference
+    monkeypatch.setattr(repspace, "_GL_MIN_DET", 0.8)
+    seeds = range(20)
+    rejected = _check_gl_sampler(AlgebraContext("gl", n), SurfaceSpec(1, 1), seeds, 0.8)
+    assert 5 <= sum(r > 0 for r in rejected) <= 15
+
+
 def test_gl_sampler_gives_up_after_its_budget(monkeypatch):
     monkeypatch.setattr(repspace, "_GL_MIN_DET", 1e9)
     with pytest.raises(ValueError, match="resampling budget exhausted"):
         random_point(GL2, SurfaceSpec(1, 1), 0)
+    with pytest.raises(ValueError, match="resampling budget exhausted"):
+        random_points(GL2, SurfaceSpec(1, 1), range(5))
+
+
+def test_gl_sampler_stack_fails_with_its_first_exhausted_seed(monkeypatch):
+    # one try per generator: a seed that rejects any candidate runs out, and
+    # a stack raises exactly when one of its seeds does on its own
+    monkeypatch.setattr(repspace, "_GL_MIN_DET", 0.8)
+    monkeypatch.setattr(repspace, "_GL_TRIES", 1)
+    spec, good = SurfaceSpec(1, 1), []
+    for seed in range(20):
+        try:
+            random_point(GL2, spec, seed)
+            good.append(seed)
+        except ValueError as exc:
+            assert "resampling budget exhausted" in str(exc)
+    assert 5 <= len(good) <= 15
+    stack = random_points(GL2, spec, good)
+    for k, seed in enumerate(good):
+        m = random_point(GL2, spec, seed)
+        assert all(stack.mats[sym][k].tobytes() == m.mats[sym].tobytes() for sym in m.mats)
+    bad = min(set(range(20)) - set(good))
+    with pytest.raises(ValueError, match="resampling budget exhausted"):
+        random_points(GL2, spec, good + [bad])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -236,5 +296,5 @@ def test_u_sampler_matches_per_generator_draws(n, spec):
             assert m.mats[sym].tobytes() == want.tobytes()
             assert stack.mats[sym][seed].tobytes() == want.tobytes()
         state = np.random.default_rng(seed)
-        _random_u_log(ctx, state, len(syms))
+        _random_u_log(ctx, [state], len(syms))
         assert state.bit_generator.state == rng.bit_generator.state
