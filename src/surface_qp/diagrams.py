@@ -306,11 +306,6 @@ def intersection_data(d_alpha: PathDiagram, d_beta: PathDiagram,
     return IntersectionData(tuple(crossings), signs)
 
 
-def algebraic_intersection(data: IntersectionData) -> Fraction:
-    return (sum((s.value for s in data.endpoint_signs.values()), Fraction(0))
-            + sum(c.sign for c in data.crossings))
-
-
 def realize_pair(w_alpha: Word, w_beta: Word, pm: PolygonModel, seed: int,
                  variants: Tuple[int, int] = (0, 0)):
     """Seeded realizations of a word pair in general position by construction

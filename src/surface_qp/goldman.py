@@ -17,12 +17,12 @@ OverflowError instead of wrapping.  Coefficients are ints, and Fractions
 only where a rational scalar brought a denominator in.  Every operation
 stays inside one ring: operands over two rings raise ValueError.
 
-After every operation the numerator is divided by det(X_L) for as long as
-det(X_L) divides it (``exact_quotient``, a heap-ordered sparse division).
-det(X_L) of a generic matrix is irreducible, so the reduced pair
-(numerator, denominator) is unique, and equality and hashing compare
-reduced pairs.  Canonical strings print the numerator term by term in
-descending lex order of the exponents, each term as ``p*x**e*y/q``.
+A sum of products is lifted to one common denominator and its numerator
+divided by det(X_L) while det(X_L) divides it (``exact_quotient``, a
+heap-ordered sparse division).  det(X_L) of a generic matrix is irreducible,
+so the reduced pair (numerator, denominator) is unique, and equality and
+hashing compare reduced pairs.  Canonical strings print the numerator term
+by term in descending lex order of the exponents, each as ``p*x**e*y/q``.
 """
 
 from __future__ import annotations
@@ -81,10 +81,10 @@ class Poly:
 
     def _operand(self, other) -> "Poly":
         """other as a polynomial of this ring; an int or Fraction is a constant."""
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Poly:
+            if not isinstance(other, (int, Fraction)):
+                raise TypeError("cannot combine a polynomial with %s" % type(other).__name__)
             return Poly(self.ring, {0: _q(other)} if other else {})
-        if not isinstance(other, Poly):
-            raise TypeError("cannot combine a polynomial with %s" % type(other).__name__)
         if other.ring is not self.ring:
             raise ValueError("operands over two different rings")
         return other
@@ -113,23 +113,31 @@ class Poly:
         return self + self._operand(other) * -1
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Poly and isinstance(other, (int, Fraction)):
             if not other:
                 return self.ring.zero
-            return Poly(self.ring, {k: _q(c * other) for k, c in self.terms.items()})
-        other = self._operand(other)
+            p, q = other.numerator, other.denominator   # faster than int * Fraction
+            return Poly(self.ring, {k: _q(Fraction(c * p, q)) for k, c in self.terms.items()})
+        out: dict = {}
+        self._mul_into(self._operand(other), out)
+        return Poly(self.ring, {k: c for k, c in out.items() if c})
+
+    def _mul_into(self, other: "Poly", out: dict, scale: int = 1) -> None:
+        """Add scale * self * other into the term dict ``out``, whose zero
+        coefficients stay for the caller to drop."""
+        if other.ring is not self.ring:
+            raise ValueError("operands over two different rings")
         if not self.terms or not other.terms:
-            return self.ring.zero
+            return
         if (max(self.terms) + max(other.terms)) >> self.ring.shift > MAX_DEGREE:
             raise OverflowError("degree above %d overflows an exponent field"
                                 % MAX_DEGREE)
-        out: dict = {}
+        tail = [(kb, cb * scale) for kb, cb in other.terms.items()]
         get = out.get
         for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
+            for kb, cb in tail:
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
-        return Poly(self.ring, {k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -165,12 +173,6 @@ def _det(m: list):
 def _adjugate(m: list) -> list:
     n = len(m)
     return [[(-1) ** (r + c) * _det(_minor(m, c, r)) for c in range(n)]
-            for r in range(n)]
-
-
-def _matmul(a: list, b: list) -> list:
-    n = len(a)
-    return [[sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)]
             for r in range(n)]
 
 
@@ -293,24 +295,13 @@ class NormalForm:
         return self
 
     def __add__(self, other: "NormalForm") -> "NormalForm":
-        a, b = self.poly, self.poly._operand(other.poly)
-        den = {k: max(self.den.get(k, 0), other.den.get(k, 0))
-               for k in set(self.den) | set(other.den)}
-        for k, p in den.items():
-            d = _generator(a.ring, k)[2]
-            if p > self.den.get(k, 0):
-                a = a * d ** (p - self.den.get(k, 0))
-            if p > other.den.get(k, 0):
-                b = b * d ** (p - other.den.get(k, 0))
-        return NormalForm._raw(a + b, den)._reduce()
+        return sum_of_products(self.poly.ring, [(1, [self]), (1, [other])])
 
     def __sub__(self, other: "NormalForm") -> "NormalForm":
         return self + other.scale(-1)
 
     def __mul__(self, other: "NormalForm") -> "NormalForm":
-        den = {k: self.den.get(k, 0) + other.den.get(k, 0)
-               for k in set(self.den) | set(other.den)}
-        return NormalForm._raw(self.poly * other.poly, den)._reduce()
+        return sum_of_products(self.poly.ring, [(1, [self, other])])
 
     def scale(self, c) -> "NormalForm":
         """c * self for an int or Fraction c."""
@@ -336,37 +327,64 @@ class NormalForm:
         return num + (" / " + den if den else "")
 
     def evaluate(self, m) -> float:
-        """Exact rational evaluation at a RepPoint with exact coordinates: the
-        numerator sum coeff * d^(top - deg) * prod (d a)^e in ints, with d the
-        lcm of the coordinate denominators a, divided by d^top once."""
+        """Exact rational evaluation at a RepPoint with exact coordinates, in
+        ints: with q the lcm of the coefficient denominators and d that of the
+        coordinates, the numerator is the sum of q coeff d^(top - deg) times
+        the d-scaled coordinates' monomial, over q d^top; each det(X_L) is
+        det(d X_L) / d^n.  One division at the end."""
         if m.exact is None:
             raise ValueError("exact evaluation needs exact rational coordinates")
-        n = m.ctx.n
-        coords = {"%s_%d%d" % (label, r + 1, c + 1): Fraction(rows[r][c])
-                  for label, rows in m.exact.items()
-                  for r in range(n) for c in range(n)}
-        ring = self.poly.ring
-        point = [coords.get(name) for name in ring.names]
-        d = math.lcm(*(v.denominator for v in point if v is not None))
-        point = [None if v is None else v.numerator * (d // v.denominator) for v in point]
+        ring, n = self.poly.ring, self.poly.ring.n
+        if not ring.labels <= m.exact.keys():
+            raise ValueError("point does not cover all generators")
+        exact = {label: m.exact[label] for label in ring.labels}
+        d = math.lcm(*(x.denominator for rows in exact.values() for row in rows for x in row))
+        mats = {label: [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+                for label, rows in exact.items()}
+        coords = {"%s_%d%d" % (label, r + 1, c + 1): x for label, rows in mats.items()
+                  for r, row in enumerate(rows) for c, x in enumerate(row)}
+        point = [coords[name] for name in ring.names]
+        q = math.lcm(*(c.denominator for c in self.poly.terms.values()))
         top = max((key >> ring.shift for key in self.poly.terms), default=0)
-        num = 0
+        num, den = 0, q * d ** top
         for key, coeff in self.poly.terms.items():
-            t = coeff * d ** (top - (key >> ring.shift))
+            t = coeff.numerator * (q // coeff.denominator) * d ** (top - (key >> ring.shift))
             for v, e in zip(point, ring.exponents(key)):
                 if e:
-                    if v is None:
-                        raise ValueError("point does not cover all generators")
                     t *= v ** e
             num += t
-        num = Fraction(num) / d ** top
-        den = Fraction(1)
         for label, p in self.den.items():
-            dv = _det([[Fraction(x) for x in row] for row in m.exact[label]])
+            dv = _det(mats[label])
             if dv == 0:
                 raise ZeroDivisionError("vanishing determinant at the point")
-            den *= dv ** p
-        return float(num / den)
+            num, den = num * d ** (n * p), den * dv ** p
+        return num / den
+
+
+def sum_of_products(ring: Ring, terms: list) -> NormalForm:
+    """The sum of c * prod(forms) over (c, forms) pairs, with one or two
+    normal forms over ``ring`` in each, reduced once: the terms are lifted
+    to their common denominator top, and those that the same det powers
+    lift share one sum."""
+    dens = [{} for _ in terms]
+    for den, (_, forms) in zip(dens, terms):
+        for f in forms:
+            for label, p in f.den.items():
+                den[label] = den.get(label, 0) + p
+    top = {label: max(den.get(label, 0) for den in dens) for label in set().union(*dens)}
+    lifted: Dict[tuple, dict] = {}
+    for (coeff, forms), den in zip(terms, dens):
+        lift = tuple(p - den.get(label, 0) for label, p in top.items())
+        other = forms[1].poly if len(forms) == 2 else ring.one
+        forms[0].poly._mul_into(other, lifted.setdefault(lift, {}), coeff)
+    num: dict = {}
+    for lift, acc in lifted.items():
+        dets = ring.one
+        for label, e in zip(top, lift):
+            dets = dets * _generator(ring, label)[2] ** e
+        Poly(ring, acc)._mul_into(dets, num)
+    num = Poly(ring, {key: c for key, c in num.items() if c})
+    return NormalForm._raw(num, top)._reduce()
 
 
 def word_ring(n: int, *words: Word) -> Ring:
@@ -374,30 +392,34 @@ def word_ring(n: int, *words: Word) -> Ring:
     return _label_ring(frozenset(sym for w in words for sym, _ in w.letters), n)
 
 
-def path_matrix(w: Word, ring: Ring) -> Tuple[List[List[Poly]], Dict[str, int]]:
-    """Matrix of normal-form numerators for Hol_w over ``ring``, with the
-    det denominator."""
-    n = ring.n
-    out = [[ring.one if r == c else ring.zero for c in range(n)] for r in range(n)]
+def path_row(w: Word, i: int, ring: Ring) -> Tuple[List[Poly], Dict[str, int]]:
+    """Row i of the normal-form numerators of Hol_w over ``ring``, with the
+    det denominator: e_i^T X_1 ... X_m as one row-times-matrix product per
+    letter, each column summed into one term dict."""
+    row = [ring.one if c == i - 1 else ring.zero for c in range(ring.n)]
     den: Dict[str, int] = {}
-    for k, (sym, sgn) in enumerate(w.letters):
+    for sym, sgn in w.letters:
         x, adj, _ = _generator(ring, sym)
         if sgn == -1:
             x = adj
             den[sym] = den.get(sym, 0) + 1
-        out = x if k == 0 else _matmul(out, x)
-    return out, den
+        cols: List[dict] = [{} for _ in row]
+        for p, xrow in zip(row, x):
+            for acc, xe in zip(cols, xrow):
+                p._mul_into(xe, acc)
+        row = [Poly(ring, {k: c for k, c in acc.items() if c}) for acc in cols]
+    return row, den
 
 
 def entry_nf(w: Word, i: int, j: int, ring: Ring, cache: dict) -> NormalForm:
-    """Entry (i, j) of Hol_w over ``ring``; ``cache`` keeps the path matrix
-    and the entries asked for."""
+    """Entry (i, j) of Hol_w over ``ring``; ``cache`` keeps the rows and the
+    entries asked for."""
     key = (ring, w.letters, i, j)
     if key not in cache:
-        if (ring, w.letters) not in cache:
-            cache[(ring, w.letters)] = path_matrix(w, ring)
-        mat, den = cache[(ring, w.letters)]
-        cache[key] = NormalForm._raw(mat[i - 1][j - 1], dict(den))._reduce()
+        if (ring, w.letters, i) not in cache:
+            cache[(ring, w.letters, i)] = path_row(w, i, ring)
+        row, den = cache[(ring, w.letters, i)]
+        cache[key] = NormalForm._raw(row[j - 1], dict(den))._reduce()
     return cache[key]
 
 
@@ -405,31 +427,33 @@ def bracket_symbolic(a: PathEntrySymbol, b: PathEntrySymbol,
                      data: IntersectionData, n: int,
                      cache: Optional[dict] = None) -> NormalForm:
     """The five-term entry bracket {alpha_ij, beta_kl} driven by exact
-    intersection data of diagrams for the two words."""
+    intersection data of diagrams for the two words.
+
+    Each term is an integer, twice its coefficient, times one or two
+    entries; crossings with the same reroute words share one term.  The
+    terms are summed over their common denominator, reduced once and
+    halved."""
     cache = cache if cache is not None else {}
     i, j = a.i, a.j
     k, l = b.i, b.j
     wa, wb = a.word, b.word
     ring = word_ring(n, wa, wb)
-    out = NormalForm._raw(ring.zero, {})
     sv = data.endpoint_signs
+    twice: Dict[tuple, list] = {}   # factors' (letters, row, col) -> [2 c, factors]
 
-    def entry(w, r, c):
-        if len(w.letters) == 0:
-            return NormalForm._raw(ring.one if r == c else ring.zero, {})
-        return entry_nf(w, r, c, ring, cache)
+    def add(coeff, *factors):
+        key = tuple((w.letters, r, c) for w, r, c in factors)
+        twice.setdefault(key, [0, factors])[0] += int(2 * coeff)
 
-    ss, ee, se, es = (sv[key].value for key in (("start", "start"), ("end", "end"),
-                                                 ("start", "end"), ("end", "start")))
-    if ss:
-        out = out + (entry(wa, k, j) * entry(wb, i, l)).scale(ss)
-    if ee:
-        out = out + (entry(wa, i, l) * entry(wb, k, j)).scale(ee)
-    if se and i == l:
-        out = out + entry(wb.concat(wa), k, j).scale(se)
+    se, es = sv["start", "end"].value, sv["end", "start"].value
+    add(sv["start", "start"].value, (wa, k, j), (wb, i, l))
+    add(sv["end", "end"].value, (wa, i, l), (wb, k, j))
+    if se and i == l:   # a nonzero sign: the two words meet there
+        add(se, (wb.concat(wa), k, j))
     if es and j == k:
-        out = out + entry(wa.concat(wb), i, l).scale(es)
+        add(es, (wa.concat(wb), i, l))
     for q in data.crossings:
-        term = entry(q.reroute_ab(), i, l) * entry(q.reroute_ba(), k, j)
-        out = out + term.scale(q.sign)
-    return out
+        add(q.sign, (q.reroute_ab(), i, l), (q.reroute_ba(), k, j))
+    terms = [(coeff, [entry_nf(w, r, c, ring, cache) for w, r, c in factors])
+             for coeff, factors in twice.values() if coeff]
+    return sum_of_products(ring, terms).scale(Fraction(1, 2))

@@ -19,7 +19,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 TOL_INV = 1e-10
-FD_STEP = 1e-5   # central-difference step of generic_observable, the tests' reference
 
 
 def expm(x: np.ndarray) -> np.ndarray:
@@ -193,25 +192,6 @@ def trace_observable(ctx: AlgebraContext) -> Observable:
         return ctx.project_gradient(np.asarray(g, ctx.dtype))
 
     return Observable(lambda g: float(np.trace(g).real), grad, grad)
-
-
-def generic_observable(ctx: AlgebraContext, fn: Callable) -> Observable:
-    """Phi = fn with both variations by central differences along the dual
-    basis: the reference that the closed forms are tested against."""
-    pair = dual_basis(ctx)
-
-    def var(g, left: bool) -> np.ndarray:
-        out = np.zeros((ctx.n, ctx.n), dtype=ctx.dtype)
-        for ek, fk in zip(pair.e, pair.f):
-            step, stepm = expm(FD_STEP * ek), expm(-FD_STEP * ek)
-            if left:
-                d = (fn(g @ step) - fn(g @ stepm)) / (2 * FD_STEP)
-            else:
-                d = (fn(step @ g) - fn(stepm @ g)) / (2 * FD_STEP)
-            out = out + d * fk
-        return out
-
-    return Observable(fn, lambda g: var(g, True), lambda g: var(g, False))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ from . import cross_section as cx
 from .diagrams import realize_pair
 # NormalForm is unused here, but the benchmark's tracer wraps
 # NormalForm.evaluate through this module's namespace
-from .goldman import NormalForm, PathEntrySymbol, bracket_symbolic, entry_nf, word_ring
+from .goldman import (NormalForm, PathEntrySymbol, bracket_symbolic, entry_nf,
+                      sum_of_products, word_ring)
 from .io import fixture_result, fmt_float
 from .lie import AlgebraContext, entry_observable, trace_observable
 from .quasipoisson import (WordFunction, bracket_combinatorial, bracket_numeric,
@@ -141,10 +142,9 @@ def suite_goldman(n: int = 2, tol: float = 1e-8, mutate: float = 0.0) -> list:
             prod = wa.concat(wb)
             rel_ok = True
             for i, k in itertools.product(range(1, n + 1), repeat=2):
-                rel = entry_nf(prod, i, k, ring, cache).scale(-1)
-                for j in range(1, n + 1):
-                    rel = rel + (entry_nf(wa, i, j, ring, cache)
-                                 * entry_nf(wb, j, k, ring, cache))
+                rel = sum_of_products(ring, [(-1, [entry_nf(prod, i, k, ring, cache)])] + [
+                    (1, [entry_nf(wa, i, j, ring, cache), entry_nf(wb, j, k, ring, cache)])
+                    for j in range(1, n + 1)])
                 rel_ok = rel_ok and rel.is_zero()
             out.append({"fixture": "goldman relation %s %s*%s" % (spec, wa_s, wb_s),
                         "residual": "0" if rel_ok else "nonzero",

@@ -2,20 +2,21 @@
 
 Conversions between ``goldman.Poly`` and sympy expressions, so that tests
 can state polynomials as expressions and compare against sympy's printer,
-``sp.div`` and expansion; and the expression front end over ``NormalForm``:
-path-entry symbols, normal forms of polynomials in them, and the Leibniz
-extension of the entry bracket."""
+``sp.div`` and expansion; the full path matrix and the per-term entry
+bracket, the references of ``goldman``'s rows and single reduction; and the
+expression front end over ``NormalForm``: path-entry symbols, normal forms
+of polynomials in them, and the Leibniz extension of the entry bracket."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict
+from typing import Dict, List, Tuple
 
 import sympy as sp
 
 from surface_qp.diagrams import IntersectionData, realize_pair
-from surface_qp.goldman import (NormalForm, PathEntrySymbol, Poly, Ring, _label_ring,
-                                bracket_symbolic, entry_nf, path_matrix, word_ring)
+from surface_qp.goldman import (NormalForm, PathEntrySymbol, Poly, Ring, _generator,
+                                _label_ring, bracket_symbolic, entry_nf, word_ring)
 from surface_qp.words import Word, generator_symbols
 
 
@@ -52,6 +53,61 @@ def expr_ring(expr, den=None, n: int = 2) -> Ring:
     """The ring of the labels of expr's symbols and of den."""
     labels = {s.name.rsplit("_", 1)[0] for s in sp.sympify(expr).free_symbols}
     return _label_ring(frozenset(labels | set(den or {})), n)
+
+
+def _matmul(a: list, b: list) -> list:
+    n = len(a)
+    return [[sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)]
+            for r in range(n)]
+
+
+def path_matrix(w: Word, ring: Ring) -> Tuple[List[List[Poly]], Dict[str, int]]:
+    """Matrix of normal-form numerators for Hol_w over ``ring``, with the
+    det denominator: the full product of the letters' matrices."""
+    n = ring.n
+    out = [[ring.one if r == c else ring.zero for c in range(n)] for r in range(n)]
+    den: Dict[str, int] = {}
+    for k, (sym, sgn) in enumerate(w.letters):
+        x, adj, _ = _generator(ring, sym)
+        if sgn == -1:
+            x = adj
+            den[sym] = den.get(sym, 0) + 1
+        out = x if k == 0 else _matmul(out, x)
+    return out, den
+
+
+def bracket_symbolic_ref(a: PathEntrySymbol, b: PathEntrySymbol,
+                         data: IntersectionData, n: int) -> NormalForm:
+    """The five-term entry bracket summed term by term, each sum reduced,
+    over entries of full path matrices."""
+    i, j = a.i, a.j
+    k, l = b.i, b.j
+    wa, wb = a.word, b.word
+    ring = word_ring(n, wa, wb)
+    out = NormalForm._raw(ring.zero, {})
+    sv = data.endpoint_signs
+    mats: dict = {}
+
+    def entry(w, r, c):
+        if w.letters not in mats:
+            mats[w.letters] = path_matrix(w, ring)
+        mat, den = mats[w.letters]
+        return NormalForm(mat[r - 1][c - 1], den)
+
+    ss, ee, se, es = (sv[key].value for key in (("start", "start"), ("end", "end"),
+                                                 ("start", "end"), ("end", "start")))
+    if ss:
+        out = out + (entry(wa, k, j) * entry(wb, i, l)).scale(ss)
+    if ee:
+        out = out + (entry(wa, i, l) * entry(wb, k, j)).scale(ee)
+    if se and i == l:
+        out = out + entry(wb.concat(wa), k, j).scale(se)
+    if es and j == k:
+        out = out + entry(wa.concat(wb), i, l).scale(es)
+    for q in data.crossings:
+        term = entry(q.reroute_ab(), i, l) * entry(q.reroute_ba(), k, j)
+        out = out + term.scale(q.sign)
+    return out
 
 
 def normalize(ps: PathEntrySymbol, n: int) -> NormalForm:

@@ -17,8 +17,7 @@ from scipy.linalg import expm
 
 from surface_qp.cross_section import (bracket_cross, bracket_cross_numeric,
                                       project_to_cross_section, theta_matrix)
-from surface_qp.diagrams import (algebraic_intersection, diagram_from_word,
-                                 intersection_data, realize_pair,
+from surface_qp.diagrams import (diagram_from_word, intersection_data, realize_pair,
                                  word_of_diagram)
 from surface_qp.goldman import PathEntrySymbol, bracket_symbolic
 from surface_qp.lie import (AlgebraContext, dual_basis, entry_observable,
@@ -31,6 +30,7 @@ from surface_qp.repspace import RepPoint, act, random_point
 from surface_qp.suites import WORD_PAIRS, run_suite
 from surface_qp.surfaces import SurfaceSpec, polygon_model
 from symbolic_ref import GoldmanAlgebra
+from test_diagrams import algebraic_intersection
 from test_quasipoisson import crossing_term
 
 GL2 = AlgebraContext("gl", 2)

@@ -7,14 +7,19 @@ from hypothesis import assume, given, settings, strategies as st
 
 from surface_qp import diagrams
 from surface_qp.diagrams import (Crossing, EndpointSign, GeneralPositionError,
-                                 IntersectionData, PathDiagram,
-                                 algebraic_intersection, diagram_from_word,
-                                 intersection_data, realize_pair,
-                                 word_of_diagram)
+                                 IntersectionData, PathDiagram, diagram_from_word,
+                                 intersection_data, realize_pair, word_of_diagram)
 from surface_qp.geometry import cross, segment_intersection, sub
 from surface_qp.surfaces import SurfaceSpec, polygon_model
 from surface_qp.words import (Word, generator_endpoints, generator_symbols,
                               mu1_letters)
+
+
+def algebraic_intersection(data: IntersectionData) -> Fraction:
+    """The signed count of the pair: endpoint signs plus crossing signs."""
+    return (sum((s.value for s in data.endpoint_signs.values()), Fraction(0))
+            + sum(c.sign for c in data.crossings))
+
 
 WORDS = {
     (0, 2): ["A2", "B2", "A2 B2", "A2 B2 A2'", "B1"],

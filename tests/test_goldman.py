@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,8 @@ from surface_qp.lie import AlgebraContext, entry_observable
 from surface_qp.quasipoisson import WordFunction, bracket_combinatorial
 from surface_qp.repspace import random_point
 from surface_qp.surfaces import SurfaceSpec, polygon_model
-from symbolic_ref import (GoldmanAlgebra, entry_symbol, form, from_expr, from_terms,
-                          normalize, to_expr)
+from symbolic_ref import (GoldmanAlgebra, bracket_symbolic_ref, entry_symbol, form,
+                          from_expr, from_terms, normalize, to_expr)
 
 GL2 = AlgebraContext("gl", 2)
 
@@ -312,6 +313,66 @@ def test_evaluate_rejects_uncovered_generators():
     m = random_point(GL2, SurfaceSpec(1, 1), 0)
     with pytest.raises(ValueError):
         nf.evaluate(m)
+
+
+def test_evaluate_rejects_uncovered_denominator():
+    nf = form(entry_symbol("C1", 1, 1), {"Z9": 1})
+    m = random_point(GL2, SurfaceSpec(1, 1), 0)
+    with pytest.raises(ValueError, match="does not cover"):
+        nf.evaluate(m)
+
+
+def _d1_bracket(i, j, k, l):
+    """{(D1^-1)_ij, (D1^-2)_kl} on Sigma_1,1: every term carries det(D1)^3."""
+    spec = SurfaceSpec(1, 1)
+    wa, wb = spec.word("D1'"), spec.word("D1' D1'")
+    _, _, data = realize_pair(wa, wb, polygon_model(spec), 0)
+    return PathEntrySymbol(wa, i, j), PathEntrySymbol(wb, k, l), data
+
+
+def test_final_reduction_is_pinned(monkeypatch):
+    # the terms sum over det(D1)^3, and only the one reduction of the sum
+    # cancels a det(D1)
+    a, b, data = _d1_bracket(3, 3, 1, 1)
+    text = "-D1_12*D1_23*D1_31/2 + D1_13*D1_21*D1_32/2 / det(D1)^2"
+    assert bracket_symbolic(a, b, data, 3).canonical_str() == text
+    assert bracket_symbolic(a, b, data, 3) == bracket_symbolic_ref(a, b, data, 3)
+    reduce = NormalForm._reduce
+
+    def skip_final(nf):   # mutant: the summed terms stay unreduced
+        return nf if sys._getframe(1).f_code.co_name == "sum_of_products" else reduce(nf)
+
+    monkeypatch.setattr(NormalForm, "_reduce", skip_final)
+    assert bracket_symbolic(a, b, data, 3).canonical_str() != text
+
+
+def _exact_value(nf, m) -> float:
+    """The form at m's exact coordinates, as a sympy rational, rounded once."""
+    n = nf.poly.ring.n
+    at = {entry_symbol(label, r + 1, c + 1): sp.Rational(x.numerator, x.denominator)
+          for label, rows in m.exact.items()
+          for r, row in enumerate(rows) for c, x in enumerate(row)}
+    value = to_expr(nf.poly).xreplace(at)
+    for label, p in nf.den.items():
+        value /= generator_det(label, n).xreplace(at) ** p
+    value = sp.Rational(value)
+    return float(Fraction(int(value.p), int(value.q)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_evaluate_is_exact(n):
+    # 1/2 coefficients, mixed degrees and det denominators: a lost
+    # coefficient, coordinate or det scale changes the rounded value
+    forms = [bracket_symbolic(*_d1_bracket(1, 1, 1, 2), n),
+             bracket_symbolic(*_d1_bracket(1, 2, 2, 1), n),
+             form("C1_11**2*D1_12/2 - 3*C1_22/7 + 5/3", {"C1": 2, "D1": 1}, n)]
+    assert all(nf.den and any(c.denominator > 1 for c in nf.poly.terms.values())
+               for nf in forms)
+    ctx = AlgebraContext("gl", n)
+    for seed in range(4):
+        m = random_point(ctx, SurfaceSpec(1, 1), seed)
+        for nf in forms:
+            assert nf.evaluate(m) == _exact_value(nf, m)
 
 
 def test_deferred_n3_bracket_is_unchanged():

@@ -5,10 +5,11 @@ import pytest
 import scipy.linalg
 
 from surface_qp import repspace
-from surface_qp.lie import (FD_STEP, AlgebraContext, cartan_trivector,
-                            dual_basis, entry_observable, expm,
-                            generic_observable, trace_observable)
+from surface_qp.lie import (AlgebraContext, Observable, cartan_trivector,
+                            dual_basis, entry_observable, expm, trace_observable)
 from surface_qp.surfaces import SurfaceSpec
+
+FD_STEP = 1e-5   # central-difference step of generic_observable
 
 CTXS = [AlgebraContext("gl", 2), AlgebraContext("gl", 3), AlgebraContext("u", 2)]
 
@@ -16,6 +17,25 @@ _SIGNED_PERMS = [
     ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
     ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1),
 ]
+
+
+def generic_observable(ctx, fn) -> Observable:
+    """Phi = fn with both variations by central differences along the dual
+    basis: the reference that the closed forms are tested against."""
+    pair = dual_basis(ctx)
+
+    def var(g, left: bool) -> np.ndarray:
+        out = np.zeros((ctx.n, ctx.n), dtype=ctx.dtype)
+        for ek, fk in zip(pair.e, pair.f):
+            step, stepm = expm(FD_STEP * ek), expm(-FD_STEP * ek)
+            if left:
+                d = (fn(g @ step) - fn(g @ stepm)) / (2 * FD_STEP)
+            else:
+                d = (fn(step @ g) - fn(stepm @ g)) / (2 * FD_STEP)
+            out = out + d * fk
+        return out
+
+    return Observable(fn, lambda g: var(g, True), lambda g: var(g, False))
 
 
 def wedge3_tensor(G):

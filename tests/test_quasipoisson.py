@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from surface_qp import quasipoisson, suites
 from surface_qp.diagrams import realize_pair
-from surface_qp.lie import (FD_STEP, AlgebraContext, CartanTrivector, cartan_trivector,
+from surface_qp.lie import (AlgebraContext, CartanTrivector, cartan_trivector,
                             dual_basis, entry_observable, trace_observable)
 from surface_qp.quasipoisson import (WordFunction, _field_vectors_and_jacs, action_sigma,
                                      bracket_combinatorial, bracket_numeric,
@@ -17,7 +17,7 @@ from surface_qp.repspace import (boundary_word, holonomy, random_point,
                                  random_points, word_product)
 from surface_qp.suites import WORD_PAIRS, _observable_pairs, run_suite
 from surface_qp.surfaces import SurfaceSpec, polygon_model
-from test_lie import wedge3_tensor
+from test_lie import FD_STEP, wedge3_tensor
 
 GL2 = AlgebraContext("gl", 2)
 GL3 = AlgebraContext("gl", 3)
