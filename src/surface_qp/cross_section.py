@@ -15,7 +15,7 @@ and a check that fails on a stack names the first failing stack index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from functools import cached_property
 
 import numpy as np
 
@@ -42,33 +42,39 @@ def phase_gap(lam):
     return np.where(k[:, None] < k, angle, np.pi).min(axis=(-2, -1))
 
 
-def _offdiag_kernel(h: np.ndarray, coef) -> np.ndarray:
+def _kernel(h: np.ndarray, coef) -> np.ndarray:
     """The entrywise matrix K with K_ab = coef(lam_a / lam_b) off the diagonal
-    and 1 on it, for h diagonal with regular spectrum lam, or one K per
-    matrix of a stack h: a function of Ad_h on t-perp acts on x as K * x."""
+    and 1 on it, for h diagonal with spectrum lam, or one K per matrix of a
+    stack h of any leading shape: a function of Ad_h on t-perp acts on x as
+    K * x.  Unchecked: _offdiag_kernel checks h first."""
     lam = np.diagonal(h, axis1=-2, axis2=-1)
     off = ~np.eye(lam.shape[-1], dtype=bool)
-    require(np.abs(np.where(off, h, 0)).max(axis=(-2, -1)) <= 1e-8,
-            "expected a diagonal unitary")
-    require(phase_gap(lam) > TOL_REG, "eigenvalue phase gap below tolerance",
-            RegularityError)
     k = np.ones(h.shape, dtype=complex)
     k[..., off] = coef((lam[..., :, None] / lam[..., None, :])[..., off])
     return k
 
 
-def _theta_kernel(h: np.ndarray, transpose: bool) -> np.ndarray:
-    return _offdiag_kernel(h, lambda r: 2.0 / (1.0 - (1.0 / r if transpose else r)))
+def _offdiag_kernel(h: np.ndarray, coef) -> np.ndarray:
+    """_kernel for h diagonal with regular spectrum, or a stack of them."""
+    require(np.abs(proj_offdiag(h)).max(axis=(-2, -1)) <= 1e-8,
+            "expected a diagonal unitary")
+    require(phase_gap(np.diagonal(h, axis1=-2, axis2=-1)) > TOL_REG,
+            "eigenvalue phase gap below tolerance", RegularityError)
+    return _kernel(h, coef)
 
 
-def theta_apply(h: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+def _theta_coef(transpose: bool):
     """Theta_h = Pr_t + 2/(1 - Ad_h) Pr_{t-perp}; transpose uses Ad_h^{-1}."""
-    return _theta_kernel(h, transpose) * x
+    return lambda r: 2.0 / (1.0 - (1.0 / r if transpose else r))
 
 
-def ad_cayley_apply(h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(Ad_h + 1)/(Ad_h - 1) on the off-diagonal part (diagonal part zeroed)."""
-    return _offdiag_kernel(h, lambda r: (r + 1.0) / (r - 1.0)) * proj_offdiag(x)
+def _cayley_coef(r):
+    """(Ad_h + 1)/(Ad_h - 1) on t-perp."""
+    return (r + 1.0) / (r - 1.0)
+
+
+def _theta_kernel(h: np.ndarray, transpose: bool) -> np.ndarray:
+    return _offdiag_kernel(h, _theta_coef(transpose))
 
 
 def proj_offdiag(x: np.ndarray) -> np.ndarray:
@@ -86,22 +92,31 @@ def theta_matrix(ctx: AlgebraContext, h: np.ndarray, transpose: bool = False) ->
 
 @dataclass(frozen=True)
 class CrossSectionPoint:
-    """A point of L, or a stack of them: per boundary component the diagonal
-    moment (n, n) or (S, n, n) and its phase gap, one per point."""
+    """A point of L, or a stack of them.  mus holds the diagonal moments,
+    boundary component i at index i - 1 of the leading axis, each (n, n) or
+    (S, n, n); gaps their phase gaps, one per boundary and point."""
     m: RepPoint
-    mus: Tuple[np.ndarray, ...]
-    gaps: Tuple[np.ndarray, ...]
+    mus: np.ndarray
+    gaps: np.ndarray
+
+    @cached_property
+    def theta(self) -> np.ndarray:
+        """The kernels of Theta_mu, one per moment: Theta_{mus[i]} x is
+        theta[i] * x.  project_to_cross_section checked the moments."""
+        return _kernel(self.mus, _theta_coef(False))
 
 
-def _diagonalizer(mu: np.ndarray):
+def _diagonalizer(mu: np.ndarray, names):
     """Unitary k with k mu k^-1 diagonal, eigenvalues by increasing phase,
-    and the phase gap; one of each per matrix of a stack."""
+    and the phase gap; one of each per matrix of the stack mu, whose first
+    axis runs over names."""
     lam, vec = np.linalg.eig(mu)
     order = np.argsort(np.angle(lam), axis=-1)
     lam = np.take_along_axis(lam, order, -1)
     vec = np.take_along_axis(vec, order[..., None, :], -1)
     gap = phase_gap(lam)
-    require(gap > TOL_REG, "moment spectrum gap below tolerance", RegularityError)
+    require(gap > TOL_REG, "moment spectrum gap below tolerance", RegularityError,
+            names)
     # orthonormal for a normal matrix with distinct eigenvalues: unit columns
     # (the dot products of np.linalg.norm on one column), then polish phases
     col = vec.swapaxes(-1, -2)
@@ -113,18 +128,22 @@ def _diagonalizer(mu: np.ndarray):
 
 def project_to_cross_section(m: RepPoint) -> CrossSectionPoint:
     """Conjugate each boundary moment of m, a point or a stack, to diagonal
-    form by one G^b action."""
+    form by one G^b action.  The b moments are stacked on a leading axis, so
+    that one diagonalization and one check cover them all; a failing check
+    names the moment and the point's stack index."""
     if m.ctx.kind != "u":
         raise ValueError("cross sections require the compact context")
     bounds = range(1, m.spec.boundary_count + 1)
-    ks, gaps = zip(*(_diagonalizer(boundary_moment(m, i)) for i in bounds))
+    names = ["mu_%d" % i for i in bounds]
+    ks, gaps = _diagonalizer(np.array([boundary_moment(m, i) for i in bounds]), names)
     m2 = act(m, ks)
-    mus = [boundary_moment(m2, i) for i in bounds]
-    for mu in mus:
-        require(np.abs(proj_offdiag(mu)).max(axis=(-2, -1)) <= 1e-8,
-                "projection failed to diagonalize a moment", RegularityError)
-    eye = np.eye(m.ctx.n, dtype=bool)
-    return CrossSectionPoint(m2, tuple(np.where(eye, mu, 0) for mu in mus), gaps)
+    mus = np.array([boundary_moment(m2, i) for i in bounds])
+    require(np.abs(proj_offdiag(mus)).max(axis=(-2, -1)) <= 1e-8,
+            "projection failed to diagonalize a moment", RegularityError, names)
+    mus = np.where(np.eye(m.ctx.n, dtype=bool), mus, 0)
+    require(phase_gap(np.diagonal(mus, axis1=-2, axis2=-1)) > TOL_REG,
+            "eigenvalue phase gap below tolerance", RegularityError, names)
+    return CrossSectionPoint(m2, mus, gaps)
 
 
 def bracket_cross(phi: Observable, w_alpha: Word, psi: Observable, w_beta: Word,
@@ -135,10 +154,10 @@ def bracket_cross(phi: Observable, w_alpha: Word, psi: Observable, w_beta: Word,
     form = cs.m.ctx.form
 
     def pair(s, u, w):
-        mu = cs.mus[s.marked - 1]
+        theta = cs.theta[s.marked - 1]
         if s.alpha_left:
-            return form(theta_apply(mu, u), w)
-        return form(u, theta_apply(mu, w))
+            return form(theta * u, w)
+        return form(u, theta * w)
     return bracket_combinatorial(phi, w_alpha, psi, w_beta, data, cs.m, pair)
 
 
@@ -147,9 +166,13 @@ def perp_correction(h: HamiltonianQP, df: dict, dg: dict, cs: CrossSectionPoint)
     1/2 sum_i <((Ad_mu+1)/(Ad_mu-1)) Pr chi_f^(i), Pr chi_g^(i)>, with
     chi^(i) read by quasipoisson.chi from action slot i-1 of h and the
     gradients df, dg of WordFunction.gradients.  The first factor is
-    off-diagonal, so pairing it with chi_g^(i) already projects chi_g^(i)."""
-    return sum(0.5 * cs.m.ctx.form(ad_cayley_apply(mu, chi(h, df, p)), chi(h, dg, p))
-               for p, mu in enumerate(cs.mus))
+    off-diagonal, so pairing it with chi_g^(i) already projects chi_g^(i).
+    One kernel and one contraction cover all boundaries, summed in order."""
+    bounds = range(len(cs.mus))   # a chi that no gradient reaches is one zero matrix
+    chi_f = np.array(np.broadcast_arrays(*(chi(h, df, p) for p in bounds)))
+    chi_g = np.array(np.broadcast_arrays(*(chi(h, dg, p) for p in bounds)))
+    terms = 0.5 * cs.m.ctx.form(_kernel(cs.mus, _cayley_coef) * proj_offdiag(chi_f), chi_g)
+    return sum(terms)
 
 
 def bracket_cross_numeric(h: HamiltonianQP, f: WordFunction, g: WordFunction,

@@ -31,7 +31,7 @@ see as a degenerate input.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -52,6 +52,9 @@ class PathDiagram:
     sides: Tuple[int, ...]     # glued side crossed between consecutive legs
     start_corner: int
     end_corner: int
+    # (model, prefixes, suffixes) of _leg_prefixes: the word check of a
+    # realization and its intersection data read one set of leg words
+    leg_words: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.legs) != len(self.sides) + 1:
@@ -75,7 +78,10 @@ class PathDiagram:
 
 
 def _leg_prefixes(d: PathDiagram, pm: PolygonModel):
-    """prefix[i] / suffix[i]: word of the diagram before / from leg i."""
+    """prefix[i] / suffix[i]: word of the diagram before / from leg i, built
+    once per diagram and model."""
+    if d.leg_words is not None and d.leg_words[0] is pm:
+        return d.leg_words[1:]
     m = len(d.legs)
     pref = [pm.corner_word[d.start_corner].inverse()]
     for k in d.sides:
@@ -84,6 +90,7 @@ def _leg_prefixes(d: PathDiagram, pm: PolygonModel):
     suf[m - 1] = pm.corner_word[d.end_corner]
     for i in range(m - 2, -1, -1):
         suf[i] = pm.transition(d.sides[i]).concat(suf[i + 1])
+    object.__setattr__(d, "leg_words", (pm, pref, suf))
     return pref, suf
 
 

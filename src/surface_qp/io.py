@@ -108,6 +108,9 @@ def _parse_entry(ctx: AlgebraContext, v):
 
 def load_point(path: str, ctx: AlgebraContext, spec: SurfaceSpec) -> RepPoint:
     doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise SchemaError("bad point file %s: expected an object of generator "
+                          "matrices, got %s" % (path, type(doc).__name__))
     mats, exact = {}, {}
     try:
         for sym, rows in doc.items():

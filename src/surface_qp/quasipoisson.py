@@ -55,11 +55,13 @@ class HamiltonianQP:
         fuse and perturbed build new structures rather than edit coeffs."""
         types = dict.fromkeys(t for key in self.coeffs for t in key)
         index = {t: k for k, t in enumerate(types)}
-        a = np.zeros((len(index), len(index)))
-        for (x, y), c in self.coeffs.items():
-            a[index[x], index[y]] += c
-            a[index[y], index[x]] -= c
-        return index, a
+        # one scatter of C, then C - C^T: each cell is c_xy - c_yx, the sum
+        # of the same two addends as adding c at (x, y) and -c at (y, x) per key
+        c = np.zeros((len(index), len(index)))
+        rows = [index[x] for x, _ in self.coeffs]
+        cols = [index[y] for _, y in self.coeffs]
+        np.add.at(c, (rows, cols), list(self.coeffs.values()))
+        return index, c - c.T
 
 
 def _letter_slots(sym: str) -> list:

@@ -74,8 +74,9 @@ def boundary_word(spec: SurfaceSpec, i: int) -> Word:
     mu_1 for i = 1 (empty on the disk), B_i^-1 otherwise."""
     if not 1 <= i <= spec.boundary_count:
         raise ValueError("boundary index out of range")
-    g, b = spec.genus, spec.boundary_count
-    return Word.make(mu1_letters(g, b) if i == 1 else [("B%d" % i, -1)], g, b)
+    if i == 1:   # freely reduced and composable by construction
+        return Word(mu1_letters(spec.genus, spec.boundary_count), 1, 1)
+    return Word((("B%d" % i, -1),), i, i)
 
 
 def boundary_moment(m: RepPoint, i: int) -> np.ndarray:
@@ -85,15 +86,14 @@ def boundary_moment(m: RepPoint, i: int) -> np.ndarray:
 def act(m: RepPoint, g) -> RepPoint:
     """Action of (g_1, ..., g_b): a path from p_i to p_j transforms its
     holonomy by g_i (.) g_j^{-1}."""
-    g = [np.asarray(gi, dtype=m.ctx.dtype) for gi in g]
+    g = np.asarray(g, dtype=m.ctx.dtype)
     if len(g) != m.spec.boundary_count:
         raise ValueError("need one group element per boundary component")
-    g_inv = [np.linalg.inv(gi) for gi in g]
-    out = {}
-    for sym, mat in m.mats.items():
-        s, t = generator_endpoints(sym)
-        out[sym] = g[s - 1] @ mat @ g_inv[t - 1]
-    return RepPoint(m.ctx, m.spec, out)
+    if not m.mats:
+        return RepPoint(m.ctx, m.spec, {})
+    src, tgt = np.array([generator_endpoints(sym) for sym in m.mats]).T - 1
+    out = g[src] @ np.array(list(m.mats.values())) @ np.linalg.inv(g)[tgt]
+    return RepPoint(m.ctx, m.spec, dict(zip(m.mats, out)))
 
 
 def _random_gl(ctx: AlgebraContext, rngs: Sequence, count: int) -> np.ndarray:

@@ -68,6 +68,7 @@ class PolygonModel:
     sides: List[Side]
     corner_word: List[Word]
     corner_marked: List[int]
+    transitions: List[Optional[Word]]    # per side; None for boundary sides
     links: Dict[int, List[int]]          # marked point -> corners in ccw link order
     link_pos: Dict[int, Tuple[int, int]]  # corner -> (marked point, position)
     letter_to_side: Dict[Tuple[str, int], int]
@@ -95,11 +96,9 @@ class PolygonModel:
 
     def transition(self, k: int) -> Word:
         """Groupoid word picked up when a diagram exits through glued side k."""
-        s = self.sides[k]
-        if s.partner is None:
+        if self.transitions[k] is None:
             raise ValueError("cannot cross a boundary side")
-        p = self.sides[s.partner]
-        return self.corner_word[s.start].concat(self.corner_word[p.end].inverse())
+        return self.transitions[k]
 
     def wedge_contains(self, c: int, v: Point) -> bool:
         """Does direction v at corner c point strictly into the polygon?"""
@@ -123,7 +122,7 @@ def _regular_vertices(n: int) -> List[Point]:
 
 def polygon_model(spec: SurfaceSpec) -> PolygonModel:
     if spec.is_disk:
-        return PolygonModel(spec, [], [], [], [1], {1: []}, {}, {})
+        return PolygonModel(spec, [], [], [], [1], [], {1: []}, {}, {})
     labels = side_labels(spec)
     n = len(labels)
     verts = _regular_vertices(n)
@@ -137,13 +136,21 @@ def polygon_model(spec: SurfaceSpec) -> PolygonModel:
     marked = [1] + [generator_endpoints(sym)[1 if sgn == 1 else 0]
                     for sym, sgn in labels[:n - 1]]
     # corner k >= 1 is reached by beta_1 = mu_1^-1 and the first k - 1 letters
-    # of mu_1: the inverse of the rest of mu_1, from p_1 to corner k's point
+    # of mu_1: the inverse of the rest of mu_1, from p_1 to corner k's point.
+    # That is the first n - k letters of mu_1^-1, and its inverse, back to
+    # p_1, the last n - k letters of mu_1; both are empty at corner 0.
     mu1 = mu1_letters(g, b)
-    cw = [Word.make([], g, b)] + [Word(invert(mu1[k - 1:]), 1, marked[k])
-                                  for k in range(1, n)]
+    mu1_inv = invert(mu1)
+    cw = [Word(mu1_inv[:(n - k) % n], 1, marked[k]) for k in range(n)]
+    back = [Word(mu1[(k - 1) % n:], marked[k], 1) for k in range(n)]
     closing = cw[-1].concat(Word.make([labels[n - 1]], g, b))
     if len(closing.letters):
         raise AssertionError("polygon boundary word does not reduce to identity")
+    # leaving through side k and entering its partner p picks up the path
+    # from p_1 to the corner at k's start and back from p's end to p_1
+    transitions = [None if s.partner is None
+                   else cw[s.start].concat(back[sides[s.partner].end])
+                   for s in sides]
 
     links: Dict[int, List[int]] = {}
     link_pos: Dict[int, Tuple[int, int]] = {}
@@ -168,8 +175,8 @@ def polygon_model(spec: SurfaceSpec) -> PolygonModel:
     if len(seen) != n or any(marked[c] != pp for c, (pp, _) in link_pos.items()):
         raise AssertionError("vertex links do not partition the polygon corners")
 
-    return PolygonModel(spec, verts, sides, cw, marked, links, link_pos, where,
-                        center=centroid(verts))
+    return PolygonModel(spec, verts, sides, cw, marked, transitions, links, link_pos,
+                        where, center=centroid(verts))
 
 
 @dataclass(frozen=True)

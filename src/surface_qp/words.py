@@ -116,14 +116,15 @@ class Word:
         return Word(invert(self.letters), self.target, self.source)
 
     def concat(self, other: "Word") -> "Word":
-        if len(self.letters) and len(other.letters) and self.target != other.source:
+        """The path self then other.  Both are freely reduced, so letters
+        cancel only at the seam."""
+        if self.target != other.source:
             raise ValueError("words not composable")
-        red = free_reduce(self.letters + other.letters)
-        src = self.source if len(self.letters) else other.source
-        tgt = other.target if len(other.letters) else self.target
-        if not red:
-            tgt = src
-        return Word(red, src, tgt)
+        a, b = self.letters, other.letters
+        k, top = 0, min(len(a), len(b))
+        while k < top and a[-1 - k][0] == b[k][0] and a[-1 - k][1] == -b[k][1]:
+            k += 1
+        return Word(a[:len(a) - k] + b[k:], self.source, other.target)
 
     @staticmethod
     def from_string(text: str, genus: int, boundary: int) -> "Word":

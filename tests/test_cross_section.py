@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from surface_qp import cross_section as cx
-from surface_qp.cross_section import (RegularityError, _offdiag_kernel, ad_cayley_apply,
-                                      bracket_cross, bracket_cross_numeric,
+from surface_qp.cross_section import (RegularityError, _cayley_coef, _offdiag_kernel,
+                                      _theta_kernel, bracket_cross, bracket_cross_numeric,
                                       perp_correction, proj_offdiag,
-                                      project_to_cross_section, theta_apply,
-                                      theta_matrix)
+                                      project_to_cross_section, theta_matrix)
 from surface_qp.lie import (AlgebraContext, dual_basis, entry_observable,
                             trace_observable)
-from surface_qp.quasipoisson import WordFunction, bracket_numeric, build_bivector
+from surface_qp.quasipoisson import WordFunction, bracket_numeric, build_bivector, chi
 from surface_qp.repspace import (RepPoint, boundary_moment, holonomy, random_point,
                                  random_points)
 from surface_qp.suites import WORD_PAIRS, run_suite
@@ -18,6 +17,18 @@ from surface_qp.diagrams import realize_pair
 
 U2 = AlgebraContext("u", 2)
 U3 = AlgebraContext("u", 3)
+
+
+def theta_apply(h, x, transpose=False):
+    """Reference Theta_h x for h diagonal and regular, or a stack of them, by
+    the checked kernel of h; transpose uses Ad_h^{-1}."""
+    return _theta_kernel(h, transpose) * x
+
+
+def ad_cayley_apply(h, x):
+    """Reference (Ad_h + 1)/(Ad_h - 1) x on the off-diagonal part (diagonal
+    part zeroed), by the checked kernel of h."""
+    return _offdiag_kernel(h, _cayley_coef) * proj_offdiag(x)
 
 
 def _diag_unitary(ctx, seed, min_gap=0.3):
@@ -289,3 +300,55 @@ def test_cross_section_suite_makes_one_stacked_call_per_surface(monkeypatch):
     fixtures = run_suite("cross-section")
     assert all(fx["pass"] for fx in fixtures) and len(fixtures) == 22
     assert calls == {"project_to_cross_section": 2, "theta_matrix": 4}
+
+
+@pytest.mark.parametrize("gb,index", [((0, 3), 4), ((1, 2), 1)], ids=["g0b3", "g1b2"])
+def test_irregular_moment_at_boundary_2_names_it_and_its_stack_index(gb, index):
+    # B2 = 1 makes mu_2 = B2^-1 the identity at one point; the moments are
+    # stacked on a leading axis, which the message must not take for the
+    # stack axis
+    spec = SurfaceSpec(*gb)
+    m = random_points(U2, spec, range(6))
+    mats = dict(m.mats)
+    mats["B2"] = mats["B2"].copy()
+    mats["B2"][index] = np.eye(2)
+    with pytest.raises(RegularityError, match="^mu_2: moment spectrum gap below "
+                       "tolerance at stack index %d$" % index):
+        project_to_cross_section(RepPoint(U2, spec, mats))
+    one = {sym: mat[index] for sym, mat in mats.items()}
+    with pytest.raises(RegularityError, match="^mu_2: moment spectrum gap below tolerance$"):
+        project_to_cross_section(RepPoint(U2, spec, one))
+
+
+def test_projection_makes_one_diagonalizer_call(monkeypatch):
+    # the b moments go through one eig, one gap check and one action
+    shapes = []
+
+    def counted(mu, names, _fn=cx._diagonalizer):
+        shapes.append(mu.shape)
+        return _fn(mu, names)
+    monkeypatch.setattr(cx, "_diagonalizer", counted)
+    spec = SurfaceSpec(1, 2)
+    project_to_cross_section(random_points(U3, spec, range(5)))
+    project_to_cross_section(random_point(U3, spec, 0))
+    assert shapes == [(2, 5, 3, 3), (2, 3, 3)]
+
+
+@pytest.mark.parametrize("gb", sorted(WORD_PAIRS), ids=lambda gb: "g%db%d" % gb)
+def test_stacked_kernels_match_per_boundary_calls(gb):
+    # the Theta kernels of a CrossSectionPoint and the one-kernel P-perp
+    # correction give the bits of theta_apply and of a sum over boundaries
+    spec = SurfaceSpec(*gb)
+    h = build_bivector(spec, U3)
+    x = _random_skew(U3, 1)
+    wa, wb = (spec.word(t) for t in WORD_PAIRS[gb][-1])
+    f = WordFunction(entry_observable(U3, 0, 1, "re"), wa)
+    g = WordFunction(entry_observable(U3, 1, 2, "re"), wb)
+    for m in (random_point(U3, spec, 2), random_points(U3, spec, range(4))):
+        cs = project_to_cross_section(m)
+        for i, mu in enumerate(cs.mus):
+            assert np.array_equal(cs.theta[i] * x, theta_apply(mu, x))
+        df, dg = f.gradients(cs.m), g.gradients(cs.m)
+        want = sum(0.5 * U3.form(ad_cayley_apply(mu, chi(h, df, p)), chi(h, dg, p))
+                   for p, mu in enumerate(cs.mus))
+        assert np.array_equal(perp_correction(h, df, dg, cs), want)

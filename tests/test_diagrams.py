@@ -85,6 +85,19 @@ def test_algebraic_intersection_homotopy_invariant(gb, wa, wb, expected):
     assert vals == {expected}
 
 
+def test_leg_words_are_built_once_per_realization(monkeypatch):
+    # the word check of each realization and the intersection data share one
+    # prefix pass and one suffix pass per diagram
+    spec = SurfaceSpec(2, 2)
+    pm = polygon_model(spec)
+    wa, wb = spec.word("A2 B2 A2' C1 D1 C1' D1'"), spec.word("C2 D1'")
+    calls = []
+    monkeypatch.setattr(pm, "transition", lambda k, _fn=pm.transition: calls.append(k) or _fn(k))
+    da, db, data = realize_pair(wa, wb, pm, 3)
+    assert len(calls) == 2 * (len(da.sides) + len(db.sides)) > 0
+    assert data == intersection_data(da, db, polygon_model(spec))
+
+
 def test_crossing_reroutes_compose():
     spec = SurfaceSpec(1, 1)
     pm = polygon_model(spec)

@@ -307,6 +307,15 @@ def test_cli_unparsable_gl_entry_exits_2(tmp_path, capsys, entry):
     assert "bad point file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [[], "x", 3], ids=["list", "string", "number"])
+def test_cli_point_file_not_an_object_exits_2(tmp_path, capsys, doc):
+    # a point file maps generator names to matrices; any other top level is input
+    code = main(["bracket", "--surface", _surface(tmp_path),
+                 "--diagram", _diagram(tmp_path), "--point", _write(tmp_path, "p.json", doc)])
+    assert code == 2
+    assert "bad point file" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("group,entry", [("gl", True), ("u", [True, 0])],
                          ids=["gl", "u"])
 def test_cli_bool_point_entry_exits_2(tmp_path, capsys, group, entry):

@@ -494,3 +494,25 @@ def test_endpoint_subtotal_invariant_factorizes():
     eps = float(sum(s.value for s in data.endpoint_signs.values()))
     pairing = GL2.form(tr.var_left(holonomy(m, wa)), tr.var_left(holonomy(m, wb)))
     assert sub == pytest.approx(eps * pairing, abs=1e-12)
+
+
+def _skew_per_coefficient(h):
+    """Reference form: A = C - C^T by two scalar writes per coefficient."""
+    index, _ = h.skew
+    a = np.zeros((len(index), len(index)))
+    for (x, y), c in h.coeffs.items():
+        a[index[x], index[y]] += c
+        a[index[y], index[x]] -= c
+    return a
+
+
+@pytest.mark.parametrize("spec", SPECS + [SurfaceSpec(5, 5)])
+@pytest.mark.parametrize("n", [2, 4])
+def test_skew_matches_per_coefficient_loop(spec, n):
+    ctx = AlgebraContext("gl", n)
+    for order in ("left", "right"):
+        h = build_bivector(spec, ctx, order)
+        for hh in (h, perturbed(h, 0.01)):
+            index, a = hh.skew
+            assert list(index) == list(dict.fromkeys(t for k in hh.coeffs for t in k))
+            assert np.array_equal(a, _skew_per_coefficient(hh))

@@ -7,9 +7,9 @@ from surface_qp.lie import AlgebraContext, entry_observable, expm
 from surface_qp.quasipoisson import WordFunction, build_bivector, chi
 from surface_qp import repspace
 from surface_qp.repspace import (RepPoint, _random_gl, _random_u_log, act, boundary_moment,
-                                 holonomy, random_point, random_points)
+                                 boundary_word, holonomy, random_point, random_points)
 from surface_qp.surfaces import SurfaceSpec
-from surface_qp.words import generator_symbols
+from surface_qp.words import Word, generator_endpoints, generator_symbols, mu1_letters
 
 GL2 = AlgebraContext("gl", 2)
 U2 = AlgebraContext("u", 2)
@@ -47,6 +47,40 @@ def test_action_composition_law(spec):
     rhs = act(m, [h[i] @ g[i] for i in range(b)])
     for sym in m.mats:
         assert np.max(np.abs(lhs.mat(sym) - rhs.mat(sym))) < 1e-12
+
+
+def _act_per_generator(m, g):
+    """Reference action: one pair of products per generator."""
+    g_inv = [np.linalg.inv(gi) for gi in g]
+    out = {}
+    for sym, mat in m.mats.items():
+        s, t = generator_endpoints(sym)
+        out[sym] = g[s - 1] @ mat @ g_inv[t - 1]
+    return out
+
+
+@pytest.mark.parametrize("spec", SPECS + [SurfaceSpec(5, 5)])
+@pytest.mark.parametrize("ctx", [GL2, U2], ids=["gl", "u"])
+def test_act_matches_per_generator_products(spec, ctx):
+    # one stacked product over all generators gives the same bits as the loop
+    b = spec.boundary_count
+    for m in (random_point(ctx, spec, 3), random_points(ctx, spec, range(4))):
+        shape = m.mat(next(iter(m.mats))).shape
+        g = np.array([random_points(ctx, SurfaceSpec(1, 1), [7 + i]).mat("C1")[0]
+                      for i in range(b)])
+        g = np.broadcast_to(g.reshape((b,) + (1,) * (len(shape) - 2) + (2, 2)),
+                            (b,) + shape)
+        got = act(m, g)
+        want = _act_per_generator(m, g)
+        assert all(np.array_equal(got.mat(sym), want[sym]) for sym in m.mats)
+
+
+@pytest.mark.parametrize("spec", SPECS + [SurfaceSpec(5, 5)])
+def test_boundary_words_are_reduced_words_of_the_moments(spec):
+    g, b = spec.genus, spec.boundary_count
+    assert boundary_word(spec, 1) == Word.make(mu1_letters(g, b), g, b)
+    for i in range(2, b + 1):
+        assert boundary_word(spec, i) == Word.make([("B%d" % i, -1)], g, b)
 
 
 @pytest.mark.parametrize("spec", SPECS)

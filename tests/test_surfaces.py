@@ -3,7 +3,7 @@ import pytest
 from surface_qp.geometry import orient
 from surface_qp.surfaces import (PolygonModel, SurfaceSpec, polygon_model,
                                  side_labels, split_canonical)
-from surface_qp.words import Word
+from surface_qp.words import Word, free_reduce, invert
 
 SPECS = [SurfaceSpec(0, 2), SurfaceSpec(1, 1), SurfaceSpec(0, 3),
          SurfaceSpec(1, 2), SurfaceSpec(2, 1), SurfaceSpec(1, 3)]
@@ -77,6 +77,26 @@ def test_transition_words_compose(spec):
         w = pm.transition(s.index)
         wp = pm.transition(s.partner)
         assert w.concat(wp).letters == ()
+
+
+def _transition_from_corner_words(pm, k):
+    """The reference transition word of glued side k: the corner word at k's
+    start, then back along the corner word at its partner's end, reduced in
+    full."""
+    s = pm.sides[k]
+    a, b = pm.corner_word[s.start], pm.corner_word[pm.sides[s.partner].end]
+    return Word(free_reduce(a.letters + invert(b.letters)), a.source, b.source)
+
+
+@pytest.mark.parametrize("spec", SPECS[:4] + [SurfaceSpec(2, 2), SurfaceSpec(5, 5)])
+def test_transition_words_match_corner_word_construction(spec):
+    pm = polygon_model(spec)
+    for s in pm.sides:
+        if s.partner is None:
+            with pytest.raises(ValueError, match="boundary side"):
+                pm.transition(s.index)
+        else:
+            assert pm.transition(s.index) == _transition_from_corner_words(pm, s.index)
 
 
 def test_disk_has_no_model_sides():

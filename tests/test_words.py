@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from surface_qp.words import (Word, free_reduce, generator_endpoints,
                               generator_symbols, invert, mu1_letters)
@@ -72,3 +72,61 @@ def test_word_inverse_swaps_endpoints():
     wi = w.inverse()
     assert (wi.source, wi.target) == (2, 1)
     assert w.concat(wi).letters == ()
+
+
+def test_concat_checks_composability_of_empty_words():
+    # an empty path sits at its marked point: p_2 cannot be followed by a path from p_1
+    a3 = Word.from_string("A3", 0, 3)
+    with pytest.raises(ValueError, match="not composable"):
+        Word((), 2, 2).concat(a3)
+    with pytest.raises(ValueError, match="not composable"):
+        a3.concat(Word((), 1, 1))
+    assert Word((), 1, 1).concat(a3) == a3 == a3.concat(Word((), 3, 3))
+
+
+SEAM_SURFACES = [(0, 2), (1, 1), (0, 3), (1, 2), (2, 2)]
+
+
+def _walk(draw, genus, boundary, at, length):
+    """length random composable letters from marked point at, and the point
+    they end at."""
+    letters = []
+    for _ in range(length):
+        steps = [(sym, sgn) for sym in generator_symbols(genus, boundary)
+                 for sgn in (1, -1)
+                 if generator_endpoints(sym)[0 if sgn == 1 else 1] == at]
+        sym, sgn = draw(st.sampled_from(steps))
+        letters.append((sym, sgn))
+        at = generator_endpoints(sym)[1 if sgn == 1 else 0]
+    return letters, at
+
+
+@st.composite
+def seam_pair(draw):
+    """Freely reduced composable words a, b where b starts by undoing the
+    last k letters of a, for a random k up to all of a."""
+    genus, boundary = draw(st.sampled_from(SEAM_SURFACES))
+    at = draw(st.integers(1, boundary))
+    letters, mid = _walk(draw, genus, boundary, at, draw(st.integers(0, 8)))
+    a = Word(free_reduce(letters), at, mid)
+    k = draw(st.integers(0, len(a)))
+    undo = invert(a.letters[len(a) - k:])
+    back = mid   # the point after the first len(a) - k letters of a
+    for sym, sgn in undo:
+        back = generator_endpoints(sym)[1 if sgn == 1 else 0]
+    rest, end = _walk(draw, genus, boundary, back, draw(st.integers(0, 4)))
+    b = Word(free_reduce(undo + tuple(rest)), mid, end)
+    return genus, boundary, a, b
+
+
+@settings(max_examples=300)
+@given(seam_pair())
+def test_concat_cancels_like_full_reduction(case):
+    genus, boundary, a, b = case
+    got = a.concat(b)
+    want = Word.make(a.letters + b.letters, genus, boundary)
+    assert got.letters == want.letters == free_reduce(a.letters + b.letters)
+    if got.letters:
+        assert (got.source, got.target) == (want.source, want.target)
+    else:   # Word.make puts an empty word at p_1; concat keeps the point
+        assert got.source == got.target == a.source
