@@ -16,7 +16,11 @@ tolerance of the numeric route as well.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 input error (also a
 negative or non-finite --tol, a non-finite --mutate, verify --n below 2,
---group u with a GL suite), 3 numeric-domain error.
+--group u with a GL suite, an --out path that cannot be written), 3
+numeric-domain error.
+
+The argument parser is built once, at import, and holds no request data, so
+every call of main in one process parses with the same parser.
 """
 
 from __future__ import annotations
@@ -66,6 +70,9 @@ def _parser() -> argparse.ArgumentParser:
                    help="perturb the verified structure (sensitivity check)")
     common(v)
     return p
+
+
+_PARSER = _parser()
 
 
 def cmd_bracket(args) -> int:
@@ -140,7 +147,7 @@ def _config_dict(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         _check_options(args)
         if args.command == "bracket":

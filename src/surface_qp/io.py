@@ -19,7 +19,8 @@ from __future__ import annotations
 import json
 import time
 from fractions import Fraction
-from typing import Optional
+from itertools import chain
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -143,25 +144,69 @@ def make_report(command: str, config: dict, fixtures: list) -> dict:
     }
 
 
+def fixture_rows(names: Sequence[str], lhs, rhs, tol: float) -> list:
+    """One fixture row per name, comparing lhs with rhs: each side an (S,)
+    stack over the names or a scalar shared by all of them.  One residual
+    pass over the stack, silent as Python float arithmetic is: a NaN
+    residual (a NaN side, or inf against inf) or an overflowing one fails
+    its row."""
+    table = np.empty((3, len(names)))
+    table[0], table[1] = lhs, rhs
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.abs(table[0] - table[1], out=table[2])
+    ok = (table[2] <= tol).tolist()
+    tol_s = fmt_float(tol)
+    return [{"fixture": name, "lhs": "%.17g" % a, "rhs": "%.17g" % b,
+             "residual": "%.17g" % r, "tolerance": tol_s, "pass": p}
+            for name, a, b, r, p in zip(names, *table.tolist(), ok)]
+
+
 def fixture_result(name: str, lhs: float, rhs: float, tol: float,
                    extra: Optional[dict] = None) -> dict:
-    res = abs(lhs - rhs)
-    out = {
-        "fixture": name,
-        "lhs": fmt_float(lhs),
-        "rhs": fmt_float(rhs),
-        "residual": fmt_float(res),
-        "tolerance": fmt_float(tol),
-        "pass": bool(res <= tol),
-    }
+    """The one-row case of fixture_rows, with extra keys."""
+    out = fixture_rows([name], lhs, rhs, tol)[0]
     if extra:
         out.update(extra)
     return out
 
 
+# A non-empty list of non-empty flat dicts encodes in one call of the C
+# encoder with this item separator: it sets each key at the six-space indent
+# of a report's fixture rows, and write_report adds the row and list breaks.
+_ROWS = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _flat_rows(rows) -> bool:
+    """Whether rows is a non-empty list of non-empty dicts of scalars."""
+    return (type(rows) is list and rows != [] and set(map(type, rows)) == {dict}
+            and all(rows) and set(map(type, chain.from_iterable(map(dict.values, rows))))
+            <= _SCALARS)
+
+
+def _dumps(report) -> str:
+    """json.dumps(report, indent=2, sort_keys=True), with a report's fixture
+    rows, when all are flat, through the C encoder.  A literal newline occurs
+    only in separators (strings escape theirs), and a flat row holds no
+    bracket outside its strings, so the row breaks are exact replacements."""
+    rows = report.get("fixtures") if type(report) is dict else None
+    if not _flat_rows(rows):
+        return json.dumps(report, indent=2, sort_keys=True)
+    text = _ROWS.encode(rows)   # [{"k": v,\n      "k": v},\n      {...}]
+    text = "[\n    {\n      %s\n    }\n  ]" % text[2:-2].replace(
+        "},\n      {", "\n    },\n    {\n      ")
+    head = json.dumps(dict(report, fixtures=[]), indent=2, sort_keys=True)
+    return head.replace('\n  "fixtures": []', '\n  "fixtures": ' + text, 1)
+
+
 def write_report(report: dict, out_path: Optional[str]) -> str:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    """The report's JSON text, also written to out_path when one is given.
+    A path that cannot be written is an input error."""
+    text = _dumps(report)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise SchemaError("cannot write %s: %s" % (out_path, exc))
     return text

@@ -1,6 +1,6 @@
 """Named verification suites shared by the command line tool and the test
 battery.  Each suite returns a list of fixture-result dicts (see io.fixture_
-result); a suite passes when every fixture does.
+rows, one call per stack of seeds); a suite passes when every fixture does.
 
 The mutate knob exercises sensitivity: it perturbs the structure being
 verified (a bivector coefficient, or the overall bracket orientation) and is
@@ -20,7 +20,7 @@ from .diagrams import realize_pair
 # NormalForm.evaluate through this module's namespace
 from .goldman import (NormalForm, PathEntrySymbol, bracket_symbolic, entry_nf,
                       sum_of_products, word_ring)
-from .io import fixture_result, fmt_float
+from .io import fixture_result, fixture_rows, fmt_float
 from .lie import AlgebraContext, entry_observable, trace_observable
 from .quasipoisson import (WordFunction, bracket_combinatorial, bracket_numeric,
                            build_bivector, perturbed, schouten_residual,
@@ -40,6 +40,11 @@ FIXTURE_SURFACES = [SurfaceSpec(0, 2), SurfaceSpec(1, 1),
                     SurfaceSpec(0, 3), SurfaceSpec(1, 2)]
 
 
+def _seeded(prefix: str, count: int) -> list:
+    """The fixture names "<prefix> seed=k" of seeds 0, ..., count - 1."""
+    return ["%s seed=%d" % (prefix, seed) for seed in range(count)]
+
+
 def suite_qp_identity(n: int = 2, tol: float = 1e-9, mutate: float = 0.0) -> list:
     ctx = AlgebraContext("gl", n)
     out = []
@@ -48,9 +53,7 @@ def suite_qp_identity(n: int = 2, tol: float = 1e-9, mutate: float = 0.0) -> lis
         hm = perturbed(h, mutate)
         m = random_points(ctx, spec, range(5))
         res = schouten_residual(hm, m)["residual"]
-        for seed in range(5):
-            out.append(fixture_result("qp-identity %s seed=%d" % (spec, seed),
-                                      res[seed], 0.0, tol))
+        out += fixture_rows(_seeded("qp-identity %s" % spec, 5), res, 0.0, tol)
         # sensitivity: a 1% coefficient mutation must break the identity
         m0 = RepPoint(ctx, spec, {sym: mat[0] for sym, mat in m.mats.items()})
         bad = schouten_residual(perturbed(h, 0.01), m0)["residual"]
@@ -73,11 +76,11 @@ def suite_moment(n: int = 2, tol: float = 1e-12, mutate: float = 0.0) -> list:
         m = random_points(ctx, spec, range(10))
         res = [[verify_moment(h, p, f, m)["residual"] for _, f in fs]
                for p in range(spec.boundary_count)]
-        for seed in range(10):
-            for p, row in enumerate(res):
-                for (label, _), r in zip(fs, row):
-                    out.append(fixture_result("moment %s mu_%d%s seed=%d"
-                                              % (spec, p + 1, label, seed), r[seed], 0.0, tol))
+        # seed-major rows: every (moment, function) pair at seed 0, then 1, ...
+        prefixes = ["moment %s mu_%d%s" % (spec, p + 1, label)
+                    for p in range(spec.boundary_count) for label, _ in fs]
+        names = ["%s seed=%d" % (pre, seed) for seed in range(10) for pre in prefixes]
+        out += fixture_rows(names, np.moveaxis(np.array(res), -1, 0).ravel(), 0.0, tol)
     return out
 
 
@@ -103,10 +106,8 @@ def suite_main_theorem(n: int = 2, tol: float = 1e-8, mutate: float = 0.0) -> li
                 if mutate:
                     comb = -comb  # flipped orientation convention
                 num = bracket_numeric(h, f, g, m)
-                for seed in range(20):
-                    out.append(fixture_result(
-                        "main-theorem %s %s|%s %s seed=%d" %
-                        (spec, wa_s, wb_s, label, seed), comb[seed], num[seed], tol))
+                out += fixture_rows(_seeded("main-theorem %s %s|%s %s" %
+                                            (spec, wa_s, wb_s, label), 20), comb, num, tol)
     return out
 
 
@@ -122,10 +123,8 @@ def suite_splitting(n: int = 2, tol: float = 1e-9, mutate: float = 0.0) -> list:
         g = WordFunction(entry_observable(ctx, 0, 0, "re"), wb)
         m = random_points(ctx, spec, range(10))
         lhs, rhs = bracket_numeric(hl, f, g, m), bracket_numeric(hr, f, g, m)
-        for seed in range(10):
-            out.append(fixture_result(
-                "splitting %s %s|%s seed=%d" % (spec, wa_s, wb_s, seed),
-                lhs[seed], rhs[seed], tol))
+        out += fixture_rows(_seeded("splitting %s %s|%s" % (spec, wa_s, wb_s), 10),
+                            lhs, rhs, tol)
     return out
 
 
@@ -174,12 +173,14 @@ def suite_goldman(n: int = 2, tol: float = 1e-8, mutate: float = 0.0) -> list:
         h = build_bivector(spec, ctx)
         f = WordFunction(entry_observable(ctx, 0, 0, "re"), wa)
         g = WordFunction(entry_observable(ctx, 0, 1, "re"), wb)
-        for seed in range(3):
-            m = random_point(ctx, spec, seed)
-            out.append(fixture_result(
-                "goldman evaluate %s %s_11|%s_12 seed=%d" % (spec, wa_s, wb_s, seed),
-                br.evaluate(m), bracket_numeric(h, f, g, m), tol,
-                {"normal_form": br.canonical_str()}))
+        ms = [random_point(ctx, spec, seed) for seed in range(3)]
+        rows = fixture_rows(_seeded("goldman evaluate %s %s_11|%s_12" % (spec, wa_s, wb_s), 3),
+                            [br.evaluate(m) for m in ms],
+                            [bracket_numeric(h, f, g, m) for m in ms], tol)
+        text = br.canonical_str()
+        for row in rows:
+            row["normal_form"] = text
+        out += rows
     return out
 
 
@@ -211,10 +212,8 @@ def suite_cross_section(tol: float = 1e-7, mutate: float = 0.0) -> list:
         if mutate:
             lhs = -lhs
         rhs = cx.bracket_cross_numeric(h, f, g, cs)
-        for seed in range(10):
-            out.append(fixture_result(
-                "cross-section routes %s %s|%s seed=%d" % (spec, wa_s, wb_s, seed),
-                lhs[seed], rhs[seed], tol))
+        out += fixture_rows(_seeded("cross-section routes %s %s|%s" % (spec, wa_s, wb_s), 10),
+                            lhs, rhs, tol)
     return out
 
 

@@ -14,6 +14,7 @@ from surface_qp.goldman import (MAX_DEGREE, NormalForm, PathEntrySymbol, _label_
 from surface_qp.lie import AlgebraContext, entry_observable
 from surface_qp.quasipoisson import WordFunction, bracket_combinatorial
 from surface_qp.repspace import random_point
+from surface_qp.suites import FIXTURE_SURFACES, run_suite
 from surface_qp.surfaces import SurfaceSpec, polygon_model
 from symbolic_ref import (GoldmanAlgebra, bracket_symbolic_ref, entry_symbol, form,
                           from_expr, from_terms, normalize, to_expr)
@@ -387,3 +388,20 @@ def test_deferred_n3_bracket_is_unchanged():
     assert len(text) == 113659
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "86444b932f4b400fd0b9c86edfb4c3d79d15c557157325982ed5f93b0b505ce0"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_goldman_suite_prints_each_normal_form_once(n, monkeypatch):
+    printed = []
+    canonical_str = NormalForm.canonical_str
+
+    def counted(self):
+        printed.append(self)
+        return canonical_str(self)
+    monkeypatch.setattr(NormalForm, "canonical_str", counted)
+    rows = [row for row in run_suite("goldman", n=n)
+            if row["fixture"].startswith("goldman evaluate")]
+    assert len(printed) == len(FIXTURE_SURFACES)
+    # three seeds per surface carry their surface's one normal form
+    assert [row["normal_form"] for row in rows] == \
+        [canonical_str(nf) for nf in printed for _ in range(3)]

@@ -1,19 +1,24 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import surface_qp.cli
+from surface_qp import repspace
 from surface_qp.cli import main
 from surface_qp.goldman import NormalForm
-from surface_qp.io import (SchemaError, fixture_result, fmt_float,
-                           load_bracket_request, load_point, load_surface,
-                           make_report, write_report)
+from surface_qp.io import (SchemaError, _flat_rows, fixture_result, fixture_rows,
+                           fmt_float, load_bracket_request, load_point,
+                           load_surface, make_report, write_report)
 from surface_qp.lie import AlgebraContext
 from surface_qp.suites import GL_SUITES, SUITES
 from surface_qp.surfaces import SurfaceSpec
@@ -126,6 +131,95 @@ def test_report_deterministic_modulo_timestamp(tmp_path):
     assert strip(t1) == strip(t2)
     on_disk = (tmp_path / "r.json").read_text()
     assert strip(on_disk.strip()) == strip(t2)
+
+
+def _reference_row(name, lhs, rhs, tol) -> dict:
+    """The per-row fixture formula that fixture_rows vectorizes."""
+    res = abs(float(lhs) - float(rhs))
+    return {"fixture": name, "lhs": "%.17g" % float(lhs), "rhs": "%.17g" % float(rhs),
+            "residual": "%.17g" % res, "tolerance": "%.17g" % float(tol),
+            "pass": bool(res <= tol)}
+
+
+SPECIAL = [0.0, -0.0, 1.0, 1.0 + 1e-12, -2.5, 1 / 3, 5e-324, 1e308, -1e308,
+           math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1.0, math.inf])
+def test_fixture_rows_equal_fixture_result_row_by_row(tol):
+    lhs = np.array([a for a in SPECIAL for _ in SPECIAL])
+    rhs = np.array([b for _ in SPECIAL for b in SPECIAL])
+    names = ["row %d" % k for k in range(len(lhs))]
+    rows = fixture_rows(names, lhs, rhs, tol)
+    assert rows == [fixture_result(name, a, b, tol) for name, a, b in zip(names, lhs, rhs)]
+    assert rows == [_reference_row(name, a, b, tol) for name, a, b in zip(names, lhs, rhs)]
+    assert all(type(row["pass"]) is bool for row in rows)
+    # a NaN side (23 pairs) and inf against inf (2) leave a NaN residual,
+    # which fails even against an infinite tolerance
+    assert [row["pass"] for row in rows if row["residual"] == "nan"] == [False] * 25
+
+
+@pytest.mark.parametrize("lhs, rhs", [("stack", 0.0), (0.0, "stack"), (-0.0, 2.5),
+                                      ("stack", "stack")])
+def test_fixture_rows_broadcast_a_scalar_side(lhs, rhs):
+    stack = np.array([0.0, 1e-10, -1e-8, math.nan, math.inf])
+    lhs, rhs = (stack if side == "stack" else side for side in (lhs, rhs))
+    names = ["seed=%d" % k for k in range(len(stack))]
+    sides = list(zip(names, *np.broadcast_arrays(lhs, rhs, stack)[:2]))
+    rows = fixture_rows(names, lhs, rhs, 1e-9)
+    assert rows == [_reference_row(name, a, b, 1e-9) for name, a, b in sides]
+    assert rows == [fixture_result(name, a, b, 1e-9) for name, a, b in sides]
+
+
+def test_fixture_rows_reject_a_stack_of_another_length():
+    with pytest.raises(ValueError):
+        fixture_rows(["a", "b", "c"], np.zeros(2), 0.0, 1e-9)
+
+
+def test_fixture_result_keeps_its_extra_keys():
+    fx = fixture_result("x", 0.5, 0.25, 1.0, {"gaps": ["1"], "route": "ambient"})
+    assert fx == dict(_reference_row("x", 0.5, 0.25, 1.0), gaps=["1"], route="ambient")
+
+
+# strings with quotes, backslashes, control characters, non-ASCII and
+# astral characters; floats with nan, +-inf and -0.0
+_TEXT = st.text(st.sampled_from('a"\\/\n\t\r\x00\x1f\x7f\xe9€\U0001f600}{][,: ')
+                | st.characters(), max_size=8)
+_SCALAR = st.none() | st.booleans() | st.integers() | st.floats() | _TEXT
+_JSON = st.recursive(_SCALAR, lambda kids: st.lists(kids, max_size=4)
+                     | st.dictionaries(_TEXT, kids, max_size=4), max_leaves=8)
+_ROW = st.dictionaries(_TEXT, _SCALAR, min_size=1, max_size=5)
+_ROW_WITH_LIST = st.builds(lambda row, gaps: dict(row, gaps=gaps), _ROW,
+                           st.lists(_TEXT | st.floats(), max_size=3))
+# flat rows take the C encoder; a row with a list or any other JSON value
+# sends the whole report through json.dumps
+_REPORT = st.fixed_dictionaries(
+    {"fixtures": st.lists(_ROW, min_size=1, max_size=4)
+     | st.lists(_ROW_WITH_LIST | _JSON, max_size=3)},
+    optional={"config": st.dictionaries(_TEXT, _JSON, max_size=3), "pass": st.booleans()})
+
+
+@settings(max_examples=150)
+@given(_REPORT | _JSON)
+@example({"fixtures": [{"fixture": "bracket", "gaps": ["0.5", "1.25"], "pass": True}]})
+@example({"fixtures": [{}], "pass": True})
+@example({"fixtures": [{"a": -0.0, "b": math.nan, "c": math.inf, "d": -math.inf,
+                        "e": None, "f": 3, "g": False, "h": "\x00\"\\\n€"}],
+          "config": {"fixtures": []}})
+def test_writer_equals_indented_json_dumps(obj):
+    assert write_report(obj, None) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("mutate", [[], ["--mutate", "0.01"]])
+@pytest.mark.parametrize("n", ["2", "3"])
+@pytest.mark.parametrize("suite", SUITES)
+def test_writer_equals_indented_json_dumps_on_every_suite_report(suite, n, mutate, capsys):
+    code = main(["verify", "--suite", suite, "--n", n] + mutate)
+    assert code == (1 if mutate else 0)
+    text = capsys.readouterr().out.rstrip("\n")
+    report = json.loads(text)
+    assert _flat_rows(report["fixtures"])   # the rows took the C encoder
+    assert text == json.dumps(report, indent=2, sort_keys=True)
 
 
 # --- exit codes -----------------------------------------------------------
@@ -383,6 +477,89 @@ def test_cli_report_written_to_file(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["pass"] is True
     assert doc["command"] == "verify"
+
+
+def test_cli_out_in_a_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert main(["verify", "--suite", "splitting", "--out", str(out)]) == 2
+    cap = capsys.readouterr()
+    assert "input error: cannot write %s: " % out in cap.err
+    assert "Traceback" not in cap.err and cap.out == ""
+
+
+def test_cli_out_that_is_a_directory_exits_2(tmp_path, capsys):
+    code = main(["bracket", "--surface", _surface(tmp_path), "--diagram",
+                 _diagram(tmp_path), "--out", str(tmp_path)])
+    assert code == 2
+    cap = capsys.readouterr()
+    assert "input error: cannot write %s: " % tmp_path in cap.err
+    assert "Traceback" not in cap.err and cap.out == ""
+
+
+def _run(argv, capsys) -> tuple:
+    """(exit code, stdout without the timestamp, stderr) of one main call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, re.sub(r'"timestamp": "[^"]*"', '"timestamp": "T"', out), err
+
+
+def test_parser_reuse_leaks_no_state(tmp_path, capsys, monkeypatch):
+    surface = _surface(tmp_path)
+    diagram = _diagram(tmp_path, ob={"kind": "entry", "i": 1, "j": 2})
+    calls = [["bracket", "--surface", surface, "--diagram", diagram, "--seed", "3"],
+             ["bracket", "--surface", surface, "--diagram", diagram, "--group", "u",
+              "--seed", "2", "--tol", "1e-7", "--n", "2"],
+             ["verify", "--suite", "splitting"],
+             ["verify", "--suite", "splitting", "--mutate"],       # argparse error
+             ["verify", "--suite", "splitting", "--tol", "-1"],
+             ["verify", "--suite", "splitting", "--mutate", "0.01"],
+             ["verify", "--suite", "splitting"]]
+    shared = [_run(argv, capsys) for argv in calls]
+    assert [code for code, _, _ in shared] == [0, 0, 0, 2, 2, 1, 0]
+    assert shared[6] == shared[2]
+    configs = [json.loads(out)["config"] if out else None for _, out, _ in shared]
+    assert configs[2] == {"group": "gl", "mutate": 0.0, "n": 2, "suite": "splitting"}
+    assert configs[1]["tol"] == 1e-7 and "tol" not in configs[0]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(surface_qp.cli, "_PARSER", surface_qp.cli._parser())
+        fresh.append(_run(argv, capsys))
+    assert fresh == shared
+
+
+def test_help_is_that_of_a_fresh_parser(capsys, monkeypatch):
+    helps = []
+    for parser in (surface_qp.cli._PARSER, surface_qp.cli._parser()):
+        monkeypatch.setattr(surface_qp.cli, "_PARSER", parser)
+        helps.append([_run(argv, capsys) for argv in (["--help"], ["bracket", "--help"],
+                                                      ["verify", "--help"])])
+    assert helps[0] == helps[1]
+    assert [code for code, _, _ in helps[0]] == [0, 0, 0]
+    assert all(out.startswith("usage: surface-qp") for _, out, _ in helps[0])
+
+
+@pytest.mark.parametrize("oa, symbolic", [(None, False),
+                                          ({"kind": "entry", "i": 2, "j": 1}, True)])
+def test_cli_gl_bracket_builds_fractions_only_for_the_symbolic_route(
+        tmp_path, capsys, monkeypatch, oa, symbolic):
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+    monkeypatch.setattr(repspace, "Fraction", counted)
+    code = main(["bracket", "--surface", _surface(tmp_path, 1, 2), "--diagram",
+                 _diagram(tmp_path, "A2 B2 A2'", "C1 D1", oa=oa,
+                          ob={"kind": "entry", "i": 1, "j": 2}),
+                 "--group", "gl", "--n", "3", "--seed", "4"])
+    fx = json.loads(capsys.readouterr().out)["fixtures"][0]
+    assert code == 0
+    assert ("normal_form" in fx) is symbolic
+    # the exact copy of all four generators, or no Fraction at all
+    assert len(made) == (4 * 9 if symbolic else 0)
 
 
 @pytest.mark.parametrize("tol, shown", [(None, "1.0000000000000001e-09"), ("0", "0")])

@@ -119,6 +119,44 @@ def test_random_point_deterministic_and_exact():
         assert np.max(np.abs(exact - m1.mat(sym))) == 0.0
 
 
+@pytest.mark.parametrize("n, spec", [(2, SurfaceSpec(1, 2)), (3, SurfaceSpec(0, 3)),
+                                     (4, SurfaceSpec(5, 5))])
+def test_exact_copy_on_demand_equals_the_eager_one(n, spec):
+    # the eager copy: every Fraction built at draw time from the draw's numerators
+    ctx = AlgebraContext("gl", n)
+    for seed in range(3):
+        syms = generator_symbols(spec.genus, spec.boundary_count)
+        draws = repspace._draws(ctx, spec, [seed])[0]
+        eager = {sym: tuple(tuple(Fraction(int(x), repspace._GL_DEN) for x in row)
+                            for row in num) for sym, num in zip(syms, draws)}
+        exact = random_point(ctx, spec, seed).exact
+        assert list(exact) == list(eager) and len(exact) == len(eager)
+        assert exact.keys() == eager.keys()
+        assert all(type(x) is Fraction for rows in exact.values() for row in rows
+                   for x in row)
+        assert exact == eager and dict(exact.items()) == eager
+        for sym in syms:
+            assert exact[sym] == eager[sym]
+
+
+def test_exact_copy_is_built_once_on_first_read(monkeypatch):
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+    monkeypatch.setattr(repspace, "Fraction", counted)
+    m = random_point(GL2, SurfaceSpec(1, 1), 0)
+    assert m.exact is not None and "C1" in m.exact and list(m.exact) == ["C1", "D1"]
+    assert made == []
+    first = m.exact["C1"]
+    assert len(made) == 4   # n^2 entries of the one generator read
+    assert m.exact["C1"] is first and len(made) == 4
+    assert m.exact["D1"] is not None and len(made) == 8
+    with pytest.raises(KeyError):
+        m.exact["A2"]
+
+
 def test_random_unitary_point_is_unitary():
     m = random_point(U2, SurfaceSpec(1, 1), 9)
     for sym, g in m.mats.items():
