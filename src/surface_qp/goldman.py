@@ -327,22 +327,19 @@ class NormalForm:
         return num + (" / " + den if den else "")
 
     def evaluate(self, m) -> float:
-        """Exact rational evaluation at a RepPoint with exact coordinates, in
-        ints: with q the lcm of the coefficient denominators and d that of the
-        coordinates, the numerator is the sum of q coeff d^(top - deg) times
-        the d-scaled coordinates' monomial, over q d^top; each det(X_L) is
-        det(d X_L) / d^n.  One division at the end."""
+        """Exact rational evaluation at a RepPoint with exact coordinates
+        (d, integer numerators), in ints: with q the lcm of the coefficient
+        denominators, the numerator is the sum of q coeff d^(top - deg) times
+        the numerators' monomial, over q d^top; each det(X_L) is the det of
+        its numerators over d^n.  One division at the end."""
         if m.exact is None:
             raise ValueError("exact evaluation needs exact rational coordinates")
         ring, n = self.poly.ring, self.poly.ring.n
-        if not ring.labels <= m.exact.keys():
+        d, mats = m.exact
+        if not ring.labels <= mats.keys():
             raise ValueError("point does not cover all generators")
-        exact = {label: m.exact[label] for label in ring.labels}
-        d = math.lcm(*(x.denominator for rows in exact.values() for row in rows for x in row))
-        mats = {label: [[x.numerator * (d // x.denominator) for x in row] for row in rows]
-                for label, rows in exact.items()}
-        coords = {"%s_%d%d" % (label, r + 1, c + 1): x for label, rows in mats.items()
-                  for r, row in enumerate(rows) for c, x in enumerate(row)}
+        coords = {"%s_%d%d" % (label, r + 1, c + 1): x for label in ring.labels
+                  for r, row in enumerate(mats[label]) for c, x in enumerate(row)}
         point = [coords[name] for name in ring.names]
         q = math.lcm(*(c.denominator for c in self.poly.terms.values()))
         top = max((key >> ring.shift for key in self.poly.terms), default=0)

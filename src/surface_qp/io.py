@@ -7,8 +7,13 @@ Input files:
                     "variants": [0, 0]}
     observable: {"kind": "trace"} | {"kind": "entry", "i": 1, "j": 2,
                  "part": "re"|"im"}  (i, j are 1-based)
-  point: {"A2": [["1/2", "0"], ["0", "1"]], ...}  entries are rational
-    strings or numbers for the GL context, [re, im] pairs for the unitary one.
+  point: {"A2": [["1/2", "0"], ["0", "1"]], ...}  each matrix an array of
+    row arrays; entries are rational strings or JSON numbers for the GL
+    context, [re, im] pairs for the unitary one.  A JSON integer is read
+    exactly, a JSON float as the nearest rational of denominator at most 2^30
+    only when that rational rounds back to the same float (0.1 is 1/10;
+    0.3333333333 is an error).  A GL point keeps its exact copy as integer
+    numerators over the lcm of the entries' denominators.
 
 Reports are deterministic apart from the timestamp; floats carry 17
 significant digits.
@@ -17,6 +22,7 @@ significant digits.
 from __future__ import annotations
 
 import json
+import math
 import time
 from fractions import Fraction
 from itertools import chain
@@ -91,14 +97,18 @@ def load_bracket_request(path: str, ctx: AlgebraContext, spec: SurfaceSpec):
         raise SchemaError("bad diagram request %s: %s" % (path, exc))
 
 
-def _parse_entry(ctx: AlgebraContext, v):
+def _parse_entry(ctx: AlgebraContext, sym: str, v):
     if any(isinstance(x, bool) for x in (v if isinstance(v, (list, tuple)) else [v])):
         raise SchemaError("a boolean is no matrix entry: %r" % (v,))
     if ctx.kind == "gl":
-        if isinstance(v, str):
+        if isinstance(v, (str, int)):
             return Fraction(v)
-        if isinstance(v, (int, float)):
-            return Fraction(v).limit_denominator(1 << 30)
+        if isinstance(v, float):
+            frac = Fraction(v).limit_denominator(1 << 30)
+            if float(frac) != v:   # 0.3333333333 is no 1/3, nor 1e-12 a 0
+                raise SchemaError("%s: the JSON number %r is no exact rational; give "
+                                  "it as a rational string such as \"1/3\"" % (sym, v))
+            return frac
         raise SchemaError("GL entries must be rational strings or numbers")
     if isinstance(v, (list, tuple)) and len(v) == 2:
         return complex(float(v[0]), float(v[1]))
@@ -112,16 +122,21 @@ def load_point(path: str, ctx: AlgebraContext, spec: SurfaceSpec) -> RepPoint:
     if not isinstance(doc, dict):
         raise SchemaError("bad point file %s: expected an object of generator "
                           "matrices, got %s" % (path, type(doc).__name__))
-    mats, exact = {}, {}
+    parsed = {}
     try:
         for sym, rows in doc.items():
-            parsed = [[_parse_entry(ctx, v) for v in row] for row in rows]
-            if ctx.kind == "gl":
-                exact[sym] = tuple(tuple(row) for row in parsed)
-                mats[sym] = np.array([[float(x) for x in row] for row in parsed])
-            else:
-                mats[sym] = np.array(parsed, dtype=complex)
-        return RepPoint(ctx, spec, mats, exact if ctx.kind == "gl" else None)
+            if type(rows) is not list or not all(type(row) is list for row in rows):
+                raise ValueError("%s: a matrix must be an array of row arrays" % sym)
+            parsed[sym] = [[_parse_entry(ctx, sym, v) for v in row] for row in rows]
+        if ctx.kind != "gl":
+            return RepPoint(ctx, spec, {sym: np.array(rows, dtype=complex)
+                                        for sym, rows in parsed.items()})
+        d = math.lcm(*(x.denominator for rows in parsed.values() for row in rows for x in row))
+        nums = {sym: [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+                for sym, rows in parsed.items()}
+        mats = {sym: np.array([[x / d for x in row] for row in rows])
+                for sym, rows in nums.items()}
+        return RepPoint(ctx, spec, mats, (d, nums))
     except SchemaError:
         raise
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:

@@ -3,10 +3,8 @@ moments, the G^b action, and reproducible sampling."""
 
 from __future__ import annotations
 
-from collections import abc
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,11 +23,13 @@ class RepPoint:
     """A point of M_G(Sigma), or a stack of S points: each generator maps to
     an (n, n) matrix or to an (S, n, n) stack, and every numeric routine
     broadcasts over the leading axis.  inv holds each generator's inverse,
-    computed once here; exact is None for a stack."""
+    computed once here.  exact, for a GL point with rational coordinates, is
+    (d, {generator: rows of int numerators}), each entry num / d, and None
+    otherwise (a stack, a unitary point)."""
     ctx: AlgebraContext
     spec: SurfaceSpec
     mats: Dict[str, np.ndarray]
-    exact: Optional[Mapping[str, tuple]] = None  # Fraction matrices (GL only)
+    exact: Optional[Tuple[int, Dict[str, list]]] = None
     inv: Dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -164,37 +164,10 @@ def random_points(ctx: AlgebraContext, spec: SurfaceSpec, seeds: Iterable[int]) 
     return RepPoint(ctx, spec, dict(zip(generator_symbols(spec.genus, spec.boundary_count), mats)))
 
 
-class _ExactDraw(abc.Mapping):
-    """The exact Fraction matrices of one GL draw, keyed by generator: each
-    built on its first read from the draw's integer numerators over _GL_DEN,
-    so a caller that never reads them (every route but the symbolic one)
-    builds no Fraction."""
-
-    def __init__(self, syms: Sequence[str], nums: np.ndarray):
-        self._nums = dict(zip(syms, nums))
-        self._mats: Dict[str, tuple] = {}
-
-    def __getitem__(self, sym: str) -> tuple:
-        mat = self._mats.get(sym)
-        if mat is None:
-            mat = self._mats[sym] = tuple(tuple(Fraction(x, _GL_DEN) for x in row)
-                                          for row in self._nums[sym].tolist())
-        return mat
-
-    def __contains__(self, sym) -> bool:
-        return sym in self._nums
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._nums)
-
-    def __len__(self) -> int:
-        return len(self._nums)
-
-
 def random_point(ctx: AlgebraContext, spec: SurfaceSpec, seed: int) -> RepPoint:
-    """The point of one seed, the one-seed stack of random_points, with an
-    exact Fraction copy for GL, each matrix built when first read (_ExactDraw)."""
+    """The point of one seed, the one-seed stack of random_points; for GL
+    its exact copy is the draw's integer numerators over _GL_DEN."""
     syms = generator_symbols(spec.genus, spec.boundary_count)
     draws = _draws(ctx, spec, [seed])[0]
-    exact = _ExactDraw(syms, draws) if ctx.kind == "gl" else None
+    exact = (_GL_DEN, dict(zip(syms, draws.tolist()))) if ctx.kind == "gl" else None
     return RepPoint(ctx, spec, dict(zip(syms, _matrices(ctx, draws))), exact)

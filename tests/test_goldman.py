@@ -1,21 +1,28 @@
 import hashlib
 import itertools
+import json
 import sys
+import tempfile
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
+import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from surface_qp.diagrams import intersection_data, realize_pair
 from surface_qp.goldman import (MAX_DEGREE, NormalForm, PathEntrySymbol, _label_ring,
                                 bracket_symbolic, exact_quotient)
-from surface_qp.lie import AlgebraContext, entry_observable
+from surface_qp.io import load_point
+from surface_qp.lie import TOL_INV, AlgebraContext, entry_observable
 from surface_qp.quasipoisson import WordFunction, bracket_combinatorial
 from surface_qp.repspace import random_point
 from surface_qp.suites import FIXTURE_SURFACES, run_suite
 from surface_qp.surfaces import SurfaceSpec, polygon_model
+from surface_qp.words import generator_symbols
 from symbolic_ref import (GoldmanAlgebra, bracket_symbolic_ref, entry_symbol, form,
                           from_expr, from_terms, normalize, to_expr)
 
@@ -349,9 +356,9 @@ def test_final_reduction_is_pinned(monkeypatch):
 
 def _exact_value(nf, m) -> float:
     """The form at m's exact coordinates, as a sympy rational, rounded once."""
-    n = nf.poly.ring.n
-    at = {entry_symbol(label, r + 1, c + 1): sp.Rational(x.numerator, x.denominator)
-          for label, rows in m.exact.items()
+    n, (d, nums) = nf.poly.ring.n, m.exact
+    at = {entry_symbol(label, r + 1, c + 1): sp.Rational(x, d)
+          for label, rows in nums.items()
           for r, row in enumerate(rows) for c, x in enumerate(row)}
     value = to_expr(nf.poly).xreplace(at)
     for label, p in nf.den.items():
@@ -374,6 +381,47 @@ def test_evaluate_is_exact(n):
         m = random_point(ctx, SurfaceSpec(1, 1), seed)
         for nf in forms:
             assert nf.evaluate(m) == _exact_value(nf, m)
+
+
+_RATIONAL = st.one_of(st.integers(-10**6, 10**6).map(str),
+                      st.builds("{}/{}".format, st.integers(-10**6, 10**6),
+                                st.integers(1, 10**6)))
+
+
+@lru_cache(maxsize=None)
+def _file_point_form(g, b, n):
+    """{(X)_11, (Y^-1)_12} for the two generators X, Y of Sigma_g,b: both
+    generators' coordinates and a det(Y) denominator."""
+    spec = SurfaceSpec(g, b)
+    wa, wb = (spec.word(t) for t in (("C1", "D1'") if g else ("A2", "B2'")))
+    _, _, data = realize_pair(wa, wb, polygon_model(spec), 0)
+    return bracket_symbolic(PathEntrySymbol(wa, 1, 1), PathEntrySymbol(wb, 1, 2), data, n)
+
+
+@pytest.mark.parametrize("g, b", [(1, 1), (0, 2)])
+@pytest.mark.parametrize("n", [2, 3])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_evaluate_is_exact_at_file_points(g, b, n, data):
+    # every generator brings its own denominators, so only numerators over
+    # their lcm keep each entry; a point file's floats round each once
+    spec, ctx = SurfaceSpec(g, b), AlgebraContext("gl", n)
+    rows = st.lists(st.lists(_RATIONAL, min_size=n, max_size=n), min_size=n, max_size=n)
+    doc = {sym: data.draw(rows, label=sym) for sym in generator_symbols(g, b)}
+    fracs = {sym: [[Fraction(s) for s in row] for row in mat] for sym, mat in doc.items()}
+    for mat in fracs.values():
+        assume(sp.Matrix(mat).det() != 0 and abs(np.linalg.det(np.array(mat, float))) > TOL_INV)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "point.json"
+        path.write_text(json.dumps(doc))
+        m = load_point(str(path), ctx, spec)
+    d, nums = m.exact
+    for sym, mat in fracs.items():
+        assert m.mat(sym).tobytes() == np.array([[float(x) for x in row]
+                                                 for row in mat]).tobytes()
+        assert [[Fraction(x, d) for x in row] for row in nums[sym]] == mat
+    nf = _file_point_form(g, b, n)
+    assert nf.den and nf.evaluate(m) == _exact_value(nf, m)
 
 
 def test_deferred_n3_bracket_is_unchanged():

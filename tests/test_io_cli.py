@@ -89,7 +89,9 @@ def test_load_point_gl_exact_fractions(tmp_path):
            "D1": [["1", "1/5"], ["0", "1"]]}
     m = load_point(_write(tmp_path, "p.json", doc), GL2, SurfaceSpec(1, 1))
     assert m.mat("C1")[0, 0] == 1.5
-    assert m.exact["C1"][1][0].denominator == 3
+    d, nums = m.exact   # numerators over the lcm of 2, 3 and 5
+    assert d == 30 and Fraction(nums["C1"][1][0], d) == Fraction(1, 3)
+    assert nums == {"C1": [[45, 0], [10, 30]], "D1": [[30, 6], [0, 30]]}
 
 
 def test_load_point_unitary_pairs(tmp_path):
@@ -410,6 +412,40 @@ def test_cli_point_file_not_an_object_exits_2(tmp_path, capsys, doc):
     assert "bad point file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("c1", [{"21": 0, "13": 0}, ["21", "13"], [{"2": 0, "1": 0}, ["1", "3"]]],
+                         ids=["object-matrix", "string-rows", "object-row"])
+@pytest.mark.parametrize("group", ["gl", "u"])
+def test_cli_point_matrix_not_an_array_of_row_arrays_exits_2(tmp_path, capsys, group, c1):
+    # iterated as it comes, each of these reads as C1 = [[2, 1], [1, 3]]
+    one, zero = ("1", "0") if group == "gl" else ([1, 0], [0, 0])
+    point = _write(tmp_path, "p.json", {"C1": c1, "D1": [[one, zero], [zero, one]]})
+    code = main(["bracket", "--surface", _surface(tmp_path),
+                 "--diagram", _diagram(tmp_path), "--point", point,
+                 "--group", group, "--n", "2"])
+    assert code == 2
+    assert "C1: a matrix must be an array of row arrays" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [0.3333333333, 1e-12])
+def test_cli_lossy_gl_json_number_exits_2(tmp_path, capsys, entry):
+    # the nearest small-denominator rationals, 1/3 and 0, are other numbers
+    point = _write(tmp_path, "p.json", {"C1": [["1", "0"], ["0", "1"]],
+                                        "D1": [["1", entry], ["0", "1"]]})
+    code = main(["bracket", "--surface", _surface(tmp_path),
+                 "--diagram", _diagram(tmp_path), "--point", point])
+    assert code == 2
+    assert "D1: the JSON number %r is no exact rational; give it as a rational string" \
+        % entry in capsys.readouterr().err
+
+
+def test_load_point_reads_exact_json_numbers(tmp_path):
+    doc = {"C1": [[0.1, 0.5], [3, -2]], "D1": [[1, 0], [0, 1.0]]}
+    m = load_point(_write(tmp_path, "p.json", doc), GL2, SurfaceSpec(1, 1))
+    d, nums = m.exact
+    assert d == 10 and nums == {"C1": [[1, 5], [30, -20]], "D1": [[10, 0], [0, 10]]}
+    assert m.mat("C1").tolist() == [[0.1, 0.5], [3.0, -2.0]]
+
+
 @pytest.mark.parametrize("group,entry", [("gl", True), ("u", [True, 0])],
                          ids=["gl", "u"])
 def test_cli_bool_point_entry_exits_2(tmp_path, capsys, group, entry):
@@ -543,14 +579,20 @@ def test_help_is_that_of_a_fresh_parser(capsys, monkeypatch):
 
 @pytest.mark.parametrize("oa, symbolic", [(None, False),
                                           ({"kind": "entry", "i": 2, "j": 1}, True)])
-def test_cli_gl_bracket_builds_fractions_only_for_the_symbolic_route(
+def test_cli_gl_bracket_draws_its_point_without_fractions(
         tmp_path, capsys, monkeypatch, oa, symbolic):
-    made = []
+    made, points, new, draw = [], [], Fraction.__new__, surface_qp.cli.random_point
 
-    def counted(*args):
+    def counted(cls, *args, **kwargs):
         made.append(args)
-        return Fraction(*args)
-    monkeypatch.setattr(repspace, "Fraction", counted)
+        return new(cls, *args, **kwargs)
+
+    def random_point(*args):   # the Fractions built while the point is drawn
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", counted)
+            points.append(draw(*args))
+        return points[-1]
+    monkeypatch.setattr(surface_qp.cli, "random_point", random_point)
     code = main(["bracket", "--surface", _surface(tmp_path, 1, 2), "--diagram",
                  _diagram(tmp_path, "A2 B2 A2'", "C1 D1", oa=oa,
                           ob={"kind": "entry", "i": 1, "j": 2}),
@@ -558,8 +600,11 @@ def test_cli_gl_bracket_builds_fractions_only_for_the_symbolic_route(
     fx = json.loads(capsys.readouterr().out)["fixtures"][0]
     assert code == 0
     assert ("normal_form" in fx) is symbolic
-    # the exact copy of all four generators, or no Fraction at all
-    assert len(made) == (4 * 9 if symbolic else 0)
+    # the exact copy of all four generators is ints, built with no Fraction
+    d, nums = points[0].exact
+    assert len(points) == 1 and made == [] and d == repspace._GL_DEN
+    assert [len(rows) for rows in nums.values()] == [3] * 4
+    assert all(type(x) is int for rows in nums.values() for row in rows for x in row)
 
 
 @pytest.mark.parametrize("tol, shown", [(None, "1.0000000000000001e-09"), ("0", "0")])

@@ -108,53 +108,37 @@ def test_moment_product_is_full_boundary_relation():
     assert np.max(np.abs(mu1 - expect)) < 1e-12
 
 
+def _fractions(m, sym):
+    """The exact copy of one generator's matrix as Fraction rows."""
+    d, nums = m.exact
+    return tuple(tuple(Fraction(x, d) for x in row) for row in nums[sym])
+
+
 def test_random_point_deterministic_and_exact():
     spec = SurfaceSpec(1, 2)
     m1 = random_point(GL2, spec, 42)
     m2 = random_point(GL2, spec, 42)
     for sym in m1.mats:
         assert np.array_equal(m1.mat(sym), m2.mat(sym))
-        assert m1.exact[sym] == m2.exact[sym]
-        exact = np.array([[float(x) for x in row] for row in m1.exact[sym]])
+        assert _fractions(m1, sym) == _fractions(m2, sym)
+        exact = np.array([[float(x) for x in row] for row in _fractions(m1, sym)])
         assert np.max(np.abs(exact - m1.mat(sym))) == 0.0
 
 
 @pytest.mark.parametrize("n, spec", [(2, SurfaceSpec(1, 2)), (3, SurfaceSpec(0, 3)),
                                      (4, SurfaceSpec(5, 5))])
-def test_exact_copy_on_demand_equals_the_eager_one(n, spec):
-    # the eager copy: every Fraction built at draw time from the draw's numerators
+def test_exact_copy_is_the_draws_numerators_over_one_denominator(n, spec):
     ctx = AlgebraContext("gl", n)
     for seed in range(3):
         syms = generator_symbols(spec.genus, spec.boundary_count)
         draws = repspace._draws(ctx, spec, [seed])[0]
-        eager = {sym: tuple(tuple(Fraction(int(x), repspace._GL_DEN) for x in row)
-                            for row in num) for sym, num in zip(syms, draws)}
-        exact = random_point(ctx, spec, seed).exact
-        assert list(exact) == list(eager) and len(exact) == len(eager)
-        assert exact.keys() == eager.keys()
-        assert all(type(x) is Fraction for rows in exact.values() for row in rows
-                   for x in row)
-        assert exact == eager and dict(exact.items()) == eager
-        for sym in syms:
-            assert exact[sym] == eager[sym]
-
-
-def test_exact_copy_is_built_once_on_first_read(monkeypatch):
-    made = []
-
-    def counted(*args):
-        made.append(args)
-        return Fraction(*args)
-    monkeypatch.setattr(repspace, "Fraction", counted)
-    m = random_point(GL2, SurfaceSpec(1, 1), 0)
-    assert m.exact is not None and "C1" in m.exact and list(m.exact) == ["C1", "D1"]
-    assert made == []
-    first = m.exact["C1"]
-    assert len(made) == 4   # n^2 entries of the one generator read
-    assert m.exact["C1"] is first and len(made) == 4
-    assert m.exact["D1"] is not None and len(made) == 8
-    with pytest.raises(KeyError):
-        m.exact["A2"]
+        want = {sym: tuple(tuple(Fraction(int(x), repspace._GL_DEN) for x in row)
+                           for row in num) for sym, num in zip(syms, draws)}
+        m = random_point(ctx, spec, seed)
+        d, nums = m.exact
+        assert d == repspace._GL_DEN and list(nums) == syms
+        assert all(type(x) is int for rows in nums.values() for row in rows for x in row)
+        assert {sym: _fractions(m, sym) for sym in syms} == want
 
 
 def test_random_unitary_point_is_unitary():
@@ -274,7 +258,7 @@ def _check_gl_sampler(ctx, spec, seeds, min_det=0.1):
         for sym, (mat, ex, tries) in zip(syms, ref):
             assert m.mats[sym].tobytes() == mat.tobytes()
             assert stack.mats[sym][k].tobytes() == mat.tobytes()
-            assert m.exact[sym] == ex
+            assert _fractions(m, sym) == ex
             rejected[k] += tries
         rng = np.random.default_rng(seed)
         _random_gl(ctx, [rng], len(syms))
