@@ -1,6 +1,6 @@
-"""Quasi-Poisson structure on M_G(Sigma): bivectors by iterated fusion,
-numeric brackets, the defining identities, and the combinatorial bracket
-formula of the main theorem.
+"""Quasi-Poisson structure on M_G(Sigma): the fused bivector, numeric
+brackets, the defining identities, and the combinatorial bracket formula of
+the main theorem.
 
 The bivector lives on the coordinates of the canonical split pieces: an
 annulus piece i carries double coordinates (a_i, b_i) with u_i = a_i and
@@ -9,7 +9,14 @@ A field type A = (slot, side) turns an algebra element x into a field on one
 slot: side "L" is the left-invariant field g x, "R" the right-invariant x g.
 Doubles and fusion only produce terms c sum_k A(e_k) ^ B(f_k) over the dual
 basis pair with c independent of k, so the bivector is stored as the
-coefficient map C[(A, B)] = c.
+coefficient matrix C[A, B] = c over the field types.
+
+Fusing two actions with weights w, w' (the coefficient of each field type in
+the action) adds -1/2 w w'^T to C.  Fusion is associative, so the fusion
+product of the split pieces has a closed form: each piece keeps its own 4 x 4
+block, and pieces i < j are coupled by -1/2 w_i w_j^T, with w_i the weights
+of piece i's first action.  build_bivector assembles C that way; double, fuse
+and product are the definition, and fold_bivector iterates them.
 
 A function f enters through its gradients grad_A f in g, defined by
 df(A(x)) = <grad_A f, x>; summing over the dual pair gives the bracket as
@@ -24,9 +31,11 @@ F_k = <e_k, mu(m)^-1 mu>, whose left variation at mu(m) is e_k.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -41,27 +50,55 @@ FieldType = Tuple[Slot, str]    # (slot, side)
 ActionEntry = Tuple[Slot, str, int]   # (slot, field side, coefficient)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class HamiltonianQP:
+    """The coefficient matrix C over the field types and the natural
+    (sign-free) action fields.  C is read-only, so the forms derived from it
+    stay its own.  order lists the positions of the coefficients in C in the
+    order they were inserted; None, for build_bivector's closed form, stands
+    for the left fusion fold's order, which _fold_keys derives."""
     ctx: AlgebraContext
-    slots: List[Slot]
-    coeffs: Dict[Tuple[FieldType, FieldType], float]   # C[(A, B)]
-    actions: List[List[ActionEntry]]        # natural (sign-free) action fields
+    types: List[FieldType]          # the rows and columns of C
+    c: np.ndarray                   # C[A, B], read-only
+    actions: List[List[ActionEntry]]
+    order: Optional[List[Tuple[int, int]]] = None
+
+    @classmethod
+    def from_coeffs(cls, ctx: AlgebraContext,
+                    coeffs: Mapping[Tuple[FieldType, FieldType], float],
+                    actions: List[List[ActionEntry]]) -> HamiltonianQP:
+        """The structure with the coefficient map C[(A, B)], its field types
+        in the order the keys first name them."""
+        types = list(dict.fromkeys(t for key in coeffs for t in key))
+        index = {t: k for k, t in enumerate(types)}
+        order = [(index[x], index[y]) for x, y in coeffs]
+        c = np.zeros((len(types), len(types)))
+        c[[i for i, _ in order], [j for _, j in order]] = list(coeffs.values())
+        c.setflags(write=False)
+        return cls(ctx, types, c, actions, order)
+
+    @cached_property
+    def slots(self) -> List[Slot]:
+        """The coordinate slots, in the order of the field types."""
+        return list(dict.fromkeys(s for s, _ in self.types))
+
+    @cached_property
+    def keys(self) -> List[Tuple[int, int]]:
+        """The positions of the coefficients in C, in insertion order."""
+        return self.order if self.order is not None else _fold_keys(self)
+
+    @cached_property
+    def coeffs(self) -> Mapping[Tuple[FieldType, FieldType], float]:
+        """The coefficient map C[(A, B)], read-only, in the order of keys."""
+        vals = self.c[[i for i, _ in self.keys], [j for _, j in self.keys]].tolist()
+        return MappingProxyType({(self.types[i], self.types[j]): v
+                                 for (i, j), v in zip(self.keys, vals)})
 
     @cached_property
     def skew(self) -> Tuple[Dict[FieldType, int], np.ndarray]:
-        """An index of the field types in coeffs and the antisymmetric matrix
-        A = C - C^T over it, the form that pair_gradients contracts.
-        fuse and perturbed build new structures rather than edit coeffs."""
-        types = dict.fromkeys(t for key in self.coeffs for t in key)
-        index = {t: k for k, t in enumerate(types)}
-        # one scatter of C, then C - C^T: each cell is c_xy - c_yx, the sum
-        # of the same two addends as adding c at (x, y) and -c at (y, x) per key
-        c = np.zeros((len(index), len(index)))
-        rows = [index[x] for x, _ in self.coeffs]
-        cols = [index[y] for _, y in self.coeffs]
-        np.add.at(c, (rows, cols), list(self.coeffs.values()))
-        return index, c - c.T
+        """An index of the field types and the antisymmetric matrix
+        A = C - C^T over it, the form that pair_gradients contracts."""
+        return {t: k for k, t in enumerate(self.types)}, self.c - self.c.T
 
 
 def _letter_slots(sym: str) -> list:
@@ -117,7 +154,7 @@ def double(ctx: AlgebraContext, sa: Slot = ("a", 2), sb: Slot = ("b", 2)) -> Ham
     coeffs = {((sa, "L"), (sb, "R")): 0.5, ((sa, "R"), (sb, "L")): 0.5}
     act1 = [(sa, "R", 1), (sb, "L", -1)]   # a -> g a,  b -> b g^-1
     act2 = [(sa, "L", -1), (sb, "R", 1)]   # a -> a g^-1,  b -> g b
-    return HamiltonianQP(ctx, [sa, sb], coeffs, [act1, act2])
+    return HamiltonianQP.from_coeffs(ctx, coeffs, [act1, act2])
 
 
 def fuse(h: HamiltonianQP, p: int = 0, q: int = 1) -> HamiltonianQP:
@@ -133,7 +170,7 @@ def fuse(h: HamiltonianQP, p: int = 0, q: int = 1) -> HamiltonianQP:
             coeffs[key] = coeffs.get(key, 0.0) - 0.5 * c1 * c2
     fused = h.actions[p] + h.actions[q]
     rest = [a for k, a in enumerate(h.actions) if k not in (p, q)]
-    return HamiltonianQP(h.ctx, list(h.slots), coeffs, [fused] + rest)
+    return HamiltonianQP.from_coeffs(h.ctx, coeffs, [fused] + rest)
 
 
 def fused_double(ctx: AlgebraContext, sa: Slot = ("c", 1), sb: Slot = ("d", 1)) -> HamiltonianQP:
@@ -143,8 +180,8 @@ def fused_double(ctx: AlgebraContext, sa: Slot = ("c", 1), sb: Slot = ("d", 1)) 
 def product(h1: HamiltonianQP, h2: HamiltonianQP) -> HamiltonianQP:
     if set(h1.slots) & set(h2.slots):
         raise ValueError("slot clash in product")
-    return HamiltonianQP(h1.ctx, h1.slots + h2.slots, {**h1.coeffs, **h2.coeffs},
-                         h1.actions + h2.actions)
+    return HamiltonianQP.from_coeffs(h1.ctx, {**h1.coeffs, **h2.coeffs},
+                                     h1.actions + h2.actions)
 
 
 def fusion_product(h1: HamiltonianQP, h2: HamiltonianQP) -> HamiltonianQP:
@@ -161,27 +198,93 @@ def piece_structure(ctx: AlgebraContext, kind: str, index: int) -> HamiltonianQP
     raise ValueError(kind)
 
 
-def build_bivector(spec: SurfaceSpec, ctx: AlgebraContext,
-                   order: str = "left") -> HamiltonianQP:
-    """Fusion product of b-1 doubles and g fused doubles.
-
-    order="left" folds ((1 (x) 2) (x) 3); order="right" folds (1 (x) (2 (x) 3));
-    the results agree up to the splitting-independence theorem (verified in
-    tests, not assumed)."""
+def fold_bivector(spec: SurfaceSpec, ctx: AlgebraContext) -> HamiltonianQP:
+    """The definition of the bivector: the fusion product of b-1 doubles and
+    g fused doubles, folded from the left, ((1 (x) 2) (x) 3)."""
     if spec.is_disk:
-        return HamiltonianQP(ctx, [], {}, [[]])
+        return HamiltonianQP.from_coeffs(ctx, {}, [[]])
     hs = [piece_structure(ctx, p.kind, p.index) for p in split_canonical(spec)]
-    if order == "left":
-        acc = hs[0]
-        for h in hs[1:]:
-            acc = fusion_product(acc, h)
-    elif order == "right":
-        acc = hs[-1]
-        for h in reversed(hs[:-1]):
-            acc = fusion_product(h, acc)
-    else:
-        raise ValueError("order must be 'left' or 'right'")
+    acc = hs[0]
+    for h in hs[1:]:
+        acc = fusion_product(acc, h)
     return acc
+
+
+# A piece over its field types (x, L), (y, R), (x, R), (y, L), on its slots
+# (x, y) = (a_i, b_i) or (c_j, d_j): the double's coefficients C[(x, L), (y, R)]
+# = C[(x, R), (y, L)] = 1/2 and the weights of its actions x -> g x, y -> y g^-1
+# and x -> x g^-1, y -> g y.  An action lists its fields in _ENTRY_ORDER, the
+# double's first action's and then its second's.
+_ENTRY_ORDER = (2, 3, 0, 1)
+_DOUBLE = np.array([[0, 0.5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0.5], [0, 0, 0, 0]])
+_ACTS = np.array([[0, 0, 1, -1], [-1, 1, 0, 0]])
+
+
+def _fusion(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """What fusing two actions with weights w and v adds to C."""
+    return -0.5 * np.outer(w, v)
+
+
+# each kind's own block and action weights: an annulus is the double, a
+# torus the double with its two actions fused
+_KIND = {"annulus": 0, "torus": 1}
+_PIECES = ((_DOUBLE, _ACTS), (_DOUBLE + _fusion(*_ACTS), _ACTS.sum(axis=0, keepdims=True)))
+_FIELDS = [[[(t, int(w[t])) for t in _ENTRY_ORDER if w[t]] for w in acts] for _, acts in _PIECES]
+
+
+def _blocks(pieces) -> np.ndarray:
+    """The block (i, j) of C by the sign of i - j and the kinds of pieces i
+    and j: the piece's own block on the diagonal (sign 0), nothing below it
+    (sign 1), and the fusion of the two first actions above it (sign -1)."""
+    out = np.zeros((3, len(pieces), len(pieces), 4, 4))
+    for ki, (own, wi) in enumerate(pieces):
+        out[0, ki, ki] = own
+        for kj, (_, wj) in enumerate(pieces):
+            out[-1, ki, kj] = _fusion(wi[0], wj[0])
+    return out + 0.0   # a zero weight gives +0.0, not -0.0, as a scatter onto zeros does
+
+
+_BLOCKS = _blocks(_PIECES)
+
+
+def _fold_keys(h: HamiltonianQP) -> List[Tuple[int, int]]:
+    """The left fold's insertion order over the C of build_bivector: each
+    piece's double entries, a torus's own fusion (its first action's fields
+    by its second's), then the piece's coupling to the fused first action of
+    the pieces before it."""
+    index, _ = h.skew
+    out, fused = [], []
+    for o, own in itertools.groupby((index[s, side] for s, side, _ in h.actions[0]),
+                                    lambda k: k - k % 4):
+        own = list(own)
+        out += [(o, o + 1), (o + 2, o + 3)]
+        if _piece(h.types[o])[0] == "torus":
+            out += [(o + i, o + j) for i in (2, 3) for j in (0, 1)]
+        out += [(i, j) for i in fused for j in own]
+        fused += own
+    return out
+
+
+def build_bivector(spec: SurfaceSpec, ctx: AlgebraContext) -> HamiltonianQP:
+    """The fusion product of b-1 doubles and g fused doubles, in the closed
+    form of the module docstring: the same field types, coefficients, key
+    order and actions as fold_bivector, which the splitting suite compares it
+    with."""
+    if spec.is_disk:
+        return HamiltonianQP.from_coeffs(ctx, {}, [[]])
+    pieces = split_canonical(spec)
+    kinds = [_KIND[p.kind] for p in pieces]
+    k, r = np.array(kinds), np.arange(len(kinds))
+    c = _BLOCKS[np.sign(np.subtract.outer(r, r)), k[:, None], k]
+    c = c.transpose(0, 2, 1, 3).reshape(4 * len(k), 4 * len(k))
+    c.setflags(write=False)
+    types = [((s, p.index), side) for p, kind in zip(pieces, kinds)
+             for s, side in zip(("abab", "cdcd")[kind], "LRRL")]
+    first = [(*types[4 * i + e], wt) for i, kind in enumerate(kinds) for e, wt in _FIELDS[kind][0]]
+    rest = [[(*types[4 * i + e], wt) for e, wt in a] for i, kind in enumerate(kinds)
+            for a in _FIELDS[kind][1:]]
+    actions = [first] + rest
+    return HamiltonianQP(ctx, types, c, actions)
 
 
 def _piece(a: FieldType) -> tuple:
@@ -194,12 +297,14 @@ def perturbed(h: HamiltonianQP, mutate: float) -> HamiltonianQP:
     """Copy of h with one coefficient scaled by (1 + mutate), to show that a
     check is sensitive: the first entry coupling two different pieces, or the
     first entry on a one-piece surface.  mutate = 0 gives an equal copy."""
-    keys = [k for k in h.coeffs if _piece(k[0]) != _piece(k[1])] or list(h.coeffs)
+    keys = [(i, j) for i, j in h.keys
+            if _piece(h.types[i]) != _piece(h.types[j])] or h.keys
     if not keys:
         return h
-    coeffs = dict(h.coeffs)
-    coeffs[keys[0]] *= 1.0 + mutate
-    return replace(h, coeffs=coeffs)
+    c = h.c.copy()
+    c[keys[0]] *= 1.0 + mutate
+    c.setflags(write=False)
+    return replace(h, c=c)
 
 
 # --- functions on M and their gradients -----------------------------------

@@ -18,19 +18,20 @@ _GL_MIN_DET = 0.1        # a GL candidate with |det| at most this is redrawn,
 _GL_TRIES = 64           # up to this many candidates per generator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepPoint:
     """A point of M_G(Sigma), or a stack of S points: each generator maps to
     an (n, n) matrix or to an (S, n, n) stack, and every numeric routine
     broadcasts over the leading axis.  inv holds each generator's inverse,
     computed once here.  exact, for a GL point with rational coordinates, is
     (d, {generator: rows of int numerators}), each entry num / d, and None
-    otherwise (a stack, a unitary point)."""
+    otherwise (a stack, a unitary point).  Points compare and hash by
+    identity."""
     ctx: AlgebraContext
     spec: SurfaceSpec
     mats: Dict[str, np.ndarray]
     exact: Optional[Tuple[int, Dict[str, list]]] = None
-    inv: Dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    inv: Dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         need = generator_symbols(self.spec.genus, self.spec.boundary_count)

@@ -23,8 +23,8 @@ from .goldman import (NormalForm, PathEntrySymbol, bracket_symbolic, entry_nf,
 from .io import fixture_result, fixture_rows, fmt_float
 from .lie import AlgebraContext, entry_observable, trace_observable
 from .quasipoisson import (WordFunction, bracket_combinatorial, bracket_numeric,
-                           build_bivector, perturbed, schouten_residual,
-                           verify_moment)
+                           build_bivector, fold_bivector, perturbed,
+                           schouten_residual, verify_moment)
 from .repspace import RepPoint, random_point, random_points
 from .surfaces import SurfaceSpec, polygon_model
 
@@ -112,11 +112,14 @@ def suite_main_theorem(n: int = 2, tol: float = 1e-8, mutate: float = 0.0) -> li
 
 
 def suite_splitting(n: int = 2, tol: float = 1e-9, mutate: float = 0.0) -> list:
+    """The bracket from the iterated left fusion fold, the definition of the
+    bivector (perturbed under mutate), against the one from build_bivector's
+    closed form."""
     ctx = AlgebraContext("gl", n)
     out = []
     for spec in (SurfaceSpec(0, 3), SurfaceSpec(1, 2)):
-        hl = perturbed(build_bivector(spec, ctx, order="left"), mutate)
-        hr = build_bivector(spec, ctx, order="right")
+        hl = perturbed(fold_bivector(spec, ctx), mutate)
+        hr = build_bivector(spec, ctx)
         wa_s, wb_s = WORD_PAIRS[(spec.genus, spec.boundary_count)][-1]
         wa, wb = spec.word(wa_s), spec.word(wb_s)
         f = WordFunction(trace_observable(ctx), wa)

@@ -23,7 +23,7 @@ from surface_qp.goldman import PathEntrySymbol, bracket_symbolic
 from surface_qp.lie import (AlgebraContext, dual_basis, entry_observable,
                             trace_observable)
 from surface_qp.quasipoisson import (WordFunction, bracket_combinatorial,
-                                     bracket_numeric, build_bivector,
+                                     bracket_numeric, build_bivector, fold_bivector,
                                      perturbed, schouten_residual,
                                      slot_values, verify_moment)
 from surface_qp.repspace import RepPoint, act, random_point
@@ -31,7 +31,7 @@ from surface_qp.suites import WORD_PAIRS, run_suite
 from surface_qp.surfaces import SurfaceSpec, polygon_model
 from symbolic_ref import GoldmanAlgebra
 from test_diagrams import algebraic_intersection
-from test_quasipoisson import crossing_term
+from test_quasipoisson import crossing_term, right_fold
 
 GL2 = AlgebraContext("gl", 2)
 U2 = AlgebraContext("u", 2)
@@ -103,8 +103,9 @@ def test_moment_condition(gb):
 @pytest.mark.parametrize("gb", [(0, 3), (1, 2)])
 def test_fusion_order_independent(gb):
     spec = SurfaceSpec(*gb)
-    hl = build_bivector(spec, GL2, order="left")
-    hr = build_bivector(spec, GL2, order="right")
+    hl = fold_bivector(spec, GL2)
+    hr = right_fold(spec, GL2)
+    hc = build_bivector(spec, GL2)
     ta, tb = WORD_PAIRS[gb][-1]
     obs = [trace_observable(GL2), entry_observable(GL2, 0, 1, "re")]
     count = 0
@@ -115,7 +116,8 @@ def test_fusion_order_independent(gb):
             g = WordFunction(ob, spec.word(tb))
             a = bracket_numeric(hl, f, g, m)
             b = bracket_numeric(hr, f, g, m)
-            assert abs(a - b) <= 1e-9
+            c = bracket_numeric(hc, f, g, m)
+            assert abs(a - b) <= 1e-9 and abs(a - c) <= 1e-9
             count += 1
     assert count >= 10
 

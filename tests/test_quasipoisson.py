@@ -11,12 +11,13 @@ from surface_qp.lie import (AlgebraContext, CartanTrivector, cartan_trivector,
 from surface_qp.quasipoisson import (WordFunction, _field_vectors_and_jacs, action_sigma,
                                      bracket_combinatorial, bracket_numeric,
                                      build_bivector, chi, double, field_value,
-                                     fused_double, perturbed, schouten_residual,
+                                     fold_bivector, fused_double, fusion_product,
+                                     perturbed, piece_structure, schouten_residual,
                                      slot_values, slot_word, verify_moment)
 from surface_qp.repspace import (boundary_word, holonomy, random_point,
                                  random_points, word_product)
 from surface_qp.suites import WORD_PAIRS, _observable_pairs, run_suite
-from surface_qp.surfaces import SurfaceSpec, polygon_model
+from surface_qp.surfaces import SurfaceSpec, polygon_model, split_canonical
 from test_lie import FD_STEP, wedge3_tensor
 
 GL2 = AlgebraContext("gl", 2)
@@ -24,6 +25,22 @@ GL3 = AlgebraContext("gl", 3)
 U2 = AlgebraContext("u", 2)
 U3 = AlgebraContext("u", 3)
 SPECS = [SurfaceSpec(0, 2), SurfaceSpec(1, 1), SurfaceSpec(0, 3), SurfaceSpec(1, 2)]
+
+
+def right_fold(spec, ctx):
+    """The fusion product folded from the right, (1 (x) (2 (x) 3))."""
+    if spec.is_disk:
+        return fold_bivector(spec, ctx)
+    hs = [piece_structure(ctx, p.kind, p.index) for p in split_canonical(spec)]
+    acc = hs[-1]
+    for h in reversed(hs[:-1]):
+        acc = fusion_product(h, acc)
+    return acc
+
+
+def _bivectors(spec, ctx):
+    """The left and right fusion folds and the closed form."""
+    return [fold_bivector(spec, ctx), right_fold(spec, ctx), build_bivector(spec, ctx)]
 
 
 def _conjugated_form(m, path, x, y):
@@ -367,8 +384,7 @@ def test_moment_lhs_matches_finite_differences(spec, ctx):
 def test_moment_condition_after_iterated_fusion(spec, text, kind):
     ctx = AlgebraContext(kind, 3)
     f = WordFunction(entry_observable(ctx, 0, 1, "re"), spec.word(text))
-    for order in ("left", "right"):
-        h = build_bivector(spec, ctx, order)
+    for h in _bivectors(spec, ctx):
         for seed in (0, 1):
             m = random_point(ctx, spec, seed)
             for p in range(spec.boundary_count):
@@ -378,7 +394,7 @@ def test_moment_condition_after_iterated_fusion(spec, text, kind):
 def _perturbed_bivector(monkeypatch):
     real = suites.build_bivector
     monkeypatch.setattr(suites, "build_bivector",
-                        lambda spec, ctx, **kw: perturbed(real(spec, ctx, **kw), 1e-6))
+                        lambda spec, ctx: perturbed(real(spec, ctx), 1e-6))
 
 
 def _chi_negated(monkeypatch):
@@ -510,9 +526,127 @@ def _skew_per_coefficient(h):
 @pytest.mark.parametrize("n", [2, 4])
 def test_skew_matches_per_coefficient_loop(spec, n):
     ctx = AlgebraContext("gl", n)
-    for order in ("left", "right"):
-        h = build_bivector(spec, ctx, order)
+    for h in _bivectors(spec, ctx):
         for hh in (h, perturbed(h, 0.01)):
             index, a = hh.skew
             assert list(index) == list(dict.fromkeys(t for k in hh.coeffs for t in k))
             assert np.array_equal(a, _skew_per_coefficient(hh))
+
+
+# --- the closed form against the fusion fold ------------------------------
+
+CLOSED_FORM_SPECS = [SurfaceSpec(0, 1), SurfaceSpec(0, 2), SurfaceSpec(1, 1),
+                     SurfaceSpec(0, 3), SurfaceSpec(1, 2), SurfaceSpec(2, 1),
+                     SurfaceSpec(2, 2), SurfaceSpec(3, 3), SurfaceSpec(5, 5),
+                     SurfaceSpec(0, 6), SurfaceSpec(4, 1)]
+
+
+def _cross_key(coeffs):
+    """The key perturbed scales: the first coupling two pieces, or the
+    first key on a one-piece surface, in the order of coeffs."""
+    def piece(t):
+        return ("annulus" if t[0][0] in "ab" else "torus", t[0][1])
+    keys = [k for k in coeffs if piece(k[0]) != piece(k[1])] or list(coeffs)
+    return keys[0] if keys else None
+
+
+@pytest.mark.parametrize("kind", ["gl", "u"])
+@pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=str)
+def test_closed_form_is_the_fusion_fold(spec, kind):
+    ctx = AlgebraContext(kind, 2)
+    h = build_bivector(spec, ctx)
+    left, right = fold_bivector(spec, ctx), right_fold(spec, ctx)
+    index, a = h.skew
+    for fold in (left, right):
+        assert h.slots == fold.slots and h.actions == fold.actions
+        assert list(index) == list(fold.skew[0])
+        # bit-equal, with no -0.0 where a weight is zero
+        assert a.tobytes() == fold.skew[1].tobytes()
+        assert dict(h.coeffs) == dict(fold.coeffs)
+    assert not np.signbit(a[a == 0]).any()
+    assert list(h.coeffs.items()) == list(left.coeffs.items())
+    # perturbed scales the left fold's first cross key, and only that one
+    key = _cross_key(left.coeffs)
+    hm = perturbed(h, 0.01)
+    assert list(hm.coeffs.items()) == list(perturbed(left, 0.01).coeffs.items())
+    assert hm.skew[1].tobytes() == perturbed(left, 0.01).skew[1].tobytes()
+    assert {k for k in h.coeffs if hm.coeffs[k] != h.coeffs[k]} == ({key} if key else set())
+    if key:
+        assert hm.coeffs[key] == h.coeffs[key] * 1.01
+
+
+def test_closed_form_runs_no_fusion(monkeypatch):
+    spec = SurfaceSpec(2, 2)
+    fold = fold_bivector(spec, GL2)
+
+    def refuse(*args):
+        raise AssertionError("fusion on the closed-form path")
+    monkeypatch.setattr(quasipoisson, "fuse", refuse)
+    monkeypatch.setattr(quasipoisson, "product", refuse)
+    h = build_bivector(spec, GL2)
+    assert h.skew[1].tobytes() == fold.skew[1].tobytes()
+    with pytest.raises(AssertionError):
+        fold_bivector(spec, GL2)
+
+
+def test_coefficients_are_read_only():
+    h = build_bivector(SurfaceSpec(1, 2), GL2)
+    with pytest.raises(ValueError):
+        h.c[0, 1] = 5.0
+    key = next(iter(h.coeffs))
+    with pytest.raises(TypeError):
+        h.coeffs[key] *= 3
+    assert not fold_bivector(SurfaceSpec(1, 2), GL2).c.flags.writeable
+
+
+def test_perturbed_is_a_new_structure_with_another_pairing():
+    spec = SurfaceSpec(1, 2)
+    h = build_bivector(spec, GL2)
+    m = random_point(GL2, spec, 3)
+    f = WordFunction(entry_observable(GL2, 0, 1, "re"), spec.word("A2"))
+    g = WordFunction(entry_observable(GL2, 1, 0, "re"), spec.word("C1"))
+    before = bracket_numeric(h, f, g, m)
+    hm = perturbed(h, 0.01)
+    assert hm is not h and not hm.c.flags.writeable
+    assert abs(bracket_numeric(hm, f, g, m) - before) > 1e-6
+    assert bracket_numeric(h, f, g, m) == before
+
+
+def _cross_term_scaled(scale):
+    """The coupling of pieces i < j scaled: -1/2 w_i w_j^T becomes
+    -scale/2 w_i w_j^T."""
+    def mutant(monkeypatch):
+        blocks = quasipoisson._BLOCKS.copy()
+        blocks[-1] *= scale
+        monkeypatch.setattr(quasipoisson, "_BLOCKS", blocks)
+    return mutant
+
+
+def _pieces_reversed(monkeypatch):
+    real = quasipoisson.split_canonical
+    monkeypatch.setattr(quasipoisson, "split_canonical", lambda spec: real(spec)[::-1])
+
+
+def _torus_fusion_dropped(monkeypatch):
+    (double, acts), (_, fused) = quasipoisson._PIECES
+    monkeypatch.setattr(quasipoisson, "_BLOCKS",
+                        quasipoisson._blocks(((double, acts), (double, fused))))
+
+
+# mutant -> the suites it must fail
+CLOSED_FORM_MUTANTS = {
+    "cross term +1/2": (_cross_term_scaled(-1.0), ("moment", "main-theorem", "goldman")),
+    "cross term -1/4": (_cross_term_scaled(0.5), ("moment", "main-theorem", "goldman")),
+    "pieces reversed": (_pieces_reversed, ("moment", "main-theorem", "goldman")),
+    "torus fusion dropped": (_torus_fusion_dropped,
+                             ("moment", "main-theorem", "goldman", "qp-identity")),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("mutant,suite", [(mutant, suite) for mutant in sorted(CLOSED_FORM_MUTANTS)
+                                          for suite in CLOSED_FORM_MUTANTS[mutant][1]])
+def test_suites_fail_under_closed_form_mutant(mutant, suite, n, monkeypatch):
+    assert all(r["pass"] for r in run_suite(suite, n))
+    CLOSED_FORM_MUTANTS[mutant][0](monkeypatch)
+    assert not all(r["pass"] for r in run_suite(suite, n))

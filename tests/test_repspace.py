@@ -141,6 +141,16 @@ def test_exact_copy_is_the_draws_numerators_over_one_denominator(n, spec):
         assert {sym: _fractions(m, sym) for sym in syms} == want
 
 
+def test_points_compare_and_hash_by_identity():
+    # equal coordinates do not make equal points: comparing the numpy
+    # matrices would raise, and the dicts are unhashable
+    a = random_point(GL2, SurfaceSpec(1, 1), 0)
+    b = random_point(GL2, SurfaceSpec(1, 1), 0)
+    assert a == a and a != b and not (a == b)
+    assert hash(a) == hash(a) and hash(a) != hash(b)
+    assert {a, b, a} == {a, b} and len({a, b, a}) == 2
+
+
 def test_random_unitary_point_is_unitary():
     m = random_point(U2, SurfaceSpec(1, 1), 9)
     for sym, g in m.mats.items():
