@@ -15,9 +15,9 @@ the symbolic normal form, and passes only when its exact value is within the
 tolerance of the numeric route as well.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 input error (also a
-negative or non-finite --tol, a non-finite --mutate, verify --n below 2,
---group u with a GL suite, an --out path that cannot be written), 3
-numeric-domain error.
+negative or non-finite --tol, a negative --seed, a non-finite --mutate,
+verify --n below 2, --group u with a GL suite, an --out path that cannot be
+written), 3 numeric-domain error.
 
 The argument parser is built once, at import, and holds no request data, so
 every call of main in one process parses with the same parser.
@@ -120,6 +120,8 @@ def _check_options(args):
     """Reject option values that no bracket or suite can honour."""
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError("--tol must be finite and non-negative, got %r" % args.tol)
+    if getattr(args, "seed", 0) < 0:   # numpy seeds only non-negative ints
+        raise ValueError("--seed must be non-negative, got %d" % args.seed)
     if args.command != "verify":
         return
     if not math.isfinite(args.mutate):

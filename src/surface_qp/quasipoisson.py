@@ -31,11 +31,9 @@ F_k = <e_k, mu(m)^-1 mu>, whose left variation at mu(m) is e_k.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
-from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,47 +50,21 @@ ActionEntry = Tuple[Slot, str, int]   # (slot, field side, coefficient)
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianQP:
-    """The coefficient matrix C over the field types and the natural
-    (sign-free) action fields.  C is read-only, so the forms derived from it
-    stay its own.  order lists the positions of the coefficients in C in the
-    order they were inserted; None, for build_bivector's closed form, stands
-    for the left fusion fold's order, which _fold_keys derives."""
+    """The bivector as its coefficient matrix C over the field types, and the
+    natural (sign-free) action fields.  C is made read-only on construction,
+    so the forms derived from it stay its own."""
     ctx: AlgebraContext
     types: List[FieldType]          # the rows and columns of C
     c: np.ndarray                   # C[A, B], read-only
     actions: List[List[ActionEntry]]
-    order: Optional[List[Tuple[int, int]]] = None
 
-    @classmethod
-    def from_coeffs(cls, ctx: AlgebraContext,
-                    coeffs: Mapping[Tuple[FieldType, FieldType], float],
-                    actions: List[List[ActionEntry]]) -> HamiltonianQP:
-        """The structure with the coefficient map C[(A, B)], its field types
-        in the order the keys first name them."""
-        types = list(dict.fromkeys(t for key in coeffs for t in key))
-        index = {t: k for k, t in enumerate(types)}
-        order = [(index[x], index[y]) for x, y in coeffs]
-        c = np.zeros((len(types), len(types)))
-        c[[i for i, _ in order], [j for _, j in order]] = list(coeffs.values())
-        c.setflags(write=False)
-        return cls(ctx, types, c, actions, order)
+    def __post_init__(self):
+        self.c.setflags(write=False)
 
     @cached_property
     def slots(self) -> List[Slot]:
         """The coordinate slots, in the order of the field types."""
         return list(dict.fromkeys(s for s, _ in self.types))
-
-    @cached_property
-    def keys(self) -> List[Tuple[int, int]]:
-        """The positions of the coefficients in C, in insertion order."""
-        return self.order if self.order is not None else _fold_keys(self)
-
-    @cached_property
-    def coeffs(self) -> Mapping[Tuple[FieldType, FieldType], float]:
-        """The coefficient map C[(A, B)], read-only, in the order of keys."""
-        vals = self.c[[i for i, _ in self.keys], [j for _, j in self.keys]].tolist()
-        return MappingProxyType({(self.types[i], self.types[j]): v
-                                 for (i, j), v in zip(self.keys, vals)})
 
     @cached_property
     def skew(self) -> Tuple[Dict[FieldType, int], np.ndarray]:
@@ -149,28 +121,41 @@ def field_value(vals: Dict[Slot, np.ndarray], a: FieldType, x: np.ndarray) -> np
 
 # --- constructors ---------------------------------------------------------
 
+def _fusion(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """What fusing two actions with weights w and v adds to C."""
+    return -0.5 * np.outer(w, v)
+
+
+def _weights(h: HamiltonianQP, p: int) -> np.ndarray:
+    """The coefficient of each field type of h in action slot p."""
+    index, _ = h.skew
+    w = np.zeros(len(h.types))
+    for (s, side, c) in h.actions[p]:
+        w[index[s, side]] += c
+    return w
+
+
 def double(ctx: AlgebraContext, sa: Slot = ("a", 2), sb: Slot = ("b", 2)) -> HamiltonianQP:
-    """The double D(G) on slots (a, b) with moment (ab, a^-1 b^-1)."""
-    coeffs = {((sa, "L"), (sb, "R")): 0.5, ((sa, "R"), (sb, "L")): 0.5}
+    """The double D(G) on slots (a, b) with moment (ab, a^-1 b^-1), over the
+    field types (a, L), (b, R), (a, R), (b, L): C[(a, L), (b, R)] =
+    C[(a, R), (b, L)] = 1/2."""
+    c = np.zeros((4, 4))
+    c[0, 1] = c[2, 3] = 0.5
     act1 = [(sa, "R", 1), (sb, "L", -1)]   # a -> g a,  b -> b g^-1
     act2 = [(sa, "L", -1), (sb, "R", 1)]   # a -> a g^-1,  b -> g b
-    return HamiltonianQP.from_coeffs(ctx, coeffs, [act1, act2])
+    return HamiltonianQP(ctx, [(sa, "L"), (sb, "R"), (sa, "R"), (sb, "L")], c, [act1, act2])
 
 
 def fuse(h: HamiltonianQP, p: int = 0, q: int = 1) -> HamiltonianQP:
     """Fuse action slots p and q: P' = P - rho_psi, moments multiply."""
     if p == q or not (0 <= p < len(h.actions)) or not (0 <= q < len(h.actions)):
         raise ValueError("invalid action slots")
-    coeffs = dict(h.coeffs)
-    for (s1, side1, c1) in h.actions[p]:
-        for (s2, side2, c2) in h.actions[q]:
-            # rho_psi = 1/2 sum rho_e^p ^ rho_f^q; the two action minus
-            # signs cancel, leaving the natural action fields
-            key = ((s1, side1), (s2, side2))
-            coeffs[key] = coeffs.get(key, 0.0) - 0.5 * c1 * c2
+    # rho_psi = 1/2 sum rho_e^p ^ rho_f^q; the two action minus signs cancel,
+    # leaving the natural action fields
+    c = h.c + _fusion(_weights(h, p), _weights(h, q))
     fused = h.actions[p] + h.actions[q]
     rest = [a for k, a in enumerate(h.actions) if k not in (p, q)]
-    return HamiltonianQP.from_coeffs(h.ctx, coeffs, [fused] + rest)
+    return HamiltonianQP(h.ctx, h.types, c, [fused] + rest)
 
 
 def fused_double(ctx: AlgebraContext, sa: Slot = ("c", 1), sb: Slot = ("d", 1)) -> HamiltonianQP:
@@ -178,16 +163,18 @@ def fused_double(ctx: AlgebraContext, sa: Slot = ("c", 1), sb: Slot = ("d", 1)) 
 
 
 def product(h1: HamiltonianQP, h2: HamiltonianQP) -> HamiltonianQP:
+    """h1 x h2: C is block-diagonal over the field types of h1, then h2."""
     if set(h1.slots) & set(h2.slots):
         raise ValueError("slot clash in product")
-    return HamiltonianQP.from_coeffs(h1.ctx, {**h1.coeffs, **h2.coeffs},
-                                     h1.actions + h2.actions)
+    k = len(h1.types)
+    c = np.zeros((k + len(h2.types),) * 2)
+    c[:k, :k], c[k:, k:] = h1.c, h2.c
+    return HamiltonianQP(h1.ctx, h1.types + h2.types, c, h1.actions + h2.actions)
 
 
 def fusion_product(h1: HamiltonianQP, h2: HamiltonianQP) -> HamiltonianQP:
     """h1 (x) h2 with the first action of each factor fused."""
-    pr = product(h1, h2)
-    return fuse(pr, 0, len(h1.actions))
+    return fuse(product(h1, h2), 0, len(h1.actions))
 
 
 def piece_structure(ctx: AlgebraContext, kind: str, index: int) -> HamiltonianQP:
@@ -202,7 +189,7 @@ def fold_bivector(spec: SurfaceSpec, ctx: AlgebraContext) -> HamiltonianQP:
     """The definition of the bivector: the fusion product of b-1 doubles and
     g fused doubles, folded from the left, ((1 (x) 2) (x) 3)."""
     if spec.is_disk:
-        return HamiltonianQP.from_coeffs(ctx, {}, [[]])
+        return HamiltonianQP(ctx, [], np.zeros((0, 0)), [[]])
     hs = [piece_structure(ctx, p.kind, p.index) for p in split_canonical(spec)]
     acc = hs[0]
     for h in hs[1:]:
@@ -218,12 +205,6 @@ def fold_bivector(spec: SurfaceSpec, ctx: AlgebraContext) -> HamiltonianQP:
 _ENTRY_ORDER = (2, 3, 0, 1)
 _DOUBLE = np.array([[0, 0.5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0.5], [0, 0, 0, 0]])
 _ACTS = np.array([[0, 0, 1, -1], [-1, 1, 0, 0]])
-
-
-def _fusion(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """What fusing two actions with weights w and v adds to C."""
-    return -0.5 * np.outer(w, v)
-
 
 # each kind's own block and action weights: an annulus is the double, a
 # torus the double with its two actions fused
@@ -247,44 +228,23 @@ def _blocks(pieces) -> np.ndarray:
 _BLOCKS = _blocks(_PIECES)
 
 
-def _fold_keys(h: HamiltonianQP) -> List[Tuple[int, int]]:
-    """The left fold's insertion order over the C of build_bivector: each
-    piece's double entries, a torus's own fusion (its first action's fields
-    by its second's), then the piece's coupling to the fused first action of
-    the pieces before it."""
-    index, _ = h.skew
-    out, fused = [], []
-    for o, own in itertools.groupby((index[s, side] for s, side, _ in h.actions[0]),
-                                    lambda k: k - k % 4):
-        own = list(own)
-        out += [(o, o + 1), (o + 2, o + 3)]
-        if _piece(h.types[o])[0] == "torus":
-            out += [(o + i, o + j) for i in (2, 3) for j in (0, 1)]
-        out += [(i, j) for i in fused for j in own]
-        fused += own
-    return out
-
-
 def build_bivector(spec: SurfaceSpec, ctx: AlgebraContext) -> HamiltonianQP:
     """The fusion product of b-1 doubles and g fused doubles, in the closed
-    form of the module docstring: the same field types, coefficients, key
-    order and actions as fold_bivector, which the splitting suite compares it
-    with."""
+    form of the module docstring: the same field types, C and actions as
+    fold_bivector, which the splitting suite compares it with."""
     if spec.is_disk:
-        return HamiltonianQP.from_coeffs(ctx, {}, [[]])
+        return HamiltonianQP(ctx, [], np.zeros((0, 0)), [[]])
     pieces = split_canonical(spec)
     kinds = [_KIND[p.kind] for p in pieces]
     k, r = np.array(kinds), np.arange(len(kinds))
     c = _BLOCKS[np.sign(np.subtract.outer(r, r)), k[:, None], k]
     c = c.transpose(0, 2, 1, 3).reshape(4 * len(k), 4 * len(k))
-    c.setflags(write=False)
     types = [((s, p.index), side) for p, kind in zip(pieces, kinds)
              for s, side in zip(("abab", "cdcd")[kind], "LRRL")]
     first = [(*types[4 * i + e], wt) for i, kind in enumerate(kinds) for e, wt in _FIELDS[kind][0]]
     rest = [[(*types[4 * i + e], wt) for e, wt in a] for i, kind in enumerate(kinds)
             for a in _FIELDS[kind][1:]]
-    actions = [first] + rest
-    return HamiltonianQP(ctx, types, c, actions)
+    return HamiltonianQP(ctx, types, c, [first] + rest)
 
 
 def _piece(a: FieldType) -> tuple:
@@ -294,16 +254,18 @@ def _piece(a: FieldType) -> tuple:
 
 
 def perturbed(h: HamiltonianQP, mutate: float) -> HamiltonianQP:
-    """Copy of h with one coefficient scaled by (1 + mutate), to show that a
-    check is sensitive: the first entry coupling two different pieces, or the
-    first entry on a one-piece surface.  mutate = 0 gives an equal copy."""
-    keys = [(i, j) for i, j in h.keys
-            if _piece(h.types[i]) != _piece(h.types[j])] or h.keys
+    """Copy of h with one entry of C scaled by (1 + mutate), to show that a
+    check is sensitive: the entry at the first two fields of the boundary
+    action actions[0] that lie on different pieces, or C's first nonzero on
+    a one-piece surface.  mutate = 0 gives an equal copy."""
+    index, _ = h.skew
+    fields = [index[s, side] for s, side, _ in h.actions[0]]
+    keys = [(fields[0], j) for j in fields if _piece(h.types[j]) != _piece(h.types[fields[0]])]
+    keys = keys or list(zip(*np.nonzero(h.c)))
     if not keys:
         return h
     c = h.c.copy()
     c[keys[0]] *= 1.0 + mutate
-    c.setflags(write=False)
     return replace(h, c=c)
 
 
@@ -437,7 +399,7 @@ def schouten_residual(h: HamiltonianQP, m: RepPoint) -> dict:
     (GL contexts only), at the point m or at each point of a stack; a check
     of a perturbed(h, ...) copy shows that the identity is sensitive.
 
-    Pi and dpi[d, a, b] = d_d Pi^{ab} take one contraction per coefficient
+    Pi and dpi[d, a, b] = d_d Pi^{ab} take one contraction per nonzero of C
     over the stacked dual pair (e, f).  The Jacobiator is one product
     T = Pi . dpi plus its two cyclic index permutations.  The Cartan
     coefficients are alternating, so each contracted g_p is too, and its
@@ -468,7 +430,8 @@ def schouten_residual(h: HamiltonianQP, m: RepPoint) -> dict:
     # the terms of Pi^{ab} and d_d Pi^{ab}; Pi and dpi are their antisymmetrizations in (a, b)
     pi = np.zeros((s_count, dim, dim))
     dpi = np.zeros((s_count, dim, dim, dim))
-    for (a, b), c in h.coeffs.items():
+    for i, j in zip(*np.nonzero(h.c)):   # C's nonzeros, row-major
+        a, b, c = h.types[i], h.types[j], h.c[i, j]
         ia, ib = blk[a[0]], blk[b[0]]
         v, jv = field(a, False)   # jv[(d, a), k] = d_d v[k, a]
         w, jw = field(b, True)    # jw[k, (b, d)] = d_d w[k, b]

@@ -635,6 +635,20 @@ def test_cli_bad_mutate_exits_2(mutate, capsys):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("with_point", [False, True], ids=["drawn-point", "point-file"])
+def test_cli_negative_seed_exits_2(tmp_path, capsys, with_point):
+    # numpy seeds only non-negative ints: without --point the seed used to
+    # fail inside numpy's generator, and with one it seeded the realization
+    argv = ["bracket", "--surface", _surface(tmp_path, 1, 2), "--diagram", _diagram(tmp_path),
+            "--seed", "-1"]
+    if with_point:
+        argv += ["--point", _write(tmp_path, "p.json", {
+            "A2": [[2, 1], [1, 1]], "B2": [[1, 1], [0, 1]],
+            "C1": [[1, 0], [1, 1]], "D1": [[3, 1], [2, 1]]})]
+    assert main(argv) == 2
+    assert "input error: --seed must be non-negative, got -1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--suite", "main-theorem", "--n", "1"], "--n must be at least 2, got 1"),
     (["--suite", "qp-identity", "--n", "1"], "--n must be at least 2, got 1"),

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from surface_qp.quasipoisson import (WordFunction, _field_vectors_and_jacs, acti
                                      fold_bivector, fused_double, fusion_product,
                                      perturbed, piece_structure, schouten_residual,
                                      slot_values, slot_word, verify_moment)
-from surface_qp.repspace import (boundary_word, holonomy, random_point,
+from surface_qp.repspace import (RepPoint, boundary_word, holonomy, random_point,
                                  random_points, word_product)
 from surface_qp.suites import WORD_PAIRS, _observable_pairs, run_suite
 from surface_qp.surfaces import SurfaceSpec, polygon_model, split_canonical
@@ -108,7 +109,8 @@ def _chart_reference(h, m):
     dim = len(h.slots) * n * n
     pi = np.zeros((dim, dim))
     dpi = np.zeros((dim, dim, dim))
-    for (a, b), c in h.coeffs.items():
+    for i, j in zip(*np.nonzero(h.c)):
+        a, b, c = h.types[i], h.types[j], h.c[i, j]
         ia, ib = blk[a[0]], blk[b[0]]
         for ek, fk in zip(pair.e, pair.f):
             v, jv = _field_vector_and_jac(a, ek, vals, n)
@@ -297,6 +299,48 @@ def test_stacked_schouten_equals_per_point(spec, n):
         assert abs(stack["residual"][k] - one["residual"]) <= 1e-14
         assert abs(bad["residual"][k] - schouten_residual(perturbed(h, 0.01), m)["residual"]) \
             <= 1e-12 * bad["residual"][k]
+
+
+def _window(ctx, m, pieces):
+    """The surface of some split pieces of m.spec, in their order, at the
+    point m restricted to their generators, renamed; and the map from its
+    slots to those of m.spec."""
+    annuli = sum(p.kind == "annulus" for p in pieces)
+    sub = SurfaceSpec(len(pieces) - annuli, annuli + 1)
+    slot = {}
+    for p, q in zip(split_canonical(sub), pieces):
+        assert p.kind == q.kind
+        for x in ("ab" if p.kind == "annulus" else "cd"):
+            slot[x, p.index] = (x, q.index)
+    mats = {"%s%d" % (x.upper(), i): m.mats["%s%d" % (x.upper(), slot[x, i][1])]
+            for x, i in slot}
+    return RepPoint(ctx, sub, mats), slot
+
+
+@pytest.mark.parametrize("spec,count", [(SurfaceSpec(5, 5), 84), (SurfaceSpec(3, 3), 10)],
+                         ids=str)
+def test_schouten_residual_is_local_to_three_pieces(spec, count):
+    # A field acts on one slot and the fused action is a sum over pieces, so
+    # each component of [P, P] - rho_phi on three slots is that component on
+    # the surface of their (at most three) pieces, at the restricted point:
+    # then qp-identity on the surfaces of three pieces covers every (g, b)
+    n = 2
+    ctx = AlgebraContext("gl", n)
+    h, m = build_bivector(spec, ctx), random_point(ctx, spec, 0)
+    big = schouten_residual(h, m)
+    res = big["jacobiator"] - big["rho_phi"]
+    blk = {s: range(k * n * n, (k + 1) * n * n) for k, s in enumerate(h.slots)}
+    covered = np.zeros(res.shape, dtype=bool)
+    windows = list(itertools.combinations(split_canonical(spec), 3))
+    assert len(windows) == count
+    for pieces in windows:
+        mw, slot = _window(ctx, m, pieces)
+        hw = build_bivector(mw.spec, ctx)
+        got = schouten_residual(hw, mw)
+        idx = np.ix_(*[[k for s in hw.slots for k in blk[slot[s]]]] * 3)
+        assert (got["jacobiator"] - got["rho_phi"]).tobytes() == res[idx].tobytes()
+        covered[idx] = True
+    assert covered.all()
 
 
 def _dropped_cyclic_term(pi, dpi):
@@ -513,12 +557,11 @@ def test_endpoint_subtotal_invariant_factorizes():
 
 
 def _skew_per_coefficient(h):
-    """Reference form: A = C - C^T by two scalar writes per coefficient."""
-    index, _ = h.skew
-    a = np.zeros((len(index), len(index)))
-    for (x, y), c in h.coeffs.items():
-        a[index[x], index[y]] += c
-        a[index[y], index[x]] -= c
+    """Reference form: A = C - C^T by two scalar writes per nonzero of C."""
+    a = np.zeros(h.c.shape)
+    for i, j in zip(*np.nonzero(h.c)):
+        a[i, j] += h.c[i, j]
+        a[j, i] -= h.c[i, j]
     return a
 
 
@@ -529,7 +572,7 @@ def test_skew_matches_per_coefficient_loop(spec, n):
     for h in _bivectors(spec, ctx):
         for hh in (h, perturbed(h, 0.01)):
             index, a = hh.skew
-            assert list(index) == list(dict.fromkeys(t for k in hh.coeffs for t in k))
+            assert list(index) == hh.types
             assert np.array_equal(a, _skew_per_coefficient(hh))
 
 
@@ -541,13 +584,8 @@ CLOSED_FORM_SPECS = [SurfaceSpec(0, 1), SurfaceSpec(0, 2), SurfaceSpec(1, 1),
                      SurfaceSpec(0, 6), SurfaceSpec(4, 1)]
 
 
-def _cross_key(coeffs):
-    """The key perturbed scales: the first coupling two pieces, or the
-    first key on a one-piece surface, in the order of coeffs."""
-    def piece(t):
-        return ("annulus" if t[0][0] in "ab" else "torus", t[0][1])
-    keys = [k for k in coeffs if piece(k[0]) != piece(k[1])] or list(coeffs)
-    return keys[0] if keys else None
+def _piece(t):
+    return ("annulus" if t[0][0] in "ab" else "torus", t[0][1])
 
 
 @pytest.mark.parametrize("kind", ["gl", "u"])
@@ -555,24 +593,26 @@ def _cross_key(coeffs):
 def test_closed_form_is_the_fusion_fold(spec, kind):
     ctx = AlgebraContext(kind, 2)
     h = build_bivector(spec, ctx)
-    left, right = fold_bivector(spec, ctx), right_fold(spec, ctx)
     index, a = h.skew
-    for fold in (left, right):
-        assert h.slots == fold.slots and h.actions == fold.actions
+    for fold in (fold_bivector(spec, ctx), right_fold(spec, ctx)):
+        assert h.types == fold.types and h.actions == fold.actions
         assert list(index) == list(fold.skew[0])
         # bit-equal, with no -0.0 where a weight is zero
+        assert h.c.tobytes() == fold.c.tobytes()
         assert a.tobytes() == fold.skew[1].tobytes()
-        assert dict(h.coeffs) == dict(fold.coeffs)
-    assert not np.signbit(a[a == 0]).any()
-    assert list(h.coeffs.items()) == list(left.coeffs.items())
-    # perturbed scales the left fold's first cross key, and only that one
-    key = _cross_key(left.coeffs)
+        assert perturbed(h, 0.01).c.tobytes() == perturbed(fold, 0.01).c.tobytes()
+    assert not np.signbit(h.c[h.c == 0]).any() and not np.signbit(a[a == 0]).any()
+    # perturbed scales one entry by 1.01: C at the boundary action's first
+    # field and its first field on another piece, or C's first nonzero on a
+    # one-piece surface
     hm = perturbed(h, 0.01)
-    assert list(hm.coeffs.items()) == list(perturbed(left, 0.01).coeffs.items())
-    assert hm.skew[1].tobytes() == perturbed(left, 0.01).skew[1].tobytes()
-    assert {k for k in h.coeffs if hm.coeffs[k] != h.coeffs[k]} == ({key} if key else set())
-    if key:
-        assert hm.coeffs[key] == h.coeffs[key] * 1.01
+    changed = [tuple(k) for k in np.argwhere(hm.c != h.c)]
+    fields = [index[s, side] for s, side, _ in h.actions[0]]
+    cross = [(fields[0], j) for j in fields if _piece(h.types[j]) != _piece(h.types[fields[0]])]
+    assert changed == (cross or [tuple(k) for k in np.argwhere(h.c)])[:1]
+    for i, j in changed:
+        assert hm.c[i, j] == h.c[i, j] * 1.01
+        assert len({_piece(t) for t in h.types}) == 1 or _piece(h.types[i]) != _piece(h.types[j])
 
 
 def test_closed_form_runs_no_fusion(monkeypatch):
@@ -589,13 +629,21 @@ def test_closed_form_runs_no_fusion(monkeypatch):
         fold_bivector(spec, GL2)
 
 
+def test_fold_reads_no_closed_form_table(monkeypatch):
+    # the fold stays the definition: without the closed form's tables it
+    # still gives the closed form's C
+    want = [build_bivector(spec, GL2).c.tobytes() for spec in CLOSED_FORM_SPECS]
+    for name in ("_BLOCKS", "_PIECES", "_DOUBLE", "_ACTS"):
+        monkeypatch.setattr(quasipoisson, name, None)
+    assert [fold_bivector(spec, GL2).c.tobytes() for spec in CLOSED_FORM_SPECS] == want
+    with pytest.raises(TypeError):
+        build_bivector(SurfaceSpec(1, 2), GL2)
+
+
 def test_coefficients_are_read_only():
     h = build_bivector(SurfaceSpec(1, 2), GL2)
     with pytest.raises(ValueError):
         h.c[0, 1] = 5.0
-    key = next(iter(h.coeffs))
-    with pytest.raises(TypeError):
-        h.coeffs[key] *= 3
     assert not fold_bivector(SurfaceSpec(1, 2), GL2).c.flags.writeable
 
 
