@@ -17,7 +17,8 @@ tolerance of the numeric route as well.
 Exit codes: 0 all checks pass, 1 verification failure, 2 input error (also a
 negative or non-finite --tol, a negative --seed, a non-finite --mutate,
 verify --n below 2, --group u with a GL suite, an --out path that cannot be
-written), 3 numeric-domain error.
+written, a disk surface, an input too large to allocate), 3 numeric-domain
+error.
 
 The argument parser is built once, at import, and holds no request data, so
 every call of main in one process parses with the same parser.
@@ -164,6 +165,9 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except ValueError as exc:
         print("input error: %s" % exc, file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:   # an input too large to allocate
+        print("input error: out of memory: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -131,8 +131,6 @@ def diagram_from_word(w: Word, pm: PolygonModel, jitter_seed: int,
     Jitter parameters are drawn from a deterministic seeded stream and, in
     lane 1, shifted by LANE_SHIFT (see the module docstring).
     """
-    if pm.spec.is_disk:
-        raise ValueError("disk model supports no diagrams")
     if len(w.letters) == 0:
         raise ValueError("constant paths are excluded from diagrams")
     rng = random.Random("%d|%d|%s" % (jitter_seed, variant, w.letters))

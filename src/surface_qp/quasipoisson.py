@@ -11,11 +11,12 @@ Doubles and fusion only produce terms c sum_k A(e_k) ^ B(f_k) over the dual
 basis pair with c independent of k, so the bivector is stored as the
 coefficient matrix C[A, B] = c over the field types.
 
-Fusing two actions with weights w, w' (the coefficient of each field type in
-the action) adds -1/2 w w'^T to C.  Fusion is associative, so the fusion
-product of the split pieces has a closed form: each piece keeps its own 4 x 4
-block, and pieces i < j are coupled by -1/2 w_i w_j^T, with w_i the weights
-of piece i's first action.  build_bivector assembles C that way; double, fuse
+The actions are the rows of the weight matrix W: W[p, A] is the coefficient
+of field type A in action slot p.  Fusing slots p and q adds their rows and
+adds -1/2 W[p] W[q]^T to C.  Fusion is associative, so the fusion product of
+the split pieces has a closed form: each piece keeps its own 4 x 4 block, and
+pieces i < j are coupled by -1/2 w_i w_j^T, with w_i the weights of piece
+i's first action.  build_bivector assembles C and W that way; double, fuse
 and product are the definition, and fold_bivector iterates them.
 
 A function f enters through its gradients grad_A f in g, defined by
@@ -45,21 +46,21 @@ from .words import Word, free_reduce, invert
 
 Slot = Tuple[str, int]          # ("a", i) | ("b", i) | ("c", j) | ("d", j)
 FieldType = Tuple[Slot, str]    # (slot, side)
-ActionEntry = Tuple[Slot, str, int]   # (slot, field side, coefficient)
 
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianQP:
-    """The bivector as its coefficient matrix C over the field types, and the
-    natural (sign-free) action fields.  C is made read-only on construction,
-    so the forms derived from it stay its own."""
+    """The bivector as its coefficient matrix C over the field types, and its
+    natural (sign-free) actions as the weight matrix W.  Both are made
+    read-only on construction, so the forms derived from them stay their own."""
     ctx: AlgebraContext
-    types: List[FieldType]          # the rows and columns of C
+    types: List[FieldType]          # the rows and columns of C, the columns of W
     c: np.ndarray                   # C[A, B], read-only
-    actions: List[List[ActionEntry]]
+    w: np.ndarray                   # W[p, A], read-only
 
     def __post_init__(self):
         self.c.setflags(write=False)
+        self.w.setflags(write=False)
 
     @cached_property
     def slots(self) -> List[Slot]:
@@ -126,36 +127,26 @@ def _fusion(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return -0.5 * np.outer(w, v)
 
 
-def _weights(h: HamiltonianQP, p: int) -> np.ndarray:
-    """The coefficient of each field type of h in action slot p."""
-    index, _ = h.skew
-    w = np.zeros(len(h.types))
-    for (s, side, c) in h.actions[p]:
-        w[index[s, side]] += c
-    return w
-
-
 def double(ctx: AlgebraContext, sa: Slot = ("a", 2), sb: Slot = ("b", 2)) -> HamiltonianQP:
     """The double D(G) on slots (a, b) with moment (ab, a^-1 b^-1), over the
     field types (a, L), (b, R), (a, R), (b, L): C[(a, L), (b, R)] =
     C[(a, R), (b, L)] = 1/2."""
     c = np.zeros((4, 4))
     c[0, 1] = c[2, 3] = 0.5
-    act1 = [(sa, "R", 1), (sb, "L", -1)]   # a -> g a,  b -> b g^-1
-    act2 = [(sa, "L", -1), (sb, "R", 1)]   # a -> a g^-1,  b -> g b
-    return HamiltonianQP(ctx, [(sa, "L"), (sb, "R"), (sa, "R"), (sb, "L")], c, [act1, act2])
+    w = np.array([[0.0, 0, 1, -1],    # a -> g a,  b -> b g^-1
+                  [-1, 1, 0, 0]])     # a -> a g^-1,  b -> g b
+    return HamiltonianQP(ctx, [(sa, "L"), (sb, "R"), (sa, "R"), (sb, "L")], c, w)
 
 
 def fuse(h: HamiltonianQP, p: int = 0, q: int = 1) -> HamiltonianQP:
     """Fuse action slots p and q: P' = P - rho_psi, moments multiply."""
-    if p == q or not (0 <= p < len(h.actions)) or not (0 <= q < len(h.actions)):
+    if p == q or not (0 <= p < len(h.w)) or not (0 <= q < len(h.w)):
         raise ValueError("invalid action slots")
     # rho_psi = 1/2 sum rho_e^p ^ rho_f^q; the two action minus signs cancel,
     # leaving the natural action fields
-    c = h.c + _fusion(_weights(h, p), _weights(h, q))
-    fused = h.actions[p] + h.actions[q]
-    rest = [a for k, a in enumerate(h.actions) if k not in (p, q)]
-    return HamiltonianQP(h.ctx, h.types, c, [fused] + rest)
+    c = h.c + _fusion(h.w[p], h.w[q])
+    w = np.vstack([h.w[p] + h.w[q], np.delete(h.w, [p, q], axis=0)])
+    return HamiltonianQP(h.ctx, h.types, c, w)
 
 
 def fused_double(ctx: AlgebraContext, sa: Slot = ("c", 1), sb: Slot = ("d", 1)) -> HamiltonianQP:
@@ -163,18 +154,20 @@ def fused_double(ctx: AlgebraContext, sa: Slot = ("c", 1), sb: Slot = ("d", 1)) 
 
 
 def product(h1: HamiltonianQP, h2: HamiltonianQP) -> HamiltonianQP:
-    """h1 x h2: C is block-diagonal over the field types of h1, then h2."""
+    """h1 x h2: C and W are block-diagonal over the field types of h1, then h2."""
     if set(h1.slots) & set(h2.slots):
         raise ValueError("slot clash in product")
-    k = len(h1.types)
+    k, p = len(h1.types), len(h1.w)
     c = np.zeros((k + len(h2.types),) * 2)
+    w = np.zeros((p + len(h2.w), len(c)))
     c[:k, :k], c[k:, k:] = h1.c, h2.c
-    return HamiltonianQP(h1.ctx, h1.types + h2.types, c, h1.actions + h2.actions)
+    w[:p, :k], w[p:, k:] = h1.w, h2.w
+    return HamiltonianQP(h1.ctx, h1.types + h2.types, c, w)
 
 
 def fusion_product(h1: HamiltonianQP, h2: HamiltonianQP) -> HamiltonianQP:
     """h1 (x) h2 with the first action of each factor fused."""
-    return fuse(product(h1, h2), 0, len(h1.actions))
+    return fuse(product(h1, h2), 0, len(h1.w))
 
 
 def piece_structure(ctx: AlgebraContext, kind: str, index: int) -> HamiltonianQP:
@@ -188,8 +181,6 @@ def piece_structure(ctx: AlgebraContext, kind: str, index: int) -> HamiltonianQP
 def fold_bivector(spec: SurfaceSpec, ctx: AlgebraContext) -> HamiltonianQP:
     """The definition of the bivector: the fusion product of b-1 doubles and
     g fused doubles, folded from the left, ((1 (x) 2) (x) 3)."""
-    if spec.is_disk:
-        return HamiltonianQP(ctx, [], np.zeros((0, 0)), [[]])
     hs = [piece_structure(ctx, p.kind, p.index) for p in split_canonical(spec)]
     acc = hs[0]
     for h in hs[1:]:
@@ -200,9 +191,7 @@ def fold_bivector(spec: SurfaceSpec, ctx: AlgebraContext) -> HamiltonianQP:
 # A piece over its field types (x, L), (y, R), (x, R), (y, L), on its slots
 # (x, y) = (a_i, b_i) or (c_j, d_j): the double's coefficients C[(x, L), (y, R)]
 # = C[(x, R), (y, L)] = 1/2 and the weights of its actions x -> g x, y -> y g^-1
-# and x -> x g^-1, y -> g y.  An action lists its fields in _ENTRY_ORDER, the
-# double's first action's and then its second's.
-_ENTRY_ORDER = (2, 3, 0, 1)
+# and x -> x g^-1, y -> g y.
 _DOUBLE = np.array([[0, 0.5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0.5], [0, 0, 0, 0]])
 _ACTS = np.array([[0, 0, 1, -1], [-1, 1, 0, 0]])
 
@@ -210,7 +199,6 @@ _ACTS = np.array([[0, 0, 1, -1], [-1, 1, 0, 0]])
 # torus the double with its two actions fused
 _KIND = {"annulus": 0, "torus": 1}
 _PIECES = ((_DOUBLE, _ACTS), (_DOUBLE + _fusion(*_ACTS), _ACTS.sum(axis=0, keepdims=True)))
-_FIELDS = [[[(t, int(w[t])) for t in _ENTRY_ORDER if w[t]] for w in acts] for _, acts in _PIECES]
 
 
 def _blocks(pieces) -> np.ndarray:
@@ -230,10 +218,9 @@ _BLOCKS = _blocks(_PIECES)
 
 def build_bivector(spec: SurfaceSpec, ctx: AlgebraContext) -> HamiltonianQP:
     """The fusion product of b-1 doubles and g fused doubles, in the closed
-    form of the module docstring: the same field types, C and actions as
-    fold_bivector, which the splitting suite compares it with."""
-    if spec.is_disk:
-        return HamiltonianQP(ctx, [], np.zeros((0, 0)), [[]])
+    form of the module docstring: the same field types, C and W as
+    fold_bivector, which the splitting suite compares it with.  W's row 0
+    fuses every piece's first action; each annulus adds its second."""
     pieces = split_canonical(spec)
     kinds = [_KIND[p.kind] for p in pieces]
     k, r = np.array(kinds), np.arange(len(kinds))
@@ -241,31 +228,22 @@ def build_bivector(spec: SurfaceSpec, ctx: AlgebraContext) -> HamiltonianQP:
     c = c.transpose(0, 2, 1, 3).reshape(4 * len(k), 4 * len(k))
     types = [((s, p.index), side) for p, kind in zip(pieces, kinds)
              for s, side in zip(("abab", "cdcd")[kind], "LRRL")]
-    first = [(*types[4 * i + e], wt) for i, kind in enumerate(kinds) for e, wt in _FIELDS[kind][0]]
-    rest = [[(*types[4 * i + e], wt) for e, wt in a] for i, kind in enumerate(kinds)
-            for a in _FIELDS[kind][1:]]
-    return HamiltonianQP(ctx, types, c, [first] + rest)
-
-
-def _piece(a: FieldType) -> tuple:
-    """The split piece a field type lives on: annulus (a, b) or torus (c, d)."""
-    (kind, index), _ = a
-    return ("annulus" if kind in "ab" else "torus", index)
+    annuli = np.flatnonzero(k == 0)
+    w = np.zeros((1 + len(annuli), len(types)))
+    w[0] = np.concatenate([_PIECES[kind][1][0] for kind in kinds])
+    for p, i in enumerate(annuli, 1):
+        w[p, 4 * i:4 * i + 4] = _PIECES[0][1][1]
+    return HamiltonianQP(ctx, types, c, w)
 
 
 def perturbed(h: HamiltonianQP, mutate: float) -> HamiltonianQP:
     """Copy of h with one entry of C scaled by (1 + mutate), to show that a
-    check is sensitive: the entry at the first two fields of the boundary
-    action actions[0] that lie on different pieces, or C's first nonzero on
-    a one-piece surface.  mutate = 0 gives an equal copy."""
-    index, _ = h.skew
-    fields = [index[s, side] for s, side, _ in h.actions[0]]
-    keys = [(fields[0], j) for j in fields if _piece(h.types[j]) != _piece(h.types[fields[0]])]
-    keys = keys or list(zip(*np.nonzero(h.c)))
-    if not keys:
-        return h
+    check is sensitive: C[2, 6], the coupling of the first two pieces at
+    their (x, R) fields, or the double's C[(x, L), (y, R)] = C[0, 1] on a
+    one-piece surface.  mutate = 0 gives an equal copy."""
+    key = (2, 6) if len(h.types) > 4 else (0, 1)
     c = h.c.copy()
-    c[keys[0]] *= 1.0 + mutate
+    c[key] *= 1.0 + mutate
     return replace(h, c=c)
 
 
@@ -333,21 +311,24 @@ def pair_gradients(h: HamiltonianQP, df: Dict[FieldType, np.ndarray],
 
 def action_sigma(h: HamiltonianQP, p: int, x: np.ndarray,
                  vals: Dict[Slot, np.ndarray]) -> Dict[Slot, np.ndarray]:
-    """Natural infinitesimal action d/dt exp(tx).m of action slot p."""
+    """Natural infinitesimal action d/dt exp(tx).m of action slot p: the
+    fields of the nonzeros of W[p], in field-type order."""
     out: Dict[Slot, np.ndarray] = {}
-    for (s, side, c) in h.actions[p]:
-        out[s] = out.get(s, 0) + c * field_value(vals, (s, side), x)
+    for t, wt in zip(h.types, h.w[p].tolist()):
+        if wt:
+            out[t[0]] = out.get(t[0], 0) + wt * field_value(vals, t, x)
     return out
 
 
 def chi(h: HamiltonianQP, df: Dict[FieldType, np.ndarray], p: int) -> np.ndarray:
     """The moment variation chi_f at action slot p, <chi_f, x> =
-    d/dt f(exp(-tx).m), from the gradients df of WordFunction.gradients.
-    Action slot i-1 of build_bivector acts at boundary component i."""
+    d/dt f(exp(-tx).m), from the gradients df of WordFunction.gradients and
+    the nonzeros of W[p], in field-type order.  Action slot i-1 of
+    build_bivector acts at boundary component i."""
     out = np.zeros((h.ctx.n, h.ctx.n), dtype=h.ctx.dtype)
-    for (s, side, c) in h.actions[p]:
-        if (s, side) in df:
-            out = out - c * df[(s, side)]
+    for t, wt in zip(h.types, h.w[p].tolist()):
+        if wt and t in df:
+            out = out - wt * df[t]
     return out
 
 
@@ -448,7 +429,7 @@ def schouten_residual(h: HamiltonianQP, m: RepPoint) -> dict:
     # rows[s, p, i] = sigma_p(f_i) at point s, so that
     # g[a, b, c] = sum_p,ijk coeffs[i, j, k] rows[p, i, a] rows[p, j, b] rows[p, k, c]
     # contracts k, j and then (p, i), the last again one product per b
-    acts = len(h.actions)
+    acts = len(h.w)
     rows = np.zeros((s_count, acts, d, dim))
     for p in range(acts):
         for s, tan in action_sigma(h, p, f, vals).items():

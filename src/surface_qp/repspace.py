@@ -73,7 +73,7 @@ def holonomy(m: RepPoint, w: Word) -> np.ndarray:
 
 def boundary_word(spec: SurfaceSpec, i: int) -> Word:
     """The word whose holonomy is the moment at boundary component i:
-    mu_1 for i = 1 (empty on the disk), B_i^-1 otherwise."""
+    mu_1 for i = 1, B_i^-1 otherwise."""
     if not 1 <= i <= spec.boundary_count:
         raise ValueError("boundary index out of range")
     if i == 1:   # freely reduced and composable by construction
@@ -91,8 +91,6 @@ def act(m: RepPoint, g) -> RepPoint:
     g = np.asarray(g, dtype=m.ctx.dtype)
     if len(g) != m.spec.boundary_count:
         raise ValueError("need one group element per boundary component")
-    if not m.mats:
-        return RepPoint(m.ctx, m.spec, {})
     src, tgt = np.array([generator_endpoints(sym) for sym in m.mats]).T - 1
     out = g[src] @ np.array(list(m.mats.values())) @ np.linalg.inv(g)[tgt]
     return RepPoint(m.ctx, m.spec, dict(zip(m.mats, out)))

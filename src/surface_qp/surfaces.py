@@ -15,7 +15,7 @@ checked exactly, and all downstream geometry is exact on these vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 from typing import Dict, List, Optional, Tuple
 
@@ -35,10 +35,8 @@ class SurfaceSpec:
             raise ValueError("genus must be non-negative")
         if self.boundary_count < 1:
             raise ValueError("need at least one boundary component")
-
-    @property
-    def is_disk(self) -> bool:
-        return self.genus == 0 and self.boundary_count == 1
+        if self.genus == 0 and self.boundary_count == 1:
+            raise ValueError("the disk has no generator paths")
 
     @property
     def n_sides(self) -> int:
@@ -72,7 +70,7 @@ class PolygonModel:
     links: Dict[int, List[int]]          # marked point -> corners in ccw link order
     link_pos: Dict[int, Tuple[int, int]]  # corner -> (marked point, position)
     letter_to_side: Dict[Tuple[str, int], int]
-    center: Point = field(default=None)
+    center: Point
 
     @property
     def n(self) -> int:
@@ -121,8 +119,6 @@ def _regular_vertices(n: int) -> List[Point]:
 
 
 def polygon_model(spec: SurfaceSpec) -> PolygonModel:
-    if spec.is_disk:
-        return PolygonModel(spec, [], [], [], [1], [], {1: []}, {}, {})
     labels = side_labels(spec)
     n = len(labels)
     verts = _regular_vertices(n)
@@ -176,7 +172,7 @@ def polygon_model(spec: SurfaceSpec) -> PolygonModel:
         raise AssertionError("vertex links do not partition the polygon corners")
 
     return PolygonModel(spec, verts, sides, cw, marked, transitions, links, link_pos,
-                        where, center=centroid(verts))
+                        where, centroid(verts))
 
 
 @dataclass(frozen=True)
@@ -188,8 +184,6 @@ class Piece:
 
 def split_canonical(spec: SurfaceSpec) -> List[Piece]:
     """Split into b-1 annuli and g one-holed tori, in fusion order."""
-    if spec.is_disk:
-        raise ValueError("disk admits no canonical splitting")
     pieces = []
     for i in range(2, spec.boundary_count + 1):
         pieces.append(Piece("annulus", i))

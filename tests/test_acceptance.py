@@ -94,7 +94,7 @@ def test_moment_condition(gb):
     f = WordFunction(entry_observable(GL2, 0, 0, "re"), spec.word(ta))
     for seed in range(10):
         m = random_point(GL2, spec, seed)
-        for p in range(len(h.actions)):
+        for p in range(len(h.w)):
             assert verify_moment(h, p, f, m)["residual"] <= 1e-12
 
 

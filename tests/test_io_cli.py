@@ -494,6 +494,31 @@ def test_cli_bad_variants_exit_2(tmp_path, capsys, variants):
         capsys.readouterr().err
 
 
+def test_cli_disk_surface_exits_2_before_drawing_a_point(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a point drawn on the disk")
+    monkeypatch.setattr(surface_qp.cli, "random_point", refuse)
+    surface = _surface(tmp_path, 0, 1)
+    code = main(["bracket", "--surface", surface, "--diagram", _diagram(tmp_path)])
+    assert code == 2
+    cap = capsys.readouterr()
+    assert cap.err == "input error: bad surface file %s: the disk has no generator paths\n" % surface
+    assert cap.out == ""
+
+
+def test_cli_input_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
+    # stands in for numpy's allocation error on a huge --n; nothing is allocated
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+    monkeypatch.setattr(surface_qp.cli, "random_point", too_large)
+    code = main(["bracket", "--surface", _surface(tmp_path), "--diagram",
+                 _diagram(tmp_path), "--n", "100000"])
+    assert code == 2
+    cap = capsys.readouterr()
+    assert cap.err == "input error: out of memory: Unable to allocate 74.5 GiB for an array\n"
+    assert cap.out == ""
+
+
 def test_cli_degenerate_moment_exits_3(tmp_path, capsys):
     # identity coordinates give a degenerate boundary spectrum, which the
     # cross-section projection must reject

@@ -30,8 +30,6 @@ SPECS = [SurfaceSpec(0, 2), SurfaceSpec(1, 1), SurfaceSpec(0, 3), SurfaceSpec(1,
 
 def right_fold(spec, ctx):
     """The fusion product folded from the right, (1 (x) (2 (x) 3))."""
-    if spec.is_disk:
-        return fold_bivector(spec, ctx)
     hs = [piece_structure(ctx, p.kind, p.index) for p in split_canonical(spec)]
     acc = hs[-1]
     for h in reversed(hs[:-1]):
@@ -265,7 +263,7 @@ def _rho_reference(h, m):
     dim = len(h.slots) * n * n
     f = np.asarray(tv.pair.f)
     rho = np.zeros((dim, dim, dim))
-    for p in range(len(h.actions)):
+    for p in range(len(h.w)):
         rows = np.zeros((tv.pair.dim, dim))
         for s, tan in action_sigma(h, p, f, vals).items():
             rows[:, blk[s]] += np.real(tan).reshape(len(f), -1)
@@ -401,7 +399,7 @@ def test_moment_condition(kind):
         h = fused_double(GL2)
     m = random_point(GL2, spec, 4)
     f = WordFunction(entry_observable(GL2, 0, 0, "re"), spec.word(text))
-    for p in range(len(h.actions)):
+    for p in range(len(h.w)):
         assert verify_moment(h, p, f, m)["residual"] < 1e-12
 
 
@@ -578,10 +576,10 @@ def test_skew_matches_per_coefficient_loop(spec, n):
 
 # --- the closed form against the fusion fold ------------------------------
 
-CLOSED_FORM_SPECS = [SurfaceSpec(0, 1), SurfaceSpec(0, 2), SurfaceSpec(1, 1),
-                     SurfaceSpec(0, 3), SurfaceSpec(1, 2), SurfaceSpec(2, 1),
-                     SurfaceSpec(2, 2), SurfaceSpec(3, 3), SurfaceSpec(5, 5),
-                     SurfaceSpec(0, 6), SurfaceSpec(4, 1)]
+CLOSED_FORM_SPECS = [SurfaceSpec(0, 2), SurfaceSpec(1, 1), SurfaceSpec(0, 3),
+                     SurfaceSpec(1, 2), SurfaceSpec(2, 1), SurfaceSpec(2, 2),
+                     SurfaceSpec(3, 3), SurfaceSpec(5, 5), SurfaceSpec(0, 6),
+                     SurfaceSpec(4, 1)]
 
 
 def _piece(t):
@@ -595,24 +593,25 @@ def test_closed_form_is_the_fusion_fold(spec, kind):
     h = build_bivector(spec, ctx)
     index, a = h.skew
     for fold in (fold_bivector(spec, ctx), right_fold(spec, ctx)):
-        assert h.types == fold.types and h.actions == fold.actions
-        assert list(index) == list(fold.skew[0])
+        assert h.types == fold.types and list(index) == list(fold.skew[0])
         # bit-equal, with no -0.0 where a weight is zero
-        assert h.c.tobytes() == fold.c.tobytes()
+        assert h.c.tobytes() == fold.c.tobytes() and h.w.tobytes() == fold.w.tobytes()
         assert a.tobytes() == fold.skew[1].tobytes()
         assert perturbed(h, 0.01).c.tobytes() == perturbed(fold, 0.01).c.tobytes()
     assert not np.signbit(h.c[h.c == 0]).any() and not np.signbit(a[a == 0]).any()
-    # perturbed scales one entry by 1.01: C at the boundary action's first
-    # field and its first field on another piece, or C's first nonzero on a
-    # one-piece surface
+    assert h.w.shape == (spec.boundary_count, len(h.types))
+    # perturbed scales one entry by 1.01: the fusion coupling of the boundary
+    # action's (x, R) fields on the first two pieces, or the double's C[0, 1]
+    # on a one-piece surface
     hm = perturbed(h, 0.01)
     changed = [tuple(k) for k in np.argwhere(hm.c != h.c)]
-    fields = [index[s, side] for s, side, _ in h.actions[0]]
-    cross = [(fields[0], j) for j in fields if _piece(h.types[j]) != _piece(h.types[fields[0]])]
-    assert changed == (cross or [tuple(k) for k in np.argwhere(h.c)])[:1]
-    for i, j in changed:
-        assert hm.c[i, j] == h.c[i, j] * 1.01
-        assert len({_piece(t) for t in h.types}) == 1 or _piece(h.types[i]) != _piece(h.types[j])
+    pieces = {_piece(t) for t in h.types}
+    assert changed == [(0, 1) if len(pieces) == 1 else (2, 6)]
+    (i, j), = changed
+    assert hm.c[i, j] == h.c[i, j] * 1.01
+    if len(pieces) > 1:
+        assert _piece(h.types[i]) != _piece(h.types[j]) and h.types[i][1] == h.types[j][1] == "R"
+        assert h.c[i, j] == -0.5 * h.w[0, i] * h.w[0, j] != 0
 
 
 def test_closed_form_runs_no_fusion(monkeypatch):
@@ -644,7 +643,11 @@ def test_coefficients_are_read_only():
     h = build_bivector(SurfaceSpec(1, 2), GL2)
     with pytest.raises(ValueError):
         h.c[0, 1] = 5.0
-    assert not fold_bivector(SurfaceSpec(1, 2), GL2).c.flags.writeable
+    with pytest.raises(ValueError):
+        h.w[0, 2] = 5.0
+    fold = fold_bivector(SurfaceSpec(1, 2), GL2)
+    assert not fold.c.flags.writeable and not fold.w.flags.writeable
+    assert not perturbed(h, 0.01).w.flags.writeable
 
 
 def test_perturbed_is_a_new_structure_with_another_pairing():

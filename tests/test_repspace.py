@@ -211,7 +211,9 @@ def test_bad_generator_is_named(stacked):
 @pytest.mark.parametrize("ctx", [GL2, U2], ids=["gl", "u"])
 @pytest.mark.parametrize("g,b,text", [
     (1, 1, "C1 D1 C1'"), (1, 1, "C1"), (0, 3, "A2 B2 A2' A3"), (0, 3, "A2' A3 B3"),
-    (1, 2, "C1 D1 C1' A2"), (1, 2, "B2 A2' C1")])
+    (1, 2, "C1 D1 C1' A2"), (1, 2, "B2 A2' C1"),
+    # three pieces: W's fused row reaches piece 3, and on (2, 2) an annulus has a row
+    (2, 2, "A2 B2 A2' C2 D1"), (3, 1, "C1 D2 C3'")])
 def test_chi_matches_action_derivative(ctx, g, b, text):
     # <chi_f, x> = d/dt f(exp(-tx).m) for the action at boundary i, which is
     # action slot i - 1 of the fused bivector
