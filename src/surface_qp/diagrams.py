@@ -192,22 +192,6 @@ def diagram_from_word(w: Word, pm: PolygonModel, jitter_seed: int,
 # --- intersection data ----------------------------------------------------
 
 @dataclass(frozen=True)
-class Crossing:
-    sign: int
-    alpha_prefix: Word
-    alpha_suffix: Word
-    beta_prefix: Word
-    beta_suffix: Word
-
-    def reroute_ab(self) -> Word:
-        """Word of alpha *_q beta."""
-        return self.alpha_prefix.concat(self.beta_suffix)
-
-    def reroute_ba(self) -> Word:
-        return self.beta_prefix.concat(self.alpha_suffix)
-
-
-@dataclass(frozen=True)
 class EndpointSign:
     value: Fraction            # 0, +1/2 or -1/2
     marked: Optional[int]      # marked point index where the two meet
@@ -216,7 +200,11 @@ class EndpointSign:
 
 @dataclass(frozen=True)
 class IntersectionData:
-    crossings: Tuple[Crossing, ...]
+    """The crossings as a reduced group-ring element: (alpha *_q beta,
+    beta *_q alpha) -> the sum of the signs of the crossings q that reroute
+    to those freely reduced words, zero sums dropped; and the four endpoint
+    signs."""
+    crossings: Dict[Tuple[Word, Word], int]
     endpoint_signs: Dict[Tuple[str, str], EndpointSign]
 
 
@@ -263,7 +251,7 @@ def intersection_data(d_alpha: PathDiagram, d_beta: PathDiagram,
 
     verts = set(pm.vertices)
     segs_b = list(boxed(d_beta))
-    crossings: List[Crossing] = []
+    crossings: Dict[Tuple[Word, Word], int] = {}
     for i, a0, a1, axl, axh, ayl, ayh in boxed(d_alpha):
         for j, b0, b1, bxl, bxh, byl, byh in segs_b:
             # closed boxes that do not meet: no crossing, touch or overlap
@@ -278,9 +266,8 @@ def intersection_data(d_alpha: PathDiagram, d_beta: PathDiagram,
             t, u, q = hit
             if 0 < t < 1 and 0 < u < 1:
                 s = cross(sub(a1, a0), sub(b1, b0))
-                crossings.append(Crossing(
-                    1 if s > 0 else -1,
-                    pref_a[i], suf_a[i], pref_b[j], suf_b[j]))
+                key = (pref_a[i].concat(suf_b[j]), pref_b[j].concat(suf_a[i]))
+                crossings[key] = crossings.get(key, 0) + (1 if s > 0 else -1)
                 continue
             # intersections at segment endpoints: shared marked vertices are
             # boundary points (not interior crossings); anything else is a
@@ -308,7 +295,7 @@ def intersection_data(d_alpha: PathDiagram, d_beta: PathDiagram,
             pos = base != flip
             signs[(I, J)] = EndpointSign(
                 Fraction(1, 2) if pos else Fraction(-1, 2), pa, not base)
-    return IntersectionData(tuple(crossings), signs)
+    return IntersectionData({k: c for k, c in crossings.items() if c}, signs)
 
 
 def realize_pair(w_alpha: Word, w_beta: Word, pm: PolygonModel, seed: int,

@@ -427,9 +427,9 @@ def bracket_symbolic(a: PathEntrySymbol, b: PathEntrySymbol,
     intersection data of diagrams for the two words.
 
     Each term is an integer, twice its coefficient, times one or two
-    entries; crossings with the same reroute words share one term.  The
-    terms are summed over their common denominator, reduced once and
-    halved."""
+    entries; each class (alpha *_q beta, beta *_q alpha) of the reduced
+    element data.crossings adds one term.  The terms are summed over their
+    common denominator, reduced once and halved."""
     cache = cache if cache is not None else {}
     i, j = a.i, a.j
     k, l = b.i, b.j
@@ -449,8 +449,8 @@ def bracket_symbolic(a: PathEntrySymbol, b: PathEntrySymbol,
         add(se, (wb.concat(wa), k, j))
     if es and j == k:
         add(es, (wa.concat(wb), i, l))
-    for q in data.crossings:
-        add(q.sign, (q.reroute_ab(), i, l), (q.reroute_ba(), k, j))
+    for (ab, ba), coeff in data.crossings.items():
+        add(coeff, (ab, i, l), (ba, k, j))
     terms = [(coeff, [entry_nf(w, r, c, ring, cache) for w, r, c in factors])
              for coeff, factors in twice.values() if coeff]
     return sum_of_products(ring, terms).scale(Fraction(1, 2))

@@ -375,6 +375,7 @@ def _jacobiator(pi: np.ndarray, dpi: np.ndarray) -> np.ndarray:
     return jac
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a huge C gives a nan residual
 def schouten_residual(h: HamiltonianQP, m: RepPoint) -> dict:
     """Componentwise residual of [P,P] = rho_phi in the matrix-entry chart
     (GL contexts only), at the point m or at each point of a stack; a check
@@ -460,9 +461,11 @@ def bracket_combinatorial(phi: Observable, w_alpha: Word,
     """The main formula: sum_(I,J) eps_IJ pair(s, var^I phi, var^J psi) over
     the endpoint signs s, plus sum_q sign(q) B^q over the crossings, with
     B^q = <var_right phi(Hol_alpha), Ad_c var_left psi(Hol_beta)> and c the
-    holonomy of the rerouted path alpha *_q beta.  pair defaults to the
-    invariant form <u, w>; the cross-section bracket dresses it with Theta.
-    A stacked point gives one value per point."""
+    holonomy of the rerouted path alpha *_q beta.  All crossings with the same
+    reroute words share one B^q: the sum takes one holonomy per class of
+    data.crossings.  pair defaults to the invariant form <u, w>; the
+    cross-section bracket dresses it with Theta.  A stacked point gives one
+    value per point."""
     ha, hb = holonomy(m, w_alpha), holonomy(m, w_beta)
     # var_right at the start of a path, var_left at its end
     va = {"start": phi.var_right(ha), "end": phi.var_left(ha)}
@@ -475,7 +478,7 @@ def bracket_combinatorial(phi: Observable, w_alpha: Word,
         if s.value != 0:
             tot += float(s.value) * pair(s, va[I], vb[J])
     x, y = va["start"], vb["end"]
-    for q in data.crossings:
-        c = holonomy(m, q.reroute_ab())
-        tot = tot + q.sign * m.ctx.form(x, c @ y @ np.linalg.inv(c))
+    for (ab, _), coeff in data.crossings.items():
+        c = holonomy(m, ab)
+        tot = tot + coeff * m.ctx.form(x, c @ y @ np.linalg.inv(c))
     return tot

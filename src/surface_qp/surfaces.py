@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .geometry import Point, centroid, cross, lerp, orient, sub
 from .words import Word, generator_endpoints, invert, mu1_letters
@@ -175,8 +175,7 @@ def polygon_model(spec: SurfaceSpec) -> PolygonModel:
                         where, centroid(verts))
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(NamedTuple):
     """One factor of the canonical splitting: an annulus or one-holed torus."""
     kind: str            # "annulus" | "torus"
     index: int           # boundary index i (annulus) or handle index j (torus)

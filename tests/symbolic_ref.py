@@ -104,9 +104,8 @@ def bracket_symbolic_ref(a: PathEntrySymbol, b: PathEntrySymbol,
         out = out + entry(wb.concat(wa), k, j).scale(se)
     if es and j == k:
         out = out + entry(wa.concat(wb), i, l).scale(es)
-    for q in data.crossings:
-        term = entry(q.reroute_ab(), i, l) * entry(q.reroute_ba(), k, j)
-        out = out + term.scale(q.sign)
+    for (ab, ba), c in data.crossings.items():
+        out = out + (entry(ab, i, l) * entry(ba, k, j)).scale(c)
     return out
 
 

@@ -240,11 +240,11 @@ def test_invariant_bracket_is_crossing_sum(gb, ta, tb, seed, variants):
     assert sum(s.value for s in data.endpoint_signs.values()) == 0
     tr = trace_observable(GL2)
     m = random_point(GL2, spec, seed + 20)
-    sub = bracket_combinatorial(tr, wa, tr, wb, replace(data, crossings=()), m)
+    sub = bracket_combinatorial(tr, wa, tr, wb, replace(data, crossings={}), m)
     assert abs(sub) <= 1e-10
     comb = bracket_combinatorial(tr, wa, tr, wb, data, m)
-    crossings_only = sum(q.sign * crossing_term(tr, wa, tr, wb, q, m)
-                         for q in data.crossings)
+    crossings_only = sum(c * crossing_term(tr, wa, tr, wb, key, m)
+                         for key, c in data.crossings.items())
     assert abs(comb - crossings_only) <= 1e-10
 
 
@@ -368,8 +368,8 @@ def test_geometry_kernel_exact():
             assert word_of_diagram(db, pm).letters == wb.letters
             # exact antisymmetry of every sign
             flipped = intersection_data(db, da, pm)
-            assert sorted(c.sign for c in data.crossings) == sorted(
-                -c.sign for c in flipped.crossings)
+            assert flipped.crossings == {(ba, ab): -c for (ab, ba), c
+                                         in data.crossings.items()}
             for (i, j), s in data.endpoint_signs.items():
                 assert flipped.endpoint_signs[(j, i)].value == -s.value
             values.add(algebraic_intersection(data))

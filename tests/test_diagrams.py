@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from surface_qp import diagrams
-from surface_qp.diagrams import (Crossing, EndpointSign, GeneralPositionError,
+from surface_qp.diagrams import (EndpointSign, GeneralPositionError,
                                  IntersectionData, PathDiagram, diagram_from_word,
                                  intersection_data, realize_pair, word_of_diagram)
 from surface_qp.geometry import cross, segment_intersection, sub
@@ -18,7 +18,7 @@ from surface_qp.words import (Word, generator_endpoints, generator_symbols,
 def algebraic_intersection(data: IntersectionData) -> Fraction:
     """The signed count of the pair: endpoint signs plus crossing signs."""
     return (sum((s.value for s in data.endpoint_signs.values()), Fraction(0))
-            + sum(c.sign for c in data.crossings))
+            + sum(data.crossings.values()))
 
 
 WORDS = {
@@ -61,8 +61,7 @@ def test_sign_antisymmetry_exact(gb, wa, wb):
     pm = polygon_model(spec)
     da, db, data = realize_pair(spec.word(wa), spec.word(wb), pm, 2)
     flipped = intersection_data(db, da, pm)
-    assert sorted(c.sign for c in data.crossings) == sorted(
-        -c.sign for c in flipped.crossings)
+    assert flipped.crossings == {(ba, ab): -c for (ab, ba), c in data.crossings.items()}
     for (i, j), s in data.endpoint_signs.items():
         assert flipped.endpoint_signs[(j, i)].value == -s.value
     assert algebraic_intersection(flipped) == -algebraic_intersection(data)
@@ -96,19 +95,6 @@ def test_leg_words_are_built_once_per_realization(monkeypatch):
     da, db, data = realize_pair(wa, wb, pm, 3)
     assert len(calls) == 2 * (len(da.sides) + len(db.sides)) > 0
     assert data == intersection_data(da, db, polygon_model(spec))
-
-
-def test_crossing_reroutes_compose():
-    spec = SurfaceSpec(1, 1)
-    pm = polygon_model(spec)
-    wa, wb = spec.word("C1 D1"), spec.word("D1")
-    _, _, data = realize_pair(wa, wb, pm, 0)
-    assert len(data.crossings) >= 1
-    for q in data.crossings:
-        assert q.alpha_prefix.concat(q.alpha_suffix).letters == wa.letters
-        assert q.beta_prefix.concat(q.beta_suffix).letters == wb.letters
-        assert q.reroute_ab().source == wa.source
-        assert q.reroute_ab().target == wb.target
 
 
 def test_endpoint_signs_only_at_shared_marked_points():
@@ -171,6 +157,51 @@ def test_realization_never_retries(monkeypatch):
         ends_b = {pm.vertices[db.start_corner], pm.vertices[db.end_corner]}
         shared = {p for leg in da.legs for p in leg} & {p for leg in db.legs for p in leg}
         assert shared <= ends_a & ends_b
+
+
+def _realizations(seed_stream):
+    """Seeded 1-8 letter word pairs on six surfaces, each realized at 2 seeds
+    x 4 variant pairs: (wa, wb, [IntersectionData, ...]) per pair."""
+    rng = random.Random(seed_stream)
+    for g, b in [(1, 1), (0, 3), (1, 2), (2, 1), (1, 3), (2, 2)]:
+        pm = polygon_model(SurfaceSpec(g, b))
+        for _ in range(8):
+            wa, wb = _walk(rng, g, b, 1, 8), _walk(rng, g, b, 1, 8)
+            variants = [(rng.randrange(1 << len(wa)), rng.randrange(1 << len(wb)))
+                        for _ in range(4)]
+            yield wa, wb, [realize_pair(wa, wb, pm, seed, v)[2]
+                           for seed in rng.sample(range(1 << 16), 2) for v in variants]
+
+
+def test_crossing_element_keys_are_reroutes():
+    # alpha *_q beta runs from alpha's source to beta's target, beta *_q alpha
+    # back, and beta *_q alpha = beta (alpha *_q beta)^-1 alpha, freely reduced
+    keys = 0
+    for wa, wb, datas in _realizations(20130124):
+        for data in datas:
+            for (ab, ba), c in data.crossings.items():
+                assert (ab.source, ab.target) == (wa.source, wb.target)
+                assert (ba.source, ba.target) == (wb.source, wa.target)
+                assert ba.letters == wb.concat(ab.inverse()).concat(wa).letters
+                assert c != 0
+                keys += 1
+    assert keys > 100, keys
+
+
+def test_crossing_element_depends_only_on_endpoint_signs():
+    # two realizations of a pair whose endpoint signs agree (value and side)
+    # reroute to the same reduced element; keying by unreduced words breaks this
+    compared = 0
+    for _, _, datas in _realizations(20130125):
+        by_signs = {}
+        for data in datas:
+            signs = tuple((key, s.value, s.alpha_left)
+                          for key, s in sorted(data.endpoint_signs.items()))
+            by_signs.setdefault(signs, []).append(data.crossings)
+        for elements in by_signs.values():
+            assert all(e == elements[0] for e in elements[1:])
+            compared += len(elements) * (len(elements) - 1) // 2
+    assert compared > 500, compared
 
 
 def _closed_walk(rng, genus, boundary, lo, hi):
@@ -264,7 +295,7 @@ def _reference_intersection_data(d_alpha, d_beta, pm):
         diagrams._check_wedge(pm, d.end_corner, d.end_dir)
     pref_a, suf_a = diagrams._leg_prefixes(d_alpha, pm)
     pref_b, suf_b = diagrams._leg_prefixes(d_beta, pm)
-    crossings = []
+    crossings = {}
     for i, a0, a1 in segments(d_alpha):
         for j, b0, b1 in segments(d_beta):
             hit = _reference_hit(a0, a1, b0, b1)
@@ -272,9 +303,9 @@ def _reference_intersection_data(d_alpha, d_beta, pm):
                 continue
             t, u, q = hit
             if 0 < t < 1 and 0 < u < 1:
-                s = cross(sub(a1, a0), sub(b1, b0))
-                crossings.append(Crossing(1 if s > 0 else -1, pref_a[i],
-                                          suf_a[i], pref_b[j], suf_b[j]))
+                s = 1 if cross(sub(a1, a0), sub(b1, b0)) > 0 else -1
+                key = (pref_a[i].concat(suf_b[j]), pref_b[j].concat(suf_a[i]))
+                crossings[key] = crossings.get(key, 0) + s
             elif not (q in verts and t in (0, 1) and u in (0, 1)):
                 raise GeneralPositionError("non-transversal intersection")
     signs = {}
@@ -290,7 +321,7 @@ def _reference_intersection_data(d_alpha, d_beta, pm):
             pos = base != ((I == "end") != (J == "end"))
             signs[(I, J)] = EndpointSign(
                 Fraction(1, 2) if pos else Fraction(-1, 2), pa, not base)
-    return IntersectionData(tuple(crossings), signs)
+    return IntersectionData({k: c for k, c in crossings.items() if c}, signs)
 
 
 @st.composite
@@ -336,7 +367,7 @@ def lattice_pair(draw):
 @settings(max_examples=200)
 @given(st.one_of(realized_pair(), lattice_pair()))
 def test_intersection_data_matches_fraction_reference(case):
-    # same crossings in the same order, same endpoint signs, same failures
+    # same crossing element, same endpoint signs, same failures
     pm, da, db = case
 
     def outcome(f):
@@ -434,8 +465,8 @@ def _crossing_sum(leg_a, leg_b):
 def _check_interleaving(pm, da, db):
     """Per leg pair, the sum of the segment-crossing signs is the interleaving
     sign of the leg ends; summed by reroute words, the interleaving signs give
-    intersection_data's crossings as a finite map.  Returns the number of
-    leg pairs with a nonzero sign."""
+    intersection_data's crossing element.  Returns the number of leg pairs
+    with a nonzero sign."""
     data = intersection_data(da, db, pm)
     pref_a, suf_a = diagrams._leg_prefixes(da, pm)
     pref_b, suf_b = diagrams._leg_prefixes(db, pm)
@@ -449,14 +480,9 @@ def _check_interleaving(pm, da, db):
             assert (_crossing_sum(leg_a, leg_b) if meet else 0) == sign, (i, j)
             if sign:
                 nonzero += 1
-                key = (pref_a[i], suf_a[i], pref_b[j], suf_b[j])
+                key = (pref_a[i].concat(suf_b[j]), pref_b[j].concat(suf_a[i]))
                 by_words[key] = by_words.get(key, 0) + sign
-    from_data = {}
-    for q in data.crossings:
-        key = (q.alpha_prefix, q.alpha_suffix, q.beta_prefix, q.beta_suffix)
-        from_data[key] = from_data.get(key, 0) + q.sign
-    assert ({k: v for k, v in by_words.items() if v}
-            == {k: v for k, v in from_data.items() if v})
+    assert {k: v for k, v in by_words.items() if v} == data.crossings
     return nonzero
 
 

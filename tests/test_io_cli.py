@@ -320,6 +320,17 @@ def test_cli_splitting_fails_under_large_mutation(mutate, capsys):
     assert main(["verify", "--suite", "splitting", "--mutate", mutate]) == 1
 
 
+@pytest.mark.parametrize("n", ["2", "3"])
+@pytest.mark.parametrize("mutate", ["1e160", "1e200", "1e307"])
+def test_cli_qp_identity_overflowing_mutation_fails_quietly(n, mutate, capsys):
+    # the Jacobiator of a huge C overflows: its rows fail with a nan residual,
+    # and no floating-point warning reaches stderr (warnings are errors here)
+    assert main(["verify", "--suite", "qp-identity", "--n", n, "--mutate", mutate]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert '"residual": "nan"' in captured.out
+
+
 def test_cli_malformed_input_exits_2(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text("{")
