@@ -161,23 +161,20 @@ def bracket_cross(phi: Observable, w_alpha: Word, psi: Observable, w_beta: Word,
     return bracket_combinatorial(phi, w_alpha, psi, w_beta, data, cs.m, pair)
 
 
-def perp_correction(h: HamiltonianQP, df: dict, dg: dict, cs: CrossSectionPoint):
+def perp_correction(h: HamiltonianQP, df: np.ndarray, dg: np.ndarray, cs: CrossSectionPoint):
     """P_L-perp pairing of the off-diagonal moment variations:
     1/2 sum_i <((Ad_mu+1)/(Ad_mu-1)) Pr chi_f^(i), Pr chi_g^(i)>, with
-    chi^(i) read by quasipoisson.chi from action slot i-1 of h and the
-    gradients df, dg of WordFunction.gradients.  The first factor is
+    chi^(i) row i-1 of quasipoisson.chi, read from the gradients df, dg of
+    WordFunction.gradients: W has one row per boundary.  The first factor is
     off-diagonal, so pairing it with chi_g^(i) already projects chi_g^(i).
     One kernel and one contraction cover all boundaries, summed in order."""
-    bounds = range(len(cs.mus))   # a chi that no gradient reaches is one zero matrix
-    chi_f = np.array(np.broadcast_arrays(*(chi(h, df, p) for p in bounds)))
-    chi_g = np.array(np.broadcast_arrays(*(chi(h, dg, p) for p in bounds)))
-    terms = 0.5 * cs.m.ctx.form(_kernel(cs.mus, _cayley_coef) * proj_offdiag(chi_f), chi_g)
-    return sum(terms)
+    kernel = _kernel(cs.mus, _cayley_coef)
+    return sum(0.5 * cs.m.ctx.form(kernel * proj_offdiag(chi(h, df)), chi(h, dg)))
 
 
 def bracket_cross_numeric(h: HamiltonianQP, f: WordFunction, g: WordFunction,
                           cs: CrossSectionPoint):
     """Independent route: ambient bracket plus the P-perp correction, both
     from one gradient pass per function."""
-    df, dg = f.gradients(cs.m), g.gradients(cs.m)
+    df, dg = f.gradients(h, cs.m), g.gradients(h, cs.m)
     return pair_gradients(h, df, dg) + perp_correction(h, df, dg, cs)

@@ -251,7 +251,7 @@ def intersection_data(d_alpha: PathDiagram, d_beta: PathDiagram,
 
     verts = set(pm.vertices)
     segs_b = list(boxed(d_beta))
-    crossings: Dict[Tuple[Word, Word], int] = {}
+    legs: Dict[Tuple[int, int], int] = {}   # leg pair (i, j) -> sum of its signs
     for i, a0, a1, axl, axh, ayl, ayh in boxed(d_alpha):
         for j, b0, b1, bxl, bxh, byl, byh in segs_b:
             # closed boxes that do not meet: no crossing, touch or overlap
@@ -266,8 +266,7 @@ def intersection_data(d_alpha: PathDiagram, d_beta: PathDiagram,
             t, u, q = hit
             if 0 < t < 1 and 0 < u < 1:
                 s = cross(sub(a1, a0), sub(b1, b0))
-                key = (pref_a[i].concat(suf_b[j]), pref_b[j].concat(suf_a[i]))
-                crossings[key] = crossings.get(key, 0) + (1 if s > 0 else -1)
+                legs[i, j] = legs.get((i, j), 0) + (1 if s > 0 else -1)
                 continue
             # intersections at segment endpoints: shared marked vertices are
             # boundary points (not interior crossings); anything else is a
@@ -276,6 +275,13 @@ def intersection_data(d_alpha: PathDiagram, d_beta: PathDiagram,
                 continue
             raise GeneralPositionError("non-transversal intersection at %r"
                                        % ((q[0] / pm.scale, q[1] / pm.scale),))
+
+    # the reroute words depend on the leg pair alone: one key per nonzero pair
+    crossings: Dict[Tuple[Word, Word], int] = {}
+    for (i, j), c in legs.items():
+        if c:
+            key = (pref_a[i].concat(suf_b[j]), pref_b[j].concat(suf_a[i]))
+            crossings[key] = crossings.get(key, 0) + c
 
     signs: Dict[Tuple[str, str], EndpointSign] = {}
     for I in ("start", "end"):

@@ -20,10 +20,10 @@ i's first action.  build_bivector assembles C and W that way; double, fuse
 and product are the definition, and fold_bivector iterates them.
 
 A function f enters through its gradients grad_A f in g, defined by
-df(A(x)) = <grad_A f, x>; summing over the dual pair gives the bracket as
-the contraction of A = C - C^T with the Gram matrix of the gradients,
-    {f, g} = sum_AB A_AB <grad_A f, grad_B g>,
-in one einsum, over a stack of points as well as over one point.
+df(A(x)) = <grad_A f, x>: one array grad f, a row per field type as in C and
+W.  Summing over the dual pair gives, with A = C - C^T,
+    {f, g} = sum_AB A_AB <grad_A f, grad_B g> = <grad f, A grad g>
+at a point or a stack; the rows of chi_f = -W grad f are the actions' chi.
 
 The moment condition mu*theta(P#df) = -1/2 (1 + Ad_mu^-1) chi_f is checked
 through the same pairing: <mu^-1 dmu(P#df), e_k> = {f, F_k} for
@@ -32,6 +32,7 @@ F_k = <e_k, mu(m)^-1 mu>, whose left variation at mu(m) is e_k.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
@@ -69,8 +70,8 @@ class HamiltonianQP:
 
     @cached_property
     def skew(self) -> Tuple[Dict[FieldType, int], np.ndarray]:
-        """An index of the field types and the antisymmetric matrix
-        A = C - C^T over it, the form that pair_gradients contracts."""
+        """An index of the field types, the rows of a gradient, and the
+        antisymmetric matrix A = C - C^T over it, which pair_gradients applies."""
         return {t: k for k, t in enumerate(self.types)}, self.c - self.c.T
 
 
@@ -258,14 +259,15 @@ class WordFunction:
     def __post_init__(self):
         self.slots = slot_word(self.word)
 
-    def gradients(self, m: RepPoint) -> Dict[FieldType, np.ndarray]:
-        """grad_A f for every field type A on the slots of the word."""
-        return slot_gradients(self.slots, self.obs.var_left, m)
+    def gradients(self, h: HamiltonianQP, m: RepPoint) -> np.ndarray:
+        """grad_A f for every field type A of h, one row each."""
+        return slot_gradients(h, self.slots, self.obs.var_left, m)
 
 
-def slot_gradients(slots: tuple, var_left: Callable,
-                   m: RepPoint) -> Dict[FieldType, np.ndarray]:
-    """grad_A Phi(Hol) for every field type A on a slot word, where
+def slot_gradients(h: HamiltonianQP, slots: tuple, var_left: Callable,
+                   m: RepPoint) -> np.ndarray:
+    """grad_A Phi(Hol) on a slot word, one row per field type A of h in
+    h.types order and zero rows on the slots the word does not reach, where
     var_left(Hol) is the left variation of Phi at Hol, one algebra element
     or a stack of them.
 
@@ -283,53 +285,35 @@ def slot_gradients(slots: tuple, var_left: Callable,
         qi.append(qi[-1] @ fac_inv)
     var = var_left(q[-1])
     ad = [a @ var @ b for a, b in zip(reversed(q), reversed(qi))]
-    out: Dict[FieldType, np.ndarray] = {}
+    index = h.skew[0]
+    out = np.zeros((len(h.types),) + ad[0].shape, ad[0].dtype)
     for t, (s, sgn) in enumerate(slots):
         left, right = (ad[t + 1], ad[t]) if sgn == 1 else (-ad[t], -ad[t + 1])
-        out[(s, "L")] = out.get((s, "L"), 0) + left
-        out[(s, "R")] = out.get((s, "R"), 0) + right
+        out[index[s, "L"]] += left
+        out[index[s, "R"]] += right
     return out
 
 
 def bracket_numeric(h: HamiltonianQP, f: WordFunction, g: WordFunction,
                     m: RepPoint):
     """{f, g} at the point m, or at each point of a stack."""
-    return pair_gradients(h, f.gradients(m), g.gradients(m))
+    return pair_gradients(h, f.gradients(h, m), g.gradients(h, m))
 
 
-def pair_gradients(h: HamiltonianQP, df: Dict[FieldType, np.ndarray],
-                   dg: Dict[FieldType, np.ndarray]):
-    """sum_AB A_AB <grad_A f, grad_B g>: one contraction of A with the
-    gradients df, dg of WordFunction.gradients."""
-    index, a = h.skew
-    if not (df and dg):
-        return 0.0
-    sub = a[np.ix_([index[t] for t in df], [index[t] for t in dg])]
-    gf, gg = np.array(list(df.values())), np.array(list(dg.values()))
-    return h.ctx.form_sign * np.einsum("ab,a...ij,b...ji->...", sub, gf, gg).real
+def pair_gradients(h: HamiltonianQP, df: np.ndarray, dg: np.ndarray):
+    """sum_AB A_AB <grad_A f, grad_B g> for the gradients df, dg of
+    WordFunction.gradients: one product of A with dg and one trace
+    contraction with df."""
+    adg = np.tensordot(h.skew[1], dg, 1)
+    return h.ctx.form_sign * np.einsum("a...ij,a...ji->...", df, adg).real
 
 
-def action_sigma(h: HamiltonianQP, p: int, x: np.ndarray,
-                 vals: Dict[Slot, np.ndarray]) -> Dict[Slot, np.ndarray]:
-    """Natural infinitesimal action d/dt exp(tx).m of action slot p: the
-    fields of the nonzeros of W[p], in field-type order."""
-    out: Dict[Slot, np.ndarray] = {}
-    for t, wt in zip(h.types, h.w[p].tolist()):
-        if wt:
-            out[t[0]] = out.get(t[0], 0) + wt * field_value(vals, t, x)
-    return out
-
-
-def chi(h: HamiltonianQP, df: Dict[FieldType, np.ndarray], p: int) -> np.ndarray:
-    """The moment variation chi_f at action slot p, <chi_f, x> =
-    d/dt f(exp(-tx).m), from the gradients df of WordFunction.gradients and
-    the nonzeros of W[p], in field-type order.  Action slot i-1 of
-    build_bivector acts at boundary component i."""
-    out = np.zeros((h.ctx.n, h.ctx.n), dtype=h.ctx.dtype)
-    for t, wt in zip(h.types, h.w[p].tolist()):
-        if wt and t in df:
-            out = out - wt * df[t]
-    return out
+def chi(h: HamiltonianQP, df: np.ndarray) -> np.ndarray:
+    """The moment variations chi_f = -W grad f of every action slot p,
+    <chi_f[p], x> = d/dt f(exp(-tx).m), from the gradients df of
+    WordFunction.gradients.  Action slot i-1 of build_bivector acts at
+    boundary component i."""
+    return -np.tensordot(h.w, df, 1)
 
 
 def verify_moment(h: HamiltonianQP, p: int, f: WordFunction, m: RepPoint) -> dict:
@@ -343,11 +327,11 @@ def verify_moment(h: HamiltonianQP, p: int, f: WordFunction, m: RepPoint) -> dic
     def basis(hol):   # every e_k at every point: shape (dim,) + hol.shape
         return np.broadcast_to(e.reshape(e.shape[:1] + (1,) * (hol.ndim - 2) + e.shape[1:]),
                                e.shape[:1] + hol.shape)
-    df = f.gradients(m)
-    dmu = slot_gradients(slot_word(boundary_word(m.spec, p + 1)), basis, m)
-    mu, c = boundary_moment(m, p + 1), chi(h, df, p)
+    df = f.gradients(h, m)
+    dmu = slot_gradients(h, slot_word(boundary_word(m.spec, p + 1)), basis, m)
+    mu, c = boundary_moment(m, p + 1), chi(h, df)[p]
     rhs = -0.5 * (c + np.linalg.inv(mu) @ c @ mu)
-    lhs = np.tensordot(pair_gradients(h, df, dmu), fk, (0, 0)) if df and dmu else 0 * rhs
+    lhs = np.tensordot(pair_gradients(h, df, dmu), fk, (0, 0))
     return {"lhs": lhs, "rhs": rhs, "residual": np.abs(lhs - rhs).max(axis=(-2, -1))}
 
 
@@ -387,10 +371,10 @@ def schouten_residual(h: HamiltonianQP, m: RepPoint) -> dict:
     coefficients are alternating, so each contracted g_p is too, and its
     wedge is 6 g_p: rho_phi = -6 sum_p g_p, one product over the rows of all
     action slots p.  For a stack every array gains a leading axis and
-    residual is one value per point, a float for a point."""
+    residual is one value per point, a float for a point; dense arrays
+    larger than physical memory raise MemoryError before any is allocated."""
     if h.ctx.kind != "gl":
         raise ValueError("the entry chart requires the GL context")
-    tv = cartan_trivector(h.ctx)
     vals, _ = slot_values(m)
     n = h.ctx.n
     stacked = any(v.ndim == 3 for v in vals.values())
@@ -398,6 +382,12 @@ def schouten_residual(h: HamiltonianQP, m: RepPoint) -> dict:
     s_count = next((len(v) for v in vals.values()), 1)
     blk = {s: slice(k * n * n, (k + 1) * n * n) for k, s in enumerate(h.slots)}
     dim = len(h.slots) * n * n
+    need = 7 * 8 * s_count * dim ** 3   # dpi and its copy, T, Jacobiator, y, g, residual
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise MemoryError("the entry chart needs %.1f GiB of dense arrays, more than the "
+                          "%.1f GiB of physical memory" % (need / 2 ** 30, have / 2 ** 30))
+    tv = cartan_trivector(h.ctx)
     e, f = np.asarray(tv.pair.e), np.asarray(tv.pair.f)
     nn, d = n * n, tv.pair.dim
     fields = {}   # entries and Jacobians of (field type, first or second factor)
@@ -432,9 +422,8 @@ def schouten_residual(h: HamiltonianQP, m: RepPoint) -> dict:
     # contracts k, j and then (p, i), the last again one product per b
     acts = len(h.w)
     rows = np.zeros((s_count, acts, d, dim))
-    for p in range(acts):
-        for s, tan in action_sigma(h, p, f, vals).items():
-            rows[:, p, :, blk[s]] += np.real(tan).reshape(s_count, d, -1)
+    for p, i in zip(*np.nonzero(h.w)):   # W's nonzeros, row-major
+        rows[:, p, :, blk[h.types[i][0]]] += h.w[p, i] * field(h.types[i], True)[0]
     rows_t = rows.swapaxes(-1, -2)                                   # (S, P, dim, d)
     # rho_x = -sigma_x and the wedge of g is 6 g, so the factor -6 goes on the coefficients
     x = (-6.0 * tv.coeffs.reshape(d * d, d) @ rows).reshape(s_count, acts, d, d, dim)

@@ -279,7 +279,7 @@ class _BracketOfBrackets:
     def __init__(self, h, f, g, step=1e-5):
         self.h, self.f, self.g, self.step = h, f, g, step
 
-    def gradients(self, m):
+    def gradients(self, h, m):
         vals, _ = slot_values(m)
 
         def value(slot, side, x):
@@ -290,14 +290,13 @@ class _BracketOfBrackets:
                                    _point_from_slots(m, moved))
 
         pair = dual_basis(self.h.ctx)
-        out = {}
-        for slot in self.h.slots:
-            for side in "LR":
-                out[(slot, side)] = sum(
-                    (value(slot, side, self.step * ek) - value(slot, side, -self.step * ek))
-                    / (2 * self.step) * fk
-                    for ek, fk in zip(pair.e, pair.f))
-        return out
+        out = []
+        for slot, side in h.types:   # one row per field type of h
+            out.append(sum(
+                (value(slot, side, self.step * ek) - value(slot, side, -self.step * ek))
+                / (2 * self.step) * fk
+                for ek, fk in zip(pair.e, pair.f)))
+        return np.array(out)
 
 
 def test_invariant_brackets_satisfy_jacobi():

@@ -261,9 +261,9 @@ def test_stacked_cross_section_equals_per_point(ctx, gb):
         _, _, data = realize_pair(wa, wb, pm, 1)
         for oa, ob in ((tr, eb), (ea, eb)):   # trace|entry and entry|entry
             f, g = WordFunction(oa, wa), WordFunction(ob, wb)
-            df, dg = f.gradients(cs.m), g.gradients(cs.m)
+            df, dg = f.gradients(h, cs.m), g.gradients(h, cs.m)
             assert _close(perp_correction(h, df, dg, cs),
-                          [perp_correction(h, f.gradients(c.m), g.gradients(c.m), c)
+                          [perp_correction(h, f.gradients(h, c.m), g.gradients(h, c.m), c)
                            for c in single])
             assert _close(bracket_cross(oa, wa, ob, wb, data, cs),
                           [bracket_cross(oa, wa, ob, wb, data, c) for c in single])
@@ -348,7 +348,7 @@ def test_stacked_kernels_match_per_boundary_calls(gb):
         cs = project_to_cross_section(m)
         for i, mu in enumerate(cs.mus):
             assert np.array_equal(cs.theta[i] * x, theta_apply(mu, x))
-        df, dg = f.gradients(cs.m), g.gradients(cs.m)
-        want = sum(0.5 * U3.form(ad_cayley_apply(mu, chi(h, df, p)), chi(h, dg, p))
+        df, dg = f.gradients(h, cs.m), g.gradients(h, cs.m)
+        want = sum(0.5 * U3.form(ad_cayley_apply(mu, chi(h, df)[p]), chi(h, dg)[p])
                    for p, mu in enumerate(cs.mus))
         assert np.array_equal(perp_correction(h, df, dg, cs), want)

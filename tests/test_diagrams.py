@@ -204,6 +204,44 @@ def test_crossing_element_depends_only_on_endpoint_signs():
     assert compared > 500, compared
 
 
+def test_crossing_keys_are_built_once_per_nonzero_leg_pair(monkeypatch):
+    # the signs are summed per leg pair (i, j) first: a leg pair whose
+    # crossings cancel builds no key, and every other builds its two reroute
+    # words once; the element is the Fraction reference's
+    rng = random.Random(20130126)
+    concat, calls = Word.concat, []
+
+    def counted(self, other):
+        calls.append(other)
+        return concat(self, other)
+    raw = pairs = 0
+    for g, b in [(1, 2), (2, 2), (3, 3), (0, 4)]:
+        pm = polygon_model(SurfaceSpec(g, b))
+        for seed in range(40):
+            wa, wb = _walk(rng, g, b, 1, 10), _walk(rng, g, b, 1, 10)
+            da, db, _ = realize_pair(wa, wb, pm, seed)   # memoizes the leg words
+            legs = {}
+            for i, a0, a1 in da.segments():
+                for j, b0, b1 in db.segments():
+                    try:
+                        hit = segment_intersection(a0, a1, b0, b1)
+                    except ValueError:   # collinear, and apart: realize_pair passed
+                        continue
+                    if hit is not None and 0 < hit[0] < 1 and 0 < hit[1] < 1:
+                        s = 1 if cross(sub(a1, a0), sub(b1, b0)) > 0 else -1
+                        legs[i, j] = legs.get((i, j), 0) + s
+                        raw += 1
+            calls.clear()
+            monkeypatch.setattr(Word, "concat", counted)
+            data = intersection_data(da, db, pm)
+            monkeypatch.setattr(Word, "concat", concat)
+            nonzero = sum(1 for c in legs.values() if c)
+            assert len(calls) == 2 * nonzero
+            assert data == _reference_intersection_data(da, db, pm)
+            pairs += nonzero
+    assert raw > pairs > 500, (raw, pairs)
+
+
 def _closed_walk(rng, genus, boundary, lo, hi):
     """Uniform closed word at marked point 1: a walk from 1, closed by A_p^-1
     when it ends at another marked point p (A_p runs from 1 to p)."""

@@ -292,9 +292,9 @@ def test_cli_bracket_unitary_takes_one_gradient_pass_per_function(
     calls = []
     gradients = WordFunction.gradients
 
-    def counted(self, m):
+    def counted(self, h, m):
         calls.append(self.word)
-        return gradients(self, m)
+        return gradients(self, h, m)
     monkeypatch.setattr(WordFunction, "gradients", counted)
     code = main(["bracket", "--surface", _surface(tmp_path, 1, 2),
                  "--diagram", _diagram(tmp_path, "A2 B2 A2'", "C1 D1"),
@@ -740,3 +740,23 @@ def test_cli_runs_without_scipy_or_sympy(tmp_path):
         assert json.loads(Path(out).read_text())["pass"] is True
     # the default seed's GL point is exact, so the entry bracket has a normal form
     assert "normal_form" in json.loads(Path(outs[1]).read_text())["fixtures"][0]
+
+
+def test_cli_qp_identity_beyond_physical_memory_is_refused(tmp_path):
+    # at n = 16 the entry chart's dense arrays are (5, 512, 512, 512) float64,
+    # 5 GiB each; the check refuses before allocating any of them.  Run under
+    # a 3 GiB address-space limit, so that a missing check ends in numpy's own
+    # allocation failure instead of exhausting the machine
+    src = str(Path(surface_qp.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    script = ("import resource, sys; "
+              "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+              "from surface_qp.cli import main; "
+              "sys.exit(main(['verify', '--suite', 'qp-identity', '--n', '16']))")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert re.search(r"the entry chart needs \d+\.\d GiB of dense arrays, more than "
+                     r"the \d+\.\d GiB of physical memory", proc.stderr), proc.stderr
+    assert proc.stdout == ""

@@ -1,4 +1,5 @@
 import itertools
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from surface_qp import quasipoisson, suites
 from surface_qp.diagrams import realize_pair
 from surface_qp.lie import (AlgebraContext, CartanTrivector, cartan_trivector,
                             dual_basis, entry_observable, trace_observable)
-from surface_qp.quasipoisson import (WordFunction, _field_vectors_and_jacs, action_sigma,
+from surface_qp.quasipoisson import (WordFunction, _field_vectors_and_jacs,
                                      bracket_combinatorial, bracket_numeric,
                                      build_bivector, chi, double, field_value,
                                      fold_bivector, fused_double, fusion_product,
@@ -19,6 +20,7 @@ from surface_qp.repspace import (RepPoint, boundary_word, holonomy, random_point
                                  random_points, word_product)
 from surface_qp.suites import WORD_PAIRS, _observable_pairs, run_suite
 from surface_qp.surfaces import SurfaceSpec, polygon_model, split_canonical
+from test_diagrams import _walk
 from test_lie import FD_STEP, wedge3_tensor
 
 GL2 = AlgebraContext("gl", 2)
@@ -70,7 +72,7 @@ def sharp(h, df, vals):
     out = {s: np.zeros((h.ctx.n, h.ctx.n), dtype=h.ctx.dtype) for s in h.slots}
     for b, k in index.items():
         y = np.zeros((h.ctx.n, h.ctx.n), dtype=h.ctx.dtype)
-        for t, grad in df.items():
+        for t, grad in zip(h.types, df):
             y = y + a[index[t], k] * grad
         out[b[0]] = out[b[0]] + field_value(vals, b, y)
     return out
@@ -80,7 +82,7 @@ def moment_lhs_reference(h, p, f, m):
     """mu^-1 dmu(P#df) for the moment of boundary component p + 1: a central
     difference of the boundary word's product along sharp(df)."""
     vals, inv = slot_values(m)
-    x = sharp(h, f.gradients(m), vals)
+    x = sharp(h, f.gradients(h, m), vals)
     word = slot_word(boundary_word(m.spec, p + 1))
     ends = [word_product(m.ctx, word, {s: vals[s] + t * x[s] for s in vals})
             for t in (FD_STEP, -FD_STEP)]
@@ -138,11 +140,12 @@ def test_gradients_match_finite_differences(ctx):
                      spec.word("A2 B2 A2' C1 D1 C1' D1' C1"))
     m = random_point(ctx, spec, 9)
     vals, _ = slot_values(m)
-    grads = f.gradients(m)
-    assert set(grads) == {(s, side) for s, _ in f.slots for side in "LR"}
+    h = build_bivector(spec, ctx)
+    grads = f.gradients(h, m)
+    assert grads.shape == (len(h.types), ctx.n, ctx.n)
     pair = dual_basis(ctx)
     step = 1e-6
-    for (s, side), grad in grads.items():
+    for (s, side), grad in zip(h.types, grads):
         fd = 0
         for ek, fk in zip(pair.e, pair.f):
             ends = []
@@ -264,8 +267,14 @@ def _rho_reference(h, m):
     f = np.asarray(tv.pair.f)
     rho = np.zeros((dim, dim, dim))
     for p in range(len(h.w)):
+        # the natural infinitesimal action of slot p, d/dt exp(tx).m, on the
+        # f_i: the fields of the nonzeros of W[p], summed per slot
+        sigma = {}
+        for t, wt in zip(h.types, h.w[p].tolist()):
+            if wt:
+                sigma[t[0]] = sigma.get(t[0], 0) + wt * field_value(vals, t, f)
         rows = np.zeros((tv.pair.dim, dim))
-        for s, tan in action_sigma(h, p, f, vals).items():
+        for s, tan in sigma.items():
             rows[:, blk[s]] += np.real(tan).reshape(len(f), -1)
         rho -= wedge3_tensor(np.einsum('ijk,ia,jb,kc->abc', tv.coeffs, rows, rows, rows))
     return rho
@@ -441,7 +450,7 @@ def _perturbed_bivector(monkeypatch):
 
 def _chi_negated(monkeypatch):
     real = quasipoisson.chi
-    monkeypatch.setattr(quasipoisson, "chi", lambda h, df, p: -real(h, df, p))
+    monkeypatch.setattr(quasipoisson, "chi", lambda h, df: -real(h, df))
 
 
 def _ad_mu_for_ad_mu_inv(monkeypatch):
@@ -469,10 +478,10 @@ def test_chi_vanishes_without_incidence():
     spec = SurfaceSpec(0, 3)
     h = build_bivector(spec, GL2)
     m = random_point(GL2, spec, 5)
-    df = WordFunction(entry_observable(GL2, 0, 1, "re"), spec.word("B2")).gradients(m)
-    assert np.max(np.abs(chi(h, df, 0))) < 1e-12   # no incidence at p1
-    assert np.max(np.abs(chi(h, df, 2))) < 1e-12   # no incidence at p3
-    assert np.max(np.abs(chi(h, df, 1))) > 1e-6    # loop based at p2
+    df = WordFunction(entry_observable(GL2, 0, 1, "re"), spec.word("B2")).gradients(h, m)
+    assert np.max(np.abs(chi(h, df)[0])) < 1e-12   # no incidence at p1
+    assert np.max(np.abs(chi(h, df)[2])) < 1e-12   # no incidence at p3
+    assert np.max(np.abs(chi(h, df)[1])) > 1e-6    # loop based at p2
 
 
 @pytest.mark.parametrize("spec,ta,tb", [
@@ -707,3 +716,83 @@ def test_suites_fail_under_closed_form_mutant(mutant, suite, n, monkeypatch):
     assert all(r["pass"] for r in run_suite(suite, n))
     CLOSED_FORM_MUTANTS[mutant][0](monkeypatch)
     assert not all(r["pass"] for r in run_suite(suite, n))
+
+
+# --- gradients as one array over the field types --------------------------
+
+def _dict_gradients(h, f, m):
+    """The gradients keyed by field type, as WordFunction.gradients first
+    returned them: the rows of the field types on the word's slots."""
+    slots = {s for s, _ in f.slots}
+    return {t: row for t, row in zip(h.types, f.gradients(h, m)) if t[0] in slots}
+
+
+def _chi_reference(h, df, p):
+    """chi_f at action slot p as first written: a loop over the nonzeros of
+    W[p] in field-type order, over dict gradients."""
+    out = np.zeros((h.ctx.n, h.ctx.n), dtype=h.ctx.dtype)
+    for t, wt in zip(h.types, h.w[p].tolist()):
+        if wt and t in df:
+            out = out - wt * df[t]
+    return out
+
+
+def _pair_reference(h, df, dg):
+    """pair_gradients as first written: the sub-matrix of A on the field
+    types the two dict gradients reach, contracted with their stacked rows."""
+    index, a = h.skew
+    if not (df and dg):
+        return 0.0
+    sub = a[np.ix_([index[t] for t in df], [index[t] for t in dg])]
+    gf, gg = np.array(list(df.values())), np.array(list(dg.values()))
+    return h.ctx.form_sign * np.einsum("ab,a...ij,b...ji->...", sub, gf, gg).real
+
+
+@pytest.mark.parametrize("kind", ["gl", "u"])
+@pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=str)
+def test_gradient_array_matches_dict_references(spec, kind):
+    ctx = AlgebraContext(kind, 2)
+    h = build_bivector(spec, ctx)
+    rng = random.Random(20130125 + spec.genus * 10 + spec.boundary_count)
+    words = [_walk(rng, spec.genus, spec.boundary_count, 1, 6) for _ in range(2)]
+    f = WordFunction(entry_observable(ctx, 0, 1, "re"), words[0])
+    g = WordFunction(entry_observable(ctx, 1, 0, "re"), words[1])
+    for m in (random_point(ctx, spec, 4), random_points(ctx, spec, range(5))):
+        for fn in (f, g):
+            slots = {s for s, _ in fn.slots}
+            grads = fn.gradients(h, m)
+            assert grads.shape == (len(h.types),) + holonomy(m, fn.word).shape
+            for t, row in zip(h.types, grads):
+                assert t[0] in slots or not row.any(), t
+            got, df = chi(h, grads), _dict_gradients(h, fn, m)
+            assert got.shape == (len(h.w),) + grads.shape[1:]
+            for p in range(len(h.w)):
+                assert _rel_close(got[p], _chi_reference(h, df, p), 1e-15)
+        df, dg = _dict_gradients(h, f, m), _dict_gradients(h, g, m)
+        for u, v, du, dv in ((f, g, df, dg), (g, f, dg, df), (f, f, df, df)):
+            # relative to the size of the summands: {f, f} = 0 is a sum of O(1) terms
+            scale = np.einsum("ab,a...ij,b...ji->...", np.abs(h.skew[1]),
+                              np.abs(u.gradients(h, m)), np.abs(v.gradients(h, m)))
+            err = np.abs(bracket_numeric(h, u, v, m) - _pair_reference(h, du, dv))
+            assert np.all(err <= 1e-15 * np.maximum(scale, 1.0))
+
+
+@pytest.mark.parametrize("kind", ["gl", "u"])
+def test_constant_word_brackets_to_zero(kind):
+    # B2 B2' reaches no slot: all its gradient rows are zero, and the one
+    # contraction gives zero with any word, one value per point of a stack
+    ctx = AlgebraContext(kind, 2)
+    spec = SurfaceSpec(0, 2)
+    h = build_bivector(spec, ctx)
+    obs = entry_observable(ctx, 0, 1, "re")
+    const = WordFunction(obs, spec.word("B2 B2'"))
+    assert const.slots == ()
+    for m, shape in ((random_point(ctx, spec, 3), ()),
+                     (random_points(ctx, spec, range(5)), (5,))):
+        assert not const.gradients(h, m).any()
+        assert not chi(h, const.gradients(h, m)).any()
+        for text in ("A2", "B2", "A2 B2 A2'", "B2 B2'"):
+            other = WordFunction(obs, spec.word(text))
+            want = np.zeros(shape if text != "B2 B2'" else ())
+            for u, v in ((const, other), (other, const)):
+                assert np.array_equal(bracket_numeric(h, u, v, m), want)

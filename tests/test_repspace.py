@@ -221,8 +221,8 @@ def test_chi_matches_action_derivative(ctx, g, b, text):
     m = random_point(ctx, spec, 7)
     w = spec.word(text)
     obs = entry_observable(ctx, 0, 1, "re")
-    df = WordFunction(obs, w).gradients(m)
     h = build_bivector(spec, ctx)
+    df = WordFunction(obs, w).gradients(h, m)
     rng = np.random.default_rng(0)
     x = rng.uniform(-1, 1, (2, 2))
     if ctx.kind == "u":
@@ -234,7 +234,7 @@ def test_chi_matches_action_derivative(ctx, g, b, text):
             moved = act(m, [expm(-t * x) if k == i else np.eye(2) for k in range(1, b + 1)])
             return obs.value(holonomy(moved, w))
 
-        c = chi(h, df, i - 1)
+        c = chi(h, df)[i - 1]
         fd = (f_moved(step) - f_moved(-step)) / (2 * step)
         assert ctx.form(c, x) == pytest.approx(fd, abs=1e-7)
         # chi is nonzero just at the endpoints of the word
