@@ -326,18 +326,25 @@ class NormalForm:
         den = "*".join("det(%s)^%d" % (k, p) for k, p in sorted(self.den.items()))
         return num + (" / " + den if den else "")
 
-    def evaluate(self, m) -> float:
+    def evaluate(self, m):
         """Exact rational evaluation at a RepPoint with exact coordinates
         (d, integer numerators), in ints: with q the lcm of the coefficient
         denominators, the numerator is the sum of q coeff d^(top - deg) times
         the numerators' monomial, over q d^top; each det(X_L) is the det of
-        its numerators over d^n.  One division at the end."""
+        its numerators over d^n.  One division at the end.  A float at a
+        point, a list of them at a stack."""
         if m.exact is None:
             raise ValueError("exact evaluation needs exact rational coordinates")
-        ring, n = self.poly.ring, self.poly.ring.n
         d, mats = m.exact
-        if not ring.labels <= mats.keys():
+        if not self.poly.ring.labels <= mats.keys():
             raise ValueError("point does not cover all generators")
+        if next(iter(m.mats.values())).ndim == 2:
+            return self._evaluate(d, mats)
+        return [self._evaluate(d, {label: nums[k] for label, nums in mats.items()})
+                for k in range(len(next(iter(mats.values()))))]
+
+    def _evaluate(self, d: int, mats: dict) -> float:
+        ring, n = self.poly.ring, self.poly.ring.n
         coords = {"%s_%d%d" % (label, r + 1, c + 1): x for label in ring.labels
                   for r, row in enumerate(mats[label]) for c, x in enumerate(row)}
         point = [coords[name] for name in ring.names]

@@ -194,6 +194,16 @@ def trace_observable(ctx: AlgebraContext) -> Observable:
     return Observable(lambda g: float(np.trace(g).real), grad, grad)
 
 
+def stacked_observable(*obs: Observable) -> Observable:
+    """The observables obs as one, their values and variations stacked on a
+    new leading axis: a bracket of stacked observables gives one value per
+    pair of them, read off in one gradient pass per word."""
+    def stack(part):
+        return lambda g: np.array([getattr(o, part)(g) for o in obs])
+
+    return Observable(stack("phi"), stack("var_left"), stack("var_right"))
+
+
 @dataclass(frozen=True)
 class CartanTrivector:
     """phi = sum_{ijk} coeffs[i,j,k] f_i (wedge) f_j (wedge) f_k, wedges in the

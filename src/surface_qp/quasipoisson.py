@@ -35,7 +35,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -98,8 +98,13 @@ def slot_word(w: Word) -> tuple:
     return free_reduce(out)
 
 
-def slot_values(m: RepPoint) -> Tuple[Dict[Slot, np.ndarray], Dict[Slot, np.ndarray]]:
-    """The slot values at the point and their inverses, from those m holds."""
+def slot_values(m: RepPoint) -> Tuple[Mapping[Slot, np.ndarray], Mapping[Slot, np.ndarray]]:
+    """The slot values at the point and their inverses, from those m holds,
+    once per point."""
+    return m.remember("slot_values", _slot_values, m)
+
+
+def _slot_values(m: RepPoint) -> Tuple[Dict[Slot, np.ndarray], Dict[Slot, np.ndarray]]:
     vals: Dict[Slot, np.ndarray] = {}
     inv: Dict[Slot, np.ndarray] = {}
     b, g = m.spec.boundary_count, m.spec.genus
@@ -275,23 +280,34 @@ def slot_gradients(h: HamiltonianQP, slots: tuple, var_left: Callable,
     slot s contributes Ad_{Q_{t+1}} var_left(Hol) to (s, L) and
     Ad_{Q_t} var_left(Hol) to (s, R); an inverse letter contributes
     -Ad_{Q_t} var_left(Hol) to (s, L) and -Ad_{Q_{t+1}} var_left(Hol)
-    to (s, R)."""
-    n, dt = m.ctx.n, m.ctx.dtype
-    vals, inv = slot_values(m)
-    q, qi = [np.eye(n, dtype=dt)], [np.eye(n, dtype=dt)]
-    for s, sgn in reversed(slots):
-        fac, fac_inv = (vals[s], inv[s]) if sgn == 1 else (inv[s], vals[s])
-        q.append(fac @ q[-1])
-        qi.append(qi[-1] @ fac_inv)
-    var = var_left(q[-1])
-    ad = [a @ var @ b for a, b in zip(reversed(q), reversed(qi))]
+    to (s, R).  The chains of Q_t and their inverses are formed once per
+    point and slot word."""
+    q, qi = m.remember(("chains", slots), _chains, m, slots)
+    var = var_left(q[0])
+    # every Ad_{Q_t} var in one product: t on a leading axis, before var's own
+    shape = q.shape[:1] + (1,) * (var.ndim + 1 - q.ndim) + q.shape[1:]
+    ad = q.reshape(shape) @ var @ qi.reshape(shape)
     index = h.skew[0]
-    out = np.zeros((len(h.types),) + ad[0].shape, ad[0].dtype)
+    out = np.zeros((len(h.types),) + var.shape, ad.dtype)
     for t, (s, sgn) in enumerate(slots):
         left, right = (ad[t + 1], ad[t]) if sgn == 1 else (-ad[t], -ad[t + 1])
         out[index[s, "L"]] += left
         out[index[s, "R"]] += right
     return out
+
+
+def _chains(m: RepPoint, slots: tuple) -> Tuple[np.ndarray, np.ndarray]:
+    """The suffix products Q_0 = Hol, ..., Q_L = I of a slot word, stacked
+    on a leading axis of length L + 1 (each with the point's stack shape),
+    and their inverses in the same order."""
+    vals, inv = slot_values(m)
+    eye = np.broadcast_to(np.eye(m.ctx.n, dtype=m.ctx.dtype), next(iter(m.mats.values())).shape)
+    q, qi = [eye], [eye]
+    for s, sgn in reversed(slots):
+        fac, fac_inv = (vals[s], inv[s]) if sgn == 1 else (inv[s], vals[s])
+        q.append(fac @ q[-1])
+        qi.append(qi[-1] @ fac_inv)
+    return np.array(q[::-1]), np.array(qi[::-1])
 
 
 def bracket_numeric(h: HamiltonianQP, f: WordFunction, g: WordFunction,

@@ -4,7 +4,8 @@ moments, the G^b action, and reproducible sampling."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,16 +23,19 @@ _GL_TRIES = 64           # up to this many candidates per generator
 class RepPoint:
     """A point of M_G(Sigma), or a stack of S points: each generator maps to
     an (n, n) matrix or to an (S, n, n) stack, and every numeric routine
-    broadcasts over the leading axis.  inv holds each generator's inverse,
-    computed once here.  exact, for a GL point with rational coordinates, is
-    (d, {generator: rows of int numerators}), each entry num / d, and None
-    otherwise (a stack, a unitary point).  Points compare and hash by
-    identity."""
+    broadcasts over the leading axis.  The matrices are made read-only here,
+    and inv holds their inverses, computed once.  exact, for a GL point with
+    rational coordinates, is (d, {generator: int numerators}), each entry
+    num / d, the numerators nested lists of the matrices' shape, and None
+    otherwise (a unitary point, a stack drawn without them).  memo holds
+    what remember computed from the point, read-only, for as long as the
+    point lives.  Points compare and hash by identity."""
     ctx: AlgebraContext
     spec: SurfaceSpec
     mats: Dict[str, np.ndarray]
     exact: Optional[Tuple[int, Dict[str, list]]] = None
     inv: Dict[str, np.ndarray] = field(init=False, repr=False)
+    _memo: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         need = generator_symbols(self.spec.genus, self.spec.boundary_count)
@@ -42,15 +46,38 @@ class RepPoint:
             first = first or np.shape(g)
             if np.shape(g) != first or len(first) not in (2, 3) or first[-2:] != (n, n):
                 raise ValueError("%s: wrong matrix shape" % sym)
-        inv = ()
-        if self.mats:
-            mats = np.array(list(self.mats.values()))
-            self.ctx.check_group_element(mats, names=list(self.mats))
-            inv = np.linalg.inv(mats)
-        object.__setattr__(self, "inv", dict(zip(self.mats, inv)))
+        mats = np.array(list(self.mats.values()))   # the point's own copy
+        mats.setflags(write=False)
+        self.ctx.check_group_element(mats, names=list(self.mats))
+        object.__setattr__(self, "mats", dict(zip(self.mats, mats)))
+        object.__setattr__(self, "inv", dict(zip(self.mats, _frozen(np.linalg.inv(mats)))))
+        object.__setattr__(self, "_memo", {})
 
     def mat(self, sym: str) -> np.ndarray:
         return self.mats[sym]
+
+    @property
+    def memo(self) -> Mapping:
+        return MappingProxyType(self._memo)
+
+    def remember(self, key, make: Callable, *args):
+        """make(*args), computed once per point and key and kept read-only:
+        make returns an array, or a tuple or dict of them (see _frozen)."""
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = _frozen(make(*args))
+        return out
+
+
+def _frozen(x):
+    """An array, or a tuple or dict of them, recursively, made read-only: the
+    arrays in place, the dicts as read-only mappings."""
+    if isinstance(x, np.ndarray):
+        x.setflags(write=False)
+        return x
+    if isinstance(x, dict):
+        return MappingProxyType({k: _frozen(v) for k, v in x.items()})
+    return tuple(_frozen(v) for v in x)
 
 
 def word_product(ctx: AlgebraContext, letters: Sequence, mats: Mapping,
@@ -68,7 +95,8 @@ def word_product(ctx: AlgebraContext, letters: Sequence, mats: Mapping,
 
 
 def holonomy(m: RepPoint, w: Word) -> np.ndarray:
-    return word_product(m.ctx, w.letters, m.mats, m.inv)
+    """The holonomy of w at m, once per point and word."""
+    return m.remember(("holonomy", w.letters), word_product, m.ctx, w.letters, m.mats, m.inv)
 
 
 def boundary_word(spec: SurfaceSpec, i: int) -> Word:
@@ -100,12 +128,13 @@ def _random_gl(ctx: AlgebraContext, rngs: Sequence, count: int) -> np.ndarray:
     """count dyadic-rational GL_n samples I + 0.3 * uniform[-1,1] entries
     from each random stream in rngs, as the integer numerators over _GL_DEN,
     stacked (S, count, n, n).  Each stream first draws one candidate per
-    sample, and one det and one acceptance pass cover the whole stack; only
-    a stream with a rejected candidate goes on drawing (_redraw_gl)."""
+    sample, and one sum, one det and one acceptance pass cover the whole
+    stack; only a stream with a rejected candidate goes on drawing
+    (_redraw_gl)."""
     n = ctx.n
     eye = _GL_DEN * np.eye(n, dtype=np.int64)
-    cand = np.array([eye + 3 * rng.integers(-_K_MAX, _K_MAX + 1, (count, n, n))
-                     for rng in rngs])
+    cand = eye + 3 * np.array([rng.integers(-_K_MAX, _K_MAX + 1, (count, n, n))
+                               for rng in rngs])
     ok = np.abs(np.linalg.det(cand / _GL_DEN)) > _GL_MIN_DET
     for k in np.flatnonzero(~ok.all(axis=1)):
         cand[k] = _redraw_gl(rngs[k], cand[k], ok[k], eye)
@@ -143,13 +172,23 @@ def _random_u_log(ctx: AlgebraContext, rngs: Sequence, count: int) -> np.ndarray
     return (a - a.conj().swapaxes(-1, -2)) / 4.0
 
 
-def _draws(ctx: AlgebraContext, spec: SurfaceSpec, seeds: Iterable[int]) -> np.ndarray:
-    """The draws of each seed from its own random stream, stacked
-    (S, G, n, n) in generator order: for GL the numerators over _GL_DEN,
-    for U the logarithms."""
+def _draws(ctx: AlgebraContext, specs: Sequence[SurfaceSpec],
+           seeds: Iterable[int]) -> List[np.ndarray]:
+    """The draws of each seed from its own random stream, for each surface
+    of specs from the stream's start, stacked (S, G, n, n) per surface in
+    generator order: for GL the numerators over _GL_DEN, for U the
+    logarithms.  Each seed's stream is seeded once and its state restored
+    before every surface after the first."""
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    count = len(generator_symbols(spec.genus, spec.boundary_count))
-    return (_random_gl if ctx.kind == "gl" else _random_u_log)(ctx, rngs, count)
+    start = [rng.bit_generator.state for rng in rngs]
+    sample = _random_gl if ctx.kind == "gl" else _random_u_log
+    out = []
+    for k, spec in enumerate(specs):
+        if k:
+            for rng, state in zip(rngs, start):
+                rng.bit_generator.state = state
+        out.append(sample(ctx, rngs, len(generator_symbols(spec.genus, spec.boundary_count))))
+    return out
 
 
 def _matrices(ctx: AlgebraContext, draws: np.ndarray) -> np.ndarray:
@@ -157,16 +196,30 @@ def _matrices(ctx: AlgebraContext, draws: np.ndarray) -> np.ndarray:
     return draws / _GL_DEN if ctx.kind == "gl" else expm(draws)
 
 
+def _point(ctx: AlgebraContext, spec: SurfaceSpec, draws: np.ndarray, exact: bool) -> RepPoint:
+    """The point of draws (G, n, n), or the stack of draws (G, S, n, n), in
+    generator order; with exact, a GL point keeps the numerators as its
+    exact copy."""
+    syms = generator_symbols(spec.genus, spec.boundary_count)
+    nums = (_GL_DEN, dict(zip(syms, draws.tolist()))) if exact and ctx.kind == "gl" else None
+    return RepPoint(ctx, spec, dict(zip(syms, _matrices(ctx, draws))), nums)
+
+
+def random_stacks(ctx: AlgebraContext, specs: Sequence[SurfaceSpec], seeds: Iterable[int],
+                  exact: bool = False) -> List[RepPoint]:
+    """The points random_point draws at each seed, one stacked point per
+    surface of specs, all from one seeding of each seed; with exact, each GL
+    stack keeps the numerators of its draws as its exact copy."""
+    return [_point(ctx, spec, d.swapaxes(0, 1).copy(), exact)   # (G, S, n, n)
+            for spec, d in zip(specs, _draws(ctx, specs, seeds))]
+
+
 def random_points(ctx: AlgebraContext, spec: SurfaceSpec, seeds: Iterable[int]) -> RepPoint:
     """The points random_point draws at each seed, as one stacked point."""
-    mats = _matrices(ctx, _draws(ctx, spec, seeds).swapaxes(0, 1).copy())   # (G, S, n, n)
-    return RepPoint(ctx, spec, dict(zip(generator_symbols(spec.genus, spec.boundary_count), mats)))
+    return random_stacks(ctx, [spec], seeds)[0]
 
 
 def random_point(ctx: AlgebraContext, spec: SurfaceSpec, seed: int) -> RepPoint:
     """The point of one seed, the one-seed stack of random_points; for GL
     its exact copy is the draw's integer numerators over _GL_DEN."""
-    syms = generator_symbols(spec.genus, spec.boundary_count)
-    draws = _draws(ctx, spec, [seed])[0]
-    exact = (_GL_DEN, dict(zip(syms, draws.tolist()))) if ctx.kind == "gl" else None
-    return RepPoint(ctx, spec, dict(zip(syms, _matrices(ctx, draws))), exact)
+    return _point(ctx, spec, _draws(ctx, [spec], [seed])[0][0], True)

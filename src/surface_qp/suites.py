@@ -16,16 +16,16 @@ import numpy as np
 
 from . import cross_section as cx
 from .diagrams import realize_pair
-# NormalForm is unused here, but the benchmark's tracer wraps
-# NormalForm.evaluate through this module's namespace
+# NormalForm and random_point are unused here, but the benchmark's tracer
+# wraps NormalForm.evaluate and random_point through this module's namespace
 from .goldman import (NormalForm, PathEntrySymbol, bracket_symbolic, entry_nf,
                       sum_of_products, word_ring)
 from .io import fixture_result, fixture_rows, fmt_float
-from .lie import AlgebraContext, entry_observable, trace_observable
+from .lie import AlgebraContext, entry_observable, stacked_observable, trace_observable
 from .quasipoisson import (WordFunction, bracket_combinatorial, bracket_numeric,
                            build_bivector, fold_bivector, perturbed,
                            schouten_residual, verify_moment)
-from .repspace import RepPoint, random_point, random_points
+from .repspace import RepPoint, random_point, random_stacks
 from .surfaces import SurfaceSpec, polygon_model
 
 # word pairs of length <= 3 per fixture surface, composable on the polygon
@@ -48,10 +48,10 @@ def _seeded(prefix: str, count: int) -> list:
 def suite_qp_identity(n: int = 2, tol: float = 1e-9, mutate: float = 0.0) -> list:
     ctx = AlgebraContext("gl", n)
     out = []
-    for spec in (SurfaceSpec(0, 2), SurfaceSpec(1, 1)):
+    specs = (SurfaceSpec(0, 2), SurfaceSpec(1, 1))
+    for spec, m in zip(specs, random_stacks(ctx, specs, range(5))):
         h = build_bivector(spec, ctx)
         hm = perturbed(h, mutate)
-        m = random_points(ctx, spec, range(5))
         res = schouten_residual(hm, m)["residual"]
         out += fixture_rows(_seeded("qp-identity %s" % spec, 5), res, 0.0, tol)
         # sensitivity: a 1% coefficient mutation must break the identity
@@ -66,14 +66,14 @@ def suite_qp_identity(n: int = 2, tol: float = 1e-9, mutate: float = 0.0) -> lis
 def suite_moment(n: int = 2, tol: float = 1e-12, mutate: float = 0.0) -> list:
     ctx = AlgebraContext("gl", n)
     out = []
-    for spec in (SurfaceSpec(0, 2), SurfaceSpec(1, 1), SurfaceSpec(1, 2)):
+    specs = (SurfaceSpec(0, 2), SurfaceSpec(1, 1), SurfaceSpec(1, 2))
+    for spec, m in zip(specs, random_stacks(ctx, specs, range(10))):
         h = perturbed(build_bivector(spec, ctx), mutate)
         wa, _ = WORD_PAIRS[(spec.genus, spec.boundary_count)][-1]
         # the trace of a loop is conjugation invariant, so its chi vanishes;
         # an entry function also checks the right-hand side
         fs = [("", WordFunction(trace_observable(ctx), spec.word(wa))),
               (" entry_12", WordFunction(entry_observable(ctx, 0, 1, "re"), spec.word(wa)))]
-        m = random_points(ctx, spec, range(10))
         res = [[verify_moment(h, p, f, m)["residual"] for _, f in fs]
                for p in range(spec.boundary_count)]
         # seed-major rows: every (moment, function) pair at seed 0, then 1, ...
@@ -91,23 +91,26 @@ def _observable_pairs(ctx: AlgebraContext):
 
 
 def suite_main_theorem(n: int = 2, tol: float = 1e-8, mutate: float = 0.0) -> list:
+    """Both routes on every word pair, with the observable pairs stacked into
+    one: one gradient pass per word and one holonomy per crossing class give
+    the rows of every pair."""
     ctx = AlgebraContext("gl", n)
     out = []
-    for spec in FIXTURE_SURFACES:
+    labels, oas, obs = zip(*_observable_pairs(ctx))
+    oa, ob = stacked_observable(*oas), stacked_observable(*obs)
+    for spec, m in zip(FIXTURE_SURFACES, random_stacks(ctx, FIXTURE_SURFACES, range(20))):
         pm = polygon_model(spec)
         h = build_bivector(spec, ctx)
-        m = random_points(ctx, spec, range(20))
         for wa_s, wb_s in WORD_PAIRS[(spec.genus, spec.boundary_count)]:
             wa, wb = spec.word(wa_s), spec.word(wb_s)
             _, _, data = realize_pair(wa, wb, pm, 1)
-            for label, oa, ob in _observable_pairs(ctx):
-                f, g = WordFunction(oa, wa), WordFunction(ob, wb)
-                comb = bracket_combinatorial(oa, wa, ob, wb, data, m)
-                if mutate:
-                    comb = -comb  # flipped orientation convention
-                num = bracket_numeric(h, f, g, m)
+            comb = bracket_combinatorial(oa, wa, ob, wb, data, m)
+            if mutate:
+                comb = -comb  # flipped orientation convention
+            num = bracket_numeric(h, WordFunction(oa, wa), WordFunction(ob, wb), m)
+            for label, lhs, rhs in zip(labels, comb, num):
                 out += fixture_rows(_seeded("main-theorem %s %s|%s %s" %
-                                            (spec, wa_s, wb_s, label), 20), comb, num, tol)
+                                            (spec, wa_s, wb_s, label), 20), lhs, rhs, tol)
     return out
 
 
@@ -117,14 +120,14 @@ def suite_splitting(n: int = 2, tol: float = 1e-9, mutate: float = 0.0) -> list:
     closed form."""
     ctx = AlgebraContext("gl", n)
     out = []
-    for spec in (SurfaceSpec(0, 3), SurfaceSpec(1, 2)):
+    specs = (SurfaceSpec(0, 3), SurfaceSpec(1, 2))
+    for spec, m in zip(specs, random_stacks(ctx, specs, range(10))):
         hl = perturbed(fold_bivector(spec, ctx), mutate)
         hr = build_bivector(spec, ctx)
         wa_s, wb_s = WORD_PAIRS[(spec.genus, spec.boundary_count)][-1]
         wa, wb = spec.word(wa_s), spec.word(wb_s)
         f = WordFunction(trace_observable(ctx), wa)
         g = WordFunction(entry_observable(ctx, 0, 0, "re"), wb)
-        m = random_points(ctx, spec, range(10))
         lhs, rhs = bracket_numeric(hl, f, g, m), bracket_numeric(hr, f, g, m)
         out += fixture_rows(_seeded("splitting %s %s|%s" % (spec, wa_s, wb_s), 10),
                             lhs, rhs, tol)
@@ -134,7 +137,9 @@ def suite_splitting(n: int = 2, tol: float = 1e-9, mutate: float = 0.0) -> list:
 def suite_goldman(n: int = 2, tol: float = 1e-8, mutate: float = 0.0) -> list:
     ctx = AlgebraContext("gl", n)
     out = []
-    for spec in FIXTURE_SURFACES:
+    # the evaluate seeds, one stack per surface with its exact copy
+    points = random_stacks(ctx, FIXTURE_SURFACES, range(3), exact=True)
+    for spec, m in zip(FIXTURE_SURFACES, points):
         pm = polygon_model(spec)
         wa_s, wb_s = WORD_PAIRS[(spec.genus, spec.boundary_count)][0]
         wa, wb = spec.word(wa_s), spec.word(wb_s)
@@ -176,10 +181,8 @@ def suite_goldman(n: int = 2, tol: float = 1e-8, mutate: float = 0.0) -> list:
         h = build_bivector(spec, ctx)
         f = WordFunction(entry_observable(ctx, 0, 0, "re"), wa)
         g = WordFunction(entry_observable(ctx, 0, 1, "re"), wb)
-        ms = [random_point(ctx, spec, seed) for seed in range(3)]
         rows = fixture_rows(_seeded("goldman evaluate %s %s_11|%s_12" % (spec, wa_s, wb_s), 3),
-                            [br.evaluate(m) for m in ms],
-                            [bracket_numeric(h, f, g, m) for m in ms], tol)
+                            br.evaluate(m), bracket_numeric(h, f, g, m), tol)
         text = br.canonical_str()
         for row in rows:
             row["normal_form"] = text
@@ -201,7 +204,8 @@ def suite_cross_section(tol: float = 1e-7, mutate: float = 0.0) -> list:
         out.append(fixture_result("cross-section theta identity U(%d)" % n,
                                   worst, 0.0, 1e-12))
     ctx = AlgebraContext("u", 2)
-    for spec in (SurfaceSpec(0, 2), SurfaceSpec(1, 1)):
+    specs = (SurfaceSpec(0, 2), SurfaceSpec(1, 1))
+    for spec, m in zip(specs, random_stacks(ctx, specs, range(10))):
         pm = polygon_model(spec)
         h = build_bivector(spec, ctx)
         wa_s, wb_s = WORD_PAIRS[(spec.genus, spec.boundary_count)][1]
@@ -210,7 +214,7 @@ def suite_cross_section(tol: float = 1e-7, mutate: float = 0.0) -> list:
         oa = trace_observable(ctx)
         ob = entry_observable(ctx, 0, 1, "re")
         f, g = WordFunction(oa, wa), WordFunction(ob, wb)
-        cs = cx.project_to_cross_section(random_points(ctx, spec, range(10)))
+        cs = cx.project_to_cross_section(m)
         lhs = cx.bracket_cross(oa, wa, ob, wb, data, cs)
         if mutate:
             lhs = -lhs

@@ -352,3 +352,25 @@ def test_stacked_kernels_match_per_boundary_calls(gb):
         want = sum(0.5 * U3.form(ad_cayley_apply(mu, chi(h, df)[p]), chi(h, dg)[p])
                    for p, mu in enumerate(cs.mus))
         assert np.array_equal(perp_correction(h, df, dg, cs), want)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["point", "stack"])
+def test_cross_section_route_with_a_constant_word(stacked):
+    # B2 B2' (trace) against A2 B2 (entry 1,2) on Sigma_0,2: the constant
+    # word's moment variations have the stack's shape, so P-perp pairs them
+    # point by point and every bracket is zero
+    spec = SurfaceSpec(0, 2)
+    h = build_bivector(spec, U2)
+    const = WordFunction(trace_observable(U2), spec.word("B2 B2'"))
+    other = WordFunction(entry_observable(U2, 0, 1, "re"), spec.word("A2 B2"))
+    seeds = range(3)
+    m = random_points(U2, spec, seeds) if stacked else random_point(U2, spec, 0)
+    cs = project_to_cross_section(m)
+    single = ([project_to_cross_section(random_point(U2, spec, seed)) for seed in seeds]
+              if stacked else [cs])
+    for f, g in ((const, other), (other, const)):
+        got = bracket_cross_numeric(h, f, g, cs)
+        want = [bracket_cross_numeric(h, f, g, c) for c in single]
+        assert np.shape(got) == ((3,) if stacked else ())
+        assert np.array_equal(got, np.reshape(want, np.shape(got)))
+        assert not np.any(got)

@@ -18,9 +18,10 @@ from surface_qp.goldman import (MAX_DEGREE, NormalForm, PathEntrySymbol, _label_
                                 bracket_symbolic, exact_quotient)
 from surface_qp.io import load_point
 from surface_qp.lie import TOL_INV, AlgebraContext, entry_observable
-from surface_qp.quasipoisson import WordFunction, bracket_combinatorial
+from surface_qp.quasipoisson import (WordFunction, bracket_combinatorial, bracket_numeric,
+                                     build_bivector)
 from surface_qp.repspace import random_point
-from surface_qp.suites import FIXTURE_SURFACES, run_suite
+from surface_qp.suites import FIXTURE_SURFACES, WORD_PAIRS, run_suite
 from surface_qp.surfaces import SurfaceSpec, polygon_model
 from surface_qp.words import generator_symbols
 from symbolic_ref import (GoldmanAlgebra, bracket_symbolic_ref, entry_symbol, form,
@@ -453,3 +454,40 @@ def test_goldman_suite_prints_each_normal_form_once(n, monkeypatch):
     # three seeds per surface carry their surface's one normal form
     assert [row["normal_form"] for row in rows] == \
         [canonical_str(nf) for nf in printed for _ in range(3)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_goldman_evaluate_rows_read_one_stacked_draw(n, monkeypatch):
+    # one bracket_numeric call and one evaluate call per surface, on the
+    # stack of the three seeds; the exact values are the per-point ones bit
+    # for bit, the numeric ones to a few units in the last place
+    from surface_qp import suites
+    calls = {"bracket_numeric": [], "evaluate": []}
+    numeric, evaluate = suites.bracket_numeric, NormalForm.evaluate
+
+    def counted_numeric(h, f, g, m):
+        calls["bracket_numeric"].append(m)
+        return numeric(h, f, g, m)
+
+    def counted_evaluate(self, m):
+        calls["evaluate"].append(m)
+        return evaluate(self, m)
+    monkeypatch.setattr(suites, "bracket_numeric", counted_numeric)
+    monkeypatch.setattr(NormalForm, "evaluate", counted_evaluate)
+    rows = [row for row in run_suite("goldman", n=n)
+            if row["fixture"].startswith("goldman evaluate")]
+    assert calls["bracket_numeric"] == calls["evaluate"]
+    assert [m.spec for m in calls["evaluate"]] == FIXTURE_SURFACES
+    ctx = AlgebraContext("gl", n)
+    for k, row in enumerate(rows):
+        spec, seed = FIXTURE_SURFACES[k // 3], k % 3
+        wa_s, wb_s = WORD_PAIRS[(spec.genus, spec.boundary_count)][0]
+        wa, wb = spec.word(wa_s), spec.word(wb_s)
+        m = random_point(ctx, spec, seed)
+        _, _, data = realize_pair(wa, wb, polygon_model(spec), 0)
+        nf = bracket_symbolic(PathEntrySymbol(wa, 1, 1), PathEntrySymbol(wb, 1, 2), data, n)
+        assert row["lhs"] == "%.17g" % nf.evaluate(m)
+        f = WordFunction(entry_observable(ctx, 0, 0, "re"), wa)
+        g = WordFunction(entry_observable(ctx, 0, 1, "re"), wb)
+        want = bracket_numeric(build_bivector(spec, ctx), f, g, m)
+        assert abs(float(row["rhs"]) - want) <= 1e-15 * max(1.0, abs(want))

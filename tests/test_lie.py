@@ -225,3 +225,20 @@ def test_entry_observable_im_part():
     assert obs.value(g) == pytest.approx(float(np.imag(g[0, 1])))
     fd = generic_observable(ctx, obs.value)
     assert np.max(np.abs(obs.var_left(g) - fd.var_left(g))) < 1e-8
+
+
+@pytest.mark.parametrize("kind", ["gl", "u"])
+def test_stacked_observable_stacks_values_and_variations(kind):
+    from surface_qp.lie import stacked_observable
+    ctx = AlgebraContext(kind, 3)
+    parts = [entry_observable(ctx, 0, 1, "re"), trace_observable(ctx),
+             entry_observable(ctx, 2, 0, "re")]
+    obs = stacked_observable(*parts)
+    assert obs.entry is None
+    for g in (repspace.random_point(ctx, SurfaceSpec(1, 1), 4).mats["C1"],
+              repspace.random_points(ctx, SurfaceSpec(1, 1), range(5)).mats["D1"]):
+        for name in ("var_left", "var_right"):
+            got = getattr(obs, name)(g)
+            assert got.shape == (3,) + g.shape
+            for row, part in zip(got, parts):
+                assert row.tobytes() == getattr(part, name)(g).tobytes()

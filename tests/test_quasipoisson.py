@@ -780,7 +780,8 @@ def test_gradient_array_matches_dict_references(spec, kind):
 @pytest.mark.parametrize("kind", ["gl", "u"])
 def test_constant_word_brackets_to_zero(kind):
     # B2 B2' reaches no slot: all its gradient rows are zero, and the one
-    # contraction gives zero with any word, one value per point of a stack
+    # contraction gives zero with any word, itself included, one value per
+    # point of a stack
     ctx = AlgebraContext(kind, 2)
     spec = SurfaceSpec(0, 2)
     h = build_bivector(spec, ctx)
@@ -789,10 +790,39 @@ def test_constant_word_brackets_to_zero(kind):
     assert const.slots == ()
     for m, shape in ((random_point(ctx, spec, 3), ()),
                      (random_points(ctx, spec, range(5)), (5,))):
+        # the gradients and chi of the constant word have the point's shape
+        assert const.gradients(h, m).shape == (len(h.types),) + shape + (2, 2)
+        assert chi(h, const.gradients(h, m)).shape == (len(h.w),) + shape + (2, 2)
         assert not const.gradients(h, m).any()
         assert not chi(h, const.gradients(h, m)).any()
         for text in ("A2", "B2", "A2 B2 A2'", "B2 B2'"):
             other = WordFunction(obs, spec.word(text))
-            want = np.zeros(shape if text != "B2 B2'" else ())
+            want = np.zeros(shape)
             for u, v in ((const, other), (other, const)):
                 assert np.array_equal(bracket_numeric(h, u, v, m), want)
+
+
+def _main_theorem_per_observable(n):
+    """The main-theorem rows with each observable pair evaluated on its own
+    and each surface drawn on its own: the suite's loop before the pairs
+    were stacked."""
+    from surface_qp.io import fixture_rows
+    ctx = AlgebraContext("gl", n)
+    out = []
+    for spec in suites.FIXTURE_SURFACES:
+        pm, h = polygon_model(spec), build_bivector(spec, ctx)
+        m = random_points(ctx, spec, range(20))
+        for wa_s, wb_s in WORD_PAIRS[(spec.genus, spec.boundary_count)]:
+            wa, wb = spec.word(wa_s), spec.word(wb_s)
+            _, _, data = realize_pair(wa, wb, pm, 1)
+            for label, oa, ob in _observable_pairs(ctx):
+                comb = bracket_combinatorial(oa, wa, ob, wb, data, m)
+                num = bracket_numeric(h, WordFunction(oa, wa), WordFunction(ob, wb), m)
+                out += fixture_rows(["main-theorem %s %s|%s %s seed=%d" % (
+                    spec, wa_s, wb_s, label, seed) for seed in range(20)], comb, num, 1e-8)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_main_theorem_stacked_observables_give_the_per_observable_rows(n):
+    assert run_suite("main-theorem", n) == _main_theorem_per_observable(n)

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -131,7 +132,7 @@ def test_exact_copy_is_the_draws_numerators_over_one_denominator(n, spec):
     ctx = AlgebraContext("gl", n)
     for seed in range(3):
         syms = generator_symbols(spec.genus, spec.boundary_count)
-        draws = repspace._draws(ctx, spec, [seed])[0]
+        draws = repspace._draws(ctx, [spec], [seed])[0][0]
         want = {sym: tuple(tuple(Fraction(int(x), repspace._GL_DEN) for x in row)
                            for row in num) for sym, num in zip(syms, draws)}
         m = random_point(ctx, spec, seed)
@@ -366,3 +367,183 @@ def test_u_sampler_matches_per_generator_draws(n, spec):
         state = np.random.default_rng(seed)
         _random_u_log(ctx, [state], len(syms))
         assert state.bit_generator.state == rng.bit_generator.state
+
+
+# --- one sampler for several surfaces, and the per-point memo --------------
+
+@functools.lru_cache(maxsize=None)
+def _suite_draws():
+    """The sampler calls of every suite at n = 2 and 3, as ((suite, n), ctx,
+    specs, seeds, exact), recorded while the suites run."""
+    from surface_qp import suites
+    calls, real, run = [], suites.random_stacks, [None]
+
+    def record(ctx, specs, seeds, exact=False):
+        calls.append((run[0], ctx, tuple(specs), list(seeds), exact))
+        return real(ctx, specs, seeds, exact)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(suites, "random_stacks", record)
+        for name in suites.SUITES:
+            for n in (2, 3) if name != "cross-section" else (2,):
+                run[0] = (name, n)
+                suites.run_suite(name, n)
+    return calls
+
+
+# sha256 over every suite's draws (generator name, then matrix bytes), as
+# per-surface random_points gave them before the suites drew all their
+# surfaces in one call
+SUITE_DRAWS_SHA256 = "a762be48b5feca7f07d6b2311ff5c811c2ef84edcfedb7a6102812862d24c733"
+
+
+def test_every_suite_draws_all_its_surfaces_in_one_call():
+    runs = [call[0] for call in _suite_draws()]
+    assert len(runs) == len(set(runs)) == 11
+    assert [call[4] for call in _suite_draws()] == [name == "goldman" for name, _ in runs]
+
+
+def test_suite_draws_are_pinned():
+    import hashlib
+    h = hashlib.sha256()
+    for _, ctx, specs, seeds, exact in _suite_draws():
+        for m in repspace.random_stacks(ctx, specs, seeds, exact):
+            for sym, mat in m.mats.items():
+                h.update(sym.encode())
+                h.update(mat.tobytes())
+    assert h.hexdigest() == SUITE_DRAWS_SHA256
+
+
+def _check_multi_surface_draw(ctx, specs, seeds):
+    # one stacked point per surface, bit for bit the per-surface and the
+    # per-seed draws, exact copies included
+    stacks = repspace.random_stacks(ctx, specs, seeds, exact=True)
+    assert [m.spec for m in stacks] == list(specs)
+    for spec, stack in zip(specs, stacks):
+        alone = random_points(ctx, spec, seeds)
+        assert alone.exact is None
+        for k, seed in enumerate(seeds):
+            m = random_point(ctx, spec, seed)
+            for sym in m.mats:
+                assert stack.mats[sym].tobytes() == alone.mats[sym].tobytes()
+                assert stack.mats[sym][k].tobytes() == m.mats[sym].tobytes()
+                if ctx.kind == "gl":
+                    assert stack.exact[0] == m.exact[0]
+                    assert stack.exact[1][sym][k] == m.exact[1][sym]
+        assert (stack.exact is None) == (ctx.kind == "u")
+
+
+@pytest.mark.parametrize("kind", ["gl", "u"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_multi_surface_draw_equals_per_surface_draws(kind, n):
+    ctx = AlgebraContext(kind, n)
+    for specs, seeds in {(specs, tuple(seeds)) for _, _, specs, seeds, _ in _suite_draws()}:
+        _check_multi_surface_draw(ctx, specs, seeds)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_multi_surface_draw_with_redraws(n, monkeypatch):
+    # at a floor of 0.8 about half the seeds redraw on Sigma_1,1; each
+    # surface still starts from its seed's fresh stream
+    monkeypatch.setattr(repspace, "_GL_MIN_DET", 0.8)
+    ctx = AlgebraContext("gl", n)
+    specs = (SurfaceSpec(1, 1), SurfaceSpec(0, 3), SurfaceSpec(1, 1), SurfaceSpec(1, 2))
+    _check_multi_surface_draw(ctx, specs, range(20))
+    rejected = _check_gl_sampler(ctx, SurfaceSpec(1, 1), range(20), 0.8)
+    assert 5 <= sum(r > 0 for r in rejected) <= 15
+
+
+@pytest.mark.parametrize("ctx", [GL2, U2], ids=["gl", "u"])
+def test_multi_surface_draw_seeds_each_seed_once(ctx, monkeypatch):
+    made, real = [], np.random.default_rng
+
+    def counted(seed):
+        made.append(seed)
+        return real(seed)
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    repspace.random_stacks(ctx, SPECS, range(6))
+    assert made == list(range(6))
+    made.clear()
+    random_point(ctx, SPECS[0], 4)
+    assert made == [4]
+
+
+def _memo_reference(m, key):
+    """What the memo of m holds under key, computed again on a new point of
+    the same coordinates, whose memo is empty."""
+    from surface_qp import quasipoisson
+    fresh = RepPoint(m.ctx, m.spec, {sym: mat.copy() for sym, mat in m.mats.items()})
+    assert not fresh.memo
+    if key == "slot_values":
+        return quasipoisson._slot_values(fresh)
+    kind, arg = key
+    if kind == "holonomy":
+        return repspace.word_product(fresh.ctx, arg, fresh.mats, fresh.inv)
+    return quasipoisson._chains(fresh, arg)
+
+
+def _arrays(x):
+    if isinstance(x, np.ndarray):
+        return [x]
+    if hasattr(x, "values"):   # a dict or a read-only mapping
+        return [a for v in x.values() for a in _arrays(v)]
+    return [a for v in x for a in _arrays(v)]
+
+
+@pytest.mark.parametrize("ctx", [GL2, U2], ids=["gl", "u"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["point", "stack"])
+def test_memo_holds_fresh_read_only_values(ctx, stacked):
+    from surface_qp.quasipoisson import bracket_numeric
+    spec = SurfaceSpec(1, 2)
+    m = random_points(ctx, spec, range(3)) if stacked else random_point(ctx, spec, 3)
+    h = build_bivector(spec, ctx)
+    obs = entry_observable(ctx, 0, 1, "re")
+    words = [spec.word(t) for t in ("A2 B2 A2'", "C1 D1", "C1 D1 C1'", "A2 B2 B2'")]
+    first = [bracket_numeric(h, WordFunction(obs, w), WordFunction(obs, w), m) for w in words]
+    hols = [holonomy(m, w) for w in words] + [boundary_moment(m, 1)]
+    assert holonomy(m, words[0]) is hols[0]
+    assert {k if k == "slot_values" else k[0] for k in m.memo} == {
+        "slot_values", "holonomy", "chains"}
+    for key, value in m.memo.items():
+        got, want = _arrays(value), _arrays(_memo_reference(m, key))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes() and a.shape == b.shape
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+    # the memo is used, not refilled, and gives the same brackets
+    size = len(m.memo)
+    again = [bracket_numeric(h, WordFunction(obs, w), WordFunction(obs, w), m) for w in words]
+    assert len(m.memo) == size
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    with pytest.raises(TypeError):
+        m.memo["x"] = 1
+
+
+@pytest.mark.parametrize("ctx", [GL2, U2], ids=["gl", "u"])
+def test_new_points_start_with_an_empty_memo(ctx):
+    spec = SurfaceSpec(0, 3)
+    for m in (random_point(ctx, spec, 1), random_points(ctx, spec, range(3))):
+        assert not m.memo
+        boundary_moment(m, 1)
+        assert m.memo
+        g = np.broadcast_to(np.eye(2, dtype=ctx.dtype), (3,) + m.mats["A2"].shape)
+        for other in (act(m, g), RepPoint(ctx, spec, m.mats)):
+            assert not other.memo
+            assert np.array_equal(boundary_moment(other, 1), boundary_moment(m, 1))
+
+
+@pytest.mark.parametrize("ctx", [GL2, U2], ids=["gl", "u"])
+def test_generator_matrices_are_read_only_copies(ctx):
+    spec = SurfaceSpec(1, 1)
+    mats = {sym: mat.copy() for sym, mat in random_point(ctx, spec, 2).mats.items()}
+    m = RepPoint(ctx, spec, mats)
+    hol = holonomy(m, spec.word("C1 D1")).copy()
+    for table in (m.mats, m.inv):
+        for mat in table.values():
+            with pytest.raises(ValueError, match="read-only"):
+                mat[0, 0] = 5.0
+    # the caller's matrices stay its own: changing them leaves the point
+    mats["C1"][0, 0] = 5.0
+    assert m.mats["C1"][0, 0] != 5.0
+    assert np.array_equal(holonomy(m, spec.word("C1 D1")), hol)
