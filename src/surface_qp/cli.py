@@ -18,7 +18,7 @@ Exit codes: 0 all checks pass, 1 verification failure, 2 input error (also a
 negative or non-finite --tol, a negative --seed, a non-finite --mutate,
 verify --n below 2, --group u with a GL suite, an --out path that cannot be
 written, a disk surface, an input too large to allocate), 3 numeric-domain
-error.
+error (also an overflowed holonomy or a non-finite side of a bracket).
 
 The argument parser is built once, at import, and holds no request data, so
 every call of main in one process parses with the same parser.
@@ -76,14 +76,15 @@ def _parser() -> argparse.ArgumentParser:
 _PARSER = _parser()
 
 
+@np.errstate(all="ignore")   # a non-finite side is reported below, not warned about
 def cmd_bracket(args) -> int:
     ctx = AlgebraContext(args.group, args.n)
     spec = load_surface(args.surface)
-    (wa, oa), (wb, ob), variants = load_bracket_request(args.diagram, ctx, spec)
     if args.point:
         m = load_point(args.point, ctx, spec)
     else:
         m = random_point(ctx, spec, args.seed)
+    (wa, oa), (wb, ob), variants = load_bracket_request(args.diagram, ctx, spec)
     pm = polygon_model(spec)
     _, _, data = realize_pair(wa, wb, pm, args.seed, variants)
     h = build_bivector(spec, ctx)
@@ -107,6 +108,9 @@ def cmd_bracket(args) -> int:
                                   PathEntrySymbol(wb, k + 1, l + 1), data, ctx.n)
             extra["normal_form"] = nf.canonical_str()
             extra["symbolic_value"] = fmt_float(nf.evaluate(m))
+    for side, value in (("combinatorial", lhs), ("bivector", rhs)):
+        if not np.isfinite(value):
+            raise FloatingPointError("the %s %s route gave %s" % (extra["route"], side, value))
 
     fx = fixture_result("bracket %s %s|%s seed=%d" % (spec, wa, wb, args.seed),
                         lhs, rhs, tol, extra)
@@ -159,7 +163,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    except (cx.RegularityError, GeneralPositionError, ZeroDivisionError,
+    except (cx.RegularityError, GeneralPositionError, ArithmeticError,
             np.linalg.LinAlgError) as exc:
         print("numeric domain error: %s" % exc, file=sys.stderr)
         return EXIT_DOMAIN

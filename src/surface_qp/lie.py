@@ -1,5 +1,5 @@
 """Matrix Lie kernel: invariant forms, dual bases, the matrix exponential,
-variation maps of observables, and the Cartan trivector.
+observables linear in the group element, and the Cartan trivector.
 
 Two contexts are supported: GL_n(R) with the (indefinite) trace form
 Tr(xy), and U(n) with the positive form -Re Tr(xy) on anti-Hermitian
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -143,27 +143,37 @@ def dual_basis(ctx: AlgebraContext) -> DualBasisPair:
     return DualBasisPair(tuple(e), tuple(e))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observable:
-    """Differentiable scalar function Phi on the group with its two variations.
-
-    var_left(g) pairs the derivative along left-invariant fields:
-        <var_left(g), x> = d/dt Phi(g exp(tx)),
-    var_right the right-invariant ones:
-        <var_right(g), x> = d/dt Phi(exp(tx) g).
-    entry is the 0-based (i, j) of an entry observable, None otherwise.
-    """
-    phi: Callable
-    var_left: Callable
-    var_right: Callable
+    """Phi(g) = Re Tr(M g) on the group, with its two variations, P the
+    projection of AlgebraContext.project_gradient:
+        <var_left(g), x> = d/dt Phi(g exp(tx)),   var_left(g) = P(M g),
+        <var_right(g), x> = d/dt Phi(exp(tx) g),  var_right(g) = P(g M).
+    M, made read-only, is (n, n), or a stack of observables' M's on leading
+    axes.  entry is the 0-based (i, j) of an entry observable, else None."""
+    ctx: AlgebraContext
+    m: np.ndarray
     entry: Optional[Tuple[int, int]] = None
 
-    def value(self, g) -> float:
-        return float(self.phi(g))
+    def __post_init__(self):
+        self.m.setflags(write=False)
+
+    def over(self, shape) -> np.ndarray:
+        """M broadcast against matrices of shape (n, n) or (S, n, n)."""
+        return self.m.reshape(self.m.shape[:-2] + (1,) * (len(shape) - 2) + self.m.shape[-2:])
+
+    def value(self, g):
+        return np.einsum("...ij,...ji->...", self.over(np.shape(g)), g).real
+
+    def var_left(self, g) -> np.ndarray:
+        return self.ctx.project_gradient(self.over(np.shape(g)) @ g)
+
+    def var_right(self, g) -> np.ndarray:
+        return self.ctx.project_gradient(g @ self.over(np.shape(g)))
 
 
 def entry_observable(ctx: AlgebraContext, i: int, j: int, part: str = "re") -> Observable:
-    """Phi(g) = Re g_ij (or Im g_ij); indices are 0-based."""
+    """Phi(g) = Re g_ij (or Im g_ij): M = E_ji (or -i E_ji), 0-based."""
     if part not in ("re", "im"):
         raise ValueError("part must be 're' or 'im'")
     if not (0 <= i < ctx.n and 0 <= j < ctx.n):
@@ -172,36 +182,12 @@ def entry_observable(ctx: AlgebraContext, i: int, j: int, part: str = "re") -> O
         raise ValueError("part 'im' is identically zero on real GL matrices; "
                          "use it with the U group")
     w = 1.0 if part == "re" else -1j
-    eji = _basis_elem(ctx.n, j, i, ctx.dtype)
-
-    def value(g):
-        v = g[i, j]
-        return float(v.real) if part == "re" else float(np.imag(v))
-
-    def vleft(g):
-        return ctx.project_gradient(w * (eji @ g))
-
-    def vright(g):
-        return ctx.project_gradient(w * (g @ eji))
-
-    return Observable(value, vleft, vright, (i, j))
+    return Observable(ctx, w * _basis_elem(ctx.n, j, i, ctx.dtype), (i, j))
 
 
 def trace_observable(ctx: AlgebraContext) -> Observable:
-    def grad(g):
-        return ctx.project_gradient(np.asarray(g, ctx.dtype))
-
-    return Observable(lambda g: float(np.trace(g).real), grad, grad)
-
-
-def stacked_observable(*obs: Observable) -> Observable:
-    """The observables obs as one, their values and variations stacked on a
-    new leading axis: a bracket of stacked observables gives one value per
-    pair of them, read off in one gradient pass per word."""
-    def stack(part):
-        return lambda g: np.array([getattr(o, part)(g) for o in obs])
-
-    return Observable(stack("phi"), stack("var_left"), stack("var_right"))
+    """Phi(g) = Re Tr g, M = I."""
+    return Observable(ctx, np.eye(ctx.n, dtype=ctx.dtype))
 
 
 @dataclass(frozen=True)

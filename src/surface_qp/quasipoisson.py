@@ -35,13 +35,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .diagrams import IntersectionData
 from .lie import AlgebraContext, Observable, cartan_trivector, dual_basis
-from .repspace import RepPoint, boundary_moment, boundary_word, holonomy
+from .repspace import RepPoint, boundary_moment, boundary_word, holonomy, word_product
 from .surfaces import SurfaceSpec, split_canonical
 from .words import Word, free_reduce, invert
 
@@ -266,29 +267,27 @@ class WordFunction:
 
     def gradients(self, h: HamiltonianQP, m: RepPoint) -> np.ndarray:
         """grad_A f for every field type A of h, one row each."""
-        return slot_gradients(h, self.slots, self.obs.var_left, m)
+        return slot_gradients(h, self.slots, self.obs.over(m.shape), m)
 
 
-def slot_gradients(h: HamiltonianQP, slots: tuple, var_left: Callable,
+def slot_gradients(h: HamiltonianQP, slots: tuple, mo: np.ndarray,
                    m: RepPoint) -> np.ndarray:
-    """grad_A Phi(Hol) on a slot word, one row per field type A of h in
-    h.types order and zero rows on the slots the word does not reach, where
-    var_left(Hol) is the left variation of Phi at Hol, one algebra element
-    or a stack of them.
+    """grad_A Phi(Hol) on a slot word for Phi(g) = Re Tr(mo g), one row per
+    field type A of h in h.types order and zero rows on the slots the word
+    does not reach; mo is an M, or M's stacked before the point's stack axes.
 
-    With Hol = F_0 ... F_{L-1} and Q_t = F_t ... F_{L-1}, a letter t on
-    slot s contributes Ad_{Q_{t+1}} var_left(Hol) to (s, L) and
-    Ad_{Q_t} var_left(Hol) to (s, R); an inverse letter contributes
-    -Ad_{Q_t} var_left(Hol) to (s, L) and -Ad_{Q_{t+1}} var_left(Hol)
-    to (s, R).  The chains of Q_t and their inverses are formed once per
-    point and slot word."""
-    q, qi = m.remember(("chains", slots), _chains, m, slots)
-    var = var_left(q[0])
-    # every Ad_{Q_t} var in one product: t on a leading axis, before var's own
-    shape = q.shape[:1] + (1,) * (var.ndim + 1 - q.ndim) + q.shape[1:]
-    ad = q.reshape(shape) @ var @ qi.reshape(shape)
+    With Hol = F_0 ... F_{L-1}, P_t = F_0 ... F_{t-1} and Q_t = F_t ... F_{L-1},
+    var = P(mo Hol) gives Ad_{Q_t} var = P(Q_t mo P_t), as Ad by a unitary
+    commutes with P.  A letter t on slot s contributes Ad_{Q_{t+1}} var to
+    (s, L) and Ad_{Q_t} var to (s, R); an inverse letter -Ad_{Q_t} var to
+    (s, L) and -Ad_{Q_{t+1}} var to (s, R).  The chains are formed once per
+    point and slot word; no inverse of a product is taken."""
+    p, q = m.remember(("chains", slots), _chains, m, slots)
+    # every Ad_{Q_t} var in one product: t on a leading axis, before mo's own
+    shape = q.shape[:1] + (1,) * (mo.ndim + 1 - q.ndim) + q.shape[1:]
+    ad = h.ctx.project_gradient(q.reshape(shape) @ mo @ p.reshape(shape))
     index = h.skew[0]
-    out = np.zeros((len(h.types),) + var.shape, ad.dtype)
+    out = np.zeros((len(h.types),) + ad.shape[1:], ad.dtype)
     for t, (s, sgn) in enumerate(slots):
         left, right = (ad[t + 1], ad[t]) if sgn == 1 else (-ad[t], -ad[t + 1])
         out[index[s, "L"]] += left
@@ -297,17 +296,14 @@ def slot_gradients(h: HamiltonianQP, slots: tuple, var_left: Callable,
 
 
 def _chains(m: RepPoint, slots: tuple) -> Tuple[np.ndarray, np.ndarray]:
-    """The suffix products Q_0 = Hol, ..., Q_L = I of a slot word, stacked
-    on a leading axis of length L + 1 (each with the point's stack shape),
-    and their inverses in the same order."""
+    """The prefixes P_0 = I, ..., P_L = Hol and the suffixes Q_0 = Hol, ...,
+    Q_L = I of a slot word, each chain on a leading axis of length L + 1."""
     vals, inv = slot_values(m)
-    eye = np.broadcast_to(np.eye(m.ctx.n, dtype=m.ctx.dtype), next(iter(m.mats.values())).shape)
-    q, qi = [eye], [eye]
-    for s, sgn in reversed(slots):
-        fac, fac_inv = (vals[s], inv[s]) if sgn == 1 else (inv[s], vals[s])
-        q.append(fac @ q[-1])
-        qi.append(qi[-1] @ fac_inv)
-    return np.array(q[::-1]), np.array(qi[::-1])
+    facs = [vals[s] if sgn == 1 else inv[s] for s, sgn in slots]
+    eye = word_product(m.ctx, (), m.mats)   # an identity of the point's shape
+    p = accumulate(facs, np.matmul, initial=eye)
+    q = accumulate(reversed(facs), lambda acc, fac: fac @ acc, initial=eye)
+    return np.array(list(p)), np.array(list(q)[::-1])
 
 
 def bracket_numeric(h: HamiltonianQP, f: WordFunction, g: WordFunction,
@@ -332,22 +328,23 @@ def chi(h: HamiltonianQP, df: np.ndarray) -> np.ndarray:
     return -np.tensordot(h.w, df, 1)
 
 
-def verify_moment(h: HamiltonianQP, p: int, f: WordFunction, m: RepPoint) -> dict:
-    """Residual of the moment condition at action slot p (the moment of
-    boundary component p + 1), at the point m or at each point of a stack:
-    the left-hand side is sum_k {f, F_k} f_k, with F_k as in the module
-    docstring."""
+def verify_moment(h: HamiltonianQP, f: WordFunction, m: RepPoint) -> dict:
+    """The moment condition at every action slot p (the moment of boundary
+    component p + 1), on a leading axis, at the point m or each point of a
+    stack, from one gradient pass and one chi of f.  The left-hand side is
+    sum_k {f, F_k} f_k with F_k as in the module docstring, whose M is
+    form_sign e_k mu(m)^-1, mu(m)^-1 the holonomy of the inverse word."""
     pair = dual_basis(h.ctx)
-    e, fk = np.asarray(pair.e), np.asarray(pair.f)
-
-    def basis(hol):   # every e_k at every point: shape (dim,) + hol.shape
-        return np.broadcast_to(e.reshape(e.shape[:1] + (1,) * (hol.ndim - 2) + e.shape[1:]),
-                               e.shape[:1] + hol.shape)
     df = f.gradients(h, m)
-    dmu = slot_gradients(h, slot_word(boundary_word(m.spec, p + 1)), basis, m)
-    mu, c = boundary_moment(m, p + 1), chi(h, df)[p]
-    rhs = -0.5 * (c + np.linalg.inv(mu) @ c @ mu)
-    lhs = np.tensordot(pair_gradients(h, df, dmu), fk, (0, 0))
+    lhs, rhs = [], []
+    for p, c in enumerate(chi(h, df)):
+        word = boundary_word(m.spec, p + 1)
+        mk = np.einsum("kij,...jl->k...il", pair.e, holonomy(m, word.inverse()))
+        dmu = slot_gradients(h, slot_word(word), h.ctx.form_sign * mk, m)
+        mu = boundary_moment(m, p + 1)
+        rhs.append(-0.5 * (c + np.linalg.inv(mu) @ c @ mu))
+        lhs.append(np.tensordot(pair_gradients(h, df, dmu), pair.f, (0, 0)))
+    lhs, rhs = np.array(lhs), np.array(rhs)
     return {"lhs": lhs, "rhs": rhs, "residual": np.abs(lhs - rhs).max(axis=(-2, -1))}
 
 
@@ -475,9 +472,7 @@ def bracket_combinatorial(phi: Observable, w_alpha: Word,
     # var_right at the start of a path, var_left at its end
     va = {"start": phi.var_right(ha), "end": phi.var_left(ha)}
     vb = {"start": psi.var_right(hb), "end": psi.var_left(hb)}
-    if pair is None:
-        def pair(s, u, w):
-            return m.ctx.form(u, w)
+    pair = pair or (lambda s, u, w: m.ctx.form(u, w))
     tot = 0.0
     for (I, J), s in data.endpoint_signs.items():
         if s.value != 0:

@@ -57,6 +57,11 @@ class RepPoint:
         return self.mats[sym]
 
     @property
+    def shape(self) -> tuple:
+        """The shape of every generator's matrix: (n, n), or (S, n, n)."""
+        return next(iter(self.mats.values())).shape
+
+    @property
     def memo(self) -> Mapping:
         return MappingProxyType(self._memo)
 
@@ -85,18 +90,28 @@ def word_product(ctx: AlgebraContext, letters: Sequence, mats: Mapping,
     """Product of the matrices of a word's letters (sym, sign), left to right,
     over any alphabet: generator names or coordinate slots, each a matrix or
     an (S, n, n) stack.  Inverse letters read inv, which defaults to
-    inverting each symbol that occurs inverted once."""
+    inverting each symbol that occurs inverted once.  The empty word gives
+    a read-only identity of the matrices' shape."""
     if inv is None:
         inv = {s: np.linalg.inv(mats[s]) for s in {s for s, sgn in letters if sgn == -1}}
     out = np.eye(ctx.n, dtype=ctx.dtype)
     for sym, sgn in letters:
         out = out @ (mats[sym] if sgn == 1 else inv[sym])
-    return out
+    return out if letters else np.broadcast_to(out, np.shape(next(iter(mats.values()))))
 
 
 def holonomy(m: RepPoint, w: Word) -> np.ndarray:
-    """The holonomy of w at m, once per point and word."""
-    return m.remember(("holonomy", w.letters), word_product, m.ctx, w.letters, m.mats, m.inv)
+    """The holonomy of w at m, once per point and word; one that overflowed
+    raises OverflowError naming w."""
+    return m.remember(("holonomy", w.letters), _holonomy, m, w)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _holonomy(m: RepPoint, w: Word) -> np.ndarray:
+    out = word_product(m.ctx, w.letters, m.mats, m.inv)
+    if not np.isfinite(out).all():
+        raise OverflowError("the holonomy of %s overflowed" % w)
+    return out
 
 
 def boundary_word(spec: SurfaceSpec, i: int) -> Word:

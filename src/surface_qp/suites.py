@@ -21,7 +21,7 @@ from .diagrams import realize_pair
 from .goldman import (NormalForm, PathEntrySymbol, bracket_symbolic, entry_nf,
                       sum_of_products, word_ring)
 from .io import fixture_result, fixture_rows, fmt_float
-from .lie import AlgebraContext, entry_observable, stacked_observable, trace_observable
+from .lie import AlgebraContext, Observable, entry_observable, trace_observable
 from .quasipoisson import (WordFunction, bracket_combinatorial, bracket_numeric,
                            build_bivector, fold_bivector, perturbed,
                            schouten_residual, verify_moment)
@@ -74,13 +74,12 @@ def suite_moment(n: int = 2, tol: float = 1e-12, mutate: float = 0.0) -> list:
         # an entry function also checks the right-hand side
         fs = [("", WordFunction(trace_observable(ctx), spec.word(wa))),
               (" entry_12", WordFunction(entry_observable(ctx, 0, 1, "re"), spec.word(wa)))]
-        res = [[verify_moment(h, p, f, m)["residual"] for _, f in fs]
-               for p in range(spec.boundary_count)]
+        res = np.array([verify_moment(h, f, m)["residual"] for _, f in fs])   # [f, p, seed]
         # seed-major rows: every (moment, function) pair at seed 0, then 1, ...
         prefixes = ["moment %s mu_%d%s" % (spec, p + 1, label)
                     for p in range(spec.boundary_count) for label, _ in fs]
         names = ["%s seed=%d" % (pre, seed) for seed in range(10) for pre in prefixes]
-        out += fixture_rows(names, np.moveaxis(np.array(res), -1, 0).ravel(), 0.0, tol)
+        out += fixture_rows(names, res.transpose(2, 1, 0).ravel(), 0.0, tol)
     return out
 
 
@@ -92,12 +91,12 @@ def _observable_pairs(ctx: AlgebraContext):
 
 def suite_main_theorem(n: int = 2, tol: float = 1e-8, mutate: float = 0.0) -> list:
     """Both routes on every word pair, with the observable pairs stacked into
-    one: one gradient pass per word and one holonomy per crossing class give
-    the rows of every pair."""
+    one, their M's on a leading axis: one gradient pass per word and one
+    holonomy per crossing class give the rows of every pair."""
     ctx = AlgebraContext("gl", n)
     out = []
     labels, oas, obs = zip(*_observable_pairs(ctx))
-    oa, ob = stacked_observable(*oas), stacked_observable(*obs)
+    oa, ob = (Observable(ctx, np.array([o.m for o in side])) for side in (oas, obs))
     for spec, m in zip(FIXTURE_SURFACES, random_stacks(ctx, FIXTURE_SURFACES, range(20))):
         pm = polygon_model(spec)
         h = build_bivector(spec, ctx)

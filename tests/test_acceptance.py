@@ -95,7 +95,7 @@ def test_moment_condition(gb):
     for seed in range(10):
         m = random_point(GL2, spec, seed)
         for p in range(len(h.w)):
-            assert verify_moment(h, p, f, m)["residual"] <= 1e-12
+            assert verify_moment(h, f, m)["residual"][p] <= 1e-12
 
 
 # 4. splitting independence ------------------------------------------------

@@ -304,6 +304,22 @@ def test_cli_bracket_unitary_takes_one_gradient_pass_per_function(
     assert len(calls) == 2
 
 
+def test_cli_moment_takes_one_gradient_pass_per_function(capsys, monkeypatch):
+    # verify_moment reads df and chi once for every boundary component: one
+    # pass per surface and function, 3 surfaces x 2 functions
+    from surface_qp.quasipoisson import WordFunction
+    calls = []
+    gradients = WordFunction.gradients
+
+    def counted(self, h, m):
+        calls.append(self.word)
+        return gradients(self, h, m)
+    monkeypatch.setattr(WordFunction, "gradients", counted)
+    assert main(["verify", "--suite", "moment", "--n", "2"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 6
+
+
 def test_cli_verify_pass_and_mutation_fails(tmp_path, capsys):
     assert main(["verify", "--suite", "qp-identity", "--group", "gl"]) == 0
     capsys.readouterr()
@@ -528,6 +544,58 @@ def test_cli_input_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
     cap = capsys.readouterr()
     assert cap.err == "input error: out of memory: Unable to allocate 74.5 GiB for an array\n"
     assert cap.out == ""
+
+
+def test_cli_bracket_on_a_long_word_agrees_with_the_normal_form(tmp_path, capsys):
+    # C1^40 | D1 C1 D1' at seed 0: the bivector route was 3.3e-8 off the
+    # combinatorial one (the inverse suffix chain of its gradients), and the
+    # bracket failed although its exact normal form agreed with the formula
+    code = main(["bracket", "--surface", _surface(tmp_path),
+                 "--diagram", _diagram(tmp_path, " ".join(["C1"] * 40), "D1 C1 D1'",
+                                       {"kind": "entry", "i": 1, "j": 1},
+                                       {"kind": "entry", "i": 1, "j": 2})])
+    fx = json.loads(capsys.readouterr().out)["fixtures"][0]
+    assert code == 0
+    assert abs(float(fx["rhs"]) - float(fx["symbolic_value"])) <= 1e-13 * 127
+
+
+def test_cli_bracket_at_a_huge_exact_entry_agrees(tmp_path, capsys):
+    # an exact, invertible point with entry 1e200: the gradients form no
+    # product of a huge holonomy with its inverse, so neither side overflows
+    # (and no floating-point warning is raised; warnings are errors here)
+    point = _write(tmp_path, "p.json", {"C1": [["1e200", 0], [0, 1]], "D1": [[1, 1], [0, 1]]})
+    code = main(["bracket", "--surface", _surface(tmp_path),
+                 "--diagram", _diagram(tmp_path), "--point", point])
+    cap = capsys.readouterr()
+    fx = json.loads(cap.out)["fixtures"][0]
+    assert code == 0 and cap.err == ""
+    assert fx["lhs"] == fx["rhs"] and float(fx["lhs"]) == pytest.approx(1e200)
+
+
+@pytest.mark.parametrize("c1,d1,wa,message", [
+    ([[1, 0], [0, 1]], [["1e200", 0], [0, 1]], "C1 D1",
+     "the ambient combinatorial route gave nan"),
+    ([["1e200", 0], [0, 1]], [[1, 1], [0, 1]], "C1 C1", "the holonomy of C1 C1 overflowed"),
+], ids=["non-finite side", "overflowed holonomy"])
+def test_cli_bracket_overflow_exits_3(tmp_path, capsys, c1, d1, wa, message):
+    point = _write(tmp_path, "p.json", {"C1": c1, "D1": d1})
+    code = main(["bracket", "--surface", _surface(tmp_path),
+                 "--diagram", _diagram(tmp_path, wa), "--point", point])
+    cap = capsys.readouterr()
+    assert code == 3
+    assert cap.err == "numeric domain error: %s\n" % message
+    assert cap.out == ""
+
+
+@pytest.mark.parametrize("k", [300, 3000])
+def test_cli_bracket_singular_long_holonomy_exits_3(tmp_path, capsys, k):
+    # C1^k at seed 0 is finite but numerically of rank one: the crossing
+    # term's inverse of it is singular
+    code = main(["bracket", "--surface", _surface(tmp_path),
+                 "--diagram", _diagram(tmp_path, " ".join(["C1"] * k))])
+    cap = capsys.readouterr()
+    assert code == 3
+    assert cap.err == "numeric domain error: Singular matrix\n"
 
 
 def test_cli_degenerate_moment_exits_3(tmp_path, capsys):

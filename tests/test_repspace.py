@@ -37,6 +37,27 @@ def test_holonomy_of_inverse():
                          - np.linalg.inv(holonomy(m, w)))) < 1e-12
 
 
+@pytest.mark.parametrize("ctx", [GL2, U2], ids=["gl", "u"])
+def test_empty_word_holonomy_on_a_stack_is_one_identity_per_point(ctx):
+    spec = SurfaceSpec(0, 2)
+    w = spec.word("B2 B2'")
+    assert w.letters == ()
+    for m, shape in ((random_point(ctx, spec, 0), ()),
+                     (random_points(ctx, spec, range(3)), (3,))):
+        got = holonomy(m, w)
+        assert got.shape == shape + (2, 2) and got.dtype == ctx.dtype
+        assert np.array_equal(got, np.broadcast_to(np.eye(2), got.shape))
+
+
+def test_overflowed_holonomy_names_its_word():
+    spec = SurfaceSpec(1, 1)
+    big = np.diag([1e200, 1.0])
+    m = RepPoint(GL2, spec, {"C1": big, "D1": np.eye(2)})
+    assert holonomy(m, spec.word("C1"))[0, 0] == 1e200
+    with pytest.raises(OverflowError, match="^the holonomy of C1 C1 overflowed$"):
+        holonomy(m, spec.word("C1 C1"))
+
+
 @pytest.mark.parametrize("spec", SPECS)
 def test_action_composition_law(spec):
     rng = np.random.default_rng(4)
