@@ -16,9 +16,11 @@ tolerance of the numeric route as well.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 input error (also a
 negative or non-finite --tol, a negative --seed, a non-finite --mutate,
-verify --n below 2, --group u with a GL suite, an --out path that cannot be
-written, a disk surface, an input too large to allocate), 3 numeric-domain
-error (also an overflowed holonomy or a non-finite side of a bracket).
+verify --n below 2, because the suites' fixtures read off-diagonal entries
+(bracket runs at any n), --group u with a GL suite, an --out path that
+cannot be written, a disk surface or one beyond the polygon grid, an input
+too large to allocate), 3 numeric-domain error (also an overflowed holonomy
+or a non-finite side of a bracket).
 
 The argument parser is built once, at import, and holds no request data, so
 every call of main in one process parses with the same parser.

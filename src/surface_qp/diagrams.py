@@ -7,25 +7,18 @@ parameter read backwards on its partner).  Endpoints sit exactly at marked
 polygon corners.
 
 Every point is an int pair on the polygon model's grid (see
-PolygonModel.scale), so the intersection predicates are exact integer tests,
-run after a bounding-box prune.
+PolygonModel.scale).  A leg is an arc of the polygon, so its crossings with
+a leg of the other diagram sum to +1, -1 or 0 as their ends interleave in
+the ccw boundary order; intersection_data reads the crossings from that
+order, with no segment tests.
 
-General position.  Every leg point other than an endpoint corner is one of
-three kinds, each an injective function of its jitter parameters:
-
-- a side point, at parameter t strictly inside glued side k;
-- a corner point, at parameter eps on the segment from corner c to the
-  polygon centre;
-- a bow point, at parameter bow on the segment from the point at parameter
-  tm on side k to the centre.
-
-Parameters are int numerators over 2^17.  realize_pair draws alpha in lane 0
-and beta in lane 1, and lane 1 adds 1 to every numerator.  So alpha's
-numerators are even and beta's odd: no point of alpha equals a point of the
-same kind of beta.  Coincidences across kinds, a leg point on a segment of
-the other diagram, collinear overlaps and equal endpoint directions are not
-ruled out by construction; they raise GeneralPositionError, which callers
-see as a degenerate input.
+General position.  Every leg end other than an endpoint corner is a side
+point, at parameter t strictly inside glued side k.  Parameters are int
+numerators over 2^17.  realize_pair draws alpha in lane 0 and beta in lane
+1, and lane 1 adds 1 to every numerator.  So alpha's numerators are even and
+beta's odd: no side point of alpha is one of beta.  The only degeneracies
+left are endpoint directions on a wedge edge or equal to each other; they
+raise GeneralPositionError, which callers see as a degenerate input.
 """
 
 from __future__ import annotations
@@ -35,7 +28,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .geometry import Point, cross, lerp, segment_intersection, sub
+from .geometry import Point, cross, lerp, sub
+# unused here, but the benchmark's tracer wraps it through this module's namespace
+from .geometry import segment_intersection  # noqa: F401
 from .surfaces import ONE, PolygonModel
 from .words import Word
 
@@ -70,11 +65,6 @@ class PathDiagram:
     @property
     def end_dir(self) -> Point:
         return sub(self.legs[-1][-2], self.legs[-1][-1])
-
-    def segments(self):
-        for i, leg in enumerate(self.legs):
-            for a, b in zip(leg, leg[1:]):
-                yield i, a, b
 
 
 def _leg_prefixes(d: PathDiagram, pm: PolygonModel):
@@ -208,92 +198,82 @@ class IntersectionData:
     endpoint_signs: Dict[Tuple[str, str], EndpointSign]
 
 
-def _endpoint(d: PathDiagram, which: str):
-    if which == "start":
-        return d.start_corner, d.start_dir
-    return d.end_corner, d.end_dir
+def _side_key(pm: PolygonModel, k: int, p: Point):
+    """Point p of side k in the ccw boundary order."""
+    v0 = pm.vertices[k]
+    q, d = sub(p, v0), sub(pm.vertices[(k + 1) % pm.n], v0)
+    return (k, 1, q[0] * d[0] + q[1] * d[1])
 
 
-def _check_wedge(pm: PolygonModel, corner: int, v: Point):
-    if not pm.wedge_contains(corner, v):
+def _corner_key(pm: PolygonModel, c: int, v: Point):
+    """An end at corner c with direction v in the ccw boundary order: the
+    corner blown up to an arc, from the incoming side c - 1 (near 0) to side
+    c (near 1), at v's place in the corner's wedge."""
+    e_out = sub(pm.vertices[(c + 1) % pm.n], pm.vertices[c])
+    e_in = sub(pm.vertices[(c - 1) % pm.n], pm.vertices[c])
+    s, t = cross(v, e_in), cross(e_out, v)
+    if s <= 0 or t <= 0:
         raise GeneralPositionError("endpoint direction on a wedge edge")
+    return (c, 0, Fraction(s, s + t))
+
+
+def _leg_ends(d: PathDiagram, pm: PolygonModel):
+    """The boundary keys of the first and the last point of every leg."""
+    firsts = [_corner_key(pm, d.start_corner, d.start_dir)] + [
+        _side_key(pm, pm.sides[k].partner, leg[0]) for k, leg in zip(d.sides, d.legs[1:])]
+    lasts = [_side_key(pm, k, leg[-1]) for k, leg in zip(d.sides, d.legs)] + [
+        _corner_key(pm, d.end_corner, d.end_dir)]
+    return list(zip(firsts, lasts))
+
+
+def _on_arc(x, a0, a1) -> bool:
+    """Is boundary key x strictly inside the ccw boundary arc from a0 to a1?"""
+    return a0 < x < a1 if a0 < a1 else (x > a0 or x < a1)
 
 
 def _angular_less(pm: PolygonModel, a, b) -> bool:
     """Order of interior directions at a marked point, sweeping ccw from the
-    boundary side.  a, b are (corner, vector) pairs at the same marked point."""
-    (ca, va), (cb, vb) = a, b
-    pa, ia = pm.link_pos[ca]
-    pb, ib = pm.link_pos[cb]
+    boundary side.  a, b are corner keys at the same marked point."""
+    pa, ia = pm.link_pos[a[0]]
+    pb, ib = pm.link_pos[b[0]]
     if pa != pb:
         raise ValueError("directions at different marked points")
     if ia != ib:
         return ia < ib
-    c = cross(va, vb)
-    if c == 0:
+    if a == b:
         raise GeneralPositionError("coinciding endpoint directions")
-    return c > 0
+    return a > b    # ccw in a wedge runs from side c to side c - 1
 
 
 def intersection_data(d_alpha: PathDiagram, d_beta: PathDiagram,
                       pm: PolygonModel) -> IntersectionData:
-    for d in (d_alpha, d_beta):
-        _check_wedge(pm, d.start_corner, d.start_dir)
-        _check_wedge(pm, d.end_corner, d.end_dir)
-
+    """Each leg is an arc of the polygon, so a leg pair crosses with sign +1
+    when beta's leg starts inside alpha's ccw boundary arc and ends outside
+    it, -1 for the reverse, and 0 when its ends do not interleave."""
     pref_a, suf_a = _leg_prefixes(d_alpha, pm)
     pref_b, suf_b = _leg_prefixes(d_beta, pm)
-
-    def boxed(d: PathDiagram):
-        for i, a, b in d.segments():
-            yield (i, a, b, min(a[0], b[0]), max(a[0], b[0]),
-                   min(a[1], b[1]), max(a[1], b[1]))
-
-    verts = set(pm.vertices)
-    segs_b = list(boxed(d_beta))
-    legs: Dict[Tuple[int, int], int] = {}   # leg pair (i, j) -> sum of its signs
-    for i, a0, a1, axl, axh, ayl, ayh in boxed(d_alpha):
-        for j, b0, b1, bxl, bxh, byl, byh in segs_b:
-            # closed boxes that do not meet: no crossing, touch or overlap
-            if bxl > axh or bxh < axl or byl > ayh or byh < ayl:
-                continue
-            try:
-                hit = segment_intersection(a0, a1, b0, b1)
-            except ValueError:
-                raise GeneralPositionError("collinear overlapping segments")
-            if hit is None:
-                continue
-            t, u, q = hit
-            if 0 < t < 1 and 0 < u < 1:
-                s = cross(sub(a1, a0), sub(b1, b0))
-                legs[i, j] = legs.get((i, j), 0) + (1 if s > 0 else -1)
-                continue
-            # intersections at segment endpoints: shared marked vertices are
-            # boundary points (not interior crossings); anything else is a
-            # general-position failure
-            if q in verts and (t in (0, 1)) and (u in (0, 1)):
-                continue
-            raise GeneralPositionError("non-transversal intersection at %r"
-                                       % ((q[0] / pm.scale, q[1] / pm.scale),))
+    ends_a, ends_b = _leg_ends(d_alpha, pm), _leg_ends(d_beta, pm)
 
     # the reroute words depend on the leg pair alone: one key per nonzero pair
     crossings: Dict[Tuple[Word, Word], int] = {}
-    for (i, j), c in legs.items():
-        if c:
-            key = (pref_a[i].concat(suf_b[j]), pref_b[j].concat(suf_a[i]))
-            crossings[key] = crossings.get(key, 0) + c
+    for i, (a0, a1) in enumerate(ends_a):
+        for j, (b0, b1) in enumerate(ends_b):
+            c = _on_arc(b0, a0, a1) - _on_arc(b1, a0, a1)
+            if c:
+                key = (pref_a[i].concat(suf_b[j]), pref_b[j].concat(suf_a[i]))
+                crossings[key] = crossings.get(key, 0) + c
 
+    end_a = {"start": ends_a[0][0], "end": ends_a[-1][1]}
+    end_b = {"start": ends_b[0][0], "end": ends_b[-1][1]}
     signs: Dict[Tuple[str, str], EndpointSign] = {}
     for I in ("start", "end"):
         for J in ("start", "end"):
-            ca, va = _endpoint(d_alpha, I)
-            cb, vb = _endpoint(d_beta, J)
-            pa = pm.link_pos[ca][0]
-            pb = pm.link_pos[cb][0]
-            if pa != pb:
+            ka, kb = end_a[I], end_b[J]
+            pa = pm.link_pos[ka[0]][0]
+            if pa != pm.link_pos[kb[0]][0]:
                 signs[(I, J)] = EndpointSign(Fraction(0), None, None)
                 continue
-            base = _angular_less(pm, (ca, va), (cb, vb))
+            base = _angular_less(pm, ka, kb)
             # endpoint directions are actual path velocities: at an "end"
             # incidence the velocity points out of the surface, rotating the
             # stored inward representative by pi and flipping the determinant

@@ -41,7 +41,8 @@ def segment_intersection(p0: Point, p1: Point, q0: Point, q1: Point
     0 <= t,u <= 1, or None if the segments do not meet in a single point.
     Collinear overlap raises ValueError (a general-position violation for
     callers, never a silent answer).  No Fraction is built unless the
-    segments meet.
+    segments meet.  No program path calls it: it is the reference that the
+    tests hold the boundary-order crossings of diagrams to.
     """
     d1, d2 = sub(p1, p0), sub(q1, q0)
     denom = cross(d1, d2)

@@ -182,7 +182,7 @@ def _generator(ring: Ring, label: str) -> tuple:
     n = ring.n
     x = [[ring.gen("%s_%d%d" % (label, r + 1, c + 1)) for c in range(n)]
          for r in range(n)]
-    adj = _adjugate(x)
+    adj = _adjugate(x) if n > 1 else [[ring.one]]   # _det of the empty minor is the int 1
     return x, adj, sum(x[0][c] * adj[c][0] for c in range(n))
 
 

@@ -171,6 +171,15 @@ class Observable:
     def var_right(self, g) -> np.ndarray:
         return self.ctx.project_gradient(g @ self.over(np.shape(g)))
 
+    def left_factor(self, g) -> np.ndarray:
+        """N with var_left(g) = N g, formed with no inverse: M in GL, and
+        (g* M* g* - M)/2 in U, where g^-1 = g*."""
+        m = self.over(np.shape(g))
+        if self.ctx.kind == "gl":
+            return m
+        gs = g.swapaxes(-1, -2).conj()
+        return (gs @ m.swapaxes(-1, -2).conj() @ gs - m) / 2.0
+
 
 def entry_observable(ctx: AlgebraContext, i: int, j: int, part: str = "re") -> Observable:
     """Phi(g) = Re g_ij (or Im g_ij): M = E_ji (or -i E_ji), 0-based."""

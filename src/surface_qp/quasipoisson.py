@@ -463,9 +463,12 @@ def bracket_combinatorial(phi: Observable, w_alpha: Word,
     """The main formula: sum_(I,J) eps_IJ pair(s, var^I phi, var^J psi) over
     the endpoint signs s, plus sum_q sign(q) B^q over the crossings, with
     B^q = <var_right phi(Hol_alpha), Ad_c var_left psi(Hol_beta)> and c the
-    holonomy of the rerouted path alpha *_q beta.  All crossings with the same
-    reroute words share one B^q: the sum takes one holonomy per class of
-    data.crossings.  pair defaults to the invariant form <u, w>; the
+    holonomy of the rerouted path alpha *_q beta.  Since beta *_q alpha =
+    beta (alpha *_q beta)^-1 alpha and var_left psi(Hol_beta) = N Hol_beta,
+    B^q = Re tr(M_phi Hol(alpha *_q beta) N Hol(beta *_q alpha)), which
+    forms no inverse of a holonomy.  All crossings with the same reroute
+    words share one B^q: the sum reads both words of each class of
+    data.crossings once.  pair defaults to the invariant form <u, w>; the
     cross-section bracket dresses it with Theta.  A stacked point gives one
     value per point."""
     ha, hb = holonomy(m, w_alpha), holonomy(m, w_beta)
@@ -477,8 +480,8 @@ def bracket_combinatorial(phi: Observable, w_alpha: Word,
     for (I, J), s in data.endpoint_signs.items():
         if s.value != 0:
             tot += float(s.value) * pair(s, va[I], vb[J])
-    x, y = va["start"], vb["end"]
-    for (ab, _), coeff in data.crossings.items():
-        c = holonomy(m, ab)
-        tot = tot + coeff * m.ctx.form(x, c @ y @ np.linalg.inv(c))
+    m_phi, n_psi = phi.over(np.shape(ha)), psi.left_factor(hb)
+    for (ab, ba), coeff in data.crossings.items():
+        tr = np.einsum("...ij,...ji->...", m_phi, holonomy(m, ab) @ n_psi @ holonomy(m, ba))
+        tot = tot + coeff * tr.real
     return tot

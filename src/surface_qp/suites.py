@@ -91,8 +91,8 @@ def _observable_pairs(ctx: AlgebraContext):
 
 def suite_main_theorem(n: int = 2, tol: float = 1e-8, mutate: float = 0.0) -> list:
     """Both routes on every word pair, with the observable pairs stacked into
-    one, their M's on a leading axis: one gradient pass per word and one
-    holonomy per crossing class give the rows of every pair."""
+    one, their M's on a leading axis: one gradient pass per word and the two
+    reroute holonomies of each crossing class give the rows of every pair."""
     ctx = AlgebraContext("gl", n)
     out = []
     labels, oas, obs = zip(*_observable_pairs(ctx))

@@ -19,10 +19,13 @@ from dataclasses import dataclass
 import math
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .geometry import Point, centroid, cross, lerp, orient, sub
+from .geometry import Point, centroid, lerp, orient
 from .words import Word, generator_endpoints, invert, mu1_letters
 
 ONE = 1 << 17   # lerp parameters are int numerators over 2^17
+# every regular N-gon with N up to this is strictly convex on the 2^-20 grid
+# of _regular_vertices, and N = MAX_SIDES + 1 is not
+MAX_SIDES = 4025
 
 
 @dataclass(frozen=True)
@@ -37,6 +40,9 @@ class SurfaceSpec:
             raise ValueError("need at least one boundary component")
         if self.genus == 0 and self.boundary_count == 1:
             raise ValueError("the disk has no generator paths")
+        if self.n_sides > MAX_SIDES:   # refused before any work of size n_sides
+            raise ValueError("a polygon of %d sides is beyond the model's grid "
+                             "(at most %d)" % (self.n_sides, MAX_SIDES))
 
     @property
     def n_sides(self) -> int:
@@ -97,13 +103,6 @@ class PolygonModel:
         if self.transitions[k] is None:
             raise ValueError("cannot cross a boundary side")
         return self.transitions[k]
-
-    def wedge_contains(self, c: int, v: Point) -> bool:
-        """Does direction v at corner c point strictly into the polygon?"""
-        n = self.n
-        e_out = sub(self.vertices[(c + 1) % n], self.vertices[c])
-        e_in = sub(self.vertices[(c - 1) % n], self.vertices[c])
-        return cross(e_out, v) > 0 and cross(v, e_in) > 0
 
 
 def _regular_vertices(n: int) -> List[Point]:

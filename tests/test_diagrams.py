@@ -9,7 +9,7 @@ from surface_qp import diagrams
 from surface_qp.diagrams import (EndpointSign, GeneralPositionError,
                                  IntersectionData, PathDiagram, diagram_from_word,
                                  intersection_data, realize_pair, word_of_diagram)
-from surface_qp.geometry import cross, segment_intersection, sub
+from surface_qp.geometry import cross, lerp, segment_intersection, sub
 from surface_qp.surfaces import SurfaceSpec, polygon_model
 from surface_qp.words import (Word, generator_endpoints, generator_symbols,
                               mu1_letters)
@@ -204,10 +204,17 @@ def test_crossing_element_depends_only_on_endpoint_signs():
     assert compared > 500, compared
 
 
+def _segments(d):
+    """(leg index, start, end) of every segment of a diagram."""
+    for i, leg in enumerate(d.legs):
+        for a, b in zip(leg, leg[1:]):
+            yield i, a, b
+
+
 def test_crossing_keys_are_built_once_per_nonzero_leg_pair(monkeypatch):
-    # the signs are summed per leg pair (i, j) first: a leg pair whose
-    # crossings cancel builds no key, and every other builds its two reroute
-    # words once; the element is the Fraction reference's
+    # a leg pair whose segment crossings cancel builds no key, and every
+    # other builds its two reroute words once; the element is the Fraction
+    # reference's
     rng = random.Random(20130126)
     concat, calls = Word.concat, []
 
@@ -221,12 +228,9 @@ def test_crossing_keys_are_built_once_per_nonzero_leg_pair(monkeypatch):
             wa, wb = _walk(rng, g, b, 1, 10), _walk(rng, g, b, 1, 10)
             da, db, _ = realize_pair(wa, wb, pm, seed)   # memoizes the leg words
             legs = {}
-            for i, a0, a1 in da.segments():
-                for j, b0, b1 in db.segments():
-                    try:
-                        hit = segment_intersection(a0, a1, b0, b1)
-                    except ValueError:   # collinear, and apart: realize_pair passed
-                        continue
+            for i, a0, a1 in _segments(da):
+                for j, b0, b1 in _segments(db):
+                    hit = segment_intersection(a0, a1, b0, b1)
                     if hit is not None and 0 < hit[0] < 1 and 0 < hit[1] < 1:
                         s = 1 if cross(sub(a1, a0), sub(b1, b0)) > 0 else -1
                         legs[i, j] = legs.get((i, j), 0) + s
@@ -318,19 +322,38 @@ def _reference_hit(p0, p1, q0, q1):
     return None
 
 
+def _reference_angular_less(pm, a, b):
+    """The order of two (corner, direction) pairs at one marked point, by
+    link position and then by the cross product of the directions."""
+    (ca, va), (cb, vb) = a, b
+    (pa, ia), (pb, ib) = pm.link_pos[ca], pm.link_pos[cb]
+    assert pa == pb
+    if ia != ib:
+        return ia < ib
+    if cross(va, vb) == 0:
+        raise GeneralPositionError("coinciding endpoint directions")
+    return cross(va, vb) > 0
+
+
 def _reference_intersection_data(d_alpha, d_beta, pm):
-    """intersection_data before the integer grid: every segment pair decided
-    in Fractions, on the points the grid stands for, with no prune."""
+    """intersection_data as a sweep over segment pairs, each decided in
+    Fractions on the points the grid stands for, with no prune."""
     def frac(p):
         return (Fraction(p[0], pm.scale), Fraction(p[1], pm.scale))
 
     def segments(d):
-        return [(i, frac(a), frac(b)) for i, a, b in d.segments()]
+        return [(i, frac(a), frac(b)) for i, a, b in _segments(d)]
+
+    def endpoint(d, which):
+        return (d.start_corner, d.start_dir) if which == "start" else (d.end_corner, d.end_dir)
 
     verts = {frac(v) for v in pm.vertices}
     for d in (d_alpha, d_beta):
-        diagrams._check_wedge(pm, d.start_corner, d.start_dir)
-        diagrams._check_wedge(pm, d.end_corner, d.end_dir)
+        for c, v in (endpoint(d, "start"), endpoint(d, "end")):
+            e_out = sub(pm.vertices[(c + 1) % pm.n], pm.vertices[c])
+            e_in = sub(pm.vertices[(c - 1) % pm.n], pm.vertices[c])
+            if not (cross(e_out, v) > 0 and cross(v, e_in) > 0):
+                raise GeneralPositionError("endpoint direction on a wedge edge")
     pref_a, suf_a = diagrams._leg_prefixes(d_alpha, pm)
     pref_b, suf_b = diagrams._leg_prefixes(d_beta, pm)
     crossings = {}
@@ -349,13 +372,13 @@ def _reference_intersection_data(d_alpha, d_beta, pm):
     signs = {}
     for I in ("start", "end"):
         for J in ("start", "end"):
-            ca, va = diagrams._endpoint(d_alpha, I)
-            cb, vb = diagrams._endpoint(d_beta, J)
+            ca, va = endpoint(d_alpha, I)
+            cb, vb = endpoint(d_beta, J)
             pa, pb = pm.link_pos[ca][0], pm.link_pos[cb][0]
             if pa != pb:
                 signs[(I, J)] = EndpointSign(Fraction(0), None, None)
                 continue
-            base = diagrams._angular_less(pm, (ca, va), (cb, vb))
+            base = _reference_angular_less(pm, (ca, va), (cb, vb))
             pos = base != ((I == "end") != (J == "end"))
             signs[(I, J)] = EndpointSign(
                 Fraction(1, 2) if pos else Fraction(-1, 2), pa, not base)
@@ -386,9 +409,8 @@ def lattice_pair(draw):
     pentagon of g=b=1.  Axis-parallel segments, leg points on the other
     diagram and boxes that touch on an edge or a corner are common here; in
     realized diagrams they need coincidences of jitter.  Collinear pairs are
-    left out: the Fraction loop raised on those even when they share no
-    point, where the prune skips them; collinear overlap has tests of its
-    own."""
+    left out: the Fraction reference raises on those even when they share no
+    point."""
     def polyline():
         c0, c1 = draw(st.integers(0, 4)), draw(st.integers(0, 4))
         pts = draw(st.lists(st.tuples(GRID, GRID), min_size=1, max_size=4,
@@ -398,22 +420,29 @@ def lattice_pair(draw):
     da, db = polyline(), polyline()
     assume(not any(cross(sub(a1, a0), sub(b1, b0)) == 0
                    and cross(sub(b0, a0), sub(a1, a0)) == 0
-                   for _, a0, a1 in da.segments() for _, b0, b1 in db.segments()))
+                   for _, a0, a1 in _segments(da) for _, b0, b1 in _segments(db)))
     return PM11, da, db
 
 
 @settings(max_examples=200)
 @given(st.one_of(realized_pair(), lattice_pair()))
 def test_intersection_data_matches_fraction_reference(case):
-    # same crossing element, same endpoint signs, same failures
+    # the same crossing element, as a dict, and the same endpoint signs,
+    # wherever the segment reference decides; a touch that it calls
+    # non-transversal is no failure of the boundary order
     pm, da, db = case
-
-    def outcome(f):
-        try:
-            return f(da, db, pm)
-        except GeneralPositionError:
-            return "degenerate"
-    assert outcome(intersection_data) == outcome(_reference_intersection_data)
+    try:
+        want = _reference_intersection_data(da, db, pm)
+    except GeneralPositionError as e:
+        if "non-transversal" in str(e):
+            intersection_data(da, db, pm)   # decided, as the tests below pin
+        else:                               # an endpoint degeneracy fails both
+            with pytest.raises(GeneralPositionError, match=str(e)):
+                intersection_data(da, db, pm)
+        return
+    got = intersection_data(da, db, pm)
+    assert dict(got.crossings) == dict(want.crossings)
+    assert got.endpoint_signs == want.endpoint_signs
 
 
 def _one_leg(pm, c0, points, c1):
@@ -423,66 +452,59 @@ def _one_leg(pm, c0, points, c1):
     return PathDiagram((leg + (pm.vertices[c1],),), (), c0, c1)
 
 
-def test_leg_point_on_axis_parallel_segment_is_degenerate():
+def _nudged(d, point, step):
+    """d with its leg point at `point` moved by `step` grid units."""
+    legs = tuple(tuple((p[0] + step[0], p[1] + step[1]) if p == point else p
+                       for p in leg) for leg in d.legs)
+    return PathDiagram(legs, d.sides, d.start_corner, d.end_corner)
+
+
+@pytest.mark.parametrize("step", [(0, 1), (0, -1)])
+def test_leg_point_on_axis_parallel_segment_reads_as_its_nudged_copy(step):
     # alpha runs along y = 0 between corners below it; beta dips to (0, 0)
-    # from corners above it, so every box of beta meets alpha's only on y = 0
+    # from corners above it and touches alpha there.  The boundary order
+    # gives the element of beta moved one grid unit off alpha or across it,
+    # a generic pair that the segment reference decides
     pm = PM11
     da = _one_leg(pm, 3, [("-1/4", 0), ("1/4", 0)], 4)
     db = _one_leg(pm, 1, [(0, 0)], 2)
     assert all(v[1] < 0 for v in (pm.vertices[3], pm.vertices[4]))
     assert all(v[1] > 0 for v in (pm.vertices[1], pm.vertices[2]))
     with pytest.raises(GeneralPositionError, match="non-transversal"):
-        intersection_data(da, db, pm)
+        _reference_intersection_data(da, db, pm)
+    want = _reference_intersection_data(da, _nudged(db, (0, 0), step), pm)
+    assert intersection_data(da, db, pm) == want
 
 
-def test_boxes_meeting_at_a_corner_are_tested():
+@pytest.mark.parametrize("step", [(1, 0), (-1, 0), (0, 1), (0, -1)])
+def test_boxes_meeting_at_a_corner_read_as_their_nudged_copy(step):
     # both diagrams pass through (1/8, 1/8): alpha's segments there lie below
     # and to the left, beta's above and to the right
     pm = PM11
     da = _one_leg(pm, 3, [("1/8", "1/8"), ("-1/2", "-1/8")], 3)
     db = _one_leg(pm, 1, [("1/8", "1/8"), ("1/2", "1/4")], 0)
     with pytest.raises(GeneralPositionError, match="non-transversal"):
-        intersection_data(da, db, pm)
+        _reference_intersection_data(da, db, pm)
+    want = _reference_intersection_data(da, _nudged(db, db.legs[0][1], step), pm)
+    assert intersection_data(da, db, pm) == want
+
+
+def test_endpoint_degeneracies_raise():
+    # the two that the lanes leave: a diagram leaving its corner along a
+    # polygon side, and two diagrams leaving one corner in one direction
+    pm = PM11
+    v = pm.vertices
+    along_side = PathDiagram(((v[0], lerp(v[0], v[1], 1, 2), pm.center, v[2]),), (), 0, 2)
+    across = PathDiagram(((v[1], pm.center, v[3]),), (), 1, 3)
+    with pytest.raises(GeneralPositionError, match="endpoint direction on a wedge edge"):
+        intersection_data(along_side, across, pm)
+    near = PathDiagram(((v[0], lerp(v[0], pm.center, 1, 4), v[2]),), (), 0, 2)
+    far = PathDiagram(((v[0], lerp(v[0], pm.center, 1, 2), v[3]),), (), 0, 3)
+    with pytest.raises(GeneralPositionError, match="coinciding endpoint directions"):
+        intersection_data(near, far, pm)
 
 
 # --- crossings from the boundary order of leg ends ------------------------
-
-def _side_key(pm, k, p):
-    """Where point p of side k sits in the ccw boundary order."""
-    v0, v1 = pm.vertices[k], pm.vertices[(k + 1) % pm.n]
-    q, d = sub(p, v0), sub(v1, v0)
-    return (k, 1, q[0] * d[0] + q[1] * d[1])
-
-
-def _corner_key(pm, c, v):
-    """An end at corner c with interior direction v: the corner blown up to
-    an arc, from the incoming side c - 1 (near 0) to side c (near 1)."""
-    e_out = sub(pm.vertices[(c + 1) % pm.n], pm.vertices[c])
-    e_in = sub(pm.vertices[(c - 1) % pm.n], pm.vertices[c])
-    return (c, 0, Fraction(cross(v, e_in), cross(e_out, v) + cross(v, e_in)))
-
-
-def _leg_ends(d, pm):
-    """The boundary keys of the first and the last point of every leg."""
-    out = []
-    for i, leg in enumerate(d.legs):
-        first = (_corner_key(pm, d.start_corner, sub(leg[1], leg[0])) if i == 0
-                 else _side_key(pm, pm.sides[d.sides[i - 1]].partner, leg[0]))
-        last = (_corner_key(pm, d.end_corner, sub(leg[-2], leg[-1]))
-                if i == len(d.legs) - 1 else _side_key(pm, d.sides[i], leg[-1]))
-        out.append((first, last))
-    return out
-
-
-def _interleaving(a, b):
-    """+1 when chord b starts strictly inside chord a's ccw boundary arc from
-    its start to its end and ends outside it, -1 for the reverse, else 0."""
-    (a0, a1), (b0, b1) = a, b
-
-    def inside(x):
-        return a0 < x < a1 if a0 < a1 else (x > a0 or x < a1)
-    return int(inside(b0) and not inside(b1)) - int(inside(b1) and not inside(b0))
-
 
 def _box(leg):
     xs, ys = [p[0] for p in leg], [p[1] for p in leg]
@@ -502,18 +524,18 @@ def _crossing_sum(leg_a, leg_b):
 
 def _check_interleaving(pm, da, db):
     """Per leg pair, the sum of the segment-crossing signs is the interleaving
-    sign of the leg ends; summed by reroute words, the interleaving signs give
-    intersection_data's crossing element.  Returns the number of leg pairs
-    with a nonzero sign."""
+    sign of the leg ends' boundary keys; summed by reroute words, these signs
+    give intersection_data's crossing element.  Returns the number of leg
+    pairs with a nonzero sign."""
     data = intersection_data(da, db, pm)
     pref_a, suf_a = diagrams._leg_prefixes(da, pm)
     pref_b, suf_b = diagrams._leg_prefixes(db, pm)
-    legs_b = list(zip(_leg_ends(db, pm), db.legs, map(_box, db.legs)))
+    legs_b = list(zip(diagrams._leg_ends(db, pm), db.legs, map(_box, db.legs)))
     by_words, nonzero = {}, 0
-    for i, (ea, leg_a) in enumerate(zip(_leg_ends(da, pm), da.legs)):
+    for i, ((a0, a1), leg_a) in enumerate(zip(diagrams._leg_ends(da, pm), da.legs)):
         axl, axh, ayl, ayh = _box(leg_a)
-        for j, (eb, leg_b, (bxl, bxh, byl, byh)) in enumerate(legs_b):
-            sign = _interleaving(ea, eb)
+        for j, ((b0, b1), leg_b, (bxl, bxh, byl, byh)) in enumerate(legs_b):
+            sign = diagrams._on_arc(b0, a0, a1) - diagrams._on_arc(b1, a0, a1)
             meet = bxl <= axh and axl <= bxh and byl <= ayh and ayl <= byh
             assert (_crossing_sum(leg_a, leg_b) if meet else 0) == sign, (i, j)
             if sign:

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +26,8 @@ from surface_qp.io import (SchemaError, _flat_rows, fixture_result, fixture_rows
 from surface_qp.lie import AlgebraContext
 from surface_qp.suites import GL_SUITES, SUITES
 from surface_qp.surfaces import SurfaceSpec
+from surface_qp.words import generator_symbols
+from test_random_words import composable_word
 
 GL2 = AlgebraContext("gl", 2)
 U2 = AlgebraContext("u", 2)
@@ -533,6 +539,17 @@ def test_cli_disk_surface_exits_2_before_drawing_a_point(tmp_path, capsys, monke
     assert cap.out == ""
 
 
+def test_cli_huge_surface_exits_2_at_load(tmp_path, capsys):
+    # a genus of 10^12 drew a point of 2 * 10^12 generators, with no bound
+    # on time or memory; the polygon grid bounds the sides at load
+    surface = _write(tmp_path, "surface.json", {"genus": 10 ** 12, "boundary_count": 1})
+    code = main(["bracket", "--surface", surface, "--diagram", _diagram(tmp_path)])
+    cap = capsys.readouterr()
+    assert code == 2 and cap.out == ""
+    assert cap.err == ("input error: bad surface file %s: a polygon of %d sides is beyond "
+                       "the model's grid (at most 4025)\n" % (surface, 4 * 10 ** 12 + 1))
+
+
 def test_cli_input_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
     # stands in for numpy's allocation error on a huge --n; nothing is allocated
     def too_large(*args):
@@ -587,15 +604,51 @@ def test_cli_bracket_overflow_exits_3(tmp_path, capsys, c1, d1, wa, message):
     assert cap.out == ""
 
 
-@pytest.mark.parametrize("k", [300, 3000])
-def test_cli_bracket_singular_long_holonomy_exits_3(tmp_path, capsys, k):
-    # C1^k at seed 0 is finite but numerically of rank one: the crossing
-    # term's inverse of it is singular
+def test_cli_bracket_on_a_numerically_singular_holonomy_is_finite(tmp_path, capsys):
+    # C1^300 at seed 0 is finite but numerically of rank one.  The crossing
+    # term inverts no holonomy, so both sides are finite and agree to 1e-14
+    # relative; at 2.7e27 that is beyond the absolute 1e-8, so the check
+    # fails (exit 1) with nothing on stderr
     code = main(["bracket", "--surface", _surface(tmp_path),
-                 "--diagram", _diagram(tmp_path, " ".join(["C1"] * k))])
+                 "--diagram", _diagram(tmp_path, " ".join(["C1"] * 300))])
     cap = capsys.readouterr()
-    assert code == 3
-    assert cap.err == "numeric domain error: Singular matrix\n"
+    fx = json.loads(cap.out)["fixtures"][0]
+    lhs, rhs = float(fx["lhs"]), float(fx["rhs"])
+    assert code == 1 and cap.err == ""
+    assert 1e27 < abs(lhs) < math.inf
+    assert abs(lhs - rhs) <= 1e-14 * abs(lhs)
+
+
+@pytest.mark.parametrize("group", ["gl", "u"])
+@pytest.mark.parametrize("kind", ["trace", "entry"])
+@pytest.mark.parametrize("beta", ["D1", "D1'"])
+def test_cli_bracket_at_n_1(tmp_path, capsys, group, kind, beta):
+    # GL(1) and U(1) are abelian, and bracket works there; only verify needs
+    # n >= 2, because its fixtures read off-diagonal entries.  An inverse
+    # letter reads the 1 x 1 adjugate, which the normal form once took for
+    # the int 1
+    obs = {"kind": kind, "i": 1, "j": 1} if kind == "entry" else None
+    code = main(["bracket", "--surface", _surface(tmp_path),
+                 "--diagram", _diagram(tmp_path, "C1 D1", beta, obs, obs),
+                 "--group", group, "--n", "1"])
+    cap = capsys.readouterr()
+    fx = json.loads(cap.out)["fixtures"][0]
+    assert code == 0 and cap.err == ""
+    assert fx["lhs"] == fx["rhs"] and float(fx["lhs"]) != 0
+    assert ("normal_form" in fx) is (group == "gl" and kind == "entry")
+
+
+def test_cli_bracket_at_n_1_has_the_abelian_normal_form(tmp_path, capsys):
+    # C1 D1 meets D1 once: the bracket of their entries is C1 D1^2
+    entry = {"kind": "entry", "i": 1, "j": 1}
+    point = _write(tmp_path, "p.json", {"C1": [["2"]], "D1": [["1/3"]]})
+    code = main(["bracket", "--surface", _surface(tmp_path),
+                 "--diagram", _diagram(tmp_path, "C1 D1", "D1", entry, entry),
+                 "--point", point, "--n", "1"])
+    fx = json.loads(capsys.readouterr().out)["fixtures"][0]
+    assert code == 0
+    assert fx["normal_form"] == "C1_11*D1_11**2"
+    assert float(fx["lhs"]) == float(fx["rhs"]) == float(fx["symbolic_value"]) == 2 / 9
 
 
 def test_cli_degenerate_moment_exits_3(tmp_path, capsys):
@@ -828,3 +881,109 @@ def test_cli_qp_identity_beyond_physical_memory_is_refused(tmp_path):
     assert re.search(r"the entry chart needs \d+\.\d GiB of dense arrays, more than "
                      r"the \d+\.\d GiB of physical memory", proc.stderr), proc.stderr
     assert proc.stdout == ""
+
+
+# --- the exit-code contract of bracket, fuzzed at the input boundary -------
+
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), st.floats(),
+                 st.text(max_size=3), st.lists(st.integers(-1, 2), max_size=3))
+FUZZ_SURFACES = [(1, 1), (0, 2), (0, 3), (1, 2), (0, 1)]
+
+
+@st.composite
+def bracket_files(draw):
+    """Surface, request and point documents for bracket and its --group and
+    --n: schema-shaped, with at most one of them malformed (wrong types,
+    bools, huge and tiny numbers, ragged rows, unknown generators), and
+    words that may be long."""
+    g, b = draw(st.sampled_from(FUZZ_SURFACES))
+    group, n = draw(st.sampled_from(["gl", "u"])), draw(st.integers(1, 3))
+    broken = draw(st.sampled_from([None, None, None, "surface", "request", "point"]))
+    symbols = generator_symbols(g, b)
+
+    surface = {"genus": g, "boundary_count": b}
+    if broken == "surface":
+        surface = draw(st.one_of(st.fixed_dictionaries({"genus": JUNK, "boundary_count": JUNK}),
+                                 JUNK))
+
+    def side():
+        if not symbols:
+            return {"word": "C1"}
+        if draw(st.integers(0, 3)) == 0:   # long, and traced: no normal form to build
+            return {"word": " ".join([draw(st.sampled_from(symbols))] * draw(st.integers(20, 40)))}
+        out = {"word": str(draw(composable_word(g, b, 4)))}
+        if draw(st.booleans()):
+            out["observable"] = draw(st.one_of(st.just({"kind": "trace"}), st.fixed_dictionaries(
+                {"kind": st.just("entry"), "i": st.integers(1, n), "j": st.integers(1, n)})))
+        return out
+    request = {"alpha": side(), "beta": side()}
+    if broken == "request":
+        field = draw(st.sampled_from(["word", "observable", "variants", "doc"]))
+        if field == "variants":
+            request["variants"] = draw(JUNK)
+        elif field == "doc":
+            request = draw(JUNK)
+        else:
+            request["alpha"][field] = draw(st.one_of(
+                JUNK, st.text(alphabet="ABCD123' ^-", max_size=8),
+                st.fixed_dictionaries({"kind": JUNK, "i": JUNK, "j": JUNK, "part": JUNK})))
+
+    if not draw(st.booleans()) and broken != "point":
+        return surface, request, None, group, n
+    if group == "gl":
+        entry = st.one_of(st.integers(-3, 3), st.integers(-3, 3),
+                          st.sampled_from(["1/2", "-2/3", "1e200", "1e-300"]))
+        matrix = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    else:   # a diagonal of unit [re, im] entries, unitary
+        entry = st.sampled_from([[1, 0], [0, 1], [-1, 0], [0.6, 0.8], [0.6, -0.8]])
+        matrix = st.lists(entry, min_size=n, max_size=n).map(
+            lambda d: [[d[i] if i == j else [0, 0] for j in range(n)] for i in range(n)])
+    if broken == "point":
+        entry = st.one_of(entry, JUNK)
+        matrix = st.one_of(matrix, st.lists(st.lists(entry, min_size=n, max_size=n),
+                                            min_size=n, max_size=n))
+    point = draw(st.fixed_dictionaries({s: matrix for s in symbols}))
+    if broken == "point":
+        bad = draw(st.sampled_from(["entries", "ragged", "unknown", "missing", "doc"]))
+        if bad == "ragged" and symbols:
+            point[symbols[0]] = draw(st.lists(st.lists(entry, max_size=n + 1), max_size=n + 1))
+        elif bad == "unknown":
+            point["E1"] = draw(matrix)
+        elif bad == "missing" and symbols:
+            del point[symbols[-1]]
+        elif bad == "doc":
+            point = draw(JUNK)
+    return surface, request, point, group, n
+
+
+@settings(max_examples=60)
+@given(bracket_files())
+def test_cli_bracket_exit_code_contract(files):
+    # exit 0, 1, 2 or 3; no traceback and no warning; exit 1 only with both
+    # sides finite; exit 2 or 3 with exactly one line on stderr
+    surface, request, point, group, n = files
+    with tempfile.TemporaryDirectory() as tmp:
+        def write(name, doc):
+            path = os.path.join(tmp, name)
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            return path
+        argv = ["bracket", "--surface", write("s.json", surface),
+                "--diagram", write("d.json", request), "--group", group, "--n", str(n)]
+        if point is not None:
+            argv += ["--point", write("p.json", point)]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert not caught, [str(w.message) for w in caught]
+    err = err.getvalue()
+    assert "Traceback" not in err
+    if code in (2, 3):
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        return
+    assert err == ""
+    fx = json.loads(out.getvalue())["fixtures"][0]
+    assert math.isfinite(float(fx["lhs"])) and math.isfinite(float(fx["rhs"]))

@@ -1,8 +1,8 @@
 import pytest
 
 from surface_qp.geometry import orient
-from surface_qp.surfaces import (PolygonModel, SurfaceSpec, polygon_model,
-                                 side_labels, split_canonical)
+from surface_qp.surfaces import (MAX_SIDES, PolygonModel, SurfaceSpec, _regular_vertices,
+                                 polygon_model, side_labels, split_canonical)
 from surface_qp.words import Word, free_reduce, invert
 
 SPECS = [SurfaceSpec(0, 2), SurfaceSpec(1, 1), SurfaceSpec(0, 3),
@@ -113,3 +113,16 @@ def test_bad_specs_rejected():
         SurfaceSpec(0, 0)
     with pytest.raises(ValueError, match="^the disk has no generator paths$"):
         SurfaceSpec(0, 1)
+
+
+def test_polygon_sides_are_bounded_by_the_grid():
+    # the grid polygon is strictly convex up to MAX_SIDES sides and not one
+    # beyond, and a larger surface is refused at SurfaceSpec, before any work
+    # of the size of its polygon (a genus of 10^12 used to hang bracket)
+    _regular_vertices(MAX_SIDES)
+    with pytest.raises(ValueError, match="not strictly convex"):
+        _regular_vertices(MAX_SIDES + 1)
+    assert SurfaceSpec(1006, 1).n_sides == MAX_SIDES
+    for g, b in [(1006, 2), (10 ** 12, 10 ** 12)]:
+        with pytest.raises(ValueError, match="beyond the model's grid"):
+            SurfaceSpec(g, b)
