@@ -63,17 +63,14 @@ def load_surface(path: str) -> SurfaceSpec:
 
 
 def observable_from_dict(ctx: AlgebraContext, doc: dict) -> Observable:
-    try:
-        kind = doc["kind"]
-        if kind == "trace":
-            return trace_observable(ctx)
-        if kind == "entry":
-            part = doc.get("part", "re")
-            return entry_observable(ctx, _integer(doc["i"]) - 1,
-                                    _integer(doc["j"]) - 1, part)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise SchemaError("bad observable: %s" % exc)
-    raise SchemaError("unknown observable kind %r" % kind)
+    """A request side's observable; malformed, it raises KeyError, TypeError or ValueError."""
+    kind = doc["kind"]
+    if kind == "trace":
+        return trace_observable(ctx)
+    if kind == "entry":
+        return entry_observable(ctx, _integer(doc["i"]) - 1, _integer(doc["j"]) - 1,
+                                doc.get("part", "re"))
+    raise ValueError("unknown observable kind %r" % (kind,))
 
 
 def load_bracket_request(path: str, ctx: AlgebraContext, spec: SurfaceSpec):
@@ -85,14 +82,15 @@ def load_bracket_request(path: str, ctx: AlgebraContext, spec: SurfaceSpec):
             if not isinstance(text, str):
                 raise ValueError("%s word must be a string, got %r" % (side, text))
             w = Word.from_string(text, spec.genus, spec.boundary_count)
-            obs = observable_from_dict(ctx, doc[side].get("observable", {"kind": "trace"}))
+            try:
+                obs = observable_from_dict(ctx, doc[side].get("observable", {"kind": "trace"}))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError("%s observable: %s" % (side, exc))
             out[side] = (w, obs)
         variants = tuple(doc.get("variants", (0, 0)))
         if len(variants) != 2 or not all(type(v) is int and v >= 0 for v in variants):
             raise ValueError("variants must be a pair of non-negative integers")
         return out["alpha"], out["beta"], variants
-    except SchemaError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError("bad diagram request %s: %s" % (path, exc))
 

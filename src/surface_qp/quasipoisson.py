@@ -16,8 +16,9 @@ of field type A in action slot p.  Fusing slots p and q adds their rows and
 adds -1/2 W[p] W[q]^T to C.  Fusion is associative, so the fusion product of
 the split pieces has a closed form: each piece keeps its own 4 x 4 block, and
 pieces i < j are coupled by -1/2 w_i w_j^T, with w_i the weights of piece
-i's first action.  build_bivector assembles C and W that way; double, fuse
-and product are the definition, and fold_bivector iterates them.
+i's first action.  build_bivector, the one construction of the bivector,
+assembles C and W that way; the tests fold the fusion product piece by piece
+as its reference.
 
 A function f enters through its gradients grad_A f in g, defined by
 df(A(x)) = <grad_A f, x>: one array grad f, a row per field type as in C and
@@ -134,67 +135,6 @@ def _fusion(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return -0.5 * np.outer(w, v)
 
 
-def double(ctx: AlgebraContext, sa: Slot = ("a", 2), sb: Slot = ("b", 2)) -> HamiltonianQP:
-    """The double D(G) on slots (a, b) with moment (ab, a^-1 b^-1), over the
-    field types (a, L), (b, R), (a, R), (b, L): C[(a, L), (b, R)] =
-    C[(a, R), (b, L)] = 1/2."""
-    c = np.zeros((4, 4))
-    c[0, 1] = c[2, 3] = 0.5
-    w = np.array([[0.0, 0, 1, -1],    # a -> g a,  b -> b g^-1
-                  [-1, 1, 0, 0]])     # a -> a g^-1,  b -> g b
-    return HamiltonianQP(ctx, [(sa, "L"), (sb, "R"), (sa, "R"), (sb, "L")], c, w)
-
-
-def fuse(h: HamiltonianQP, p: int = 0, q: int = 1) -> HamiltonianQP:
-    """Fuse action slots p and q: P' = P - rho_psi, moments multiply."""
-    if p == q or not (0 <= p < len(h.w)) or not (0 <= q < len(h.w)):
-        raise ValueError("invalid action slots")
-    # rho_psi = 1/2 sum rho_e^p ^ rho_f^q; the two action minus signs cancel,
-    # leaving the natural action fields
-    c = h.c + _fusion(h.w[p], h.w[q])
-    w = np.vstack([h.w[p] + h.w[q], np.delete(h.w, [p, q], axis=0)])
-    return HamiltonianQP(h.ctx, h.types, c, w)
-
-
-def fused_double(ctx: AlgebraContext, sa: Slot = ("c", 1), sb: Slot = ("d", 1)) -> HamiltonianQP:
-    return fuse(double(ctx, sa, sb), 0, 1)
-
-
-def product(h1: HamiltonianQP, h2: HamiltonianQP) -> HamiltonianQP:
-    """h1 x h2: C and W are block-diagonal over the field types of h1, then h2."""
-    if set(h1.slots) & set(h2.slots):
-        raise ValueError("slot clash in product")
-    k, p = len(h1.types), len(h1.w)
-    c = np.zeros((k + len(h2.types),) * 2)
-    w = np.zeros((p + len(h2.w), len(c)))
-    c[:k, :k], c[k:, k:] = h1.c, h2.c
-    w[:p, :k], w[p:, k:] = h1.w, h2.w
-    return HamiltonianQP(h1.ctx, h1.types + h2.types, c, w)
-
-
-def fusion_product(h1: HamiltonianQP, h2: HamiltonianQP) -> HamiltonianQP:
-    """h1 (x) h2 with the first action of each factor fused."""
-    return fuse(product(h1, h2), 0, len(h1.w))
-
-
-def piece_structure(ctx: AlgebraContext, kind: str, index: int) -> HamiltonianQP:
-    if kind == "annulus":
-        return double(ctx, ("a", index), ("b", index))
-    if kind == "torus":
-        return fused_double(ctx, ("c", index), ("d", index))
-    raise ValueError(kind)
-
-
-def fold_bivector(spec: SurfaceSpec, ctx: AlgebraContext) -> HamiltonianQP:
-    """The definition of the bivector: the fusion product of b-1 doubles and
-    g fused doubles, folded from the left, ((1 (x) 2) (x) 3)."""
-    hs = [piece_structure(ctx, p.kind, p.index) for p in split_canonical(spec)]
-    acc = hs[0]
-    for h in hs[1:]:
-        acc = fusion_product(acc, h)
-    return acc
-
-
 # A piece over its field types (x, L), (y, R), (x, R), (y, L), on its slots
 # (x, y) = (a_i, b_i) or (c_j, d_j): the double's coefficients C[(x, L), (y, R)]
 # = C[(x, R), (y, L)] = 1/2 and the weights of its actions x -> g x, y -> y g^-1
@@ -225,9 +165,8 @@ _BLOCKS = _blocks(_PIECES)
 
 def build_bivector(spec: SurfaceSpec, ctx: AlgebraContext) -> HamiltonianQP:
     """The fusion product of b-1 doubles and g fused doubles, in the closed
-    form of the module docstring: the same field types, C and W as
-    fold_bivector, which the splitting suite compares it with.  W's row 0
-    fuses every piece's first action; each annulus adds its second."""
+    form of the module docstring.  W's row 0 fuses every piece's first
+    action; each annulus adds its second."""
     pieces = split_canonical(spec)
     kinds = [_KIND[p.kind] for p in pieces]
     k, r = np.array(kinds), np.arange(len(kinds))

@@ -11,7 +11,7 @@ import numpy as np
 
 from .lie import AlgebraContext, expm
 from .surfaces import SurfaceSpec
-from .words import Word, generator_endpoints, generator_symbols, mu1_letters
+from .words import Word, generator_endpoints, generator_symbols, mu1_letters, substitute
 
 _K_MAX = 1 << 20         # a GL entry draws k in [-_K_MAX, _K_MAX]
 _GL_DEN = 10 * _K_MAX    # and is (_GL_DEN * delta_ij + 3k) / _GL_DEN
@@ -126,6 +126,19 @@ def boundary_word(spec: SurfaceSpec, i: int) -> Word:
 
 def boundary_moment(m: RepPoint, i: int) -> np.ndarray:
     return holonomy(m, boundary_word(m.spec, i))
+
+
+def push(m: RepPoint, images: Mapping[str, Word]) -> RepPoint:
+    """T.m for the move T of images (see words.substitute): the holonomy of
+    w at T.m is that of T(w) at m.  A move that changes a boundary word, as
+    a reduced word, raises ValueError."""
+    for i in range(1, m.spec.boundary_count + 1):
+        word = boundary_word(m.spec, i)
+        if substitute(word, images) != word:
+            raise ValueError("the move does not fix the word of boundary component %d" % i)
+    # mu_1 reads every generator, so its check has checked every image's endpoints
+    return RepPoint(m.ctx, m.spec, {sym: holonomy(m, images[sym]) if sym in images else mat
+                                    for sym, mat in m.mats.items()})
 
 
 def act(m: RepPoint, g) -> RepPoint:

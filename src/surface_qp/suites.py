@@ -23,10 +23,10 @@ from .goldman import (NormalForm, PathEntrySymbol, bracket_symbolic, entry_nf,
 from .io import fixture_result, fixture_rows, fmt_float
 from .lie import AlgebraContext, Observable, entry_observable, trace_observable
 from .quasipoisson import (WordFunction, bracket_combinatorial, bracket_numeric,
-                           build_bivector, fold_bivector, perturbed,
-                           schouten_residual, verify_moment)
-from .repspace import RepPoint, random_point, random_stacks
+                           build_bivector, perturbed, schouten_residual, verify_moment)
+from .repspace import RepPoint, push, random_point, random_stacks
 from .surfaces import SurfaceSpec, polygon_model
+from .words import substitute
 
 # word pairs of length <= 3 per fixture surface, composable on the polygon
 WORD_PAIRS: Dict[Tuple[int, int], List[Tuple[str, str]]] = {
@@ -113,23 +113,32 @@ def suite_main_theorem(n: int = 2, tol: float = 1e-8, mutate: float = 0.0) -> li
     return out
 
 
+# alpha, beta and a move that fixes every boundary word, per surface; B1' is mu_1
+SPLITTING_MOVES = [
+    (SurfaceSpec(0, 3), "A2", "A3", "twist mu_1", {"A2": "B1' A2", "A3": "B1' A3"}),
+    (SurfaceSpec(1, 2), "A2", "C1", "C1->C1 D1, twist mu_1",
+     {"A2": "B1' A2", "C1": "B1' C1 D1 B1", "D1": "B1' D1 B1"}),
+]
+
+
 def suite_splitting(n: int = 2, tol: float = 1e-9, mutate: float = 0.0) -> list:
-    """The bracket from the iterated left fusion fold, the definition of the
-    bivector (perturbed under mutate), against the one from build_bivector's
-    closed form."""
+    """Mapping-class equivariance, {f o T, g o T}(m) = {f, g}(T.m), for a move
+    T that fixes every boundary word, a quasi-Poisson automorphism: the moved
+    words at m against the words at the pushed point T.m, both paired with
+    perturbed(h, mutate), which the moves do not preserve."""
     ctx = AlgebraContext("gl", n)
+    oa, ob = entry_observable(ctx, 0, 1, "re"), entry_observable(ctx, 1, 0, "re")
     out = []
-    specs = (SurfaceSpec(0, 3), SurfaceSpec(1, 2))
-    for spec, m in zip(specs, random_stacks(ctx, specs, range(10))):
-        hl = perturbed(fold_bivector(spec, ctx), mutate)
-        hr = build_bivector(spec, ctx)
-        wa_s, wb_s = WORD_PAIRS[(spec.genus, spec.boundary_count)][-1]
+    for (spec, wa_s, wb_s, label, move), m in zip(
+            SPLITTING_MOVES, random_stacks(ctx, [s for s, *_ in SPLITTING_MOVES], range(10))):
+        h = perturbed(build_bivector(spec, ctx), mutate)
+        t = {sym: spec.word(image) for sym, image in move.items()}
         wa, wb = spec.word(wa_s), spec.word(wb_s)
-        f = WordFunction(trace_observable(ctx), wa)
-        g = WordFunction(entry_observable(ctx, 0, 0, "re"), wb)
-        lhs, rhs = bracket_numeric(hl, f, g, m), bracket_numeric(hr, f, g, m)
-        out += fixture_rows(_seeded("splitting %s %s|%s" % (spec, wa_s, wb_s), 10),
-                            lhs, rhs, tol)
+        lhs = bracket_numeric(h, WordFunction(oa, substitute(wa, t)),
+                              WordFunction(ob, substitute(wb, t)), m)
+        rhs = bracket_numeric(h, WordFunction(oa, wa), WordFunction(ob, wb), push(m, t))
+        out += fixture_rows(_seeded("splitting %s %s_12|%s_21 under %s" % (spec, wa_s, wb_s, label),
+                                    10), lhs, rhs, tol)
     return out
 
 

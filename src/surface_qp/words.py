@@ -11,7 +11,7 @@ freely reduced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Mapping, Sequence, Tuple
 
 Letter = Tuple[str, int]
 
@@ -143,3 +143,14 @@ class Word:
 
     def __str__(self) -> str:
         return " ".join(s + ("" if g == 1 else "^-1") for s, g in self.letters) or "(empty)"
+
+
+def substitute(w: Word, images: Mapping[str, Word]) -> Word:
+    """The image of w under the groupoid homomorphism that sends each
+    generator to its word in images, or to itself where images has none.
+    Word.concat refuses an image whose endpoints are not its generator's."""
+    out = Word((), w.source, w.source)
+    for sym, sgn in w.letters:
+        image = images.get(sym, Word(((sym, 1),), *generator_endpoints(sym)))
+        out = out.concat(image if sgn == 1 else image.inverse())
+    return out.concat(Word((), w.target, w.target))   # and a last image's target

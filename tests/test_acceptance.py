@@ -23,15 +23,15 @@ from surface_qp.goldman import PathEntrySymbol, bracket_symbolic
 from surface_qp.lie import (AlgebraContext, dual_basis, entry_observable,
                             trace_observable)
 from surface_qp.quasipoisson import (WordFunction, bracket_combinatorial,
-                                     bracket_numeric, build_bivector, fold_bivector,
-                                     perturbed, schouten_residual,
-                                     slot_values, verify_moment)
+                                     bracket_numeric, build_bivector, perturbed,
+                                     schouten_residual, slot_values, verify_moment)
 from surface_qp.repspace import RepPoint, act, random_point
 from surface_qp.suites import WORD_PAIRS, run_suite
 from surface_qp.surfaces import SurfaceSpec, polygon_model
+from fusion_ref import fold_bivector, right_fold
 from symbolic_ref import GoldmanAlgebra
 from test_diagrams import algebraic_intersection
-from test_quasipoisson import crossing_term, right_fold
+from test_quasipoisson import crossing_term
 
 GL2 = AlgebraContext("gl", 2)
 U2 = AlgebraContext("u", 2)

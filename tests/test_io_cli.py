@@ -24,7 +24,7 @@ from surface_qp.io import (SchemaError, _flat_rows, fixture_result, fixture_rows
                            fmt_float, load_bracket_request, load_point,
                            load_surface, make_report, write_report)
 from surface_qp.lie import AlgebraContext
-from surface_qp.suites import GL_SUITES, SUITES
+from surface_qp.suites import GL_SUITES, SUITES, run_suite
 from surface_qp.surfaces import SurfaceSpec
 from surface_qp.words import generator_symbols
 from test_random_words import composable_word
@@ -332,6 +332,17 @@ def test_cli_verify_pass_and_mutation_fails(tmp_path, capsys):
     assert main(["verify", "--suite", "qp-identity", "--mutate", "0.01"]) == 1
 
 
+# the rows of each suite; the benchmark's checks_per_cpu_s on its suites
+# workload counts them, so a change here changes what that metric means
+FIXTURE_COUNTS = {"qp-identity": 12, "moment": 100, "main-theorem": 480, "splitting": 20,
+                  "goldman": 23, "cross-section": 22}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_suite_fixture_counts_are_pinned(n):
+    assert {suite: len(run_suite(suite, n)) for suite in SUITES} == FIXTURE_COUNTS
+
+
 @pytest.mark.parametrize("suite", SUITES)
 def test_cli_every_suite_fails_under_mutation(suite, capsys):
     assert main(["verify", "--suite", suite, "--mutate", "0.01"]) == 1
@@ -401,6 +412,17 @@ def test_cli_singular_generator_is_named_and_exits_2(tmp_path, capsys):
                  "--diagram", _diagram(tmp_path, wa="A2", wb="B2"), "--point", point])
     assert code == 2
     assert "B2: matrix not invertible within tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side", ["alpha", "beta"])
+@pytest.mark.parametrize("ob", [True, {"kind": "entry", "i": 1}], ids=["bool", "no-j"])
+def test_cli_malformed_observable_names_file_and_side(tmp_path, capsys, side, ob):
+    diagram = _diagram(tmp_path, **{"oa" if side == "alpha" else "ob": ob})
+    code = main(["bracket", "--surface", _surface(tmp_path), "--diagram", diagram])
+    err = capsys.readouterr().err
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith("input error: bad diagram request %s: %s observable: "
+                          % (diagram, side))
 
 
 def test_cli_gl_imaginary_part_exits_2(tmp_path, capsys):
@@ -767,12 +789,13 @@ def test_cli_gl_bracket_draws_its_point_without_fractions(
 @pytest.mark.parametrize("tol, shown", [(None, "1.0000000000000001e-09"), ("0", "0")])
 def test_cli_verify_tol_reaches_the_fixtures(tol, shown, capsys):
     # the suite default applies only without --tol; --tol 0 asks for exact
-    # agreement, which the splitting suite's two fold orders reach
+    # agreement, which the two sides of an equivariance row, bracketed at
+    # different points, do not all reach
     code = main(["verify", "--suite", "splitting"] + (["--tol", tol] if tol else []))
     doc = json.loads(capsys.readouterr().out)
     assert {f["tolerance"] for f in doc["fixtures"]} == {shown}
     assert doc["config"].get("tol") == (None if tol is None else 0.0)
-    assert code == 0 and doc["pass"] is True
+    assert (code, doc["pass"]) == ((0, True) if tol is None else (1, False))
 
 
 @pytest.mark.parametrize("tol", ["-1", "-1e-12", "nan", "inf", "-inf"])

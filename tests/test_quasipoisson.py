@@ -15,31 +15,25 @@ from surface_qp.lie import (AlgebraContext, CartanTrivector, cartan_trivector,
                             dual_basis, entry_observable, trace_observable)
 from surface_qp.quasipoisson import (WordFunction, _field_vectors_and_jacs,
                                      bracket_combinatorial, bracket_numeric,
-                                     build_bivector, chi, double, field_value,
-                                     fold_bivector, fused_double, fusion_product,
-                                     perturbed, piece_structure, schouten_residual,
-                                     slot_values, slot_word, verify_moment)
+                                     build_bivector, chi, field_value, perturbed,
+                                     schouten_residual, slot_values, slot_word,
+                                     verify_moment)
 from surface_qp.repspace import (RepPoint, boundary_word, holonomy, random_point,
                                  random_points, word_product)
 from surface_qp.suites import WORD_PAIRS, _observable_pairs, run_suite
 from surface_qp.surfaces import SurfaceSpec, polygon_model, split_canonical
+from surface_qp.words import substitute
+import fusion_ref
+from fusion_ref import double, fold_bivector, fused_double, right_fold
 from test_diagrams import _walk
 from test_lie import FD_STEP, wedge3_tensor
+from test_words import moves
 
 GL2 = AlgebraContext("gl", 2)
 GL3 = AlgebraContext("gl", 3)
 U2 = AlgebraContext("u", 2)
 U3 = AlgebraContext("u", 3)
 SPECS = [SurfaceSpec(0, 2), SurfaceSpec(1, 1), SurfaceSpec(0, 3), SurfaceSpec(1, 2)]
-
-
-def right_fold(spec, ctx):
-    """The fusion product folded from the right, (1 (x) (2 (x) 3))."""
-    hs = [piece_structure(ctx, p.kind, p.index) for p in split_canonical(spec)]
-    acc = hs[-1]
-    for h in reversed(hs[:-1]):
-        acc = fusion_product(h, acc)
-    return acc
 
 
 def _bivectors(spec, ctx):
@@ -504,6 +498,30 @@ def test_main_theorem_on_fixtures(spec, ta, tb):
         assert comb == pytest.approx(num, abs=1e-10)
 
 
+# word pairs on the surfaces of the moved-word test; Sigma_0,4 has no fixture pairs
+MOVED_PAIRS = {**WORD_PAIRS, (0, 4): [("A2", "A4"), ("A3 B3", "A3' A4"),
+                                      ("A2 B2 A2'", "A4 B4 A4'")]}
+
+
+@pytest.mark.parametrize("ctx", [GL2, GL3, U2, U3], ids=str)
+@pytest.mark.parametrize("gb", [(0, 3), (1, 2), (0, 4)])
+def test_main_theorem_on_moved_words(gb, ctx):
+    # T(alpha), T(beta) for a move T that fixes every boundary word: longer
+    # words, which run along boundary loops and repeat letters
+    spec = SurfaceSpec(*gb)
+    pm, h = polygon_model(spec), build_bivector(spec, ctx)
+    m = random_points(ctx, spec, range(3))
+    labels, oas, obs = zip(*_observable_pairs(ctx))
+    for move in moves(spec).values():
+        for ta, tb in MOVED_PAIRS[gb]:
+            wa, wb = substitute(spec.word(ta), move), substitute(spec.word(tb), move)
+            _, _, data = realize_pair(wa, wb, pm, 1)
+            for oa, ob in zip(oas, obs):
+                comb = bracket_combinatorial(oa, wa, ob, wb, data, m)
+                num = bracket_numeric(h, WordFunction(oa, wa), WordFunction(ob, wb), m)
+                assert np.all(np.abs(comb - num) <= 1e-12 * np.maximum(1.0, np.abs(num)))
+
+
 def test_crossing_term_variants_agree():
     # the crossings of C1 D1|D1 at seed 0 cancel in the element: seeds 0-3 of
     # two pairs leave a nonzero class at half of them
@@ -637,8 +655,8 @@ def test_closed_form_runs_no_fusion(monkeypatch):
 
     def refuse(*args):
         raise AssertionError("fusion on the closed-form path")
-    monkeypatch.setattr(quasipoisson, "fuse", refuse)
-    monkeypatch.setattr(quasipoisson, "product", refuse)
+    monkeypatch.setattr(fusion_ref, "fuse", refuse)
+    monkeypatch.setattr(fusion_ref, "product", refuse)
     h = build_bivector(spec, GL2)
     assert h.skew[1].tobytes() == fold.skew[1].tobytes()
     with pytest.raises(AssertionError):
@@ -703,11 +721,13 @@ def _torus_fusion_dropped(monkeypatch):
 
 # mutant -> the suites it must fail
 CLOSED_FORM_MUTANTS = {
-    "cross term +1/2": (_cross_term_scaled(-1.0), ("moment", "main-theorem", "goldman")),
-    "cross term -1/4": (_cross_term_scaled(0.5), ("moment", "main-theorem", "goldman")),
-    "pieces reversed": (_pieces_reversed, ("moment", "main-theorem", "goldman")),
+    "cross term +1/2": (_cross_term_scaled(-1.0),
+                        ("moment", "main-theorem", "goldman", "splitting")),
+    "cross term -1/4": (_cross_term_scaled(0.5),
+                        ("moment", "main-theorem", "goldman", "splitting")),
+    "pieces reversed": (_pieces_reversed, ("moment", "main-theorem", "goldman", "splitting")),
     "torus fusion dropped": (_torus_fusion_dropped,
-                             ("moment", "main-theorem", "goldman", "qp-identity")),
+                             ("moment", "main-theorem", "goldman", "qp-identity", "splitting")),
 }
 
 
@@ -718,6 +738,16 @@ def test_suites_fail_under_closed_form_mutant(mutant, suite, n, monkeypatch):
     assert all(r["pass"] for r in run_suite(suite, n))
     CLOSED_FORM_MUTANTS[mutant][0](monkeypatch)
     assert not all(r["pass"] for r in run_suite(suite, n))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_splitting_rows_compare_no_zeros(n):
+    # every row brackets two non-Casimir functions, so a mutant that moves
+    # the bracket cannot pass by comparing 0 with 0
+    rows = run_suite("splitting", n)
+    assert len(rows) == 20 and all(r["pass"] for r in rows)
+    assert all(abs(float(r["rhs"])) > 1e-4 for r in rows)
+    assert all(float(r["residual"]) <= 1e-14 for r in rows)
 
 
 # --- gradients as one array over the field types --------------------------

@@ -1,4 +1,5 @@
 import functools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +9,11 @@ from surface_qp.lie import AlgebraContext, entry_observable, expm
 from surface_qp.quasipoisson import WordFunction, build_bivector, chi
 from surface_qp import repspace
 from surface_qp.repspace import (RepPoint, _random_gl, _random_u_log, act, boundary_moment,
-                                 boundary_word, holonomy, random_point, random_points)
+                                 boundary_word, holonomy, push, random_point, random_points)
 from surface_qp.surfaces import SurfaceSpec
-from surface_qp.words import Word, generator_endpoints, generator_symbols, mu1_letters
+from surface_qp.words import Word, generator_endpoints, generator_symbols, mu1_letters, substitute
+from test_diagrams import _walk
+from test_words import moves
 
 GL2 = AlgebraContext("gl", 2)
 U2 = AlgebraContext("u", 2)
@@ -56,6 +59,33 @@ def test_overflowed_holonomy_names_its_word():
     assert holonomy(m, spec.word("C1"))[0, 0] == 1e200
     with pytest.raises(OverflowError, match="^the holonomy of C1 C1 overflowed$"):
         holonomy(m, spec.word("C1 C1"))
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["point", "stack"])
+@pytest.mark.parametrize("ctx", [GL2, U2, AlgebraContext("gl", 3), AlgebraContext("u", 3)],
+                         ids=str)
+@pytest.mark.parametrize("spec", [SurfaceSpec(1, 1), SurfaceSpec(0, 3), SurfaceSpec(1, 2),
+                                  SurfaceSpec(0, 4)], ids=str)
+def test_push_gives_the_holonomy_of_the_moved_word(spec, ctx, stacked):
+    m = random_points(ctx, spec, range(4)) if stacked else random_point(ctx, spec, 5)
+    rng = random.Random(20130130)
+    words = [_walk(rng, spec.genus, spec.boundary_count, 1, 8) for _ in range(6)]
+    for move in moves(spec).values():
+        pushed = push(m, move)
+        assert pushed.shape == m.shape
+        for w in words:
+            want = holonomy(m, substitute(w, move))
+            err = np.abs(holonomy(pushed, w) - want).max()
+            assert err <= 1e-14 * max(1.0, np.abs(want).max())
+
+
+def test_push_refuses_a_move_of_a_boundary_word():
+    # the handle conjugated by x_2 = A2 B2 A2^-1 is an automorphism, but it moves mu_1
+    spec = SurfaceSpec(1, 2)
+    x2 = "A2 B2 A2' %s A2 B2' A2'"
+    move = {sym: spec.word(x2 % sym) for sym in ("C1", "D1")}
+    with pytest.raises(ValueError, match="boundary component 1"):
+        push(random_point(GL2, spec, 0), move)
 
 
 @pytest.mark.parametrize("spec", SPECS)

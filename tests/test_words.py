@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from surface_qp.repspace import boundary_word
+from surface_qp.surfaces import SurfaceSpec
 from surface_qp.words import (Word, free_reduce, generator_endpoints,
-                              generator_symbols, invert, mu1_letters)
+                              generator_symbols, invert, mu1_letters, substitute)
 
 letters = st.lists(
     st.tuples(st.sampled_from(["C1", "D1"]), st.sampled_from([1, -1])),
@@ -130,3 +132,49 @@ def test_concat_cancels_like_full_reduction(case):
         assert (got.source, got.target) == (want.source, want.target)
     else:   # Word.make puts an empty word at p_1; concat keeps the point
         assert got.source == got.target == a.source
+
+
+# --- moves of the generators ----------------------------------------------
+
+def moves(spec):
+    """The moves on spec that fix every boundary word, by name, as images:
+    the twist along boundary 1, A_i -> mu_1 A_i with C_j and D_j conjugated
+    by mu_1 (B1' is mu_1); the boundary-2 twist A2 -> A2 B2; the torus twist
+    C1 -> C1 D1."""
+    twist = {sym: spec.word("B1' %s" % sym if sym[0] == "A" else "B1' %s B1" % sym)
+             for sym in generator_symbols(spec.genus, spec.boundary_count) if sym[0] != "B"}
+    out = {"twist mu_1": twist}
+    if spec.boundary_count > 1:
+        out["A2->A2 B2"] = {"A2": spec.word("A2 B2")}
+    if spec.genus:
+        out["C1->C1 D1"] = {"C1": spec.word("C1 D1")}
+    return out
+
+
+@settings(max_examples=200)
+@given(seam_pair())
+def test_substitute_is_a_homomorphism(case):
+    genus, boundary, a, b = case
+    spec = SurfaceSpec(genus, boundary)
+    for move in moves(spec).values():
+        image = substitute(a.concat(b), move)
+        assert image == substitute(a, move).concat(substitute(b, move))
+        assert substitute(a.inverse(), move) == substitute(a, move).inverse()
+    assert substitute(a, {}) == a
+
+
+@pytest.mark.parametrize("gb", SEAM_SURFACES + [(0, 4)])
+def test_moves_fix_every_boundary_word(gb):
+    spec = SurfaceSpec(*gb)
+    for move in moves(spec).values():
+        for i in range(1, spec.boundary_count + 1):
+            assert substitute(boundary_word(spec, i), move) == boundary_word(spec, i)
+
+
+@pytest.mark.parametrize("text", ["A2", "A2 B2", "A3' A2"])
+def test_substitute_refuses_an_image_with_other_endpoints(text):
+    # the image A3 of A2 ends at p3, not at p2: refused at the next letter's
+    # start, or at the end of the word
+    spec = SurfaceSpec(0, 3)
+    with pytest.raises(ValueError, match="not composable"):
+        substitute(spec.word(text), {"A2": spec.word("A3")})
