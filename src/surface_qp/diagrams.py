@@ -1,12 +1,11 @@
-"""Path diagrams on the fundamental polygon: exact polyline realizations of
-groupoid words, word reading, and pairwise intersection data.
+"""Path diagrams on the fundamental polygon: realizations of groupoid words
+by their side crossings, word reading, and pairwise intersection data.
 
-A diagram is a list of legs (polylines inside the polygon); consecutive legs
-are joined by a side crossing (exit on a glued side, entry at the same
-parameter read backwards on its partner).  Endpoints sit exactly at marked
-polygon corners.
-
-Every point is an int pair on the polygon model's grid (see
+A diagram runs inside the polygon from a marked corner to a marked corner.
+Its side crossings cut it into legs: each crossing exits through glued side
+k at parameter t and enters k's partner at ONE - t.  A diagram holds only
+what intersection_data reads: its side crossings, its two end corners and
+its two end directions.  Only the end directions are grid vectors (see
 PolygonModel.scale).  A leg is an arc of the polygon, so its crossings with
 a leg of the other diagram sum to +1, -1 or 0 as their ends interleave in
 the ccw boundary order; intersection_data reads the crossings from that
@@ -26,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .geometry import Point, cross, lerp, sub
 # unused here, but the benchmark's tracer wraps it through this module's namespace
@@ -43,28 +42,19 @@ class GeneralPositionError(ValueError):
 
 @dataclass(frozen=True)
 class PathDiagram:
-    legs: Tuple[Tuple[Point, ...], ...]
-    sides: Tuple[int, ...]     # glued side crossed between consecutive legs
+    exits: Tuple[Tuple[int, int], ...]   # per side crossing: (glued side k, t over ONE)
     start_corner: int
     end_corner: int
+    start_dir: Point    # from the start corner into the polygon
+    end_dir: Point      # from the end corner back along the last leg
     # (model, prefixes, suffixes) of _leg_prefixes: the word check of a
     # realization and its intersection data read one set of leg words
     leg_words: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if len(self.legs) != len(self.sides) + 1:
-            raise ValueError("need exactly one side crossing between legs")
-        for leg in self.legs:
-            if len(leg) < 2:
-                raise ValueError("each leg needs at least two points")
-
     @property
-    def start_dir(self) -> Point:
-        return sub(self.legs[0][1], self.legs[0][0])
-
-    @property
-    def end_dir(self) -> Point:
-        return sub(self.legs[-1][-2], self.legs[-1][-1])
+    def sides(self) -> Tuple[int, ...]:
+        """The glued side crossed between consecutive legs."""
+        return tuple(k for k, _ in self.exits)
 
 
 def _leg_prefixes(d: PathDiagram, pm: PolygonModel):
@@ -72,14 +62,15 @@ def _leg_prefixes(d: PathDiagram, pm: PolygonModel):
     once per diagram and model."""
     if d.leg_words is not None and d.leg_words[0] is pm:
         return d.leg_words[1:]
-    m = len(d.legs)
+    sides = d.sides
+    m = len(sides) + 1
     pref = [pm.corner_word[d.start_corner].inverse()]
-    for k in d.sides:
+    for k in sides:
         pref.append(pref[-1].concat(pm.transition(k)))
     suf = [None] * m
     suf[m - 1] = pm.corner_word[d.end_corner]
     for i in range(m - 2, -1, -1):
-        suf[i] = pm.transition(d.sides[i]).concat(suf[i + 1])
+        suf[i] = pm.transition(sides[i]).concat(suf[i + 1])
     object.__setattr__(d, "leg_words", (pm, pref, suf))
     return pref, suf
 
@@ -113,13 +104,15 @@ def _chords_for_word(w: Word, pm: PolygonModel, variant: int):
 
 def diagram_from_word(w: Word, pm: PolygonModel, jitter_seed: int,
                       variant: int = 0, lane: int = 0) -> PathDiagram:
-    """Exact polyline realizing the word w.
+    """The diagram realizing the word w.
 
-    Each letter becomes a chord bowed inward from the corresponding polygon
-    side; junctions at a marked point either smooth through the shared corner
-    or walk the vertex link, crossing glued sides near their corner ends.
-    Jitter parameters are drawn from a deterministic seeded stream and, in
-    lane 1, shifted by LANE_SHIFT (see the module docstring).
+    Each letter is a chord bowed inward from the corresponding polygon side;
+    junctions at a marked point either smooth through the shared corner or
+    walk the vertex link, crossing glued sides near their corner ends.  Only
+    the first and the last letter's bowed points are formed, for the end
+    directions, but every jitter parameter is drawn, in order, from a
+    deterministic seeded stream and, in lane 1, shifted by LANE_SHIFT (see
+    the module docstring).
     """
     if len(w.letters) == 0:
         raise ValueError("constant paths are excluded from diagrams")
@@ -129,25 +122,26 @@ def diagram_from_word(w: Word, pm: PolygonModel, jitter_seed: int,
     def eps() -> int:
         return 2 * (256 + rng.randrange(256)) + shift
 
-    def bow() -> int:
-        return 2 * (2048 + rng.randrange(2048)) + shift
+    def bow_draws() -> Tuple[int, int]:
+        """A letter's bowed point: its side parameter and its bow."""
+        return (2 * (7 * 4096 + rng.randrange(2 * 4096)) + shift,
+                2 * (2048 + rng.randrange(2048)) + shift)
+
+    def bowed(k: int, tm: int, b: int) -> Point:
+        return lerp(pm.side_point(k, tm), pm.center, b, ONE)
 
     chords = _chords_for_word(w, pm, variant)
-    verts = pm.vertices
-    legs: List[List[Point]] = []
-    cur: List[Point] = [verts[chords[0][0]]]
-    sides: List[int] = []
-
+    exits = []
     for t, (c_in, c_out, k) in enumerate(chords):
-        tm = 2 * (7 * 4096 + rng.randrange(2 * 4096)) + shift
-        mid = pm.side_point(k, tm)
-        cur.append(lerp(mid, pm.center, bow(), ONE))
+        draws = bow_draws()
+        if t == 0:
+            start_dir = sub(bowed(k, *draws), pm.vertices[c_in])
         if t == len(chords) - 1:
-            cur.append(verts[c_out])
-            continue
+            end_dir = sub(bowed(k, *draws), pm.vertices[c_out])
+            break
         c_next = chords[t + 1][0]
         if c_out == c_next:
-            cur.append(lerp(verts[c_out], pm.center, eps(), ONE))
+            eps()   # the smoothed corner point: drawn, to keep the stream, not formed
             continue
         p, pos_a = pm.link_pos[c_out]
         p2, pos_b = pm.link_pos[c_next]
@@ -155,24 +149,14 @@ def diagram_from_word(w: Word, pm: PolygonModel, jitter_seed: int,
             raise ValueError("word not composable on the polygon")
         chain = pm.links[p]
         step = 1 if pos_a < pos_b else -1
-        pos = pos_a
-        while pos != pos_b:
+        for pos in range(pos_a, pos_b, step):
             c = chain[pos]
             if step == 1:
-                k_e = (c - 1) % pm.n          # incoming side of the wedge
-                t_e = ONE - eps()
+                exits.append(((c - 1) % pm.n, ONE - eps()))   # the wedge's incoming side
             else:
-                k_e = c                        # outgoing side of the wedge
-                t_e = eps()
-            cur.append(pm.side_point(k_e, t_e))
-            legs.append(cur)
-            sides.append(k_e)
-            cur = [pm.side_point(pm.sides[k_e].partner, ONE - t_e)]
-            pos += step
-    legs.append(cur)
+                exits.append((c, eps()))                      # its outgoing side
 
-    d = PathDiagram(tuple(tuple(l) for l in legs), tuple(sides),
-                    chords[0][0], chords[-1][1])
+    d = PathDiagram(tuple(exits), chords[0][0], chords[-1][1], start_dir, end_dir)
     got = word_of_diagram(d, pm)
     if got.letters != w.letters:
         raise AssertionError("diagram word reading disagrees with input word")
@@ -198,13 +182,6 @@ class IntersectionData:
     endpoint_signs: Dict[Tuple[str, str], EndpointSign]
 
 
-def _side_key(pm: PolygonModel, k: int, p: Point):
-    """Point p of side k in the ccw boundary order."""
-    v0 = pm.vertices[k]
-    q, d = sub(p, v0), sub(pm.vertices[(k + 1) % pm.n], v0)
-    return (k, 1, q[0] * d[0] + q[1] * d[1])
-
-
 def _corner_key(pm: PolygonModel, c: int, v: Point):
     """An end at corner c with direction v in the ccw boundary order: the
     corner blown up to an arc, from the incoming side c - 1 (near 0) to side
@@ -218,11 +195,13 @@ def _corner_key(pm: PolygonModel, c: int, v: Point):
 
 
 def _leg_ends(d: PathDiagram, pm: PolygonModel):
-    """The boundary keys of the first and the last point of every leg."""
+    """The boundary keys of the first and the last point of every leg.  A
+    leg leaving through side k at t ends at (k, 1, t), and the next leg
+    starts at (partner, 1, ONE - t): every lerp divides exactly, so along
+    one side t orders the points as their distance from its start does."""
     firsts = [_corner_key(pm, d.start_corner, d.start_dir)] + [
-        _side_key(pm, pm.sides[k].partner, leg[0]) for k, leg in zip(d.sides, d.legs[1:])]
-    lasts = [_side_key(pm, k, leg[-1]) for k, leg in zip(d.sides, d.legs)] + [
-        _corner_key(pm, d.end_corner, d.end_dir)]
+        (pm.sides[k].partner, 1, ONE - t) for k, t in d.exits]
+    lasts = [(k, 1, t) for k, t in d.exits] + [_corner_key(pm, d.end_corner, d.end_dir)]
     return list(zip(firsts, lasts))
 
 

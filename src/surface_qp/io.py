@@ -54,12 +54,17 @@ def _integer(v) -> int:
     return v
 
 
+def _reason(exc: Exception) -> str:
+    """What is wrong with an input document; a KeyError is a missing key."""
+    return "missing key %s" % exc if isinstance(exc, KeyError) else str(exc)
+
+
 def load_surface(path: str) -> SurfaceSpec:
     doc = _load_json(path)
     try:
         return SurfaceSpec(_integer(doc["genus"]), _integer(doc["boundary_count"]))
     except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError("bad surface file %s: %s" % (path, exc))
+        raise SchemaError("bad surface file %s: %s" % (path, _reason(exc)))
 
 
 def observable_from_dict(ctx: AlgebraContext, doc: dict) -> Observable:
@@ -85,14 +90,14 @@ def load_bracket_request(path: str, ctx: AlgebraContext, spec: SurfaceSpec):
             try:
                 obs = observable_from_dict(ctx, doc[side].get("observable", {"kind": "trace"}))
             except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError("%s observable: %s" % (side, exc))
+                raise ValueError("%s observable: %s" % (side, _reason(exc)))
             out[side] = (w, obs)
         variants = tuple(doc.get("variants", (0, 0)))
         if len(variants) != 2 or not all(type(v) is int and v >= 0 for v in variants):
             raise ValueError("variants must be a pair of non-negative integers")
         return out["alpha"], out["beta"], variants
     except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError("bad diagram request %s: %s" % (path, exc))
+        raise SchemaError("bad diagram request %s: %s" % (path, _reason(exc)))
 
 
 def _parse_entry(ctx: AlgebraContext, sym: str, v):

@@ -39,8 +39,11 @@ class RepPoint:
 
     def __post_init__(self):
         need = generator_symbols(self.spec.genus, self.spec.boundary_count)
-        if set(need) != set(self.mats):
-            raise ValueError("coordinates must cover exactly the generators")
+        wrong = [("missing", [sym for sym in need if sym not in self.mats]),
+                 ("unknown", [sym for sym in self.mats if sym not in need])]
+        if any(syms for _, syms in wrong):
+            raise ValueError("coordinates must cover exactly the generators: " + "; ".join(
+                "%s %s" % (what, ", ".join(map(str, syms))) for what, syms in wrong if syms))
         n, first = self.ctx.n, None
         for sym, g in self.mats.items():   # one (n, n) or (S, n, n) shape for all
             first = first or np.shape(g)
@@ -242,12 +245,7 @@ def random_stacks(ctx: AlgebraContext, specs: Sequence[SurfaceSpec], seeds: Iter
             for spec, d in zip(specs, _draws(ctx, specs, seeds))]
 
 
-def random_points(ctx: AlgebraContext, spec: SurfaceSpec, seeds: Iterable[int]) -> RepPoint:
-    """The points random_point draws at each seed, as one stacked point."""
-    return random_stacks(ctx, [spec], seeds)[0]
-
-
 def random_point(ctx: AlgebraContext, spec: SurfaceSpec, seed: int) -> RepPoint:
-    """The point of one seed, the one-seed stack of random_points; for GL
+    """The point of one seed, the one-seed stack of random_stacks; for GL
     its exact copy is the draw's integer numerators over _GL_DEN."""
     return _point(ctx, spec, _draws(ctx, [spec], [seed])[0][0], True)

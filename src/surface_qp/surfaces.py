@@ -7,10 +7,12 @@ The polygon has N = 1 + 3(b-1) + 4g sides read counterclockwise in the order
     gamma_1, delta_1, gamma_1^-1, delta_1^-1, ..., delta_g^-1
 
 with the beta sides free (boundary) and the others glued in inverse pairs.
-Every point of the model and of its path diagrams is an int pair on one
-integer grid per polygon (PolygonModel.scale grid units to the unit length).
-Vertices are the regular N-gon rounded to multiples of 2^-20; convexity is
-checked exactly, and all downstream geometry is exact on these vertices.
+Every vertex, the centre, and every point a path diagram is drawn from is an
+int pair on one integer grid per polygon (PolygonModel.scale grid units to
+the unit length).  A diagram itself is its side crossings, each a side and a
+parameter over ONE, and two end directions, its only grid vectors.  Vertices
+are the regular N-gon rounded to multiples of 2^-20; convexity is checked
+exactly, and all downstream geometry is exact on these vertices.
 """
 
 from __future__ import annotations
@@ -86,11 +88,13 @@ class PolygonModel:
     def scale(self) -> int:
         """Grid units per unit length.  A vertex is a multiple of 2^-20, so
         of n·2^34 units; the centre, their sum over n, is a multiple of 2^34
-        units.  Every diagram point is a lerp at a multiple of 2^-17 from a
-        vertex to a vertex (side point) or to the centre (corner point), or
-        from a side point (a multiple of n·2^17 units) to the centre (bow
-        point).  Each difference is a multiple of 2^17 units, so every lerp
-        divides exactly and every point is an int pair."""
+        units.  A side point is a lerp at a multiple of 2^-17 from a vertex
+        to a vertex, and a bowed point one from a side point (a multiple of
+        n·2^17 units) to the centre.  Each difference is a multiple of 2^17
+        units, so every lerp divides exactly: a diagram's end directions,
+        a bowed point minus a vertex, are int pairs, and along one side a
+        side crossing's parameter orders its points as their distance from
+        the side's start does."""
         return self.n << 54
 
     def side_point(self, k: int, t: int) -> Point:

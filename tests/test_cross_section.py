@@ -9,11 +9,11 @@ from surface_qp.cross_section import (RegularityError, _cayley_coef, _offdiag_ke
 from surface_qp.lie import (AlgebraContext, dual_basis, entry_observable,
                             trace_observable)
 from surface_qp.quasipoisson import WordFunction, bracket_numeric, build_bivector, chi
-from surface_qp.repspace import (RepPoint, boundary_moment, holonomy, random_point,
-                                 random_points)
+from surface_qp.repspace import RepPoint, boundary_moment, holonomy, random_point
 from surface_qp.suites import WORD_PAIRS, run_suite
 from surface_qp.surfaces import SurfaceSpec, polygon_model
 from surface_qp.diagrams import realize_pair
+from conftest import random_points
 
 U2 = AlgebraContext("u", 2)
 U3 = AlgebraContext("u", 3)

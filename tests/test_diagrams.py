@@ -5,11 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import diagram_ref
+from diagram_ref import PolylineDiagram, program_diagram, reference_pair
 from surface_qp import diagrams
 from surface_qp.diagrams import (EndpointSign, GeneralPositionError,
-                                 IntersectionData, PathDiagram, diagram_from_word,
+                                 IntersectionData, diagram_from_word,
                                  intersection_data, realize_pair, word_of_diagram)
 from surface_qp.geometry import cross, lerp, segment_intersection, sub
+from surface_qp.suites import WORD_PAIRS
 from surface_qp.surfaces import SurfaceSpec, polygon_model
 from surface_qp.words import (Word, generator_endpoints, generator_symbols,
                               mu1_letters)
@@ -151,11 +154,13 @@ def test_realization_never_retries(monkeypatch):
     for seed in range(20):
         wa, wb = _walk(rng, 2, 2, 8, 16), _walk(rng, 2, 2, 8, 16)
         calls.clear()
-        da, db, _ = realize_pair(wa, wb, pm, seed)
+        realize_pair(wa, wb, pm, seed)
         assert len(calls) == 2
-        ends_a = {pm.vertices[da.start_corner], pm.vertices[da.end_corner]}
-        ends_b = {pm.vertices[db.start_corner], pm.vertices[db.end_corner]}
-        shared = {p for leg in da.legs for p in leg} & {p for leg in db.legs for p in leg}
+        # the two diagrams, as polylines, meet at shared end corners alone
+        ra, rb = (diagram_ref.diagram_from_word(*args) for args in calls)
+        ends_a = {pm.vertices[ra.start_corner], pm.vertices[ra.end_corner]}
+        ends_b = {pm.vertices[rb.start_corner], pm.vertices[rb.end_corner]}
+        shared = {p for leg in ra.legs for p in leg} & {p for leg in rb.legs for p in leg}
         assert shared <= ends_a & ends_b
 
 
@@ -205,7 +210,7 @@ def test_crossing_element_depends_only_on_endpoint_signs():
 
 
 def _segments(d):
-    """(leg index, start, end) of every segment of a diagram."""
+    """(leg index, start, end) of every segment of a polyline diagram."""
     for i, leg in enumerate(d.legs):
         for a, b in zip(leg, leg[1:]):
             yield i, a, b
@@ -227,9 +232,10 @@ def test_crossing_keys_are_built_once_per_nonzero_leg_pair(monkeypatch):
         for seed in range(40):
             wa, wb = _walk(rng, g, b, 1, 10), _walk(rng, g, b, 1, 10)
             da, db, _ = realize_pair(wa, wb, pm, seed)   # memoizes the leg words
+            ra, rb = reference_pair(wa, wb, pm, seed)
             legs = {}
-            for i, a0, a1 in _segments(da):
-                for j, b0, b1 in _segments(db):
+            for i, a0, a1 in _segments(ra):
+                for j, b0, b1 in _segments(rb):
                     hit = segment_intersection(a0, a1, b0, b1)
                     if hit is not None and 0 < hit[0] < 1 and 0 < hit[1] < 1:
                         s = 1 if cross(sub(a1, a0), sub(b1, b0)) > 0 else -1
@@ -241,7 +247,7 @@ def test_crossing_keys_are_built_once_per_nonzero_leg_pair(monkeypatch):
             monkeypatch.setattr(Word, "concat", concat)
             nonzero = sum(1 for c in legs.values() if c)
             assert len(calls) == 2 * nonzero
-            assert data == _reference_intersection_data(da, db, pm)
+            assert data == _reference_intersection_data(ra, rb, pm)
             pairs += nonzero
     assert raw > pairs > 500, (raw, pairs)
 
@@ -255,6 +261,69 @@ def _closed_walk(rng, genus, boundary, lo, hi):
     return Word.make(w.letters + (("A%d" % w.target, -1),), genus, boundary)
 
 
+# --- the program's diagrams against the reference polylines ---------------
+
+def _reduced_words(genus, boundary, length):
+    """Every freely reduced word of the given length, from every marked point."""
+    words = [((), p) for p in range(1, boundary + 1)]
+    for _ in range(length):
+        words = [(letters + ((sym, sgn),), generator_endpoints(sym)[1 if sgn == 1 else 0])
+                 for letters, at in words
+                 for sym in generator_symbols(genus, boundary) for sgn in (1, -1)
+                 if generator_endpoints(sym)[0 if sgn == 1 else 1] == at
+                 and not (letters and letters[-1] == (sym, -sgn))]
+    return [Word.make(letters, genus, boundary) for letters, _ in words]
+
+
+def _diagram_cases():
+    """(model, word, seed, variant): every variant-bit pattern of every 1-3
+    letter word on two surfaces; on g=b=2, 3 and 5, words of 1-12 letters,
+    uniform closed words of 16-36 letters, and words that end in their first
+    letter, so that both end directions leave one side."""
+    rng = random.Random(20130127)
+    for g, b in [(1, 1), (1, 2)]:
+        pm = polygon_model(SurfaceSpec(g, b))
+        for length in (1, 2, 3):
+            for w in _reduced_words(g, b, length):
+                for variant in range(1 << length):
+                    yield pm, w, rng.randrange(1 << 16), variant
+    for g in (2, 3, 5):
+        pm = polygon_model(SurfaceSpec(g, g))
+        words = [_walk(rng, g, g, 1, 12) for _ in range(10)]
+        words += [_closed_walk(rng, g, g, 16, 36) for _ in range(6)]
+        same_ends = [w for w in (_walk(rng, g, g, 2, 8) for _ in range(400))
+                     if w.letters[0] == w.letters[-1]][:10]
+        assert len(same_ends) == 10
+        for w in words + same_ends:
+            yield pm, w, rng.randrange(1 << 16), rng.randrange(1 << len(w.letters))
+
+
+def test_diagrams_are_the_reference_polylines():
+    # the program's side crossings and end directions are those of the
+    # polylines that the reference forms from the same jitter draws
+    cases = 0
+    for pm, w, seed, variant in _diagram_cases():
+        for lane in (0, 1):
+            ref = diagram_ref.diagram_from_word(w, pm, seed, variant, lane)
+            assert diagram_from_word(w, pm, seed, variant, lane) == program_diagram(ref, pm)
+            cases += 1
+    assert cases > 1000, cases
+
+
+@pytest.mark.parametrize("gb", sorted(WORD_PAIRS))
+def test_realize_pair_is_the_reference_on_the_suite_pairs(gb):
+    spec = SurfaceSpec(*gb)
+    pm = polygon_model(spec)
+    for wa, wb in WORD_PAIRS[gb]:
+        wa, wb = spec.word(wa), spec.word(wb)
+        for seed in (0, 1, 5):
+            for variants in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                da, db, data = realize_pair(wa, wb, pm, seed, variants)
+                ra, rb = reference_pair(wa, wb, pm, seed, variants)
+                assert (da, db) == (program_diagram(ra, pm), program_diagram(rb, pm))
+                assert data == _reference_intersection_data(ra, rb, pm)
+
+
 # sha256 of the leg points of _pinned_diagrams, each coordinate written as
 # the rational it stands for, as the Fraction geometry that the integer grid
 # replaced built them (656 points)
@@ -262,7 +331,8 @@ PINNED_POINTS_SHA = "f908dea1bda36872405f868c855e37d82d2819da526c05c58ecf79ebf33
 
 
 def _pinned_diagrams():
-    """Twelve seeded words on five surfaces, each realized in both lanes."""
+    """Twelve seeded words on five surfaces, each realized in both lanes:
+    the program's diagram and the reference polylines."""
     rng = random.Random(20130122)
     for (g, b), count in [((1, 1), 2), ((0, 2), 2), ((0, 3), 2), ((2, 2), 3),
                           ((5, 5), 3)]:
@@ -271,13 +341,15 @@ def _pinned_diagrams():
             w = _walk(rng, g, b, 1, 8)
             seed, variant = rng.randrange(1 << 16), rng.randrange(1 << len(w.letters))
             for lane in (0, 1):
-                yield pm, diagram_from_word(w, pm, seed, variant, lane)
+                yield (pm, diagram_from_word(w, pm, seed, variant, lane),
+                       diagram_ref.diagram_from_word(w, pm, seed, variant, lane))
 
 
 def test_grid_points_are_the_fraction_points():
     h = hashlib.sha256()
-    for pm, d in _pinned_diagrams():
-        for leg in d.legs:
+    for pm, d, ref in _pinned_diagrams():
+        assert d == program_diagram(ref, pm)
+        for leg in ref.legs:
             for x, y in leg:
                 assert type(x) is int and type(y) is int
                 h.update(("%s %s\n" % (Fraction(x, pm.scale),
@@ -336,8 +408,10 @@ def _reference_angular_less(pm, a, b):
 
 
 def _reference_intersection_data(d_alpha, d_beta, pm):
-    """intersection_data as a sweep over segment pairs, each decided in
-    Fractions on the points the grid stands for, with no prune."""
+    """intersection_data of two polyline diagrams as a sweep over segment
+    pairs, each decided in Fractions on the points the grid stands for, with
+    no prune.  Endpoint degeneracies are decided first, as the program
+    decides them."""
     def frac(p):
         return (Fraction(p[0], pm.scale), Fraction(p[1], pm.scale))
 
@@ -354,21 +428,6 @@ def _reference_intersection_data(d_alpha, d_beta, pm):
             e_in = sub(pm.vertices[(c - 1) % pm.n], pm.vertices[c])
             if not (cross(e_out, v) > 0 and cross(v, e_in) > 0):
                 raise GeneralPositionError("endpoint direction on a wedge edge")
-    pref_a, suf_a = diagrams._leg_prefixes(d_alpha, pm)
-    pref_b, suf_b = diagrams._leg_prefixes(d_beta, pm)
-    crossings = {}
-    for i, a0, a1 in segments(d_alpha):
-        for j, b0, b1 in segments(d_beta):
-            hit = _reference_hit(a0, a1, b0, b1)
-            if hit is None:
-                continue
-            t, u, q = hit
-            if 0 < t < 1 and 0 < u < 1:
-                s = 1 if cross(sub(a1, a0), sub(b1, b0)) > 0 else -1
-                key = (pref_a[i].concat(suf_b[j]), pref_b[j].concat(suf_a[i]))
-                crossings[key] = crossings.get(key, 0) + s
-            elif not (q in verts and t in (0, 1) and u in (0, 1)):
-                raise GeneralPositionError("non-transversal intersection")
     signs = {}
     for I in ("start", "end"):
         for J in ("start", "end"):
@@ -382,21 +441,41 @@ def _reference_intersection_data(d_alpha, d_beta, pm):
             pos = base != ((I == "end") != (J == "end"))
             signs[(I, J)] = EndpointSign(
                 Fraction(1, 2) if pos else Fraction(-1, 2), pa, not base)
+    pref_a, suf_a = diagrams._leg_prefixes(program_diagram(d_alpha, pm), pm)
+    pref_b, suf_b = diagrams._leg_prefixes(program_diagram(d_beta, pm), pm)
+    crossings = {}
+    for i, a0, a1 in segments(d_alpha):
+        for j, b0, b1 in segments(d_beta):
+            hit = _reference_hit(a0, a1, b0, b1)
+            if hit is None:
+                continue
+            t, u, q = hit
+            if 0 < t < 1 and 0 < u < 1:
+                s = 1 if cross(sub(a1, a0), sub(b1, b0)) > 0 else -1
+                key = (pref_a[i].concat(suf_b[j]), pref_b[j].concat(suf_a[i]))
+                crossings[key] = crossings.get(key, 0) + s
+            elif not (q in verts and t in (0, 1) and u in (0, 1)):
+                raise GeneralPositionError("non-transversal intersection")
     return IntersectionData({k: c for k, c in crossings.items() if c}, signs)
+
+
+def _data(pm, d_alpha, d_beta):
+    """The program's intersection_data of two polyline diagrams."""
+    return intersection_data(program_diagram(d_alpha, pm), program_diagram(d_beta, pm), pm)
 
 
 @st.composite
 def realized_pair(draw):
-    """Diagrams of a random word pair in realize_pair's lanes; on g=b=5 alpha
-    is mu_1 and beta has at most 3 letters."""
+    """Polylines of a random word pair in realize_pair's lanes; on g=b=5
+    alpha is mu_1 and beta has at most 3 letters."""
     g, b = draw(st.sampled_from([(1, 1), (1, 2), (0, 3), (2, 2), (3, 3), (5, 5)]))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     wa = Word.make(mu1_letters(g, b), g, b) if g == 5 else _walk(rng, g, b, 1, 8)
     wb = _walk(rng, g, b, 1, 3 if g == 5 else 8)
     pm = polygon_model(SurfaceSpec(g, b))
     seed, va, vb = (draw(st.integers(0, 255)) for _ in range(3))
-    return (pm, diagram_from_word(wa, pm, seed, va, 0),
-            diagram_from_word(wb, pm, seed + 1, vb, 1))
+    return (pm, diagram_ref.diagram_from_word(wa, pm, seed, va, 0),
+            diagram_ref.diagram_from_word(wb, pm, seed + 1, vb, 1))
 
 
 PM11 = polygon_model(SurfaceSpec(1, 1))
@@ -416,7 +495,7 @@ def lattice_pair(draw):
         pts = draw(st.lists(st.tuples(GRID, GRID), min_size=1, max_size=4,
                             unique=True))
         leg = (PM11.vertices[c0],) + tuple(pts) + (PM11.vertices[c1],)
-        return PathDiagram((leg,), (), c0, c1)
+        return PolylineDiagram((leg,), (), c0, c1)
     da, db = polyline(), polyline()
     assume(not any(cross(sub(a1, a0), sub(b1, b0)) == 0
                    and cross(sub(b0, a0), sub(a1, a0)) == 0
@@ -435,12 +514,12 @@ def test_intersection_data_matches_fraction_reference(case):
         want = _reference_intersection_data(da, db, pm)
     except GeneralPositionError as e:
         if "non-transversal" in str(e):
-            intersection_data(da, db, pm)   # decided, as the tests below pin
-        else:                               # an endpoint degeneracy fails both
+            _data(pm, da, db)   # decided, as the tests below pin
+        else:                   # an endpoint degeneracy fails both
             with pytest.raises(GeneralPositionError, match=str(e)):
-                intersection_data(da, db, pm)
+                _data(pm, da, db)
         return
-    got = intersection_data(da, db, pm)
+    got = _data(pm, da, db)
     assert dict(got.crossings) == dict(want.crossings)
     assert got.endpoint_signs == want.endpoint_signs
 
@@ -449,14 +528,14 @@ def _one_leg(pm, c0, points, c1):
     leg = (pm.vertices[c0],) + tuple((int(Fraction(x) * pm.scale),
                                       int(Fraction(y) * pm.scale))
                                      for x, y in points)
-    return PathDiagram((leg + (pm.vertices[c1],),), (), c0, c1)
+    return PolylineDiagram((leg + (pm.vertices[c1],),), (), c0, c1)
 
 
 def _nudged(d, point, step):
     """d with its leg point at `point` moved by `step` grid units."""
     legs = tuple(tuple((p[0] + step[0], p[1] + step[1]) if p == point else p
                        for p in leg) for leg in d.legs)
-    return PathDiagram(legs, d.sides, d.start_corner, d.end_corner)
+    return PolylineDiagram(legs, d.sides, d.start_corner, d.end_corner)
 
 
 @pytest.mark.parametrize("step", [(0, 1), (0, -1)])
@@ -473,7 +552,7 @@ def test_leg_point_on_axis_parallel_segment_reads_as_its_nudged_copy(step):
     with pytest.raises(GeneralPositionError, match="non-transversal"):
         _reference_intersection_data(da, db, pm)
     want = _reference_intersection_data(da, _nudged(db, (0, 0), step), pm)
-    assert intersection_data(da, db, pm) == want
+    assert _data(pm, da, db) == want
 
 
 @pytest.mark.parametrize("step", [(1, 0), (-1, 0), (0, 1), (0, -1)])
@@ -486,22 +565,25 @@ def test_boxes_meeting_at_a_corner_read_as_their_nudged_copy(step):
     with pytest.raises(GeneralPositionError, match="non-transversal"):
         _reference_intersection_data(da, db, pm)
     want = _reference_intersection_data(da, _nudged(db, db.legs[0][1], step), pm)
-    assert intersection_data(da, db, pm) == want
+    assert _data(pm, da, db) == want
 
 
 def test_endpoint_degeneracies_raise():
     # the two that the lanes leave: a diagram leaving its corner along a
-    # polygon side, and two diagrams leaving one corner in one direction
+    # polygon side, and two diagrams leaving one corner in one direction.
+    # The program raises the reference's message on the converted diagrams
     pm = PM11
     v = pm.vertices
-    along_side = PathDiagram(((v[0], lerp(v[0], v[1], 1, 2), pm.center, v[2]),), (), 0, 2)
-    across = PathDiagram(((v[1], pm.center, v[3]),), (), 1, 3)
-    with pytest.raises(GeneralPositionError, match="endpoint direction on a wedge edge"):
-        intersection_data(along_side, across, pm)
-    near = PathDiagram(((v[0], lerp(v[0], pm.center, 1, 4), v[2]),), (), 0, 2)
-    far = PathDiagram(((v[0], lerp(v[0], pm.center, 1, 2), v[3]),), (), 0, 3)
-    with pytest.raises(GeneralPositionError, match="coinciding endpoint directions"):
-        intersection_data(near, far, pm)
+    along_side = PolylineDiagram(((v[0], lerp(v[0], v[1], 1, 2), pm.center, v[2]),), (), 0, 2)
+    across = PolylineDiagram(((v[1], pm.center, v[3]),), (), 1, 3)
+    near = PolylineDiagram(((v[0], lerp(v[0], pm.center, 1, 4), v[2]),), (), 0, 2)
+    far = PolylineDiagram(((v[0], lerp(v[0], pm.center, 1, 2), v[3]),), (), 0, 3)
+    for da, db, message in [(along_side, across, "endpoint direction on a wedge edge"),
+                            (near, far, "coinciding endpoint directions")]:
+        with pytest.raises(GeneralPositionError, match=message):
+            _reference_intersection_data(da, db, pm)
+        with pytest.raises(GeneralPositionError, match=message):
+            _data(pm, da, db)
 
 
 # --- crossings from the boundary order of leg ends ------------------------
@@ -522,17 +604,19 @@ def _crossing_sum(leg_a, leg_b):
     return total
 
 
-def _check_interleaving(pm, da, db):
-    """Per leg pair, the sum of the segment-crossing signs is the interleaving
-    sign of the leg ends' boundary keys; summed by reroute words, these signs
-    give intersection_data's crossing element.  Returns the number of leg
-    pairs with a nonzero sign."""
+def _check_interleaving(pm, ra, rb):
+    """Per leg pair of two polyline diagrams, the sum of the segment-crossing
+    signs is the interleaving sign of the leg ends' boundary keys of the
+    converted diagrams; summed by reroute words, these signs give
+    intersection_data's crossing element.  Returns the number of leg pairs
+    with a nonzero sign."""
+    da, db = program_diagram(ra, pm), program_diagram(rb, pm)
     data = intersection_data(da, db, pm)
     pref_a, suf_a = diagrams._leg_prefixes(da, pm)
     pref_b, suf_b = diagrams._leg_prefixes(db, pm)
-    legs_b = list(zip(diagrams._leg_ends(db, pm), db.legs, map(_box, db.legs)))
+    legs_b = list(zip(diagrams._leg_ends(db, pm), rb.legs, map(_box, rb.legs)))
     by_words, nonzero = {}, 0
-    for i, ((a0, a1), leg_a) in enumerate(zip(diagrams._leg_ends(da, pm), da.legs)):
+    for i, ((a0, a1), leg_a) in enumerate(zip(diagrams._leg_ends(da, pm), ra.legs)):
         axl, axh, ayl, ayh = _box(leg_a)
         for j, ((b0, b1), leg_b, (bxl, bxh, byl, byh)) in enumerate(legs_b):
             sign = diagrams._on_arc(b0, a0, a1) - diagrams._on_arc(b1, a0, a1)
@@ -560,6 +644,5 @@ def test_crossings_follow_leg_end_interleaving_on_long_words():
         pm = polygon_model(SurfaceSpec(g, g))
         for seed in range(3):
             wa, wb = _closed_walk(rng, g, g, 16, 36), _closed_walk(rng, g, g, 16, 36)
-            da, db, _ = realize_pair(wa, wb, pm, seed)
-            nonzero += _check_interleaving(pm, da, db)
+            nonzero += _check_interleaving(pm, *reference_pair(wa, wb, pm, seed))
     assert nonzero > 1000, nonzero

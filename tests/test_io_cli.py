@@ -61,8 +61,9 @@ def test_load_surface_round_trip(tmp_path):
 
 def test_load_surface_rejects_missing_field(tmp_path):
     p = _write(tmp_path, "bad.json", {"genus": 1})
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError) as exc:
         load_surface(p)
+    assert str(exc.value) == "bad surface file %s: missing key 'boundary_count'" % p
 
 
 def test_load_surface_rejects_malformed_json(tmp_path):
@@ -370,6 +371,25 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
     code = main(["bracket", "--surface", str(p),
                  "--diagram", _diagram(tmp_path)])
     assert code == 2
+    assert capsys.readouterr().err.startswith("input error: cannot read %s: " % p)
+
+
+@pytest.mark.parametrize("surface,request_doc,reason", [
+    ({"boundary_count": 1}, None, "bad surface file {surface}: missing key 'genus'"),
+    (None, {"alpha": {"word": "C1"}, "beta": {}},
+     "bad diagram request {diagram}: missing key 'word'"),
+    (None, {"alpha": {"word": "C1", "observable": {"kind": "entry", "i": 1}},
+            "beta": {"word": "D1"}},
+     "bad diagram request {diagram}: alpha observable: missing key 'j'"),
+], ids=["surface", "word", "observable"])
+def test_cli_missing_key_is_named_and_exits_2(tmp_path, capsys, surface, request_doc, reason):
+    # a missing key reads as one, not as its bare repr
+    paths = {"surface": _write(tmp_path, "s.json", surface) if surface else _surface(tmp_path),
+             "diagram": _write(tmp_path, "d.json", request_doc) if request_doc
+             else _diagram(tmp_path)}
+    code = main(["bracket", "--surface", paths["surface"], "--diagram", paths["diagram"]])
+    assert code == 2
+    assert capsys.readouterr().err == "input error: %s\n" % reason.format(**paths)
 
 
 def test_cli_unknown_word_exits_2(tmp_path, capsys):
@@ -423,6 +443,8 @@ def test_cli_malformed_observable_names_file_and_side(tmp_path, capsys, side, ob
     assert code == 2 and err.count("\n") == 1
     assert err.startswith("input error: bad diagram request %s: %s observable: "
                           % (diagram, side))
+    if ob is not True:
+        assert err.endswith("observable: missing key 'j'\n")
 
 
 def test_cli_gl_imaginary_part_exits_2(tmp_path, capsys):
@@ -465,6 +487,21 @@ def test_cli_point_file_not_an_object_exits_2(tmp_path, capsys, doc):
                  "--diagram", _diagram(tmp_path), "--point", _write(tmp_path, "p.json", doc)])
     assert code == 2
     assert "bad point file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,reason", [
+    ({"C1": [["1", "0"], ["0", "1"]]}, "missing D1"),
+    ({"C1": [["1", "0"], ["0", "1"]], "D1": [["1", "0"], ["0", "1"]],
+      "E7": [["1", "0"], ["0", "1"]]}, "unknown E7"),
+    ({"C1": [["1", "0"], ["0", "1"]], "E7": [["1", "0"], ["0", "1"]]}, "missing D1; unknown E7"),
+], ids=["missing", "unknown", "both"])
+def test_cli_point_generators_are_named_and_exit_2(tmp_path, capsys, doc, reason):
+    point = _write(tmp_path, "p.json", doc)
+    code = main(["bracket", "--surface", _surface(tmp_path),
+                 "--diagram", _diagram(tmp_path), "--point", point])
+    assert code == 2
+    assert capsys.readouterr().err == ("input error: bad point file %s: coordinates must "
+                                       "cover exactly the generators: %s\n" % (point, reason))
 
 
 @pytest.mark.parametrize("c1", [{"21": 0, "13": 0}, ["21", "13"], [{"2": 0, "1": 0}, ["1", "3"]]],

@@ -8,6 +8,7 @@ from surface_qp import repspace
 from surface_qp.lie import (AlgebraContext, Observable, cartan_trivector,
                             dual_basis, entry_observable, expm, trace_observable)
 from surface_qp.surfaces import SurfaceSpec
+from conftest import random_points
 
 FD_STEP = 1e-5   # central-difference step of generic_observable
 
@@ -243,7 +244,7 @@ def test_stacked_observable_stacks_values_and_variations(kind):
     obs = Observable(ctx, np.array([part.m for part in parts]))
     assert obs.entry is None
     for g in (repspace.random_point(ctx, SurfaceSpec(1, 1), 4).mats["C1"],
-              repspace.random_points(ctx, SurfaceSpec(1, 1), range(5)).mats["D1"]):
+              random_points(ctx, SurfaceSpec(1, 1), range(5)).mats["D1"]):
         for name in ("var_left", "var_right"):
             got = getattr(obs, name)(g)
             assert got.shape == (3,) + g.shape

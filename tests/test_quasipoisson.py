@@ -1,8 +1,10 @@
+import ast
 import functools
 import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,11 +21,11 @@ from surface_qp.quasipoisson import (WordFunction, _field_vectors_and_jacs,
                                      schouten_residual, slot_values, slot_word,
                                      verify_moment)
 from surface_qp.repspace import (RepPoint, boundary_word, holonomy, random_point,
-                                 random_points, word_product)
+                                 word_product)
 from surface_qp.suites import WORD_PAIRS, _observable_pairs, run_suite
 from surface_qp.surfaces import SurfaceSpec, polygon_model, split_canonical
 from surface_qp.words import substitute
-import fusion_ref
+from conftest import random_points
 from fusion_ref import double, fold_bivector, fused_double, right_fold
 from test_diagrams import _walk
 from test_lie import FD_STEP, wedge3_tensor
@@ -649,18 +651,43 @@ def test_closed_form_is_the_fusion_fold(spec, kind):
         assert h.c[i, j] == -0.5 * h.w[0, i] * h.w[0, j] != 0
 
 
-def test_closed_form_runs_no_fusion(monkeypatch):
-    spec = SurfaceSpec(2, 2)
-    fold = fold_bivector(spec, GL2)
+TESTS = Path(__file__).parent
+SRC = Path(quasipoisson.__file__).parent
 
-    def refuse(*args):
-        raise AssertionError("fusion on the closed-form path")
-    monkeypatch.setattr(fusion_ref, "fuse", refuse)
-    monkeypatch.setattr(fusion_ref, "product", refuse)
+
+def _test_imports(source: str) -> set:
+    """The modules of the tests directory, or the directory itself, that a
+    module's source imports: by an import statement, or by __import__ or
+    import_module of a literal name."""
+    ours = {"tests"} | {p.stem for p in TESTS.glob("*.py")}
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+        elif (isinstance(node, ast.Call) and node.args
+              and getattr(node.func, "id", getattr(node.func, "attr", None))
+              in ("__import__", "import_module")
+              and isinstance(node.args[0], ast.Constant)):
+            names.append(node.args[0].value)
+    return {name for name in names if str(name).split(".")[0] in ours}
+
+
+def test_closed_form_runs_no_fusion():
+    # no program module imports the fusion fold, the polyline reference or
+    # anything else of the tests, so the closed form cannot fold; it equals
+    # the fold byte for byte
+    assert _test_imports("import fusion_ref") == {"fusion_ref"}
+    assert _test_imports("from tests.diagram_ref import x") == {"tests.diagram_ref"}
+    assert _test_imports("importlib.import_module('diagram_ref')") == {"diagram_ref"}
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        assert _test_imports(path.read_text()) == set(), path.name
+    spec = SurfaceSpec(2, 2)
     h = build_bivector(spec, GL2)
-    assert h.skew[1].tobytes() == fold.skew[1].tobytes()
-    with pytest.raises(AssertionError):
-        fold_bivector(spec, GL2)
+    assert h.skew[1].tobytes() == fold_bivector(spec, GL2).skew[1].tobytes()
 
 
 def test_fold_reads_no_closed_form_table(monkeypatch):

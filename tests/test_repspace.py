@@ -9,9 +9,10 @@ from surface_qp.lie import AlgebraContext, entry_observable, expm
 from surface_qp.quasipoisson import WordFunction, build_bivector, chi
 from surface_qp import repspace
 from surface_qp.repspace import (RepPoint, _random_gl, _random_u_log, act, boundary_moment,
-                                 boundary_word, holonomy, push, random_point, random_points)
+                                 boundary_word, holonomy, push, random_point)
 from surface_qp.surfaces import SurfaceSpec
 from surface_qp.words import Word, generator_endpoints, generator_symbols, mu1_letters, substitute
+from conftest import random_points
 from test_diagrams import _walk
 from test_words import moves
 
