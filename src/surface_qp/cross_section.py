@@ -1,6 +1,7 @@
 """Compact-group cross sections: the Theta operator, the P-perp form, the
 projection of a representation onto the diagonal-moment locus L, and the two
-routes to the cross-section bracket.
+routes to the cross-section bracket: E's crossings plus Theta-dressed endpoint
+terms, and the ambient pairing plus the P-perp correction.
 
 Only the regular case is supported: every boundary moment must have distinct
 eigenvalue phases (gap > TOL_REG), which makes (Ad_mu - 1) invertible on the
@@ -20,10 +21,10 @@ from functools import cached_property
 import numpy as np
 
 from .lie import AlgebraContext, Observable, dual_basis, require
-from .repspace import RepPoint, act, boundary_moment
+from .repspace import RepPoint, act, boundary_moment, holonomy
 from .diagrams import IntersectionData
-from .quasipoisson import (HamiltonianQP, WordFunction, bracket_combinatorial,
-                           chi, pair_gradients)
+from .quasipoisson import (HamiltonianQP, WordFunction, chi, evaluate_element,
+                           pair_gradients)
 from .words import Word
 
 TOL_REG = 1e-6
@@ -148,17 +149,21 @@ def project_to_cross_section(m: RepPoint) -> CrossSectionPoint:
 
 def bracket_cross(phi: Observable, w_alpha: Word, psi: Observable, w_beta: Word,
                   data: IntersectionData, cs: CrossSectionPoint):
-    """Cross-section bracket: the main formula with each endpoint term dressed
-    by Theta_{mu_i} on the left or right factor depending on the angular
-    order."""
-    form = cs.m.ctx.form
-
-    def pair(s, u, w):
-        theta = cs.theta[s.marked - 1]
-        if s.alpha_left:
-            return form(theta * u, w)
-        return form(u, theta * w)
-    return bracket_combinatorial(phi, w_alpha, psi, w_beta, data, cs.m, pair)
+    """Cross-section bracket: the crossing classes of data through
+    evaluate_element, plus the four endpoint terms s_IJ <var^I phi, var^J psi>
+    (var_right at a start, var_left at an end), each dressed by Theta_{mu_i}
+    on the factor of the path on the left at marked point i."""
+    m = cs.m
+    ha, hb = holonomy(m, w_alpha), holonomy(m, w_beta)
+    va = {"start": phi.var_right(ha), "end": phi.var_left(ha)}
+    vb = {"start": psi.var_right(hb), "end": psi.var_left(hb)}
+    tot = evaluate_element(data.crossings, phi, psi, w_beta, m)
+    for (I, J), s in data.endpoint_signs.items():
+        if s.value:
+            theta = cs.theta[s.marked - 1]
+            u, w = (theta * va[I], vb[J]) if s.alpha_left else (va[I], theta * vb[J])
+            tot = tot + float(s.value) * m.ctx.form(u, w)
+    return tot
 
 
 def perp_correction(h: HamiltonianQP, df: np.ndarray, dg: np.ndarray, cs: CrossSectionPoint):

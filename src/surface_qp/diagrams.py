@@ -1,5 +1,6 @@
 """Path diagrams on the fundamental polygon: realizations of groupoid words
-by their side crossings, word reading, and pairwise intersection data.
+by their side crossings, word reading, pairwise intersection data, and the
+main formula as one element E of word pairs, which every bracket route reads.
 
 A diagram runs inside the polygon from a marked corner to a marked corner.
 Its side crossings cut it into legs: each crossing exits through glued side
@@ -261,6 +262,27 @@ def intersection_data(d_alpha: PathDiagram, d_beta: PathDiagram,
             signs[(I, J)] = EndpointSign(
                 Fraction(1, 2) if pos else Fraction(-1, 2), pa, not base)
     return IntersectionData({k: c for k, c in crossings.items() if c}, signs)
+
+
+def double_bracket(data: IntersectionData, w_alpha: Word,
+                   w_beta: Word) -> Dict[Tuple[Word, Word], Fraction]:
+    """The main formula as one element E: (X, Y) -> c for the terms
+    c Re tr(M_phi Hol_X N Hol_Y), the classes of data.crossings plus the
+    endpoint terms s_ss (beta, alpha), s_se (1, beta alpha), s_es (alpha beta,
+    1) and s_ee (alpha, beta), with 1 the empty word at the meeting point;
+    zero sums dropped.  A nonzero start-end sign means that the words meet."""
+    s = {IJ: e.value for IJ, e in data.endpoint_signs.items()}
+    ends = [((w_beta, w_alpha), s["start", "start"]), ((w_alpha, w_beta), s["end", "end"])]
+    if s["start", "end"]:
+        one = Word((), w_alpha.source, w_alpha.source)
+        ends.append(((one, w_beta.concat(w_alpha)), s["start", "end"]))
+    if s["end", "start"]:
+        one = Word((), w_beta.source, w_beta.source)
+        ends.append(((w_alpha.concat(w_beta), one), s["end", "start"]))
+    out = {key: Fraction(c) for key, c in data.crossings.items()}
+    for key, c in ends:
+        out[key] = out[key] + c if key in out else c
+    return {key: c for key, c in out.items() if c}
 
 
 def realize_pair(w_alpha: Word, w_beta: Word, pm: PolygonModel, seed: int,

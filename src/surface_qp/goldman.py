@@ -1,5 +1,6 @@
 """Symbolic quasi-Poisson Goldman algebra: path-entry symbols, normal forms
-in the localized polynomial ring, and the entry-level bracket formula.
+in the localized polynomial ring, and the entry bracket, one loop over the
+element E of diagrams.double_bracket.
 
 Each free generator L contributes n^2 indeterminates L_rc; inverse letters
 expand through the cofactor adjugate over det(X_L), so a normal form is a
@@ -35,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .diagrams import IntersectionData
+from .diagrams import IntersectionData, double_bracket
 from .words import Word
 
 FIELD = 16                          # bits per exponent field ("H" in struct)
@@ -430,34 +431,15 @@ def entry_nf(w: Word, i: int, j: int, ring: Ring, cache: dict) -> NormalForm:
 def bracket_symbolic(a: PathEntrySymbol, b: PathEntrySymbol,
                      data: IntersectionData, n: int,
                      cache: Optional[dict] = None) -> NormalForm:
-    """The five-term entry bracket {alpha_ij, beta_kl} driven by exact
-    intersection data of diagrams for the two words.
-
-    Each term is an integer, twice its coefficient, times one or two
-    entries; each class (alpha *_q beta, beta *_q alpha) of the reduced
-    element data.crossings adds one term.  The terms are summed over their
-    common denominator, reduced once and halved."""
+    """The entry bracket {alpha_ij, beta_kl}: tr(E_ji X E_lk Y) = X_il Y_kj,
+    so each term c (X, Y) of the element E = double_bracket(data, alpha,
+    beta) adds c X_il Y_kj, where the empty word's entry is a Kronecker
+    delta.  The terms, as 2c times two entries, are summed over their common
+    denominator, reduced once and halved."""
     cache = cache if cache is not None else {}
-    i, j = a.i, a.j
-    k, l = b.i, b.j
-    wa, wb = a.word, b.word
-    ring = word_ring(n, wa, wb)
-    sv = data.endpoint_signs
-    twice: Dict[tuple, list] = {}   # factors' (letters, row, col) -> [2 c, factors]
-
-    def add(coeff, *factors):
-        key = tuple((w.letters, r, c) for w, r, c in factors)
-        twice.setdefault(key, [0, factors])[0] += int(2 * coeff)
-
-    se, es = sv["start", "end"].value, sv["end", "start"].value
-    add(sv["start", "start"].value, (wa, k, j), (wb, i, l))
-    add(sv["end", "end"].value, (wa, i, l), (wb, k, j))
-    if se and i == l:   # a nonzero sign: the two words meet there
-        add(se, (wb.concat(wa), k, j))
-    if es and j == k:
-        add(es, (wa.concat(wb), i, l))
-    for (ab, ba), coeff in data.crossings.items():
-        add(coeff, (ab, i, l), (ba, k, j))
-    terms = [(coeff, [entry_nf(w, r, c, ring, cache) for w, r, c in factors])
-             for coeff, factors in twice.values() if coeff]
+    i, j, k, l = a.i, a.j, b.i, b.j
+    ring = word_ring(n, a.word, b.word)
+    terms = [(int(2 * c), [entry_nf(x, i, l, ring, cache), entry_nf(y, k, j, ring, cache)])
+             for (x, y), c in double_bracket(data, a.word, b.word).items()
+             if (x.letters or i == l) and (y.letters or k == j)]   # a zero delta drops out
     return sum_of_products(ring, terms).scale(Fraction(1, 2))

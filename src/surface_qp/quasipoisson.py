@@ -1,6 +1,6 @@
 """Quasi-Poisson structure on M_G(Sigma): the fused bivector, numeric
-brackets, the defining identities, and the combinatorial bracket formula of
-the main theorem.
+brackets, the defining identities, and the main theorem's combinatorial
+formula, one loop over the element E of diagrams.double_bracket.
 
 The bivector lives on the coordinates of the canonical split pieces: an
 annulus piece i carries double coordinates (a_i, b_i) with u_i = a_i and
@@ -35,13 +35,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
-from .diagrams import IntersectionData
+from .diagrams import IntersectionData, double_bracket
 from .lie import AlgebraContext, Observable, cartan_trivector, dual_basis
 from .repspace import RepPoint, boundary_moment, boundary_word, holonomy, word_product
 from .surfaces import SurfaceSpec, split_canonical
@@ -397,30 +398,23 @@ def schouten_residual(h: HamiltonianQP, m: RepPoint) -> dict:
 
 def bracket_combinatorial(phi: Observable, w_alpha: Word,
                           psi: Observable, w_beta: Word,
-                          data: IntersectionData, m: RepPoint,
-                          pair: Optional[Callable] = None):
-    """The main formula: sum_(I,J) eps_IJ pair(s, var^I phi, var^J psi) over
-    the endpoint signs s, plus sum_q sign(q) B^q over the crossings, with
-    B^q = <var_right phi(Hol_alpha), Ad_c var_left psi(Hol_beta)> and c the
-    holonomy of the rerouted path alpha *_q beta.  Since beta *_q alpha =
-    beta (alpha *_q beta)^-1 alpha and var_left psi(Hol_beta) = N Hol_beta,
-    B^q = Re tr(M_phi Hol(alpha *_q beta) N Hol(beta *_q alpha)), which
-    forms no inverse of a holonomy.  All crossings with the same reroute
-    words share one B^q: the sum reads both words of each class of
-    data.crossings once.  pair defaults to the invariant form <u, w>; the
-    cross-section bracket dresses it with Theta.  A stacked point gives one
-    value per point."""
-    ha, hb = holonomy(m, w_alpha), holonomy(m, w_beta)
-    # var_right at the start of a path, var_left at its end
-    va = {"start": phi.var_right(ha), "end": phi.var_left(ha)}
-    vb = {"start": psi.var_right(hb), "end": psi.var_left(hb)}
-    pair = pair or (lambda s, u, w: m.ctx.form(u, w))
+                          data: IntersectionData, m: RepPoint):
+    """The main formula: the element E = double_bracket(data, alpha, beta)
+    through evaluate_element.  A stacked point gives one value per point."""
+    return evaluate_element(double_bracket(data, w_alpha, w_beta), phi, psi, w_beta, m)
+
+
+def evaluate_element(element: Mapping[Tuple[Word, Word], Fraction], phi: Observable,
+                     psi: Observable, w_beta: Word, m: RepPoint):
+    """sum c Re tr(M_phi Hol_X N Hol_Y) over the terms (X, Y): c of element,
+    with var_left psi(Hol_beta) = N Hol_beta.  For a crossing class,
+    beta *_q alpha = beta (alpha *_q beta)^-1 alpha, so the term is
+    <var_right phi(Hol_alpha), Ad_c var_left psi(Hol_beta)> with c the
+    holonomy of alpha *_q beta, and it forms no inverse of a holonomy."""
+    hb = holonomy(m, w_beta)
+    m_phi, n_psi = phi.over(np.shape(hb)), psi.left_factor(hb)
     tot = 0.0
-    for (I, J), s in data.endpoint_signs.items():
-        if s.value != 0:
-            tot += float(s.value) * pair(s, va[I], vb[J])
-    m_phi, n_psi = phi.over(np.shape(ha)), psi.left_factor(hb)
-    for (ab, ba), coeff in data.crossings.items():
-        tr = np.einsum("...ij,...ji->...", m_phi, holonomy(m, ab) @ n_psi @ holonomy(m, ba))
-        tot = tot + coeff * tr.real
+    for (x, y), c in element.items():
+        tr = np.einsum("...ij,...ji->...", m_phi, holonomy(m, x) @ n_psi @ holonomy(m, y))
+        tot = tot + float(c) * tr.real
     return tot

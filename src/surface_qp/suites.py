@@ -2,9 +2,9 @@
 battery.  Each suite returns a list of fixture-result dicts (see io.fixture_
 rows, one call per stack of seeds); a suite passes when every fixture does.
 
-The mutate knob exercises sensitivity: it perturbs the structure being
-verified (a bivector coefficient, or the overall bracket orientation) and is
-expected to make the suite fail.
+The mutate knob exercises sensitivity: every suite checks the bivector
+perturbed(build_bivector(...), mutate), one coefficient of C scaled by
+(1 + mutate), so a large enough mutate makes it fail.
 """
 
 from __future__ import annotations
@@ -99,13 +99,11 @@ def suite_main_theorem(n: int = 2, tol: float = 1e-8, mutate: float = 0.0) -> li
     oa, ob = (Observable(ctx, np.array([o.m for o in side])) for side in (oas, obs))
     for spec, m in zip(FIXTURE_SURFACES, random_stacks(ctx, FIXTURE_SURFACES, range(20))):
         pm = polygon_model(spec)
-        h = build_bivector(spec, ctx)
+        h = perturbed(build_bivector(spec, ctx), mutate)
         for wa_s, wb_s in WORD_PAIRS[(spec.genus, spec.boundary_count)]:
             wa, wb = spec.word(wa_s), spec.word(wb_s)
             _, _, data = realize_pair(wa, wb, pm, 1)
             comb = bracket_combinatorial(oa, wa, ob, wb, data, m)
-            if mutate:
-                comb = -comb  # flipped orientation convention
             num = bracket_numeric(h, WordFunction(oa, wa), WordFunction(ob, wb), m)
             for label, lhs, rhs in zip(labels, comb, num):
                 out += fixture_rows(_seeded("main-theorem %s %s|%s %s" %
@@ -168,8 +166,6 @@ def suite_goldman(n: int = 2, tol: float = 1e-8, mutate: float = 0.0) -> list:
         b = PathEntrySymbol(wb, 1, 2)
         _, _, data = realize_pair(wa, wb, pm, 0)
         br = bracket_symbolic(a, b, data, n, cache)
-        if mutate:
-            br = br.scale(-1)
         # antisymmetry, exact
         _, _, data_ba = realize_pair(wb, wa, pm, 0)
         br_ba = bracket_symbolic(b, a, data_ba, n, cache)
@@ -186,7 +182,7 @@ def suite_goldman(n: int = 2, tol: float = 1e-8, mutate: float = 0.0) -> list:
                     "residual": "0" if stable else "nonzero",
                     "tolerance": "0", "pass": bool(stable)})
         # numeric evaluation agreement
-        h = build_bivector(spec, ctx)
+        h = perturbed(build_bivector(spec, ctx), mutate)
         f = WordFunction(entry_observable(ctx, 0, 0, "re"), wa)
         g = WordFunction(entry_observable(ctx, 0, 1, "re"), wb)
         rows = fixture_rows(_seeded("goldman evaluate %s %s_11|%s_12" % (spec, wa_s, wb_s), 3),
@@ -215,7 +211,7 @@ def suite_cross_section(tol: float = 1e-7, mutate: float = 0.0) -> list:
     specs = (SurfaceSpec(0, 2), SurfaceSpec(1, 1))
     for spec, m in zip(specs, random_stacks(ctx, specs, range(10))):
         pm = polygon_model(spec)
-        h = build_bivector(spec, ctx)
+        h = perturbed(build_bivector(spec, ctx), mutate)
         wa_s, wb_s = WORD_PAIRS[(spec.genus, spec.boundary_count)][1]
         wa, wb = spec.word(wa_s), spec.word(wb_s)
         _, _, data = realize_pair(wa, wb, pm, 1)
@@ -224,8 +220,6 @@ def suite_cross_section(tol: float = 1e-7, mutate: float = 0.0) -> list:
         f, g = WordFunction(oa, wa), WordFunction(ob, wb)
         cs = cx.project_to_cross_section(m)
         lhs = cx.bracket_cross(oa, wa, ob, wb, data, cs)
-        if mutate:
-            lhs = -lhs
         rhs = cx.bracket_cross_numeric(h, f, g, cs)
         out += fixture_rows(_seeded("cross-section routes %s %s|%s" % (spec, wa_s, wb_s), 10),
                             lhs, rhs, tol)

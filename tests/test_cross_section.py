@@ -14,6 +14,7 @@ from surface_qp.suites import WORD_PAIRS, run_suite
 from surface_qp.surfaces import SurfaceSpec, polygon_model
 from surface_qp.diagrams import realize_pair
 from conftest import random_points
+from formula_ref import bracket_endpoint_loop, theta_pair
 
 U2 = AlgebraContext("u", 2)
 U3 = AlgebraContext("u", 3)
@@ -269,6 +270,24 @@ def test_stacked_cross_section_equals_per_point(ctx, gb):
                           [bracket_cross(oa, wa, ob, wb, data, c) for c in single])
             assert _close(bracket_cross_numeric(h, f, g, cs),
                           [bracket_cross_numeric(h, f, g, c) for c in single])
+
+
+@pytest.mark.parametrize("ctx", [U2, U3], ids=["u2", "u3"])
+@pytest.mark.parametrize("gb", sorted(WORD_PAIRS), ids=lambda gb: "g%db%d" % gb)
+def test_cross_bracket_is_the_theta_dressed_endpoint_loop(ctx, gb):
+    # the crossings through the main formula's loop and the Theta-dressed
+    # endpoint terms give what a Theta-dressed variation per endpoint gives
+    spec = SurfaceSpec(*gb)
+    pm = polygon_model(spec)
+    cs = project_to_cross_section(random_points(ctx, spec, range(4)))
+    tr, ea, eb = (trace_observable(ctx), entry_observable(ctx, 0, 1, "re"),
+                  entry_observable(ctx, 1, 0, "im"))
+    for ta, tb in WORD_PAIRS[gb]:
+        wa, wb = spec.word(ta), spec.word(tb)
+        _, _, data = realize_pair(wa, wb, pm, 1)
+        for oa, ob in ((tr, tr), (tr, eb), (ea, eb)):
+            assert _close(bracket_cross(oa, wa, ob, wb, data, cs),
+                          bracket_endpoint_loop(oa, wa, ob, wb, data, cs.m, theta_pair(cs)))
 
 
 def test_stack_with_one_irregular_moment_names_its_index():

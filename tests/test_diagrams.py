@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ import diagram_ref
 from diagram_ref import PolylineDiagram, program_diagram, reference_pair
 from surface_qp import diagrams
 from surface_qp.diagrams import (EndpointSign, GeneralPositionError,
-                                 IntersectionData, diagram_from_word,
+                                 IntersectionData, diagram_from_word, double_bracket,
                                  intersection_data, realize_pair, word_of_diagram)
 from surface_qp.geometry import cross, lerp, segment_intersection, sub
 from surface_qp.suites import WORD_PAIRS
@@ -646,3 +647,93 @@ def test_crossings_follow_leg_end_interleaving_on_long_words():
             wa, wb = _closed_walk(rng, g, g, 16, 36), _closed_walk(rng, g, g, 16, 36)
             nonzero += _check_interleaving(pm, *reference_pair(wa, wb, pm, seed))
     assert nonzero > 1000, nonzero
+
+
+# --- the formula's element E ----------------------------------------------
+
+def test_element_holds_the_four_endpoint_shapes():
+    # C1 | D1 on the torus meets at both ends and crosses nowhere: E is the
+    # four endpoint terms, 1 the empty word at the one marked point
+    spec = SurfaceSpec(1, 1)
+    c1, d1 = spec.word("C1"), spec.word("D1")
+    _, _, data = realize_pair(c1, d1, polygon_model(spec), 0)
+    s = {IJ: e.value for IJ, e in data.endpoint_signs.items()}
+    one = Word((), 1, 1)
+    assert data.crossings == {}
+    assert double_bracket(data, c1, d1) == {
+        (d1, c1): s["start", "start"], (one, d1.concat(c1)): s["start", "end"],
+        (c1.concat(d1), one): s["end", "start"], (c1, d1): s["end", "end"]}
+    assert set(s.values()) == {Fraction(1, 2), Fraction(-1, 2)}
+
+
+def test_element_drops_zero_endpoint_terms():
+    # A2 and A3 share only their start: one endpoint term, no crossing
+    spec = SurfaceSpec(0, 3)
+    a2, a3 = spec.word("A2"), spec.word("A3")
+    _, _, data = realize_pair(a2, a3, polygon_model(spec), 0)
+    assert double_bracket(data, a2, a3) == {(a3, a2): data.endpoint_signs["start", "start"].value}
+
+
+def _closed_word(rng, genus, boundary):
+    """A nonempty closed word at marked point 1: a walk of 1-8 letters,
+    closed as _closed_walk closes it (a closing letter may cancel the walk)."""
+    while True:
+        w = _closed_walk(rng, genus, boundary, 1, 8)
+        if len(w):
+            return w
+
+
+def _element(wa, wb, pm, seed, variants):
+    return double_bracket(realize_pair(wa, wb, pm, seed, variants)[2], wa, wb)
+
+
+def _element_rule_failures():
+    """How many of 96 closed word pairs on eight surfaces break antisymmetry,
+    E(beta, alpha) = -swap E(alpha, beta), and how many of their 288 further
+    realizations (seed and variant bits) give another E."""
+    rng = random.Random(20130132)
+    anti = invariance = 0
+    for g, b in [(0, 2), (1, 1), (0, 3), (1, 2), (2, 1), (2, 2), (0, 4), (3, 1)]:
+        pm = polygon_model(SurfaceSpec(g, b))
+        for _ in range(12):
+            wa, wb = _closed_word(rng, g, b), _closed_word(rng, g, b)
+            seed, va, vb = (rng.randrange(1 << 16), rng.randrange(1 << len(wa)),
+                            rng.randrange(1 << len(wb)))
+            e = _element(wa, wb, pm, seed, (va, vb))
+            anti += _element(wb, wa, pm, seed, (vb, va)) != {
+                (y, x): -c for (x, y), c in e.items()}
+            for _ in range(3):
+                other = (rng.randrange(1 << len(wa)), rng.randrange(1 << len(wb)))
+                invariance += _element(wa, wb, pm, rng.randrange(1 << 16), other) != e
+    return anti, invariance
+
+
+def test_element_is_antisymmetric_and_realization_invariant():
+    assert _element_rule_failures() == (0, 0)
+
+
+def _signs_scaled(data, key, k):
+    signs = dict(data.endpoint_signs)
+    signs[key] = replace(signs[key], value=signs[key].value * k)
+    return replace(data, endpoint_signs=signs)
+
+
+ELEMENT_MUTANTS = {
+    "crossing signs negated":
+        lambda d: replace(d, crossings={key: -c for key, c in d.crossings.items()}),
+    "reroute words swapped":
+        lambda d: replace(d, crossings={(y, x): c for (x, y), c in d.crossings.items()}),
+    "start-start doubled": lambda d: _signs_scaled(d, ("start", "start"), 2),
+    "end-end negated": lambda d: _signs_scaled(d, ("end", "end"), -1),
+    "start-end zeroed": lambda d: _signs_scaled(d, ("start", "end"), 0),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(ELEMENT_MUTANTS))
+def test_element_rules_fail_under_mutants(monkeypatch, mutant):
+    # realize_pair reads intersection_data from the module at call time
+    exact = diagrams.intersection_data
+    monkeypatch.setattr(diagrams, "intersection_data",
+                        lambda *args: ELEMENT_MUTANTS[mutant](exact(*args)))
+    anti, invariance = _element_rule_failures()
+    assert anti > 0 and invariance > 0, (anti, invariance)

@@ -349,6 +349,16 @@ def test_cli_every_suite_fails_under_mutation(suite, capsys):
     assert main(["verify", "--suite", suite, "--mutate", "0.01"]) == 1
 
 
+@pytest.mark.parametrize("suite", SUITES)
+def test_cli_mutation_perturbs_an_ingredient(suite, capsys):
+    # --mutate scales one coefficient of C, not a computed side: 1e-6 fails
+    # every suite, and 1e-9 stays within the tolerances of the three suites
+    # that compare a second route to the bivector's (1e-8, 1e-8 and 1e-7)
+    assert main(["verify", "--suite", suite, "--mutate", "1e-6"]) == 1
+    second_route = suite in ("main-theorem", "goldman", "cross-section")
+    assert main(["verify", "--suite", suite, "--mutate", "1e-9"]) == (0 if second_route else 1)
+
+
 @pytest.mark.parametrize("mutate", ["0.5", "5"])
 def test_cli_splitting_fails_under_large_mutation(mutate, capsys):
     assert main(["verify", "--suite", "splitting", "--mutate", mutate]) == 1
@@ -648,15 +658,21 @@ def test_cli_bracket_at_a_huge_exact_entry_agrees(tmp_path, capsys):
     assert fx["lhs"] == fx["rhs"] and float(fx["lhs"]) == pytest.approx(1e200)
 
 
-@pytest.mark.parametrize("c1,d1,wa,message", [
-    ([[1, 0], [0, 1]], [["1e200", 0], [0, 1]], "C1 D1",
-     "the ambient combinatorial route gave nan"),
-    ([["1e200", 0], [0, 1]], [[1, 1], [0, 1]], "C1 C1", "the holonomy of C1 C1 overflowed"),
-], ids=["non-finite side", "overflowed holonomy"])
-def test_cli_bracket_overflow_exits_3(tmp_path, capsys, c1, d1, wa, message):
-    point = _write(tmp_path, "p.json", {"C1": c1, "D1": d1})
-    code = main(["bracket", "--surface", _surface(tmp_path),
-                 "--diagram", _diagram(tmp_path, wa), "--point", point])
+@pytest.mark.parametrize("gb,point,wa,wb,ob,message", [
+    # every holonomy is finite (A2, B2 and A2 B2), but the end-end term is
+    # tr(Hol(A2) E_12 Hol(B2)) = Hol(A2)_11 Hol(B2)_21 = 1e400
+    ((0, 2), {"A2": [["1e200", 0], [0, 1]], "B2": [[1, 0], ["1e200", 1]]}, "A2", "B2",
+     {"kind": "entry", "i": 2, "j": 1}, "the ambient combinatorial route gave inf"),
+    # the endpoint word beta alpha of the term (1, D1 C1 D1)
+    ((1, 1), {"C1": [[1, 0], [0, 1]], "D1": [["1e200", 0], [0, 1]]}, "C1 D1", "D1", None,
+     "the holonomy of D1 C1 D1 overflowed"),
+    ((1, 1), {"C1": [["1e200", 0], [0, 1]], "D1": [[1, 1], [0, 1]]}, "C1 C1", "D1", None,
+     "the holonomy of C1 C1 overflowed"),
+], ids=["non-finite side", "overflowed endpoint word", "overflowed holonomy"])
+def test_cli_bracket_overflow_exits_3(tmp_path, capsys, gb, point, wa, wb, ob, message):
+    code = main(["bracket", "--surface", _surface(tmp_path, *gb),
+                 "--diagram", _diagram(tmp_path, wa, wb, None, ob),
+                 "--point", _write(tmp_path, "p.json", point)])
     cap = capsys.readouterr()
     assert code == 3
     assert cap.err == "numeric domain error: %s\n" % message

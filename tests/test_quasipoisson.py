@@ -11,23 +11,24 @@ import pytest
 from scipy.linalg import expm
 
 from surface_qp import quasipoisson, suites
-from surface_qp.diagrams import realize_pair
+from surface_qp.diagrams import double_bracket, realize_pair
 from surface_qp.goldman import PathEntrySymbol, bracket_symbolic
 from surface_qp.lie import (AlgebraContext, CartanTrivector, cartan_trivector,
                             dual_basis, entry_observable, trace_observable)
 from surface_qp.quasipoisson import (WordFunction, _field_vectors_and_jacs,
                                      bracket_combinatorial, bracket_numeric,
-                                     build_bivector, chi, field_value, perturbed,
-                                     schouten_residual, slot_values, slot_word,
-                                     verify_moment)
+                                     build_bivector, chi, evaluate_element, field_value,
+                                     perturbed, schouten_residual, slot_values,
+                                     slot_word, verify_moment)
 from surface_qp.repspace import (RepPoint, boundary_word, holonomy, random_point,
                                  word_product)
 from surface_qp.suites import WORD_PAIRS, _observable_pairs, run_suite
 from surface_qp.surfaces import SurfaceSpec, polygon_model, split_canonical
 from surface_qp.words import substitute
 from conftest import random_points
+from formula_ref import bracket_endpoint_loop
 from fusion_ref import double, fold_bivector, fused_double, right_fold
-from test_diagrams import _walk
+from test_diagrams import _closed_word, _walk
 from test_lie import FD_STEP, wedge3_tensor
 from test_words import moves
 
@@ -190,6 +191,34 @@ def test_schouten_chart_matches_per_basis_loop(spec, n):
 
 def _close(got, want):
     return abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("kind", ["gl", "u"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("spec", SPECS + [SurfaceSpec(2, 2)], ids=str)
+def test_combinatorial_bracket_is_the_endpoint_loop(spec, n, kind):
+    # one loop over the element E gives what a variation per endpoint gives:
+    # six closed word pairs x three observable pairs, at four stacked points,
+    # to 1e-14 relative to the terms' magnitudes, the round-off scale of both
+    # sums (terms of 55 in all cancel to 0 on Sigma_0,3 in GL(3); the sums
+    # then differ by 1.1e-14)
+    ctx = AlgebraContext(kind, n)
+    pm = polygon_model(spec)
+    stack = random_points(ctx, spec, range(4))
+    rng = random.Random("%s %d %s" % (spec, n, kind))
+    tr = trace_observable(ctx)
+
+    def entry():
+        return entry_observable(ctx, rng.randrange(n), rng.randrange(n))
+    for _ in range(6):
+        wa, wb = (_closed_word(rng, spec.genus, spec.boundary_count) for _ in "ab")
+        _, _, data = realize_pair(wa, wb, pm, rng.randrange(1 << 16))
+        for oa, ob in ((tr, tr), (entry(), entry()), (tr, entry())):
+            got = bracket_combinatorial(oa, wa, ob, wb, data, stack)
+            want = bracket_endpoint_loop(oa, wa, ob, wb, data, stack)
+            scale = sum(abs(float(c)) * np.abs(evaluate_element({key: 1}, oa, ob, wb, stack))
+                        for key, c in double_bracket(data, wa, wb).items())
+            assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, scale))
 
 
 @pytest.mark.parametrize("kind", ["gl", "u"])
@@ -688,6 +717,30 @@ def test_closed_form_runs_no_fusion():
     spec = SurfaceSpec(2, 2)
     h = build_bivector(spec, GL2)
     assert h.skew[1].tobytes() == fold_bivector(spec, GL2).skew[1].tobytes()
+
+
+def _reads_endpoint_signs(source: str) -> bool:
+    """Does the source read an endpoint_signs attribute, by name or by a
+    getattr of a literal name?"""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "endpoint_signs":
+            return True
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+                and any(isinstance(a, ast.Constant) and a.value == "endpoint_signs"
+                        for a in node.args)):
+            return True
+    return False
+
+
+def test_only_diagrams_and_cross_section_read_endpoint_signs():
+    # the formula's shape stays in one module: the other routes read the
+    # element E of diagrams.double_bracket, and only the cross-section dresses
+    # the endpoint terms itself
+    assert _reads_endpoint_signs("s = data.endpoint_signs[k]")
+    assert _reads_endpoint_signs("s = getattr(data, 'endpoint_signs')")
+    assert not _reads_endpoint_signs("endpoint_signs = {}")
+    readers = {path.stem for path in SRC.glob("*.py") if _reads_endpoint_signs(path.read_text())}
+    assert readers == {"diagrams", "cross_section"}
 
 
 def test_fold_reads_no_closed_form_table(monkeypatch):

@@ -4,9 +4,10 @@ ambient pairing plus the P-perp correction (U), the exact symbolic
 entry bracket evaluated at the point against the bivector pairing (GL), and
 the symbolic entries and bracket against their full-matrix, term-by-term
 references.
-Both combinatorial routes run through the one endpoint loop and crossing
-loop of bracket_combinatorial, and the symbolic route has loops of its own,
-so these guard all three beyond the fixture word pairs."""
+The ambient and the symbolic route each read the element E of
+diagrams.double_bracket, and the cross-section route sums its crossings
+through the ambient route's loop, so these guard all three beyond the
+fixture word pairs."""
 
 from hypothesis import assume, given, settings, strategies as st
 
