@@ -17,10 +17,10 @@ tolerance of the numeric route as well.
 Exit codes: 0 all checks pass, 1 verification failure, 2 input error (also a
 negative or non-finite --tol, a negative --seed, a non-finite --mutate,
 verify --n below 2, because the suites' fixtures read off-diagonal entries
-(bracket runs at any n), --group u with a GL suite, an --out path that
-cannot be written, a disk surface or one beyond the polygon grid, an input
-too large to allocate), 3 numeric-domain error (also an overflowed holonomy
-or a non-finite side of a bracket).
+(bracket runs at any n), an --out path that cannot be written, a disk
+surface or one beyond the polygon grid, an input too large to allocate),
+3 numeric-domain error (also an overflowed holonomy or a non-finite side of
+a bracket).
 
 The argument parser is built once, at import, and holds no request data, so
 every call of main in one process parses with the same parser.
@@ -55,7 +55,6 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--group", choices=("gl", "u"), default="gl")
         sp.add_argument("--n", type=int, default=2)
         sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--out", default=None)
@@ -65,6 +64,7 @@ def _parser() -> argparse.ArgumentParser:
     b.add_argument("--diagram", required=True)
     b.add_argument("--point", default=None)
     b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--group", choices=("gl", "u"), default="gl")
     common(b)
 
     v = sub.add_parser("verify", help="run a verification suite")
@@ -135,9 +135,6 @@ def _check_options(args):
         raise ValueError("--mutate must be finite, got %r" % args.mutate)
     if args.n < 2:
         raise ValueError("--n must be at least 2, got %d" % args.n)
-    if args.group == "u" and args.suite != "cross-section":
-        raise ValueError("suite %r runs in the GL context; only cross-section "
-                         "runs U(n)" % args.suite)
 
 
 def cmd_verify(args) -> int:

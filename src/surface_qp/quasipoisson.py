@@ -273,16 +273,17 @@ def verify_moment(h: HamiltonianQP, f: WordFunction, m: RepPoint) -> dict:
     component p + 1), on a leading axis, at the point m or each point of a
     stack, from one gradient pass and one chi of f.  The left-hand side is
     sum_k {f, F_k} f_k with F_k as in the module docstring, whose M is
-    form_sign e_k mu(m)^-1, mu(m)^-1 the holonomy of the inverse word."""
+    form_sign e_k mu(m)^-1, mu(m)^-1 the holonomy of the inverse word, which
+    the right-hand side -(c + mu^-1 c mu)/2 reads as well."""
     pair = dual_basis(h.ctx)
     df = f.gradients(h, m)
     lhs, rhs = [], []
     for p, c in enumerate(chi(h, df)):
         word = boundary_word(m.spec, p + 1)
-        mk = np.einsum("kij,...jl->k...il", pair.e, holonomy(m, word.inverse()))
+        mu_inv = holonomy(m, word.inverse())
+        mk = np.einsum("kij,...jl->k...il", pair.e, mu_inv)
         dmu = slot_gradients(h, slot_word(word), h.ctx.form_sign * mk, m)
-        mu = boundary_moment(m, p + 1)
-        rhs.append(-0.5 * (c + np.linalg.inv(mu) @ c @ mu))
+        rhs.append(-0.5 * (c + mu_inv @ c @ boundary_moment(m, p + 1)))
         lhs.append(np.tensordot(pair_gradients(h, df, dmu), pair.f, (0, 0)))
     lhs, rhs = np.array(lhs), np.array(rhs)
     return {"lhs": lhs, "rhs": rhs, "residual": np.abs(lhs - rhs).max(axis=(-2, -1))}
@@ -410,11 +411,13 @@ def evaluate_element(element: Mapping[Tuple[Word, Word], Fraction], phi: Observa
     with var_left psi(Hol_beta) = N Hol_beta.  For a crossing class,
     beta *_q alpha = beta (alpha *_q beta)^-1 alpha, so the term is
     <var_right phi(Hol_alpha), Ad_c var_left psi(Hol_beta)> with c the
-    holonomy of alpha *_q beta, and it forms no inverse of a holonomy."""
+    holonomy of alpha *_q beta, and it forms no inverse of a holonomy.  The
+    trace pairs M_phi Hol_X with N Hol_Y, so no product Hol_X N Hol_Y is
+    formed whose unread entries could overflow."""
     hb = holonomy(m, w_beta)
     m_phi, n_psi = phi.over(np.shape(hb)), psi.left_factor(hb)
     tot = 0.0
     for (x, y), c in element.items():
-        tr = np.einsum("...ij,...ji->...", m_phi, holonomy(m, x) @ n_psi @ holonomy(m, y))
+        tr = np.einsum("...ij,...ji->...", m_phi @ holonomy(m, x), n_psi @ holonomy(m, y))
         tot = tot + float(c) * tr.real
     return tot

@@ -156,41 +156,29 @@ def act(m: RepPoint, g) -> RepPoint:
 
 
 def _random_gl(ctx: AlgebraContext, rngs: Sequence, count: int) -> np.ndarray:
-    """count dyadic-rational GL_n samples I + 0.3 * uniform[-1,1] entries
-    from each random stream in rngs, as the integer numerators over _GL_DEN,
-    stacked (S, count, n, n).  Each stream first draws one candidate per
-    sample, and one sum, one det and one acceptance pass cover the whole
-    stack; only a stream with a rejected candidate goes on drawing
-    (_redraw_gl)."""
+    """count candidate dyadic-rational GL_n samples I + 0.3 * uniform[-1,1]
+    entries from each random stream in rngs, one draw per stream, as the
+    integer numerators over _GL_DEN, stacked (S, count, n, n)."""
     n = ctx.n
-    eye = _GL_DEN * np.eye(n, dtype=np.int64)
-    cand = eye + 3 * np.array([rng.integers(-_K_MAX, _K_MAX + 1, (count, n, n))
-                               for rng in rngs])
-    ok = np.abs(np.linalg.det(cand / _GL_DEN)) > _GL_MIN_DET
-    for k in np.flatnonzero(~ok.all(axis=1)):
-        cand[k] = _redraw_gl(rngs[k], cand[k], ok[k], eye)
-    return cand
+    return (_GL_DEN * np.eye(n, dtype=np.int64)
+            + 3 * np.array([rng.integers(-_K_MAX, _K_MAX + 1, (count, n, n)) for rng in rngs]))
 
 
-def _redraw_gl(rng, cand: np.ndarray, ok: np.ndarray, eye: np.ndarray) -> np.ndarray:
-    """The samples of one stream whose first candidates cand were accepted
-    where ok holds.  The candidates form one stream, drawn for all unserved
-    samples at once: each sample takes the next candidate with |det| >
-    _GL_MIN_DET, within _GL_TRIES of its own, so the stream is the one that
-    per-sample draws consume."""
-    count, n = len(cand), len(eye)
-    nums, served, tries = [], 0, 0
-    while True:
-        for good in ok.tolist():
-            tries = 0 if good else tries + 1
-            if tries == _GL_TRIES:
-                raise ValueError("resampling budget exhausted")
-        nums.append(cand[ok])
-        served += int(ok.sum())
-        if served == count:
-            return np.concatenate(nums)
-        cand = eye + 3 * rng.integers(-_K_MAX, _K_MAX + 1, (count - served, n, n))
-        ok = np.abs(np.linalg.det(cand / _GL_DEN)) > _GL_MIN_DET
+def _redraw_gl(ctx: AlgebraContext, rng, count: int) -> np.ndarray:
+    """count GL samples (count, n, n) from the stream rng, one generator at a
+    time: each takes the next candidate with |det| > _GL_MIN_DET, within
+    _GL_TRIES of its own.  Where no candidate is rejected this reads what
+    one _random_gl draw does."""
+    out = []
+    for _ in range(count):
+        for _ in range(_GL_TRIES):
+            cand = _random_gl(ctx, [rng], 1)[0, 0]
+            if abs(np.linalg.det(cand / _GL_DEN)) > _GL_MIN_DET:
+                break
+        else:
+            raise ValueError("resampling budget exhausted")
+        out.append(cand)
+    return np.array(out)
 
 
 def _random_u_log(ctx: AlgebraContext, rngs: Sequence, count: int) -> np.ndarray:
@@ -208,17 +196,24 @@ def _draws(ctx: AlgebraContext, specs: Sequence[SurfaceSpec],
     """The draws of each seed from its own random stream, for each surface
     of specs from the stream's start, stacked (S, G, n, n) per surface in
     generator order: for GL the numerators over _GL_DEN, for U the
-    logarithms.  Each seed's stream is seeded once and its state restored
-    before every surface after the first."""
+    logarithms.  Each seed's stream is seeded and drawn once, for the
+    surface with the most generators, and every surface reads the start of
+    that draw; a GL surface with a candidate at or below _GL_MIN_DET at
+    some seed draws that seed again from its fresh stream (_redraw_gl)."""
+    seeds = list(seeds)
+    counts = [len(generator_symbols(spec.genus, spec.boundary_count)) for spec in specs]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    start = [rng.bit_generator.state for rng in rngs]
-    sample = _random_gl if ctx.kind == "gl" else _random_u_log
+    if ctx.kind == "u":
+        logs = _random_u_log(ctx, rngs, max(counts))
+        return [logs[:, :count] for count in counts]
+    cand = _random_gl(ctx, rngs, max(counts))
+    ok = np.abs(np.linalg.det(cand / _GL_DEN)) > _GL_MIN_DET
     out = []
-    for k, spec in enumerate(specs):
-        if k:
-            for rng, state in zip(rngs, start):
-                rng.bit_generator.state = state
-        out.append(sample(ctx, rngs, len(generator_symbols(spec.genus, spec.boundary_count))))
+    for count in counts:
+        draws = cand[:, :count].copy()
+        for k in np.flatnonzero(~ok[:, :count].all(axis=1)):
+            draws[k] = _redraw_gl(ctx, np.random.default_rng(seeds[k]), count)
+        out.append(draws)
     return out
 
 

@@ -24,7 +24,7 @@ from surface_qp.io import (SchemaError, _flat_rows, fixture_result, fixture_rows
                            fmt_float, load_bracket_request, load_point,
                            load_surface, make_report, write_report)
 from surface_qp.lie import AlgebraContext
-from surface_qp.suites import GL_SUITES, SUITES, run_suite
+from surface_qp.suites import SUITES, run_suite
 from surface_qp.surfaces import SurfaceSpec
 from surface_qp.words import generator_symbols
 from test_random_words import composable_word
@@ -328,7 +328,7 @@ def test_cli_moment_takes_one_gradient_pass_per_function(capsys, monkeypatch):
 
 
 def test_cli_verify_pass_and_mutation_fails(tmp_path, capsys):
-    assert main(["verify", "--suite", "qp-identity", "--group", "gl"]) == 0
+    assert main(["verify", "--suite", "qp-identity"]) == 0
     capsys.readouterr()
     assert main(["verify", "--suite", "qp-identity", "--mutate", "0.01"]) == 1
 
@@ -679,6 +679,22 @@ def test_cli_bracket_overflow_exits_3(tmp_path, capsys, gb, point, wa, wb, ob, m
     assert cap.out == ""
 
 
+def test_cli_bracket_with_an_unread_huge_entry_is_finite(tmp_path, capsys):
+    # Re tr(C1) and the entry (1, 2) of D1 read no huge entry, but the term
+    # (D1, C1) of the element would form Hol(D1) E_21 Hol(C1), whose entry
+    # (2, 1) is 1e400 and is never read; the trace pairs Hol(D1) with
+    # E_21 Hol(C1) instead, so both sides are 0 and nothing overflows
+    point = {"C1": [["1e200", 0], [0, 1]], "D1": [[1, 0], [0, "1e200"]]}
+    code = main(["bracket", "--surface", _surface(tmp_path),
+                 "--diagram", _diagram(tmp_path, "C1", "D1", None,
+                                       {"kind": "entry", "i": 1, "j": 2}),
+                 "--point", _write(tmp_path, "p.json", point)])
+    cap = capsys.readouterr()
+    fx = json.loads(cap.out)["fixtures"][0]
+    assert code == 0 and cap.err == ""
+    assert fx["lhs"] == fx["rhs"] == "0"
+
+
 def test_cli_bracket_on_a_numerically_singular_holonomy_is_finite(tmp_path, capsys):
     # C1^300 at seed 0 is finite but numerically of rank one.  The crossing
     # term inverts no holonomy, so both sides are finite and agree to 1e-14
@@ -739,8 +755,7 @@ def test_cli_degenerate_moment_exits_3(tmp_path, capsys):
 
 def test_cli_report_written_to_file(tmp_path, capsys):
     out = tmp_path / "report.json"
-    code = main(["verify", "--suite", "qp-identity", "--group", "gl",
-                 "--out", str(out)])
+    code = main(["verify", "--suite", "qp-identity", "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["pass"] is True
@@ -789,7 +804,7 @@ def test_parser_reuse_leaks_no_state(tmp_path, capsys, monkeypatch):
     assert [code for code, _, _ in shared] == [0, 0, 0, 2, 2, 1, 0]
     assert shared[6] == shared[2]
     configs = [json.loads(out)["config"] if out else None for _, out, _ in shared]
-    assert configs[2] == {"group": "gl", "mutate": 0.0, "n": 2, "suite": "splitting"}
+    assert configs[2] == {"mutate": 0.0, "n": 2, "suite": "splitting"}
     assert configs[1]["tol"] == 1e-7 and "tol" not in configs[0]
     fresh = []
     for argv in calls:
@@ -886,16 +901,10 @@ def test_cli_negative_seed_exits_2(tmp_path, capsys, with_point):
     (["--suite", "main-theorem", "--n", "1"], "--n must be at least 2, got 1"),
     (["--suite", "qp-identity", "--n", "1"], "--n must be at least 2, got 1"),
     (["--suite", "cross-section", "--n", "0"], "--n must be at least 2, got 0"),
-] + [(["--suite", suite, "--group", "u"],
-      "suite %r runs in the GL context; only cross-section runs U(n)" % suite)
-     for suite in GL_SUITES])
+])
 def test_cli_verify_bad_options_exit_2(argv, message, capsys):
     assert main(["verify"] + argv) == 2
     assert "input error: " + message in capsys.readouterr().err
-
-
-def test_cli_verify_cross_section_accepts_group_u(capsys):
-    assert main(["verify", "--suite", "cross-section", "--group", "u"]) == 0
 
 
 def test_cli_verify_has_no_seed(capsys):
@@ -904,6 +913,16 @@ def test_cli_verify_has_no_seed(capsys):
         main(["verify", "--suite", "moment", "--seed", "3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_cli_verify_has_no_group(suite, capsys):
+    # no suite reads a group: the GL suites run GL(n), cross-section U(2)
+    # and U(3); bracket keeps --group for its point
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", suite, "--group", "u"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --group u" in capsys.readouterr().err
 
 
 def test_cli_runs_without_scipy_or_sympy(tmp_path):

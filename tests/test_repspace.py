@@ -8,8 +8,8 @@ import pytest
 from surface_qp.lie import AlgebraContext, entry_observable, expm
 from surface_qp.quasipoisson import WordFunction, build_bivector, chi
 from surface_qp import repspace
-from surface_qp.repspace import (RepPoint, _random_gl, _random_u_log, act, boundary_moment,
-                                 boundary_word, holonomy, push, random_point)
+from surface_qp.repspace import (RepPoint, _random_gl, _random_u_log, _redraw_gl, act,
+                                 boundary_moment, boundary_word, holonomy, push, random_point)
 from surface_qp.surfaces import SurfaceSpec
 from surface_qp.words import Word, generator_endpoints, generator_symbols, mu1_letters, substitute
 from conftest import random_points
@@ -325,14 +325,20 @@ def _check_gl_sampler(ctx, spec, seeds, min_det=0.1):
             assert stack.mats[sym][k].tobytes() == mat.tobytes()
             assert _fractions(m, sym) == ex
             rejected[k] += tries
+        # the redraw loop, run from a fresh stream, is the reference: the
+        # same numerators, and the generator left where the reference leaves it
         rng = np.random.default_rng(seed)
-        _random_gl(ctx, [rng], len(syms))
+        nums = _redraw_gl(ctx, rng, len(syms))
+        assert [tuple(tuple(Fraction(int(x), repspace._GL_DEN) for x in row) for row in num)
+                for num in nums] == [ex for _, ex, _ in ref]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         ref_states.append(ref_rng.bit_generator.state)
-    # one stacked draw leaves every seed's generator where the reference does
+    # one stacked candidate draw leaves every seed that rejected nothing
+    # where the reference does
     rngs = [np.random.default_rng(seed) for seed in seeds]
     _random_gl(ctx, rngs, len(syms))
-    assert [rng.bit_generator.state for rng in rngs] == ref_states
+    assert ([rng.bit_generator.state for rng, r in zip(rngs, rejected) if not r]
+            == [state for state, r in zip(ref_states, rejected) if not r])
     return rejected
 
 
@@ -506,17 +512,30 @@ def test_multi_surface_draw_with_redraws(n, monkeypatch):
 
 @pytest.mark.parametrize("ctx", [GL2, U2], ids=["gl", "u"])
 def test_multi_surface_draw_seeds_each_seed_once(ctx, monkeypatch):
-    made, real = [], np.random.default_rng
+    # at the default floor each seed is seeded once and drawn from once,
+    # for all the surfaces of the call, and its state is never read
+    made, drawn, real = [], [], np.random.default_rng
+
+    class Counted:
+        def __init__(self, seed):
+            self.seed, self.rng = seed, real(seed)
+
+        def __getattr__(self, name):
+            drawn.append((self.seed, name))
+            return getattr(self.rng, name)
 
     def counted(seed):
         made.append(seed)
-        return real(seed)
+        return Counted(seed)
     monkeypatch.setattr(np.random, "default_rng", counted)
+    draw = "integers" if ctx.kind == "gl" else "uniform"
     repspace.random_stacks(ctx, SPECS, range(6))
     assert made == list(range(6))
+    assert drawn == [(seed, draw) for seed in range(6)]
     made.clear()
+    drawn.clear()
     random_point(ctx, SPECS[0], 4)
-    assert made == [4]
+    assert made == [4] and drawn == [(4, draw)]
 
 
 def _memo_reference(m, key):
