@@ -86,7 +86,7 @@ def theta_matrix(ctx: AlgebraContext, h: np.ndarray, transpose: bool = False) ->
     """Matrix of Theta_h in the orthonormal real basis of u(n), one per
     matrix of a stack h: Theta_h on the stacked basis, paired with the
     basis in one contraction."""
-    e = np.asarray(dual_basis(ctx).e)
+    e = dual_basis(ctx).e
     y = _theta_kernel(h, transpose)[..., None, :, :] * e   # Theta_h e_l on axis -3
     return ctx.form(e[:, None], y[..., None, :, :, :])
 

@@ -2,9 +2,11 @@
 in the localized polynomial ring, and the entry bracket, one loop over the
 element E of diagrams.double_bracket.
 
-Each free generator L contributes n^2 indeterminates L_rc; inverse letters
-expand through the cofactor adjugate over det(X_L), so a normal form is a
-polynomial numerator over a monomial in the det(X_L).
+Each free generator L contributes n^2 indeterminates L_rc (L_r_c from
+n = 10 on); inverse letters expand through the cofactor adjugate over
+det(X_L), both formed only where an inverse letter or a denominator reads
+them, so a normal form is a polynomial numerator over a monomial in the
+det(X_L).
 
 A numerator is a ``Poly``: a map from packed monomial to nonzero rational
 coefficient over a ``Ring``, the ring of the entry names of one set of
@@ -48,13 +50,18 @@ def _q(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def entry_name(label: str, r: int, c: int, n: int) -> str:
+    """The name of entry (r, c) of X_label, 1-based: L_rc below n = 10, L_r_c from there."""
+    return ("%s_%d%d" if n < 10 else "%s_%d_%d") % (label, r, c)
+
+
 class Ring:
     """Q[L_rc]: the entries of the generators in ``labels`` at size n,
     sorted by name, with monomials packed as the module docstring says."""
 
     def __init__(self, labels: frozenset, n: int):
         self.labels, self.n = labels, n
-        self.names = sorted("%s_%d%d" % (label, r, c) for label in labels
+        self.names = sorted(entry_name(label, r, c, n) for label in labels
                             for r in range(1, n + 1) for c in range(1, n + 1))
         self.shift = FIELD * len(self.names)   # the total degree sits above
         self.guard = sum(1 << FIELD * k + FIELD - 1 for k in range(len(self.names)))
@@ -178,11 +185,16 @@ def _adjugate(m: list) -> list:
 
 
 @lru_cache(maxsize=256)
+def _matrix(ring: Ring, label: str) -> list:
+    """X_L over ``ring``: its entries' generators, row by row."""
+    n = ring.n
+    return [[ring.gen(entry_name(label, r + 1, c + 1, n)) for c in range(n)] for r in range(n)]
+
+
+@lru_cache(maxsize=256)
 def _generator(ring: Ring, label: str) -> tuple:
     """X_L over ``ring``, its cofactor adjugate, and det(X_L)."""
-    n = ring.n
-    x = [[ring.gen("%s_%d%d" % (label, r + 1, c + 1)) for c in range(n)]
-         for r in range(n)]
+    n, x = ring.n, _matrix(ring, label)
     adj = _adjugate(x) if n > 1 else [[ring.one]]   # _det of the empty minor is the int 1
     return x, adj, sum(x[0][c] * adj[c][0] for c in range(n))
 
@@ -346,7 +358,7 @@ class NormalForm:
 
     def _evaluate(self, d: int, mats: dict) -> float:
         ring, n = self.poly.ring, self.poly.ring.n
-        coords = {"%s_%d%d" % (label, r + 1, c + 1): x for label in ring.labels
+        coords = {entry_name(label, r + 1, c + 1, n): x for label in ring.labels
                   for r, row in enumerate(mats[label]) for c, x in enumerate(row)}
         point = [coords[name] for name in ring.names]
         q = math.lcm(*(c.denominator for c in self.poly.terms.values()))
@@ -404,9 +416,8 @@ def path_row(w: Word, i: int, ring: Ring) -> Tuple[List[Poly], Dict[str, int]]:
     row = [ring.one if c == i - 1 else ring.zero for c in range(ring.n)]
     den: Dict[str, int] = {}
     for sym, sgn in w.letters:
-        x, adj, _ = _generator(ring, sym)
+        x = _generator(ring, sym)[1] if sgn == -1 else _matrix(ring, sym)
         if sgn == -1:
-            x = adj
             den[sym] = den.get(sym, 0) + 1
         cols: List[dict] = [{} for _ in row]
         for p, xrow in zip(row, x):

@@ -6,7 +6,9 @@ Tr(xy), and U(n) with the positive form -Re Tr(xy) on anti-Hermitian
 matrices.  Sums that the theory writes over an orthonormal basis are
 implemented over a dual pair (e_k, f_k) with <e_k, f_l> = delta_kl, which
 for gl_n is e = E_pq, f = E_qp and for u(n) an orthonormal basis with
-f = e.
+f = e.  dual_basis hands the pair out as two read-only (d, n, n) stacks,
+and cartan_trivector the trivector as its read-only (d, d, d) coefficient
+array over that pair; both are built once per context.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -102,45 +104,38 @@ def require(ok, message: str, error=ValueError, names: Optional[Sequence[str]] =
         raise error(message if not index else "%s at stack index %d" % (message, index[0]))
 
 
-def _basis_elem(n, p, q, dtype=float):
-    e = np.zeros((n, n), dtype=dtype)
-    e[p, q] = 1.0
-    return e
-
-
 @dataclass(frozen=True)
 class DualBasisPair:
-    e: tuple
-    f: tuple
+    """The dual pair as two read-only (d, n, n) stacks, e_k = e[k], f_k = f[k]."""
+    e: np.ndarray
+    f: np.ndarray
 
     def __post_init__(self):
-        for x in self.e + self.f:   # shared: dual_basis builds one per context
-            x.setflags(write=False)
+        self.e.setflags(write=False)   # shared: dual_basis builds one per context
+        self.f.setflags(write=False)
 
     @property
     def dim(self) -> int:
         return len(self.e)
 
     def gram(self, ctx: AlgebraContext) -> np.ndarray:
-        return ctx.form(np.asarray(self.e)[:, None], np.asarray(self.f)[None])
+        return ctx.form(self.e[:, None], self.f[None])
 
 
 @lru_cache(maxsize=None)
 def dual_basis(ctx: AlgebraContext) -> DualBasisPair:
     n = ctx.n
     if ctx.kind == "gl":
-        e = [_basis_elem(n, p, q) for p in range(n) for q in range(n)]
-        f = [_basis_elem(n, q, p) for p in range(n) for q in range(n)]
-        return DualBasisPair(tuple(e), tuple(f))
-    e: List[np.ndarray] = []
-    for k in range(n):
-        e.append(1j * _basis_elem(n, k, k, complex))
-    s = 1.0 / math.sqrt(2.0)
-    for a in range(n):
-        for b in range(a + 1, n):
-            e.append(s * (_basis_elem(n, a, b, complex) - _basis_elem(n, b, a, complex)))
-            e.append(1j * s * (_basis_elem(n, a, b, complex) + _basis_elem(n, b, a, complex)))
-    return DualBasisPair(tuple(e), tuple(e))
+        e = np.eye(n * n).reshape(n * n, n, n)   # e[p n + q] = E_pq
+        return DualBasisPair(e, e.swapaxes(1, 2))
+    e = np.zeros((n * n, n, n), dtype=complex)
+    k = np.arange(n)
+    e[k, k, k] = 1j
+    a, b = np.triu_indices(n, 1)
+    r, s = n + 2 * np.arange(len(a)), 1.0 / math.sqrt(2.0)
+    e[r, a, b], e[r, b, a] = s, -s
+    e[r + 1, a, b] = e[r + 1, b, a] = 1j * s
+    return DualBasisPair(e, e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,8 +185,9 @@ def entry_observable(ctx: AlgebraContext, i: int, j: int, part: str = "re") -> O
     if part == "im" and ctx.kind == "gl":
         raise ValueError("part 'im' is identically zero on real GL matrices; "
                          "use it with the U group")
-    w = 1.0 if part == "re" else -1j
-    return Observable(ctx, w * _basis_elem(ctx.n, j, i, ctx.dtype), (i, j))
+    m = np.zeros((ctx.n, ctx.n), dtype=ctx.dtype)
+    m[j, i] = 1.0
+    return Observable(ctx, (1.0 if part == "re" else -1j) * m, (i, j))
 
 
 def trace_observable(ctx: AlgebraContext) -> Observable:
@@ -199,26 +195,17 @@ def trace_observable(ctx: AlgebraContext) -> Observable:
     return Observable(ctx, np.eye(ctx.n, dtype=ctx.dtype))
 
 
-@dataclass(frozen=True)
-class CartanTrivector:
-    """phi = sum_{ijk} coeffs[i,j,k] f_i (wedge) f_j (wedge) f_k, wedges in the
-    evaluation convention (no 1/k! factors); coeffs = (1/12)<e_i,[e_j,e_k]>,
-    alternating in (i, j, k)."""
-    coeffs: np.ndarray
-    pair: DualBasisPair
-
-    def __post_init__(self):
-        self.coeffs.setflags(write=False)   # shared: one per context
-
-
 @lru_cache(maxsize=None)
-def cartan_trivector(ctx: AlgebraContext) -> CartanTrivector:
+def cartan_trivector(ctx: AlgebraContext) -> np.ndarray:
+    """The read-only (d, d, d) coefficients of phi = sum_{ijk} w[i,j,k]
+    f_i (wedge) f_j (wedge) f_k over the pair of dual_basis(ctx), wedges in
+    the evaluation convention (no 1/k! factors); w = (1/12)<e_i,[e_j,e_k]>,
+    alternating in (i, j, k)."""
     pair = dual_basis(ctx)
-    g = pair.gram(ctx)
-    if np.max(np.abs(g - np.eye(pair.dim))) > 1e-10:
+    if np.max(np.abs(pair.gram(ctx) - np.eye(pair.dim))) > 1e-10:
         raise ValueError("degenerate or non-dual basis pair")
-    e = np.asarray(pair.e)
     # t[i, j, k] = Tr(e_i e_j e_k), so <e_i, [e_j, e_k]> = sign Re(t - t^(jk))
-    t = np.einsum("iab,jbc,kca->ijk", e, e, e, optimize=True)
+    t = np.einsum("iab,jbc,kca->ijk", pair.e, pair.e, pair.e, optimize=True)
     w = ctx.form_sign * (t - t.transpose(0, 2, 1)).real / 12.0
-    return CartanTrivector(w, pair)
+    w.setflags(write=False)   # shared: one per context
+    return w

@@ -341,9 +341,8 @@ def schouten_residual(h: HamiltonianQP, m: RepPoint) -> dict:
     if need > have:
         raise MemoryError("the entry chart needs %.1f GiB of dense arrays, more than the "
                           "%.1f GiB of physical memory" % (need / 2 ** 30, have / 2 ** 30))
-    tv = cartan_trivector(h.ctx)
-    e, f = np.asarray(tv.pair.e), np.asarray(tv.pair.f)
-    nn, d = n * n, tv.pair.dim
+    pair, coeffs = dual_basis(h.ctx), cartan_trivector(h.ctx)
+    e, f, nn, d = pair.e, pair.f, n * n, pair.dim
     fields = {}   # entries and Jacobians of (field type, first or second factor)
 
     def field(a: FieldType, second: bool):
@@ -380,7 +379,7 @@ def schouten_residual(h: HamiltonianQP, m: RepPoint) -> dict:
         rows[:, p, :, blk[h.types[i][0]]] += h.w[p, i] * field(h.types[i], True)[0]
     rows_t = rows.swapaxes(-1, -2)                                   # (S, P, dim, d)
     # rho_x = -sigma_x and the wedge of g is 6 g, so the factor -6 goes on the coefficients
-    x = (-6.0 * tv.coeffs.reshape(d * d, d) @ rows).reshape(s_count, acts, d, d, dim)
+    x = (-6.0 * coeffs.reshape(d * d, d) @ rows).reshape(s_count, acts, d, d, dim)
     y = (rows_t[:, :, None] @ x).reshape(s_count, acts * d, dim, dim)    # [(p, i), b, c]
     g = rows.reshape(s_count, 1, acts * d, dim).swapaxes(-1, -2) @ y.transpose(0, 2, 1, 3)
     rho = g.transpose(0, 2, 1, 3)

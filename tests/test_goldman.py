@@ -14,7 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from surface_qp.diagrams import intersection_data, realize_pair
-from surface_qp.goldman import (MAX_DEGREE, NormalForm, PathEntrySymbol, _label_ring,
+from surface_qp import goldman
+from surface_qp.goldman import (MAX_DEGREE, NormalForm, PathEntrySymbol, Ring, _label_ring,
                                 bracket_symbolic, exact_quotient)
 from surface_qp.io import load_point
 from surface_qp.lie import TOL_INV, AlgebraContext, entry_observable
@@ -423,6 +424,51 @@ def test_evaluate_is_exact_at_file_points(g, b, n, data):
         assert [[Fraction(x, d) for x in row] for row in nums[sym]] == mat
     nf = _file_point_form(g, b, n)
     assert nf.den and nf.evaluate(m) == _exact_value(nf, m)
+
+
+def _c1_d1_bracket(n):
+    """{(C1)_11, (D1)_12} on Sigma_1,1 at n: no word of E has an inverse letter."""
+    spec = SurfaceSpec(1, 1)
+    wa, wb = spec.word("C1"), spec.word("D1")
+    _, _, data = realize_pair(wa, wb, polygon_model(spec), 0)
+    return bracket_symbolic(PathEntrySymbol(wa, 1, 1), PathEntrySymbol(wb, 1, 2), data, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_inverse_free_brackets_form_no_adjugate(n, monkeypatch):
+    # the adjugate grows about 7x per n and only an inverse letter or a
+    # det(X_L) denominator reads it
+    def refused(m):
+        raise AssertionError("adjugate formed for an inverse-free bracket")
+    goldman._generator.cache_clear()
+    monkeypatch.setattr(goldman, "_adjugate", refused)
+    nf = _c1_d1_bracket(n)
+    assert nf.den == {} and nf.poly
+    want = " + ".join(["C1_12*D1_11/2"] + ["C1_1%d*D1_%d2/2" % (k, k) for k in range(2, n + 1)])
+    assert nf.canonical_str() == want
+
+
+@pytest.mark.parametrize("n", [1, 3, 9, 10, 11, 12])
+def test_entry_names_are_distinct(n):
+    ring = Ring(frozenset({"C1", "D1"}), n)
+    assert len(set(ring.names)) == len(ring.names) == 2 * n * n
+    if n < 10:   # below 10 the names are the two digits, as before
+        assert ring.names == sorted("%s_%d%d" % (label, r, c) for label in ("C1", "D1")
+                                    for r in range(1, n + 1) for c in range(1, n + 1))
+
+
+def test_n11_normal_form_evaluates_like_numeric():
+    # at n = 11 L_1_11 and L_11_1 are two names; with one shared name the
+    # exact value drifted from the numeric route by 6e-3
+    n, spec = 11, SurfaceSpec(1, 1)
+    ctx = AlgebraContext("gl", n)
+    nf = _c1_d1_bracket(n)
+    m = random_point(ctx, spec, 0)
+    f = WordFunction(entry_observable(ctx, 0, 0, "re"), spec.word("C1"))
+    g = WordFunction(entry_observable(ctx, 0, 1, "re"), spec.word("D1"))
+    want = bracket_numeric(build_bivector(spec, ctx), f, g, m)
+    assert abs(want) > 1e-3
+    assert abs(nf.evaluate(m) - want) <= 1e-12
 
 
 def test_deferred_n3_bracket_is_unchanged():

@@ -62,8 +62,8 @@ def trivector_reference_tensor(ctx, tv):
         x = np.asarray(x, dtype=complex).reshape(-1)
         return np.concatenate([x.real, x.imag])
 
-    M = np.array([flat(f) for f in tv.pair.f])
-    return wedge3_tensor(np.einsum('ijk,ia,jb,kc->abc', tv.coeffs, M, M, M))
+    M = np.array([flat(f) for f in dual_basis(ctx).f])
+    return wedge3_tensor(np.einsum('ijk,ia,jb,kc->abc', tv, M, M, M))
 
 
 def _random_group(ctx, seed):
@@ -132,10 +132,54 @@ def test_dual_basis_gram_is_identity(ctx):
 def test_dual_basis_is_shared_and_read_only(ctx):
     pair = dual_basis(ctx)
     assert dual_basis(AlgebraContext(ctx.kind, ctx.n)) is pair
-    for x in pair.e + pair.f:
+    for x in (*pair.e, *pair.f):
         with pytest.raises(ValueError):
             x[0, 0] = 5.0
     assert pair.gram(ctx) == pytest.approx(np.eye(pair.dim))
+
+
+def _unit(n, p, q, dtype=float):
+    x = np.zeros((n, n), dtype=dtype)
+    x[p, q] = 1.0
+    return x
+
+
+def _dual_basis_reference(ctx):
+    """The pair built element by element: E_pq and E_qp in order for gl_n;
+    for u(n) i E_kk, then per a < b the real and imaginary symmetric pairs."""
+    n = ctx.n
+    if ctx.kind == "gl":
+        pq = [(p, q) for p in range(n) for q in range(n)]
+        return [_unit(n, p, q) for p, q in pq], [_unit(n, q, p) for p, q in pq]
+    s, e = 1.0 / np.sqrt(2.0), [1j * _unit(n, k, k, complex) for k in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            e.append(s * (_unit(n, a, b, complex) - _unit(n, b, a, complex)))
+            e.append(1j * s * (_unit(n, a, b, complex) + _unit(n, b, a, complex)))
+    return e, e
+
+
+@pytest.mark.parametrize("kind", ["gl", "u"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dual_basis_is_two_read_only_stacks_equal_to_reference(kind, n):
+    ctx = AlgebraContext(kind, n)
+    pair = dual_basis(ctx)
+    ref_e, ref_f = _dual_basis_reference(ctx)
+    for got, ref in ((pair.e, ref_e), (pair.f, ref_f)):
+        assert isinstance(got, np.ndarray) and got.shape == (n * n, n, n)
+        assert got.dtype == ctx.dtype and not got.flags.writeable
+        assert got.tobytes() == np.array(ref).tobytes()   # bit for bit, signs of zeros too
+    assert pair.dim == n * n
+
+
+@pytest.mark.parametrize("kind", ["gl", "u"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cartan_trivector_is_a_read_only_coefficient_array(kind, n):
+    ctx = AlgebraContext(kind, n)
+    w = cartan_trivector(ctx)
+    assert isinstance(w, np.ndarray) and w.shape == (n * n,) * 3 and w.dtype == float
+    assert not w.flags.writeable
+    assert cartan_trivector(AlgebraContext(kind, n)) is w
 
 
 @pytest.mark.parametrize("ctx", CTXS)
@@ -182,9 +226,8 @@ def test_trivector_totally_antisymmetric(ctx):
 def test_cartan_trivector_is_shared_and_read_only(ctx):
     tv = cartan_trivector(ctx)
     assert cartan_trivector(AlgebraContext(ctx.kind, ctx.n)) is tv
-    assert tv.pair is dual_basis(ctx)
     with pytest.raises(ValueError):
-        tv.coeffs[0, 1, 2] = 5.0
+        tv[0, 1, 2] = 5.0
 
 
 @pytest.mark.parametrize("kind", ["gl", "u"])
@@ -192,7 +235,7 @@ def test_cartan_trivector_is_shared_and_read_only(ctx):
 def test_cartan_trivector_is_alternating(kind, n):
     # exactly, so a contracted g is alternating up to round-off and its
     # wedge is 6 g, the form schouten_residual builds rho_phi in
-    w = cartan_trivector(AlgebraContext(kind, n)).coeffs
+    w = cartan_trivector(AlgebraContext(kind, n))
     assert np.max(np.abs(w)) > 1e-3
     for perm, sgn in _SIGNED_PERMS:
         assert np.array_equal(np.transpose(w, perm), sgn * w)
@@ -206,12 +249,12 @@ def test_cartan_trivector_matches_triple_loop(kind, n):
     # the structure constants entry by entry, as <e_i, [e_j, e_k]> / 12
     ctx = AlgebraContext(kind, n)
     tv = cartan_trivector(ctx)
-    e, d = tv.pair.e, tv.pair.dim
+    e, d = dual_basis(ctx).e, dual_basis(ctx).dim
     ref = np.zeros((d, d, d))
     for i, j, k in itertools.product(range(d), repeat=3):
         ref[i, j, k] = ctx.form(e[i], e[j] @ e[k] - e[k] @ e[j]) / 12.0
     assert np.max(np.abs(ref)) > 1e-3
-    assert np.max(np.abs(tv.coeffs - ref)) <= 1e-14
+    assert np.max(np.abs(tv - ref)) <= 1e-14
 
 
 def test_trivector_independent_of_basis_convention():

@@ -13,8 +13,8 @@ from scipy.linalg import expm
 from surface_qp import quasipoisson, suites
 from surface_qp.diagrams import double_bracket, realize_pair
 from surface_qp.goldman import PathEntrySymbol, bracket_symbolic
-from surface_qp.lie import (AlgebraContext, CartanTrivector, cartan_trivector,
-                            dual_basis, entry_observable, trace_observable)
+from surface_qp.lie import (AlgebraContext, cartan_trivector, dual_basis,
+                            entry_observable, trace_observable)
 from surface_qp.quasipoisson import (WordFunction, _field_vectors_and_jacs,
                                      bracket_combinatorial, bracket_numeric,
                                      build_bivector, chi, evaluate_element, field_value,
@@ -102,7 +102,7 @@ def _field_vector_and_jac(a, x, vals, n):
 def _chart_reference(h, m):
     """Pi and dpi[d, a, b] = d_d Pi^{ab} assembled per coefficient and per
     dual basis element, the loop that schouten_residual contracts."""
-    pair = cartan_trivector(h.ctx).pair
+    pair = dual_basis(h.ctx)
     vals, _ = slot_values(m)
     n = h.ctx.n
     blk = {s: slice(k * n * n, (k + 1) * n * n) for k, s in enumerate(h.slots)}
@@ -291,7 +291,7 @@ def _rho_reference(h, m):
     n = h.ctx.n
     blk = {s: slice(k * n * n, (k + 1) * n * n) for k, s in enumerate(h.slots)}
     dim = len(h.slots) * n * n
-    f = np.asarray(tv.pair.f)
+    f = dual_basis(h.ctx).f
     rho = np.zeros((dim, dim, dim))
     for p in range(len(h.w)):
         # the natural infinitesimal action of slot p, d/dt exp(tx).m, on the
@@ -300,10 +300,10 @@ def _rho_reference(h, m):
         for t, wt in zip(h.types, h.w[p].tolist()):
             if wt:
                 sigma[t[0]] = sigma.get(t[0], 0) + wt * field_value(vals, t, f)
-        rows = np.zeros((tv.pair.dim, dim))
+        rows = np.zeros((len(f), dim))
         for s, tan in sigma.items():
             rows[:, blk[s]] += np.real(tan).reshape(len(f), -1)
-        rho -= wedge3_tensor(np.einsum('ijk,ia,jb,kc->abc', tv.coeffs, rows, rows, rows))
+        rho -= wedge3_tensor(np.einsum('ijk,ia,jb,kc->abc', tv, rows, rows, rows))
     return rho
 
 
@@ -383,8 +383,7 @@ def _dropped_cyclic_term(pi, dpi):
 
 
 def _rho_scaled_by_3(ctx):
-    tv = cartan_trivector(ctx)
-    return CartanTrivector(tv.coeffs / 2.0, tv.pair)
+    return cartan_trivector(ctx) / 2.0
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -741,6 +740,32 @@ def test_only_diagrams_and_cross_section_read_endpoint_signs():
     assert not _reads_endpoint_signs("endpoint_signs = {}")
     readers = {path.stem for path in SRC.glob("*.py") if _reads_endpoint_signs(path.read_text())}
     assert readers == {"diagrams", "cross_section"}
+
+
+def _unpacks_lie_tables(source: str) -> bool:
+    """Does the source pass an .e or .f attribute to np.asarray or np.array,
+    or read a .pair or .coeffs attribute?"""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("pair", "coeffs"):
+            return True
+        if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("asarray", "array")
+                and any(isinstance(a, ast.Attribute) and a.attr in ("e", "f")
+                        for a in node.args)):
+            return True
+    return False
+
+
+def test_the_lie_tables_stay_arrays():
+    # dual_basis hands out two stacks and cartan_trivector its coefficient
+    # array: no program module re-stacks a basis or reaches through a wrapper
+    assert _unpacks_lie_tables("e = np.asarray(dual_basis(ctx).e)")
+    assert _unpacks_lie_tables("f = np.array(pair.f, dtype=float)")
+    assert _unpacks_lie_tables("d = tv.pair.dim")
+    assert _unpacks_lie_tables("w = tv.coeffs")
+    assert not _unpacks_lie_tables("e, f = pair.e, np.asarray(x)")
+    assert not _unpacks_lie_tables("pair, coeffs = dual_basis(ctx), cartan_trivector(ctx)")
+    readers = {path.stem for path in SRC.glob("*.py") if _unpacks_lie_tables(path.read_text())}
+    assert readers == set()
 
 
 def test_fold_reads_no_closed_form_table(monkeypatch):
