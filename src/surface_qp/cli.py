@@ -10,9 +10,9 @@ the main tolerance of the bracket or suite, so --tol 0 asks for exact
 agreement.  The cross-section suite ignores --n: its Theta identity runs at
 U(2) and U(3), its route fixtures at U(2) only.
 
-For GL entry observables at an exact point the bracket report also carries
-the symbolic normal form, and passes only when its exact value is within the
-tolerance of the numeric route as well.
+For GL entry observables the bracket report also carries the symbolic
+normal form, and passes only when its exact value is within the tolerance
+of the numeric route as well.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 input error (also a
 negative or non-finite --tol, a negative --seed, a non-finite --mutate,
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import cross_section as cx
 from .diagrams import GeneralPositionError, realize_pair
-from .goldman import PathEntrySymbol, bracket_symbolic
+from .goldman import bracket_symbolic
 from .io import (SchemaError, fixture_result, fmt_float, load_bracket_request,
                  load_point, load_surface, make_report, write_report)
 from .lie import AlgebraContext
@@ -104,10 +104,8 @@ def cmd_bracket(args) -> int:
         lhs = bracket_combinatorial(oa, wa, ob, wb, data, m)
         rhs = bracket_numeric(h, f, g, m)
         extra["route"] = "ambient"
-        if oa.entry is not None and ob.entry is not None and m.exact is not None:
-            (i, j), (k, l) = oa.entry, ob.entry
-            nf = bracket_symbolic(PathEntrySymbol(wa, i + 1, j + 1),
-                                  PathEntrySymbol(wb, k + 1, l + 1), data, ctx.n)
+        if oa.entry is not None and ob.entry is not None:   # every GL point is exact
+            nf = bracket_symbolic(oa, wa, ob, wb, data)
             extra["normal_form"] = nf.canonical_str()
             extra["symbolic_value"] = fmt_float(nf.evaluate(m))
     for side, value in (("combinatorial", lhs), ("bivector", rhs)):

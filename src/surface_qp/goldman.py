@@ -1,6 +1,6 @@
-"""Symbolic quasi-Poisson Goldman algebra: path-entry symbols, normal forms
-in the localized polynomial ring, and the entry bracket, one loop over the
-element E of diagrams.double_bracket.
+"""Symbolic quasi-Poisson Goldman algebra: normal forms in the localized
+polynomial ring, and the bracket of two GL entry observables, one loop over
+the element E of diagrams.double_bracket.
 
 Each free generator L contributes n^2 indeterminates L_rc (L_r_c from
 n = 10 on); inverse letters expand through the cofactor adjugate over
@@ -33,7 +33,6 @@ from __future__ import annotations
 import heapq
 import math
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
@@ -261,17 +260,6 @@ def _poly_str(poly: Poly) -> str:
     return ("-" if terms[0][0] else "") + text[3:]
 
 
-@dataclass(frozen=True)
-class PathEntrySymbol:
-    word: Word
-    i: int  # row, 1-based
-    j: int  # column, 1-based
-
-    def __post_init__(self):
-        if len(self.word.letters) == 0:
-            raise ValueError("constant words carry no entry symbols")
-
-
 class NormalForm:
     """poly / prod_L det(X_L)^den[L], with no det(X_L) left to cancel; the
     ring of poly holds every label of den."""
@@ -439,18 +427,22 @@ def entry_nf(w: Word, i: int, j: int, ring: Ring, cache: dict) -> NormalForm:
     return cache[key]
 
 
-def bracket_symbolic(a: PathEntrySymbol, b: PathEntrySymbol,
-                     data: IntersectionData, n: int,
+def bracket_symbolic(phi, w_alpha: Word, psi, w_beta: Word, data: IntersectionData,
                      cache: Optional[dict] = None) -> NormalForm:
-    """The entry bracket {alpha_ij, beta_kl}: tr(E_ji X E_lk Y) = X_il Y_kj,
-    so each term c (X, Y) of the element E = double_bracket(data, alpha,
-    beta) adds c X_il Y_kj, where the empty word's entry is a Kronecker
-    delta.  The terms, as 2c times two entries, are summed over their common
-    denominator, reduced once and halved."""
+    """The bracket of the GL entry observables phi of alpha and psi of beta,
+    {alpha_ij, beta_kl} with (i, j) and (k, l) their 1-based entries:
+    tr(E_ji X E_lk Y) = X_il Y_kj, so each term c (X, Y) of the element E =
+    double_bracket(data, alpha, beta) adds c X_il Y_kj, where the empty
+    word's entry is a Kronecker delta.  The terms, as 2c times two entries,
+    are summed over their common denominator, reduced once and halved."""
+    n = phi.ctx.n
+    if any(o.entry is None or (o.ctx.kind, o.ctx.n) != ("gl", n) for o in (phi, psi)):
+        raise ValueError("the symbolic bracket takes two GL entry observables of one size")
     cache = cache if cache is not None else {}
-    i, j, k, l = a.i, a.j, b.i, b.j
-    ring = word_ring(n, a.word, b.word)
+    # the observables' entries are 0-based, goldman's entry names 1-based
+    (i, j), (k, l) = ((r + 1, c + 1) for r, c in (phi.entry, psi.entry))
+    ring = word_ring(n, w_alpha, w_beta)
     terms = [(int(2 * c), [entry_nf(x, i, l, ring, cache), entry_nf(y, k, j, ring, cache)])
-             for (x, y), c in double_bracket(data, a.word, b.word).items()
+             for (x, y), c in double_bracket(data, w_alpha, w_beta).items()
              if (x.letters or i == l) and (y.letters or k == j)]   # a zero delta drops out
     return sum_of_products(ring, terms).scale(Fraction(1, 2))

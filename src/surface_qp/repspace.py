@@ -27,7 +27,7 @@ class RepPoint:
     and inv holds their inverses, computed once.  exact, for a GL point with
     rational coordinates, is (d, {generator: int numerators}), each entry
     num / d, the numerators nested lists of the matrices' shape, and None
-    otherwise (a unitary point, a stack drawn without them).  memo holds
+    otherwise (a unitary point, a point built by push or act).  memo holds
     what remember computed from the point, read-only, for as long as the
     point lives.  Points compare and hash by identity."""
     ctx: AlgebraContext
@@ -156,9 +156,10 @@ def act(m: RepPoint, g) -> RepPoint:
 
 
 def _random_gl(ctx: AlgebraContext, rngs: Sequence, count: int) -> np.ndarray:
-    """count candidate dyadic-rational GL_n samples I + 0.3 * uniform[-1,1]
-    entries from each random stream in rngs, one draw per stream, as the
-    integer numerators over _GL_DEN, stacked (S, count, n, n)."""
+    """count candidate GL_n samples I + 0.3 * uniform[-1,1] entries from each
+    random stream in rngs, one draw per stream, as the integer numerators
+    over _GL_DEN = 10 * 2^20, stacked (S, count, n, n): the matrices are the
+    nearest doubles of these rationals, and the exact copy holds them."""
     n = ctx.n
     return (_GL_DEN * np.eye(n, dtype=np.int64)
             + 3 * np.array([rng.integers(-_K_MAX, _K_MAX + 1, (count, n, n)) for rng in rngs]))
@@ -222,25 +223,24 @@ def _matrices(ctx: AlgebraContext, draws: np.ndarray) -> np.ndarray:
     return draws / _GL_DEN if ctx.kind == "gl" else expm(draws)
 
 
-def _point(ctx: AlgebraContext, spec: SurfaceSpec, draws: np.ndarray, exact: bool) -> RepPoint:
+def _point(ctx: AlgebraContext, spec: SurfaceSpec, draws: np.ndarray) -> RepPoint:
     """The point of draws (G, n, n), or the stack of draws (G, S, n, n), in
-    generator order; with exact, a GL point keeps the numerators as its
-    exact copy."""
+    generator order; a GL point keeps the numerators as its exact copy."""
     syms = generator_symbols(spec.genus, spec.boundary_count)
-    nums = (_GL_DEN, dict(zip(syms, draws.tolist()))) if exact and ctx.kind == "gl" else None
+    nums = (_GL_DEN, dict(zip(syms, draws.tolist()))) if ctx.kind == "gl" else None
     return RepPoint(ctx, spec, dict(zip(syms, _matrices(ctx, draws))), nums)
 
 
-def random_stacks(ctx: AlgebraContext, specs: Sequence[SurfaceSpec], seeds: Iterable[int],
-                  exact: bool = False) -> List[RepPoint]:
+def random_stacks(ctx: AlgebraContext, specs: Sequence[SurfaceSpec],
+                  seeds: Iterable[int]) -> List[RepPoint]:
     """The points random_point draws at each seed, one stacked point per
-    surface of specs, all from one seeding of each seed; with exact, each GL
-    stack keeps the numerators of its draws as its exact copy."""
-    return [_point(ctx, spec, d.swapaxes(0, 1).copy(), exact)   # (G, S, n, n)
+    surface of specs, all from one seeding of each seed; each GL stack keeps
+    the numerators of its draws as its exact copy."""
+    return [_point(ctx, spec, d.swapaxes(0, 1).copy())   # (G, S, n, n)
             for spec, d in zip(specs, _draws(ctx, specs, seeds))]
 
 
 def random_point(ctx: AlgebraContext, spec: SurfaceSpec, seed: int) -> RepPoint:
     """The point of one seed, the one-seed stack of random_stacks; for GL
     its exact copy is the draw's integer numerators over _GL_DEN."""
-    return _point(ctx, spec, _draws(ctx, [spec], [seed])[0][0], True)
+    return _point(ctx, spec, _draws(ctx, [spec], [seed])[0][0])

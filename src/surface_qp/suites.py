@@ -16,15 +16,14 @@ import numpy as np
 
 from . import cross_section as cx
 from .diagrams import realize_pair
-# NormalForm and random_point are unused here, but the benchmark's tracer
-# wraps NormalForm.evaluate and random_point through this module's namespace
-from .goldman import (NormalForm, PathEntrySymbol, bracket_symbolic, entry_nf,
-                      sum_of_products, word_ring)
+# NormalForm is unused here, but the benchmark's tracer wraps
+# NormalForm.evaluate through this module's namespace
+from .goldman import NormalForm, bracket_symbolic, entry_nf, sum_of_products, word_ring
 from .io import fixture_result, fixture_rows, fmt_float
 from .lie import AlgebraContext, Observable, entry_observable, trace_observable
 from .quasipoisson import (WordFunction, bracket_combinatorial, bracket_numeric,
                            build_bivector, perturbed, schouten_residual, verify_moment)
-from .repspace import RepPoint, push, random_point, random_stacks
+from .repspace import RepPoint, push, random_stacks
 from .surfaces import SurfaceSpec, polygon_model
 from .words import substitute
 
@@ -143,9 +142,9 @@ def suite_splitting(n: int = 2, tol: float = 1e-9, mutate: float = 0.0) -> list:
 def suite_goldman(n: int = 2, tol: float = 1e-8, mutate: float = 0.0) -> list:
     ctx = AlgebraContext("gl", n)
     out = []
+    oa, ob = entry_observable(ctx, 0, 0, "re"), entry_observable(ctx, 0, 1, "re")
     # the evaluate seeds, one stack per surface with its exact copy
-    points = random_stacks(ctx, FIXTURE_SURFACES, range(3), exact=True)
-    for spec, m in zip(FIXTURE_SURFACES, points):
+    for spec, m in zip(FIXTURE_SURFACES, random_stacks(ctx, FIXTURE_SURFACES, range(3))):
         pm = polygon_model(spec)
         wa_s, wb_s = WORD_PAIRS[(spec.genus, spec.boundary_count)][0]
         wa, wb = spec.word(wa_s), spec.word(wb_s)
@@ -162,13 +161,11 @@ def suite_goldman(n: int = 2, tol: float = 1e-8, mutate: float = 0.0) -> list:
             out.append({"fixture": "goldman relation %s %s*%s" % (spec, wa_s, wb_s),
                         "residual": "0" if rel_ok else "nonzero",
                         "tolerance": "0", "pass": bool(rel_ok)})
-        a = PathEntrySymbol(wa, 1, 1)
-        b = PathEntrySymbol(wb, 1, 2)
         _, _, data = realize_pair(wa, wb, pm, 0)
-        br = bracket_symbolic(a, b, data, n, cache)
+        br = bracket_symbolic(oa, wa, ob, wb, data, cache)
         # antisymmetry, exact
         _, _, data_ba = realize_pair(wb, wa, pm, 0)
-        br_ba = bracket_symbolic(b, a, data_ba, n, cache)
+        br_ba = bracket_symbolic(ob, wb, oa, wa, data_ba, cache)
         anti = (br + br_ba).is_zero()
         out.append({"fixture": "goldman antisymmetry %s" % spec,
                     "residual": "0" if anti else "nonzero",
@@ -177,14 +174,13 @@ def suite_goldman(n: int = 2, tol: float = 1e-8, mutate: float = 0.0) -> list:
         stable = True
         for var in ((1, 0), (0, 1), (1, 1)):
             _, _, d2 = realize_pair(wa, wb, pm, 5, var)
-            stable = stable and (bracket_symbolic(a, b, d2, n, cache) == br)
+            stable = stable and (bracket_symbolic(oa, wa, ob, wb, d2, cache) == br)
         out.append({"fixture": "goldman homotopy invariance %s" % spec,
                     "residual": "0" if stable else "nonzero",
                     "tolerance": "0", "pass": bool(stable)})
         # numeric evaluation agreement
         h = perturbed(build_bivector(spec, ctx), mutate)
-        f = WordFunction(entry_observable(ctx, 0, 0, "re"), wa)
-        g = WordFunction(entry_observable(ctx, 0, 1, "re"), wb)
+        f, g = WordFunction(oa, wa), WordFunction(ob, wb)
         rows = fixture_rows(_seeded("goldman evaluate %s %s_11|%s_12" % (spec, wa_s, wb_s), 3),
                             br.evaluate(m), bracket_numeric(h, f, g, m), tol)
         text = br.canonical_str()

@@ -93,10 +93,9 @@ class Word:
                                  "with %d boundary components" % (sym, genus, boundary))
             else:
                 expanded.append((sym, sgn))
-        red = free_reduce(expanded)
         src = tgt = 1
         prev_tgt = None
-        for sym, sgn in red:
+        for sym, sgn in expanded:   # as written: a cancellation must not hide a break
             s, t = generator_endpoints(sym)
             if sgn == -1:
                 s, t = t, s
@@ -107,7 +106,7 @@ class Word:
             prev_tgt = t
         if prev_tgt is not None:
             tgt = prev_tgt
-        return Word(red, src, tgt)
+        return Word(free_reduce(expanded), src, tgt)
 
     def __len__(self) -> int:
         return len(self.letters)

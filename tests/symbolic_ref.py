@@ -4,20 +4,38 @@ Conversions between ``goldman.Poly`` and sympy expressions, so that tests
 can state polynomials as expressions and compare against sympy's printer,
 ``sp.div`` and expansion; the full path matrix and the per-term entry
 bracket, the references of ``goldman``'s rows and single reduction; and the
-expression front end over ``NormalForm``: path-entry symbols, normal forms
-of polynomials in them, and the Leibniz extension of the entry bracket."""
+expression front end over ``NormalForm``: 1-based path-entry symbols, the
+program's bracket of two of them, normal forms of polynomials in them, and
+the Leibniz extension of the entry bracket."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import sympy as sp
 
 from surface_qp.diagrams import IntersectionData, realize_pair
-from surface_qp.goldman import (NormalForm, PathEntrySymbol, Poly, Ring, _generator,
-                                _label_ring, bracket_symbolic, entry_nf, word_ring)
+from surface_qp.goldman import (NormalForm, Poly, Ring, _generator, _label_ring,
+                                bracket_symbolic, entry_nf, word_ring)
+from surface_qp.lie import AlgebraContext, entry_observable
 from surface_qp.words import Word, generator_symbols
+
+
+class PathEntrySymbol(NamedTuple):
+    """Entry (i, j) of Hol_word, 1-based as goldman's entry names."""
+    word: Word
+    i: int
+    j: int
+
+
+def bracket_of_symbols(a: PathEntrySymbol, b: PathEntrySymbol, data: IntersectionData,
+                       n: int, cache: Optional[dict] = None) -> NormalForm:
+    """The program's entry bracket of two symbols, through their GL(n) entry
+    observables."""
+    ctx = AlgebraContext("gl", n)
+    return bracket_symbolic(entry_observable(ctx, a.i - 1, a.j - 1), a.word,
+                            entry_observable(ctx, b.i - 1, b.j - 1), b.word, data, cache)
 
 
 def entry_symbol(label: str, r: int, c: int) -> sp.Symbol:
@@ -183,6 +201,6 @@ class GoldmanAlgebra:
                 dgt = self.normal_form(sp.diff(G, t))
                 ps, pt = self.registry[s], self.registry[t]
                 data = self.pair_data(ps.word, pt.word)
-                br = self.lift(bracket_symbolic(ps, pt, data, self.n))
+                br = self.lift(bracket_of_symbols(ps, pt, data, self.n))
                 out = out + dfs * dgt * br
         return out

@@ -19,7 +19,7 @@ from surface_qp.cross_section import (bracket_cross, bracket_cross_numeric,
                                       project_to_cross_section, theta_matrix)
 from surface_qp.diagrams import (diagram_from_word, intersection_data, realize_pair,
                                  word_of_diagram)
-from surface_qp.goldman import PathEntrySymbol, bracket_symbolic
+from surface_qp.goldman import bracket_symbolic
 from surface_qp.lie import (AlgebraContext, dual_basis, entry_observable,
                             trace_observable)
 from surface_qp.quasipoisson import (WordFunction, bracket_combinatorial,
@@ -147,11 +147,9 @@ def test_arc_self_brackets_vanish(gb):
         cache = {}
         for (i, j), (k, l) in itertools.product(
                 itertools.product((1, 2), repeat=2), repeat=2):
-            nf = bracket_symbolic(PathEntrySymbol(w, i, j),
-                                  PathEntrySymbol(w, k, l), data, 2, cache)
-            assert nf.is_zero()
             oa = entry_observable(GL2, i - 1, j - 1, "re")
             ob = entry_observable(GL2, k - 1, l - 1, "re")
+            assert bracket_symbolic(oa, w, ob, w, data, cache).is_zero()
             comb = bracket_combinatorial(oa, w, ob, w, data, m)
             num = bracket_numeric(h, WordFunction(oa, w),
                                   WordFunction(ob, w), m)
@@ -189,13 +187,12 @@ def test_symbolic_antisymmetry_and_homotopy():
     spec = SurfaceSpec(1, 1)
     pm = polygon_model(spec)
     wa, wb = spec.word("C1 D1"), spec.word("D1")
-    a = PathEntrySymbol(wa, 1, 2)
-    b = PathEntrySymbol(wb, 2, 1)
+    oa, ob = entry_observable(GL2, 0, 1), entry_observable(GL2, 1, 0)
     forms = []
     for seed in (0, 1, 2):
         da, db, data = realize_pair(wa, wb, pm, seed)
-        forms.append(bracket_symbolic(a, b, data, 2))
-        back = bracket_symbolic(b, a, intersection_data(db, da, pm), 2)
+        forms.append(bracket_symbolic(oa, wa, ob, wb, data))
+        back = bracket_symbolic(ob, wb, oa, wa, intersection_data(db, da, pm))
         assert (forms[-1] + back).is_zero()
     assert forms[1] == forms[0] and forms[2] == forms[0]
 
@@ -207,10 +204,9 @@ def test_symbolic_evaluates_equal_to_numeric_on_grid():
         ta, tb = WORD_PAIRS[gb][0]
         wa, wb = spec.word(ta), spec.word(tb)
         _, _, data = realize_pair(wa, wb, pm, 0)
-        nf = bracket_symbolic(PathEntrySymbol(wa, 1, 2),
-                              PathEntrySymbol(wb, 1, 1), data, 2)
         oa = entry_observable(GL2, 0, 1, "re")
         ob = entry_observable(GL2, 0, 0, "re")
+        nf = bracket_symbolic(oa, wa, ob, wb, data)
         for seed in range(3):
             m = random_point(GL2, spec, seed)
             comb = bracket_combinatorial(oa, wa, ob, wb, data, m)

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import json
 import sys
@@ -13,20 +14,22 @@ import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from surface_qp.cross_section import bracket_cross
 from surface_qp.diagrams import intersection_data, realize_pair
 from surface_qp import goldman
-from surface_qp.goldman import (MAX_DEGREE, NormalForm, PathEntrySymbol, Ring, _label_ring,
-                                bracket_symbolic, exact_quotient)
+from surface_qp.goldman import (MAX_DEGREE, NormalForm, Ring, _label_ring, bracket_symbolic,
+                                exact_quotient)
 from surface_qp.io import load_point
-from surface_qp.lie import TOL_INV, AlgebraContext, entry_observable
+from surface_qp.lie import TOL_INV, AlgebraContext, entry_observable, trace_observable
 from surface_qp.quasipoisson import (WordFunction, bracket_combinatorial, bracket_numeric,
                                      build_bivector)
 from surface_qp.repspace import random_point
 from surface_qp.suites import FIXTURE_SURFACES, WORD_PAIRS, run_suite
 from surface_qp.surfaces import SurfaceSpec, polygon_model
 from surface_qp.words import generator_symbols
-from symbolic_ref import (GoldmanAlgebra, bracket_symbolic_ref, entry_symbol, form,
-                          from_expr, from_terms, normalize, to_expr)
+from symbolic_ref import (GoldmanAlgebra, PathEntrySymbol, bracket_of_symbols,
+                          bracket_symbolic_ref, entry_symbol, form, from_expr, from_terms,
+                          normalize, to_expr)
 
 GL2 = AlgebraContext("gl", 2)
 
@@ -235,15 +238,32 @@ def test_symbolic_matches_numeric(gb, ta, tb):
     pm = polygon_model(spec)
     wa, wb = spec.word(ta), spec.word(tb)
     _, _, data = realize_pair(wa, wb, pm, 1)
-    a = PathEntrySymbol(wa, 1, 2)
-    b = PathEntrySymbol(wb, 2, 1)
-    nf = bracket_symbolic(a, b, data, 2)
     oa = entry_observable(GL2, 0, 1, "re")
     ob = entry_observable(GL2, 1, 0, "re")
+    nf = bracket_symbolic(oa, wa, ob, wb, data)
     for seed in (0, 1, 2):
         m = random_point(GL2, spec, seed)
         comb = bracket_combinatorial(oa, wa, ob, wb, data, m)
         assert nf.evaluate(m) == pytest.approx(comb, abs=1e-10)
+
+
+def test_symbolic_bracket_takes_two_gl_entry_observables():
+    spec = SurfaceSpec(1, 1)
+    wa, wb = spec.word("C1"), spec.word("D1")
+    _, _, data = realize_pair(wa, wb, polygon_model(spec), 0)
+    entry, u2 = entry_observable(GL2, 0, 1), AlgebraContext("u", 2)
+    for oa, ob in ((trace_observable(GL2), entry), (entry, trace_observable(GL2)),
+                   (entry_observable(u2, 0, 1), entry_observable(u2, 1, 0)),
+                   (entry, entry_observable(AlgebraContext("gl", 3), 0, 1))):
+        with pytest.raises(ValueError, match="two GL entry observables"):
+            bracket_symbolic(oa, wa, ob, wb, data)
+
+
+def test_every_bracket_route_leads_with_the_observables_and_words():
+    lead = ["phi", "w_alpha", "psi", "w_beta", "data"]
+    for route in (bracket_combinatorial, bracket_symbolic, bracket_cross):
+        assert list(inspect.signature(route).parameters)[:5] == lead
+    assert list(inspect.signature(bracket_symbolic).parameters) == lead + ["cache"]
 
 
 def test_symbolic_homotopy_invariant():
@@ -256,7 +276,7 @@ def test_symbolic_homotopy_invariant():
     forms = []
     for seed, variants in [(0, (0, 0)), (1, (0, 0)), (2, (1, 0)), (0, (0, 1))]:
         _, _, data = realize_pair(wa, wb, pm, seed, variants)
-        forms.append(bracket_symbolic(a, b, data, 2))
+        forms.append(bracket_of_symbols(a, b, data, 2))
     for nf in forms[1:]:
         assert nf == forms[0]
 
@@ -268,10 +288,10 @@ def test_symbolic_antisymmetry():
     da, db, data = realize_pair(wa, wb, pm, 2)
     flipped = intersection_data(db, da, pm)
     for (i, j), (k, l) in itertools.product([(1, 1), (1, 2)], [(2, 1), (2, 2)]):
-        fwd = bracket_symbolic(PathEntrySymbol(wa, i, j),
-                               PathEntrySymbol(wb, k, l), data, 2)
-        bwd = bracket_symbolic(PathEntrySymbol(wb, k, l),
-                               PathEntrySymbol(wa, i, j), flipped, 2)
+        fwd = bracket_of_symbols(PathEntrySymbol(wa, i, j),
+                                 PathEntrySymbol(wb, k, l), data, 2)
+        bwd = bracket_of_symbols(PathEntrySymbol(wb, k, l),
+                                 PathEntrySymbol(wa, i, j), flipped, 2)
         assert (fwd + bwd).is_zero()
 
 
@@ -283,8 +303,8 @@ def test_non_closed_self_bracket_vanishes():
     for (i, j), (k, l) in itertools.product([(1, 1), (1, 2), (2, 1), (2, 2)],
                                             repeat=2):
         _, _, data = realize_pair(w, w, pm, 1)
-        nf = bracket_symbolic(PathEntrySymbol(w, i, j),
-                              PathEntrySymbol(w, k, l), data, 2)
+        nf = bracket_of_symbols(PathEntrySymbol(w, i, j),
+                                PathEntrySymbol(w, k, l), data, 2)
         assert nf.is_zero()
 
 
@@ -345,15 +365,15 @@ def test_final_reduction_is_pinned(monkeypatch):
     # cancels a det(D1)
     a, b, data = _d1_bracket(3, 3, 1, 1)
     text = "-D1_12*D1_23*D1_31/2 + D1_13*D1_21*D1_32/2 / det(D1)^2"
-    assert bracket_symbolic(a, b, data, 3).canonical_str() == text
-    assert bracket_symbolic(a, b, data, 3) == bracket_symbolic_ref(a, b, data, 3)
+    assert bracket_of_symbols(a, b, data, 3).canonical_str() == text
+    assert bracket_of_symbols(a, b, data, 3) == bracket_symbolic_ref(a, b, data, 3)
     reduce = NormalForm._reduce
 
     def skip_final(nf):   # mutant: the summed terms stay unreduced
         return nf if sys._getframe(1).f_code.co_name == "sum_of_products" else reduce(nf)
 
     monkeypatch.setattr(NormalForm, "_reduce", skip_final)
-    assert bracket_symbolic(a, b, data, 3).canonical_str() != text
+    assert bracket_of_symbols(a, b, data, 3).canonical_str() != text
 
 
 def _exact_value(nf, m) -> float:
@@ -373,8 +393,8 @@ def _exact_value(nf, m) -> float:
 def test_evaluate_is_exact(n):
     # 1/2 coefficients, mixed degrees and det denominators: a lost
     # coefficient, coordinate or det scale changes the rounded value
-    forms = [bracket_symbolic(*_d1_bracket(1, 1, 1, 2), n),
-             bracket_symbolic(*_d1_bracket(1, 2, 2, 1), n),
+    forms = [bracket_of_symbols(*_d1_bracket(1, 1, 1, 2), n),
+             bracket_of_symbols(*_d1_bracket(1, 2, 2, 1), n),
              form("C1_11**2*D1_12/2 - 3*C1_22/7 + 5/3", {"C1": 2, "D1": 1}, n)]
     assert all(nf.den and any(c.denominator > 1 for c in nf.poly.terms.values())
                for nf in forms)
@@ -397,7 +417,7 @@ def _file_point_form(g, b, n):
     spec = SurfaceSpec(g, b)
     wa, wb = (spec.word(t) for t in (("C1", "D1'") if g else ("A2", "B2'")))
     _, _, data = realize_pair(wa, wb, polygon_model(spec), 0)
-    return bracket_symbolic(PathEntrySymbol(wa, 1, 1), PathEntrySymbol(wb, 1, 2), data, n)
+    return bracket_of_symbols(PathEntrySymbol(wa, 1, 1), PathEntrySymbol(wb, 1, 2), data, n)
 
 
 @pytest.mark.parametrize("g, b", [(1, 1), (0, 2)])
@@ -431,7 +451,7 @@ def _c1_d1_bracket(n):
     spec = SurfaceSpec(1, 1)
     wa, wb = spec.word("C1"), spec.word("D1")
     _, _, data = realize_pair(wa, wb, polygon_model(spec), 0)
-    return bracket_symbolic(PathEntrySymbol(wa, 1, 1), PathEntrySymbol(wb, 1, 2), data, n)
+    return bracket_of_symbols(PathEntrySymbol(wa, 1, 1), PathEntrySymbol(wb, 1, 2), data, n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7])
@@ -478,7 +498,7 @@ def test_deferred_n3_bracket_is_unchanged():
     pm = polygon_model(spec)
     wa, wb = spec.word("C1 D1 C1' D1'"), spec.word("C2 D2")
     _, _, data = realize_pair(wa, wb, pm, 0)
-    nf = bracket_symbolic(PathEntrySymbol(wa, 1, 2), PathEntrySymbol(wb, 2, 1), data, 3)
+    nf = bracket_of_symbols(PathEntrySymbol(wa, 1, 2), PathEntrySymbol(wb, 2, 1), data, 3)
     text = nf.canonical_str()
     assert len(text) == 113659
     assert hashlib.sha256(text.encode()).hexdigest() == \
@@ -531,7 +551,7 @@ def test_goldman_evaluate_rows_read_one_stacked_draw(n, monkeypatch):
         wa, wb = spec.word(wa_s), spec.word(wb_s)
         m = random_point(ctx, spec, seed)
         _, _, data = realize_pair(wa, wb, polygon_model(spec), 0)
-        nf = bracket_symbolic(PathEntrySymbol(wa, 1, 1), PathEntrySymbol(wb, 1, 2), data, n)
+        nf = bracket_of_symbols(PathEntrySymbol(wa, 1, 1), PathEntrySymbol(wb, 1, 2), data, n)
         assert row["lhs"] == "%.17g" % nf.evaluate(m)
         f = WordFunction(entry_observable(ctx, 0, 0, "re"), wa)
         g = WordFunction(entry_observable(ctx, 0, 1, "re"), wb)

@@ -416,6 +416,14 @@ def test_cli_non_string_word_exits_2(tmp_path, capsys, word):
     assert "alpha word must be a string, got %r" % (word,) in capsys.readouterr().err
 
 
+def test_cli_word_not_a_path_as_written_exits_2(tmp_path, capsys):
+    # A2' A2 cancels, but A3 does not start where A2 ends
+    code = main(["bracket", "--surface", _surface(tmp_path, 0, 3),
+                 "--diagram", _diagram(tmp_path, wa="A2' A2 A3", wb="A2")])
+    assert code == 2
+    assert "word not composable at 'A3'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("word", ["A5", "C3 D3"])
 def test_cli_generator_off_surface_exits_2(tmp_path, capsys, word):
     code = main(["bracket", "--surface", _surface(tmp_path, 0, 2),

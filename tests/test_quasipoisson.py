@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from surface_qp import quasipoisson, suites
+from surface_qp import quasipoisson, repspace, suites
 from surface_qp.diagrams import double_bracket, realize_pair
-from surface_qp.goldman import PathEntrySymbol, bracket_symbolic
+from surface_qp.goldman import bracket_symbolic
 from surface_qp.lie import (AlgebraContext, cartan_trivector, dual_basis,
                             entry_observable, trace_observable)
 from surface_qp.quasipoisson import (WordFunction, _field_vectors_and_jacs,
@@ -406,11 +406,11 @@ def test_qp_identity_suite_makes_one_stacked_call_per_surface(monkeypatch):
         calls["schouten_residual"].append(m.mats[next(iter(m.mats))].shape[:-2])
         return _fn(h, m)
 
-    def point(*args, _fn=suites.random_point):
+    def point(*args, _fn=repspace.random_point):
         calls["random_point"] += 1
         return _fn(*args)
     monkeypatch.setattr(suites, "schouten_residual", schouten)
-    monkeypatch.setattr(suites, "random_point", point)
+    monkeypatch.setattr(repspace, "random_point", point)
     fixtures = run_suite("qp-identity", 2)
     assert all(fx["pass"] for fx in fixtures) and len(fixtures) == 12
     assert calls == {"schouten_residual": [(5,), (), (5,), ()], "random_point": 0}
@@ -1002,7 +1002,7 @@ def test_exact_entry_bracket_is_the_normal_form(beta, k):
     wa, wb = spec.word(" ".join(["C1"] * k)), spec.word(beta)
     _, _, data = realize_pair(wa, wb, polygon_model(spec), 0)
     assert data.crossings or beta != "D1"
-    nf = bracket_symbolic(PathEntrySymbol(wa, 1, 1), PathEntrySymbol(wb, 1, 2), data, 2)
+    nf = bracket_symbolic(entry_observable(GL2, 0, 0), wa, entry_observable(GL2, 0, 1), wb, data)
     # evaluate rounds the exact value once, as float of a Fraction does
     assert nf.evaluate(m) == float(_exact_entry_bracket(m, wa, (0, 0), wb, (0, 1), data))
 
@@ -1022,12 +1022,11 @@ def test_bivector_route_on_long_words_matches_the_exact_value(beta, k):
     m = random_point(GL2, spec, 0)
     wa, wb = spec.word(" ".join(["C1"] * k)), spec.word(beta)
     _, _, data = realize_pair(wa, wb, polygon_model(spec), 0)
+    oa, ob = entry_observable(GL2, 0, 0), entry_observable(GL2, 0, 1)
     if data.crossings:
         exact = _exact_entry_bracket(m, wa, (0, 0), wb, (0, 1), data)
     else:
-        exact = bracket_symbolic(PathEntrySymbol(wa, 1, 1), PathEntrySymbol(wb, 1, 2),
-                                 data, 2).evaluate(m)
-    oa, ob = entry_observable(GL2, 0, 0), entry_observable(GL2, 0, 1)
+        exact = bracket_symbolic(oa, wa, ob, wb, data).evaluate(m)
     num = bracket_numeric(build_bivector(spec, GL2), WordFunction(oa, wa),
                           WordFunction(ob, wb), m)
     comb = bracket_combinatorial(oa, wa, ob, wb, data, m)

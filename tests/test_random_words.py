@@ -15,14 +15,14 @@ from surface_qp.cross_section import (RegularityError, bracket_cross,
                                       bracket_cross_numeric,
                                       project_to_cross_section)
 from surface_qp.diagrams import realize_pair
-from surface_qp.goldman import PathEntrySymbol, bracket_symbolic, entry_nf, word_ring
+from surface_qp.goldman import bracket_symbolic, entry_nf, word_ring
 from surface_qp.lie import AlgebraContext, entry_observable, trace_observable
 from surface_qp.quasipoisson import (WordFunction, bracket_combinatorial,
                                      bracket_numeric, build_bivector)
 from surface_qp.repspace import random_point
 from surface_qp.surfaces import SurfaceSpec, polygon_model
 from surface_qp.words import Word, generator_endpoints, generator_symbols
-from symbolic_ref import bracket_symbolic_ref, normalize
+from symbolic_ref import PathEntrySymbol, bracket_of_symbols, bracket_symbolic_ref, normalize
 
 SURFACES = [(0, 2), (1, 1), (0, 3), (1, 2), (2, 1), (1, 3), (2, 2)]
 
@@ -107,11 +107,9 @@ def symbolic_case(draw):
 @given(symbolic_case())
 def test_random_words_symbolic(case):
     spec, ctx, (i, j), wa, (k, l), wb, data, m = case
-    sym = bracket_symbolic(PathEntrySymbol(wa, i + 1, j + 1),
-                           PathEntrySymbol(wb, k + 1, l + 1), data, ctx.n)
-    num = bracket_numeric(build_bivector(spec, ctx),
-                          WordFunction(entry_observable(ctx, i, j), wa),
-                          WordFunction(entry_observable(ctx, k, l), wb), m)
+    oa, ob = entry_observable(ctx, i, j), entry_observable(ctx, k, l)
+    sym = bracket_symbolic(oa, wa, ob, wb, data)
+    num = bracket_numeric(build_bivector(spec, ctx), WordFunction(oa, wa), WordFunction(ob, wb), m)
     assert abs(sym.evaluate(m) - num) <= 1e-8 * max(1.0, abs(num))
 
 
@@ -143,4 +141,4 @@ def test_random_brackets_match_term_by_term_sum(data):
     b = PathEntrySymbol(wb, data.draw(st.integers(1, n)), data.draw(st.integers(1, n)))
     spec = SurfaceSpec(genus, boundary)
     _, _, pair = realize_pair(wa, wb, polygon_model(spec), data.draw(st.integers(0, 99)))
-    assert bracket_symbolic(a, b, pair, n) == bracket_symbolic_ref(a, b, pair, n)
+    assert bracket_of_symbols(a, b, pair, n) == bracket_symbolic_ref(a, b, pair, n)

@@ -233,7 +233,7 @@ def test_non_finite_coordinates_rejected(ctx, bad):
     ids=["gl-singular", "u-non-unitary"])
 def test_stack_with_one_bad_matrix_names_its_index(ctx, bad, msg):
     m = random_points(ctx, SurfaceSpec(1, 1), range(5))
-    assert m.exact is None and m.mats["C1"].shape == (5, 2, 2)
+    assert (m.exact is None) == (ctx.kind == "u") and m.mats["C1"].shape == (5, 2, 2)
     mats = dict(m.mats)
     mats["D1"] = mats["D1"].copy()
     mats["D1"][3] = bad
@@ -432,13 +432,13 @@ def test_u_sampler_matches_per_generator_draws(n, spec):
 @functools.lru_cache(maxsize=None)
 def _suite_draws():
     """The sampler calls of every suite at n = 2 and 3, as ((suite, n), ctx,
-    specs, seeds, exact), recorded while the suites run."""
+    specs, seeds), recorded while the suites run."""
     from surface_qp import suites
     calls, real, run = [], suites.random_stacks, [None]
 
-    def record(ctx, specs, seeds, exact=False):
-        calls.append((run[0], ctx, tuple(specs), list(seeds), exact))
-        return real(ctx, specs, seeds, exact)
+    def record(ctx, specs, seeds):
+        calls.append((run[0], ctx, tuple(specs), list(seeds)))
+        return real(ctx, specs, seeds)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(suites, "random_stacks", record)
         for name in suites.SUITES:
@@ -457,14 +457,13 @@ SUITE_DRAWS_SHA256 = "a762be48b5feca7f07d6b2311ff5c811c2ef84edcfedb7a6102812862d
 def test_every_suite_draws_all_its_surfaces_in_one_call():
     runs = [call[0] for call in _suite_draws()]
     assert len(runs) == len(set(runs)) == 11
-    assert [call[4] for call in _suite_draws()] == [name == "goldman" for name, _ in runs]
 
 
 def test_suite_draws_are_pinned():
     import hashlib
     h = hashlib.sha256()
-    for _, ctx, specs, seeds, exact in _suite_draws():
-        for m in repspace.random_stacks(ctx, specs, seeds, exact):
+    for _, ctx, specs, seeds in _suite_draws():
+        for m in repspace.random_stacks(ctx, specs, seeds):
             for sym, mat in m.mats.items():
                 h.update(sym.encode())
                 h.update(mat.tobytes())
@@ -474,11 +473,11 @@ def test_suite_draws_are_pinned():
 def _check_multi_surface_draw(ctx, specs, seeds):
     # one stacked point per surface, bit for bit the per-surface and the
     # per-seed draws, exact copies included
-    stacks = repspace.random_stacks(ctx, specs, seeds, exact=True)
+    stacks = repspace.random_stacks(ctx, specs, seeds)
     assert [m.spec for m in stacks] == list(specs)
     for spec, stack in zip(specs, stacks):
         alone = random_points(ctx, spec, seeds)
-        assert alone.exact is None
+        assert alone.exact == stack.exact and (stack.exact is None) == (ctx.kind == "u")
         for k, seed in enumerate(seeds):
             m = random_point(ctx, spec, seed)
             for sym in m.mats:
@@ -487,14 +486,13 @@ def _check_multi_surface_draw(ctx, specs, seeds):
                 if ctx.kind == "gl":
                     assert stack.exact[0] == m.exact[0]
                     assert stack.exact[1][sym][k] == m.exact[1][sym]
-        assert (stack.exact is None) == (ctx.kind == "u")
 
 
 @pytest.mark.parametrize("kind", ["gl", "u"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_multi_surface_draw_equals_per_surface_draws(kind, n):
     ctx = AlgebraContext(kind, n)
-    for specs, seeds in {(specs, tuple(seeds)) for _, _, specs, seeds, _ in _suite_draws()}:
+    for specs, seeds in {(specs, tuple(seeds)) for _, _, specs, seeds in _suite_draws()}:
         _check_multi_surface_draw(ctx, specs, seeds)
 
 

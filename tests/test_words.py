@@ -44,11 +44,16 @@ def test_word_endpoints_compose():
     assert (w.source, w.target) == (1, 2)
     w2 = Word.from_string("B2' A2'", 0, 2)
     assert w.concat(w2).letters == ()
+    loop = Word.from_string("A2' A2", 0, 3)   # reduces away, read where written
+    assert (loop.letters, loop.source, loop.target) == ((), 2, 2)
+    assert loop.concat(Word.from_string("B2", 0, 3)).letters == (("B2", 1),)
 
 
-def test_non_composable_rejected():
-    with pytest.raises(ValueError):
-        Word.from_string("A2 A3", 0, 3)
+@pytest.mark.parametrize("text", ["A2 A3", "A2' A2 A3"])
+def test_non_composable_rejected(text):
+    # A2' A2 reduces away, but as written it ends at p2, where A3 cannot start
+    with pytest.raises(ValueError, match="not composable at 'A3'"):
+        Word.from_string(text, 0, 3)
 
 
 @pytest.mark.parametrize("text", ["A5", "C3 D3", "A2 B3"])
